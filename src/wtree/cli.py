@@ -25,8 +25,10 @@ import numpy as np
 
 from . import __version__
 from .config import DEFAULTS, apply_override, load_config, make_disorder, make_spec
-from .engine import boundary_extrapolate, solve_root_R_batch, sqrt_upper
+from .engine import _eta_intercept, solve_root_R_batch
 from .ensemble import (
+    _root_edge_lengths,
+    _seed_disk,
     estimate_gamma,
     fluctuation_report,
     stability_scan,
@@ -231,21 +233,16 @@ def _cmd_density(cfg, out_dir, threads):
             )
             for eta in ladder
         ]
+        # One closed-form line fit per (point, column): shape (eta, point, column).
+        values = np.array([[(p.rho, p.im_R, p.abs_r) for p in sweep] for sweep in sweeps])
+        fits = _eta_intercept(ladder, values)
         rows = []
         for i, E in enumerate(energies):
-            pts = [sweep[i] for sweep in sweeps]
-            if all(p.status == "ok" for p in pts):
-                coeff_rho = np.polyfit(ladder, [p.rho for p in pts], 1)
-                coeff_im = np.polyfit(ladder, [p.im_R for p in pts], 1)
-                coeff_r = np.polyfit(ladder, [p.abs_r for p in pts], 1)
-                rows.append(
-                    (float(E), 0.0, coeff_rho[1], coeff_im[1], coeff_r[1], "ok")
-                )
+            bad = next((sweep[i].status for sweep in sweeps if sweep[i].status != "ok"), None)
+            if bad is None:
+                rows.append((float(E), 0.0, *(float(v) for v in fits[i]), "ok"))
             else:
-                bad = next(p for p in pts if p.status != "ok")
-                rows.append(
-                    (float(E), 0.0, math.nan, math.nan, math.nan, bad.status)
-                )
+                rows.append((float(E), 0.0, math.nan, math.nan, math.nan, bad))
     else:
         pts = spectral_density(
             spec, dm, energies, sec["eta"], sec["replica"], sec["seed_mode"], threads
@@ -394,17 +391,8 @@ def _cmd_recursion(cfg, out_dir, threads):
     z = complex(sec["E"], sec["eta"])
     n = sec["n"]
     replicas = np.arange(n, dtype=np.uint64)
-    seed = 0j
-    if sec["seed_mode"] == "fixed_point":
-        from .regular import cut_seed_disk
-
-        seed = cut_seed_disk(z, spec.K, spec.L)
-    elif sec["seed_mode"] != "disk_zero":
-        raise ValidationError(f"unknown seed mode {sec['seed_mode']!r}")
-    from .graphmodel import DOMAIN_EDGE, hash_words, omega_from_uniform, uniform01
-
-    root_u = uniform01(hash_words(dm.master_seed, DOMAIN_EDGE, replicas, 0))
-    lengths = spec.L * np.exp(dm.lam * omega_from_uniform(dm.dist, root_u))
+    seed = _seed_disk(spec, z, sec["seed_mode"], at_cut=True)
+    lengths = _root_edge_lengths(spec, dm, replicas)
     status = ["ok"] * n
     try:
         R = solve_root_R_batch(spec, dm, z, seed, replicas)

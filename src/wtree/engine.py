@@ -9,8 +9,11 @@ the subtree beyond a point is propagated in two equivalent pictures:
   edge of length l multiplies m by exp(2i*sqrt(z)*l) and therefore
   contracts the disk whenever Im sqrt(z) > 0.
 
-All solvers run in the disk picture, which never overflows; the
-half-plane edge step is retained as an independent cross-check route.
+Tree solves run in the disk picture, which never overflows, through one
+vectorized kernel: it solves the subtree below an edge address one
+generation at a time over a batch of replicas.  The single-edge solvers
+and R^- are views of that kernel; the half-plane edge step is retained
+as an independent cross-check route.
 """
 
 from __future__ import annotations
@@ -31,15 +34,12 @@ from .errors import (
     ValidationError,
 )
 from .graphmodel import (
-    DOMAIN_EDGE,
     DisorderModel,
     EdgeAddress,
     ROOT_EDGE,
     TreeSpec,
-    hash_words,
+    _check_address,
     omega_for_generation,
-    omega_from_uniform,
-    uniform01,
 )
 
 __all__ = [
@@ -265,6 +265,142 @@ def _check_seed_m(seed_m: complex) -> complex:
     return seed_m
 
 
+def _check_kirchhoff(spec: TreeSpec) -> None:
+    if not spec.vertex_bc.is_kirchhoff:
+        raise ValidationError(
+            "the recursion merges Kirchhoff vertices; apply symmetric_tilde to "
+            "reduce symmetric conditions first"
+        )
+
+
+@dataclass
+class BatchCapture:
+    """Per-generation arrays captured during a batch solve.
+
+    ``m_near[g]`` and ``lengths[g]`` have shape ``(S, K**g)`` and hold the
+    near-end disk values and edge lengths of generation ``g``.
+    """
+
+    m_near: list
+    lengths: list
+
+
+def _merge(m: np.ndarray, K: int) -> np.ndarray:
+    """Merge every run of K sibling disk values along the last axis."""
+    h = (1.0 + m) / (1.0 - m)
+    zeta = h.reshape(m.shape[0], -1, K).sum(axis=2)
+    return (zeta - 1.0) / (zeta + 1.0)
+
+
+def _edge_phase(spec, dm, m, g, prefix, w, reps):
+    """Pull far-end disk values of generation ``g`` to the near ends."""
+    le = spec.L * np.exp(dm.lam * omega_for_generation(dm, spec.K, g, reps, prefix))
+    return np.exp((2j * w) * le) * m, le
+
+
+def _solve_subtree(spec, dm, prefix, w, seed, reps, chunk_elems, capture):
+    """Near-end disk values of the edge ``prefix``, one per replica.
+
+    ``w``, ``seed`` and ``reps`` have shape ``(S,)``.  Blocks of replicas
+    are solved one generation at a time with at most ``chunk_elems``
+    leaves per block; a subtree with more leaves than that is split into
+    its K child subtrees, so memory stays linear in depth.  Returns
+    ``(m, capture)``, the capture indexed by generation below ``prefix``.
+    """
+    K = spec.K
+    g0 = len(prefix)
+    n = spec.depth - g0
+    leaves = K**n
+    if n > 0 and leaves > chunk_elems:
+        kids = [
+            _solve_subtree(spec, dm, prefix + (d,), w, seed, reps, chunk_elems, capture)
+            for d in range(K)
+        ]
+        merged = _merge(np.stack([m_d for m_d, _ in kids], axis=1), K)
+        m, le = _edge_phase(spec, dm, merged, g0, prefix, w[:, None], reps[:, None])
+        cap = None
+        if capture:
+            cap = BatchCapture(m_near=[m], lengths=[le])
+            for j in range(n):
+                cap.m_near.append(np.concatenate([c.m_near[j] for _, c in kids], axis=1))
+                cap.lengths.append(np.concatenate([c.lengths[j] for _, c in kids], axis=1))
+        return m[:, 0], cap
+
+    S = reps.size
+    chunk = max(1, chunk_elems // leaves)
+    out = np.empty(S, dtype=np.complex128)
+    cap_m = [[] for _ in range(n + 1)]
+    cap_len = [[] for _ in range(n + 1)]
+    for lo in range(0, S, chunk):
+        hi = min(lo + chunk, S)
+        r = reps[lo:hi, None]
+        wc = w[lo:hi, None]
+        m = np.broadcast_to(seed[lo:hi, None], (hi - lo, leaves)).copy()
+        for j in range(n, -1, -1):
+            if j < n:
+                m = _merge(m, K)
+            m, le = _edge_phase(spec, dm, m, g0 + j, prefix, wc, r)
+            if capture:
+                cap_m[j].append(m)
+                cap_len[j].append(le)
+        out[lo:hi] = m[:, 0]
+    cap = None
+    if capture:
+        cap = BatchCapture(
+            m_near=[np.concatenate(blocks, axis=0) for blocks in cap_m],
+            lengths=[np.concatenate(blocks, axis=0) for blocks in cap_len],
+        )
+    return out, cap
+
+
+def _solve(spec, dm, z, seed_m, replicas, prefix, capture, visit_budget, chunk_elems):
+    """Validate a solve of the subtree below ``prefix`` and run it."""
+    _check_kirchhoff(spec)
+    if replicas is None:
+        replicas = [0]
+    replicas = np.asarray(replicas, dtype=np.uint64).ravel()
+    S = replicas.size
+
+    if isinstance(z, np.ndarray):
+        z_arr = np.asarray(z, dtype=np.complex128).ravel()
+        if z_arr.size != S:
+            raise ValidationError("per-replica z array must match the replica count")
+        if not np.all(z_arr.imag > 0.0):
+            raise ValidationError("direct recursion requires eta > 0 at every point")
+        w = np.sqrt(z_arr)
+    else:
+        p = as_point(z)
+        if p.boundary_mode:
+            raise ValidationError("direct recursion requires eta > 0; boundary values need extrapolation")
+        w = np.full(S, sqrt_upper(p), dtype=np.complex128)
+
+    if isinstance(seed_m, np.ndarray):
+        seed = np.asarray(seed_m, dtype=np.complex128).ravel()
+        if seed.size != S:
+            raise ValidationError("per-replica seed array must match the replica count")
+        if np.any(np.abs(seed) > 1.0 + 1e-12) or np.any(seed == 1.0):
+            raise ValidationError("truncation seeds must satisfy |m| <= 1, m != 1")
+    else:
+        seed = np.full(S, _check_seed_m(seed_m), dtype=np.complex128)
+
+    n_edges = _subtree_edge_count(spec.K, spec.depth - len(prefix))
+    if n_edges > visit_budget:
+        raise BudgetExceededError(
+            f"tree solve would visit {n_edges} edges, budget is {visit_budget}"
+        )
+
+    m, cap = _solve_subtree(spec, dm, tuple(prefix), w, seed, replicas, int(chunk_elems), capture)
+    out = 1j * w * (1.0 + m) / (1.0 - m)
+    if not np.all(np.isfinite(out.view(np.float64))):
+        raise NumericalDegeneracyError("tree solve produced non-finite WT values")
+    if not np.all(out.imag > 0.0):
+        raise NumericalDegeneracyError("tree solve left the upper half plane")
+    return (out, cap) if capture else out
+
+
+_CHUNK_ELEMS = 2**20
+
+
 def solve_edge_R(
     spec: TreeSpec,
     dm: DisorderModel,
@@ -276,10 +412,12 @@ def solve_edge_R(
 ) -> complex:
     """WT value at the near end of the edge ``addr`` of a truncated tree.
 
-    Depth-first backward recursion in the disk picture: every edge of
-    generation ``spec.depth`` is seeded with ``seed_m`` at its far end,
-    deeper ends merge their children, and each edge applies the disk
-    step with its own random length.  Memory grows linearly in depth.
+    Backward recursion in the disk picture: every edge of generation
+    ``spec.depth`` is seeded with ``seed_m`` at its far end, deeper ends
+    merge their children, and each edge applies the disk step with its
+    own random length.  This is a one-replica view of the batch kernel
+    behind :func:`solve_root_R_batch`, whose working memory is bounded
+    by its chunk size and grows linearly in depth.
 
     Parameters
     ----------
@@ -301,67 +439,9 @@ def solve_edge_R(
     complex
         R at the near end; Im R > 0.
     """
-    p = as_point(z)
-    if p.boundary_mode:
-        raise ValidationError("direct recursion requires eta > 0; boundary values need extrapolation")
-    if not spec.vertex_bc.is_kirchhoff:
-        raise ValidationError(
-            "the recursion merges Kirchhoff vertices; apply symmetric_tilde to "
-            "reduce symmetric conditions first"
-        )
-    if addr.generation > spec.depth:
-        raise ValidationError(
-            f"edge at generation {addr.generation} exceeds tree depth {spec.depth}"
-        )
-    for d in addr.path:
-        if not 0 <= d < spec.K:
-            raise ValidationError(f"child index {d} out of range for K={spec.K}")
-    seed_m = _check_seed_m(seed_m)
-    n_edges = _subtree_edge_count(spec.K, spec.depth - addr.generation)
-    if n_edges > visit_budget:
-        raise BudgetExceededError(
-            f"subtree solve would visit {n_edges} edges, budget is {visit_budget}"
-        )
-
-    w = sqrt_upper(p)
-    phase = 2j * w
-    K, N, L, lam, dist, seed = spec.K, spec.depth, spec.L, dm.lam, dm.dist, dm.master_seed
-    path = list(addr.path)
-    frames = [[0, 0j]]  # [next_child, zeta accumulator]
-    m_root = None
-    while frames:
-        fr = frames[-1]
-        g = len(path)
-        if g == N or fr[0] == K:
-            if g == N:
-                m_far = seed_m
-            else:
-                den = fr[1] + 1.0
-                if den == 0:
-                    raise SingularMergeError("vertex merge hit the singular total zeta = -1")
-                m_far = (fr[1] - 1.0) / den
-            u = uniform01(hash_words(seed, DOMAIN_EDGE, replica, g, *path))
-            le = L * math.exp(lam * omega_from_uniform(dist, u))
-            m_near = cmath.exp(phase * le) * m_far
-            frames.pop()
-            if not frames:
-                m_root = m_near
-                break
-            path.pop()
-            den = 1.0 - m_near
-            if den == 0:
-                raise SingularMergeError("vertex merge received a child at m = 1")
-            frames[-1][1] += (1.0 + m_near) / den
-        else:
-            d = fr[0]
-            fr[0] = d + 1
-            path.append(d)
-            frames.append([0, 0j])
-
-    R = r_from_m(m_root, p)
-    if not (R.imag > 0.0 and math.isfinite(R.real) and math.isfinite(R.imag)):
-        raise NumericalDegeneracyError(f"root WT value left the upper half plane: {R}")
-    return R
+    _check_address(spec, addr)
+    R = _solve(spec, dm, z, seed_m, [replica], addr.path, False, visit_budget, _CHUNK_ELEMS)
+    return complex(R[0])
 
 
 def solve_root_R(
@@ -376,18 +456,6 @@ def solve_root_R(
     return solve_edge_R(spec, dm, z, ROOT_EDGE, seed_m, replica, visit_budget)
 
 
-@dataclass
-class BatchCapture:
-    """Per-generation arrays captured during a batch solve.
-
-    ``m_near[g]`` and ``lengths[g]`` have shape ``(S, K**g)`` and hold the
-    near-end disk values and edge lengths of generation ``g``.
-    """
-
-    m_near: list
-    lengths: list
-
-
 def solve_root_R_batch(
     spec: TreeSpec,
     dm: DisorderModel,
@@ -396,14 +464,13 @@ def solve_root_R_batch(
     replicas=None,
     capture: bool = False,
     visit_budget: int = VISIT_BUDGET,
-    chunk_elems: int = 2**20,
+    chunk_elems: int = _CHUNK_ELEMS,
 ):
     """Vectorized root solves across disorder replicas.
 
-    Runs the same backward recursion as :func:`solve_root_R`, one
-    generation at a time, over a batch of replicas.  Lengths are drawn
-    through the same address-based counter stream, so each batch entry
-    matches its scalar counterpart to floating-point reordering.
+    Runs the backward recursion one generation at a time over a batch of
+    replicas.  Edge lengths come from the address-based counter stream,
+    so every replica's tree is the one :func:`edge_length` describes.
 
     Parameters
     ----------
@@ -418,87 +485,15 @@ def solve_root_R_batch(
     capture : bool
         Also return per-generation near-end values and lengths.
     chunk_elems : int
-        Target working-set size (array elements) used to chunk the batch.
+        Target working-set size (array elements) used to chunk the batch;
+        trees with more leaves than this are solved subtree by subtree.
 
     Returns
     -------
     np.ndarray or (np.ndarray, BatchCapture)
         Root WT values, shape ``(len(replicas),)``.
     """
-    if not spec.vertex_bc.is_kirchhoff:
-        raise ValidationError(
-            "the recursion merges Kirchhoff vertices; apply symmetric_tilde to "
-            "reduce symmetric conditions first"
-        )
-    if replicas is None:
-        replicas = np.asarray([0], dtype=np.int64)
-    replicas = np.asarray(replicas, dtype=np.uint64).ravel()
-    S = replicas.size
-
-    if isinstance(z, np.ndarray):
-        z_arr = np.asarray(z, dtype=np.complex128).ravel()
-        if z_arr.size != S:
-            raise ValidationError("per-replica z array must match the replica count")
-        if not np.all(z_arr.imag > 0.0):
-            raise ValidationError("direct recursion requires eta > 0 at every point")
-        w_all = np.sqrt(z_arr)
-    else:
-        p = as_point(z)
-        if p.boundary_mode:
-            raise ValidationError("direct recursion requires eta > 0; boundary values need extrapolation")
-        w_all = np.full(S, sqrt_upper(p), dtype=np.complex128)
-
-    if isinstance(seed_m, np.ndarray):
-        seed_arr = np.asarray(seed_m, dtype=np.complex128).ravel()
-        if seed_arr.size != S:
-            raise ValidationError("per-replica seed array must match the replica count")
-        if np.any(np.abs(seed_arr) > 1.0 + 1e-12) or np.any(seed_arr == 1.0):
-            raise ValidationError("truncation seeds must satisfy |m| <= 1, m != 1")
-    else:
-        seed_arr = np.full(S, _check_seed_m(seed_m), dtype=np.complex128)
-
-    K, N, L, lam = spec.K, spec.depth, spec.L, dm.lam
-    n_edges = _subtree_edge_count(K, N)
-    if n_edges > visit_budget:
-        raise BudgetExceededError(
-            f"tree solve would visit {n_edges} edges, budget is {visit_budget}"
-        )
-
-    leaves = K**N
-    chunk = max(1, int(chunk_elems) // max(leaves, 1))
-    out = np.empty(S, dtype=np.complex128)
-    cap_m = [[] for _ in range(N + 1)] if capture else None
-    cap_len = [[] for _ in range(N + 1)] if capture else None
-
-    for lo in range(0, S, chunk):
-        hi = min(lo + chunk, S)
-        reps = replicas[lo:hi].reshape(-1, 1)
-        w = w_all[lo:hi].reshape(-1, 1)
-        m = np.broadcast_to(seed_arr[lo:hi].reshape(-1, 1), (hi - lo, leaves)).copy()
-        for g in range(N, -1, -1):
-            if g < N:
-                h = (1.0 + m) / (1.0 - m)
-                zeta = h.reshape(hi - lo, K**g, K).sum(axis=2)
-                m = (zeta - 1.0) / (zeta + 1.0)
-            om = omega_for_generation(dm, K, g, reps)
-            le = L * np.exp(lam * om)
-            m = np.exp((2j * w) * le) * m
-            if capture:
-                cap_m[g].append(m.copy())
-                cap_len[g].append(le)
-        out[lo:hi] = 1j * w[:, 0] * (1.0 + m[:, 0]) / (1.0 - m[:, 0])
-
-    if not np.all(np.isfinite(out.view(np.float64))):
-        raise NumericalDegeneracyError("batch solve produced non-finite WT values")
-    if not np.all(out.imag > 0.0):
-        raise NumericalDegeneracyError("batch solve left the upper half plane")
-    if capture:
-        cap = BatchCapture(
-            m_near=[np.concatenate(blocks, axis=0) for blocks in cap_m],
-            lengths=[np.concatenate(blocks, axis=0) for blocks in cap_len],
-        )
-        return out, cap
-    return out
+    return _solve(spec, dm, z, seed_m, replicas, (), capture, visit_budget, chunk_elems)
 
 
 def solve_R_minus(
@@ -520,52 +515,45 @@ def solve_R_minus(
     at the root near end itself that case returns :data:`WT_INFINITY`.
 
     Crossing a vertex into child f adds every sibling's forward WT value
-    to psi'/psi; sibling values come from subtree solves.
+    to psi'/psi.  Path lengths and sibling values are read from one
+    captured solve of the whole replica tree, so ``visit_budget`` caps
+    that tree's edge count and memory grows with it.
 
     Raises
     ------
     ValidationError
-        For boundary-mode z, out-of-range positions, or non-Kirchhoff
-        vertex conditions (use the tilde rotation to reduce those).
+        For boundary-mode z, out-of-range targets or positions, or
+        non-Kirchhoff vertex conditions (use the tilde rotation to reduce
+        those).
     """
     p = as_point(z)
     if p.boundary_mode:
         raise ValidationError("direct recursion requires eta > 0; boundary values need extrapolation")
-    if not spec.vertex_bc.is_kirchhoff:
-        raise ValidationError(
-            "R-minus propagation is defined for Kirchhoff vertex conditions; "
-            "apply symmetric_tilde to reduce symmetric conditions first"
-        )
-    if target.generation > spec.depth:
-        raise ValidationError("target edge lies beyond the tree depth")
-    w = sqrt_upper(p)
-
+    _check_kirchhoff(spec)
+    _check_address(spec, target)
     alpha = spec.alpha
     if alpha == 0.0 and target.generation == 0 and position == 0.0:
         return WT_INFINITY
 
-    u = complex(math.sin(alpha))
-    up = complex(math.cos(alpha))
+    w = sqrt_upper(p)
+    K = spec.K
+    _, cap = _solve(spec, dm, p, seed_m, [replica], (), True, visit_budget, _CHUNK_ELEMS)
 
     def _propagate(uv, upv, length):
         c, s = cos_sin(w, length)
         return uv * c + upv * s / w, -uv * w * s + upv * c
 
-    prefix = ()
+    u = complex(math.sin(alpha))
+    up = complex(math.cos(alpha))
+    i = 0  # index of the current edge within its generation
     for g, d in enumerate(target.path):
-        le = _edge_length_fast(spec, dm, prefix, replica)
-        u, up = _propagate(u, up, le)
-        sib_sum = 0j
-        for j in range(spec.K):
-            if j == d:
-                continue
-            sib_sum += solve_edge_R(
-                spec, dm, p, EdgeAddress(prefix + (j,)), seed_m, replica, visit_budget
-            )
+        u, up = _propagate(u, up, float(cap.lengths[g][0, i]))
+        kids = cap.m_near[g + 1][0, i * K : (i + 1) * K]
+        sib_sum = sum(r_from_m(complex(kids[j]), p) for j in range(K) if j != d)
         up = up - sib_sum * u
-        prefix = prefix + (d,)
+        i = i * K + d
 
-    le_target = _edge_length_fast(spec, dm, prefix, replica)
+    le_target = float(cap.lengths[target.generation][0, i])
     if not 0.0 <= position <= le_target:
         raise ValidationError(
             f"position {position} outside the target edge of length {le_target}"
@@ -579,9 +567,18 @@ def solve_R_minus(
     return out
 
 
-def _edge_length_fast(spec: TreeSpec, dm: DisorderModel, path: tuple, replica: int) -> float:
-    u = uniform01(hash_words(dm.master_seed, DOMAIN_EDGE, replica, len(path), *path))
-    return spec.L * math.exp(dm.lam * omega_from_uniform(dm.dist, u))
+def _eta_intercept(etas, values):
+    """Value at eta = 0 of the least-squares line through ``(etas, values)``.
+
+    ``values`` holds one row per eta; every remaining axis is fitted on
+    its own, in closed form.
+    """
+    x = np.asarray(etas, dtype=float)
+    y = np.asarray(values)
+    dx = (x - x.mean()).reshape((-1,) + (1,) * (y.ndim - 1))
+    y_mean = y.mean(axis=0)
+    slope = (dx * (y - y_mean)).sum(axis=0) / (dx * dx).sum()
+    return y_mean - slope * x.mean()
 
 
 def boundary_extrapolate(fn, E: float, etas=DEFAULT_ETA_LADDER):
@@ -605,5 +602,4 @@ def boundary_extrapolate(fn, E: float, etas=DEFAULT_ETA_LADDER):
     if len(etas) < 2 or any(t <= 0 for t in etas):
         raise ValidationError("eta ladder needs at least two positive entries")
     vals = np.asarray([complex(fn(complex(E, t))) for t in etas])
-    coeffs = np.polyfit(np.asarray(etas, dtype=float), vals, 1)
-    return complex(coeffs[1])
+    return complex(_eta_intercept(etas, vals))

@@ -38,7 +38,7 @@ from .graphmodel import (
     omega_from_uniform,
     uniform01,
 )
-from .regular import cut_seed_disk, fixed_point_batch, gamma_clean, stationary_disk
+from .regular import _cut_seed, cut_seed_disk, fixed_point_batch, gamma_clean, stationary_disk
 
 __all__ = [
     "SamplePool",
@@ -67,6 +67,12 @@ def _seed_disk(spec: TreeSpec, z, mode: str, at_cut: bool) -> complex:
             return cut_seed_disk(z, spec.K, spec.L)
         return stationary_disk(z, spec.K, spec.L)
     raise ValidationError(f"unknown seed mode {mode!r}; use 'fixed_point' or 'disk_zero'")
+
+
+def _root_edge_lengths(spec: TreeSpec, dm: DisorderModel, replicas: np.ndarray) -> np.ndarray:
+    """Root-edge lengths of the given replicas, hashed with the tree solver's words."""
+    u = uniform01(hash_words(dm.master_seed, DOMAIN_EDGE, replicas, 0))
+    return spec.L * np.exp(dm.lam * omega_from_uniform(dm.dist, u))
 
 
 log = logging.getLogger(__name__)
@@ -296,11 +302,7 @@ def estimate_gamma(
         replicas = np.arange(n, dtype=np.uint64)
         seed = _seed_disk(spec, p, seed_mode, at_cut=True)
         R = solve_root_R_batch(spec, dm, p.z, seed, replicas)
-        # Root-edge lengths of the same replicas, through the same words
-        # the tree solver hashes for the root edge.
-        root_u = uniform01(hash_words(dm.master_seed, DOMAIN_EDGE, replicas, 0))
-        lengths = spec.L * np.exp(dm.lam * omega_from_uniform(dm.dist, root_u))
-        terms = _gamma_terms(R, lengths, w, K)
+        terms = _gamma_terms(R, _root_edge_lengths(spec, dm, replicas), w, K)
         stderr = float(terms.std(ddof=1) / math.sqrt(terms.size))
     elif source == "pool":
         def term_fn(child_idx, lengths, m_new, values):
@@ -540,14 +542,17 @@ def fluctuation_report(
     stochastic drift, so its nominal standard error is optimistic.
     """
     p = as_point(z)
+    if p.boundary_mode:
+        raise ValidationError("fluctuation widths require eta > 0")
+    if n < 2:
+        raise InsufficientSamplesError("need at least 2 samples")
     w = sqrt_upper(p)
     K = spec.K
     if source == "direct":
         replicas = np.arange(n, dtype=np.uint64)
         seed = _seed_disk(spec, p, seed_mode, at_cut=True)
         R = solve_root_R_batch(spec, dm, p.z, seed, replicas)
-        root_u = uniform01(hash_words(dm.master_seed, DOMAIN_EDGE, replicas, 0))
-        lengths = spec.L * np.exp(dm.lam * omega_from_uniform(dm.dist, root_u))
+        lengths = _root_edge_lengths(spec, dm, replicas)
     elif source == "pool":
         pool = pool_init(spec, dm, p, n, seed_mode)
         for _ in range(burn_in):
@@ -634,11 +639,9 @@ def stability_scan(
             u = uniform01(hash_words(dm.master_seed, DOMAIN_SCAN_ENERGY, cell_idx, idx))
             energies = e_min + (e_max - e_min) * u
             z_arr = energies + 1j * float(eta)
-            w_arr = np.sqrt(z_arr)
             phi_solver = fixed_point_batch(energies, float(eta), spec.K, spec.L).phi
             phi_target = fixed_point_batch(energies, 0.0, spec.K, spec.L).phi
-            # Far-end cut seeds: the clean continuation merges K children.
-            seeds = (spec.K * phi_solver - 1j * w_arr) / (spec.K * phi_solver + 1j * w_arr)
+            seeds = _cut_seed(phi_solver, np.sqrt(z_arr), spec.K)
             replicas = (cell_idx * n + idx.astype(np.int64)).astype(np.uint64)
             R = solve_root_R_batch(spec, dm_cell, z_arr, seeds, replicas)
             dev = np.abs(R - phi_target)

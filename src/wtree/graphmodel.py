@@ -291,12 +291,14 @@ def resample_omega(dm: DisorderModel, addr: EdgeAddress, replica: int = 0) -> fl
     return float(omega_from_uniform(dm.dist, uniform01(h)))
 
 
-def omega_for_generation(dm: DisorderModel, K: int, g: int, replicas) -> np.ndarray:
-    """Vectorized omega draws for every edge of one generation.
+def omega_for_generation(dm: DisorderModel, K: int, g: int, replicas, prefix=()) -> np.ndarray:
+    """Vectorized omega draws for every edge of one generation of a subtree.
 
-    Edges of generation ``g`` are laid out in lexicographic path order,
-    index ``i = sum(path[j] * K**(g-1-j))``.  The result is bit-identical
-    to calling :func:`resample_omega` edge by edge.
+    The subtree hangs from the edge with path ``prefix``; its edges of
+    generation ``g`` are laid out in lexicographic order of their local
+    digits, index ``i = sum(path[len(prefix) + j] * K**(n-1-j))`` with
+    ``n = g - len(prefix)``.  The result is bit-identical to calling
+    :func:`resample_omega` edge by edge.
 
     Parameters
     ----------
@@ -304,26 +306,31 @@ def omega_for_generation(dm: DisorderModel, K: int, g: int, replicas) -> np.ndar
     K : int
         Branching number.
     g : int
-        Generation (0 is the root edge).
+        Generation (0 is the root edge), at least ``len(prefix)``.
     replicas : int or np.ndarray
         Scalar replica, or an integer array broadcast against the edge
-        axis (shape ``(S, 1)`` yields an ``(S, K**g)`` block).
+        axis (shape ``(S, 1)`` yields an ``(S, K**n)`` block).
+    prefix : tuple of int
+        Address path of the subtree's top edge; empty for the whole tree.
 
     Returns
     -------
     np.ndarray
-        omega values, shape ``broadcast(replicas, (K**g,))``.
+        omega values, shape ``broadcast(replicas, (K**n,))``.
     """
-    n_edges = K**g
+    n = g - len(prefix)
+    if n < 0:
+        raise ValidationError(f"generation {g} lies above the subtree prefix {tuple(prefix)}")
     if isinstance(replicas, np.ndarray):
         reps = replicas.astype(np.uint64, copy=False)
     else:
         reps = np.asarray([int(replicas)], dtype=np.uint64)
-    idx = np.arange(n_edges, dtype=np.uint64)
-    words = [DOMAIN_EDGE, reps, g]
-    for j in range(g):
-        words.append((idx // np.uint64(K ** (g - 1 - j))) % np.uint64(K))
-    h = hash_words(dm.master_seed, *words)
+    idx = np.arange(K**n, dtype=np.uint64)
+    h = hash_words(dm.master_seed, DOMAIN_EDGE, reps, g, *prefix)
+    # Chain the local digits one at a time, as hash_words would, so only
+    # one digit array is alive at once.
+    for j in range(n):
+        h = _mix_np(h ^ ((idx // np.uint64(K ** (n - 1 - j))) % np.uint64(K)))
     out = omega_from_uniform(dm.dist, uniform01(h))
     return np.asarray(out, dtype=np.float64)
 

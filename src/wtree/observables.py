@@ -26,7 +26,7 @@ from .engine import (
 )
 from .errors import SingularTransformError, ValidationError, WtreeError
 from .graphmodel import DisorderModel, TreeSpec
-from .regular import fixed_point_batch
+from .regular import _cut_seed, fixed_point_batch
 
 __all__ = [
     "GREEN_POLE",
@@ -173,11 +173,8 @@ def _seed_array(spec: TreeSpec, energies: np.ndarray, eta: float, mode: str) -> 
     if mode == "disk_zero":
         return np.zeros(energies.size, dtype=np.complex128)
     if mode == "fixed_point":
-        # Far-end cut seeds: the clean continuation beyond the cut merges
-        # K stationary children, so the seed transforms K*Phi.
         fp = fixed_point_batch(energies, eta, spec.K, spec.L)
-        w = np.sqrt(energies + 1j * eta)
-        return (spec.K * fp.phi - 1j * w) / (spec.K * fp.phi + 1j * w)
+        return _cut_seed(fp.phi, np.sqrt(energies + 1j * eta), spec.K)
     raise ValidationError(f"unknown seed mode {mode!r}; use 'fixed_point' or 'disk_zero'")
 
 

@@ -18,7 +18,7 @@ import mpmath
 import numpy as np
 
 from .engine import as_point, sqrt_upper, edge_step_m, vertex_merge_m
-from .errors import SelectionFailureError, ValidationError
+from .errors import BoundaryPointError, SelectionFailureError, ValidationError
 
 __all__ = [
     "BandList",
@@ -138,18 +138,6 @@ def _shift_off_edge(E: float, K: int, L: float):
     return E, False
 
 
-def _stable_roots(A: complex, B: complex, C: complex):
-    """Both roots of A x^2 + B x + C = 0 without cancellation (A != 0)."""
-    sq = cmath.sqrt(B * B - 4.0 * A * C)
-    if (B.conjugate() * sq).real >= 0.0:
-        qq = -(B + sq) / 2.0
-    else:
-        qq = -(B - sq) / 2.0
-    if qq == 0:
-        return 0j, 0j
-    return qq / A, C / qq
-
-
 def fixed_point_R(z, K: int, L: float) -> FixedPoint:
     """Stationary WT value Phi of the clean tree.
 
@@ -161,46 +149,26 @@ def fixed_point_R(z, K: int, L: float) -> FixedPoint:
     edge multiplier |c + Phi*s/w| (the attracting one).
 
     Boundary-mode energies closer than :data:`EDGE_SHIFT` to a band edge
-    are nudged off the edge first (the two roots collide there).
+    are nudged off the edge first (the two roots collide there).  This is
+    a one-point view of :func:`fixed_point_batch`.
+
+    Raises
+    ------
+    SelectionFailureError
+        If no finite root is admissible (the trigonometric factors
+        overflow).
     """
-    if K < 1:
-        raise ValidationError(f"branching number must be >= 1, got {K}")
-    if L <= 0 or not math.isfinite(L):
-        raise ValidationError(f"edge length must be positive, got {L}")
     p = as_point(z)
-    shifted = False
-    if p.boundary_mode:
-        E, shifted = _shift_off_edge(p.E, K, L)
-        p = as_point(complex(E, 0.0))
-    w = sqrt_upper(p)
-    c = cmath.cos(w * L)
-    s = cmath.sin(w * L)
-
-    if abs(s) <= _DEGENERATE_S * max(1.0, abs(w) * L):
-        # Boundary mode at w*L = n*pi only (eta > 0 keeps |s| >= sinh of
-        # the imaginary part).  The exact degeneracy is not representable,
-        # so an ulp-scale window stands in for s = 0; the quadratic there
-        # is rounding noise.  K = 1 keeps the free decaying value; K >= 2
-        # degenerates to the linear equation (K-1)*c*Phi = 0, whose
-        # residual is reported.
-        phi = 1j * w if K == 1 else 0j
-        return FixedPoint(phi=phi, residual=0.0, z_used=p.z, shifted=shifted)
-
-    A = K * s / w
-    B = (K - 1.0) * c
-    C = w * s
-    r1, r2 = _stable_roots(A, B, C)
-    pos1, pos2 = r1.imag > 0.0, r2.imag > 0.0
-    if pos1 != pos2:
-        phi = r1 if pos1 else r2
-    else:
-        u1 = abs(c + r1 * s / w)
-        u2 = abs(c + r2 * s / w)
-        phi = r1 if u1 <= u2 else r2
+    fp = fixed_point_batch(np.array([p.E]), p.eta, K, L)
+    phi = complex(fp.phi[0])
     if not (math.isfinite(phi.real) and math.isfinite(phi.imag)):
         raise SelectionFailureError(f"no admissible fixed-point root at z = {p.z}")
-    residual = abs(A * phi * phi + B * phi + C)
-    return FixedPoint(phi=phi, residual=residual, z_used=p.z, shifted=shifted)
+    return FixedPoint(
+        phi=phi,
+        residual=float(fp.residual[0]),
+        z_used=complex(fp.z_used[0]),
+        shifted=bool(fp.shifted[0]),
+    )
 
 
 @dataclass(frozen=True)
@@ -216,16 +184,21 @@ class FixedPointBatch:
 def fixed_point_batch(E, eta: float, K: int, L: float) -> FixedPointBatch:
     """Clean fixed points on a real energy grid at fixed eta >= 0.
 
-    Vectorized version of :func:`fixed_point_R`; degenerate grid points
-    (boundary mode with sin(w*L) = 0) fall back to the scalar routine.
+    Vectorized form of :func:`fixed_point_R`, with the same root
+    selection.  Points whose trigonometric factors overflow carry a
+    non-finite ``phi``.
     """
+    if K < 1:
+        raise ValidationError(f"branching number must be >= 1, got {K}")
+    if L <= 0 or not math.isfinite(L):
+        raise ValidationError(f"edge length must be positive, got {L}")
     E = np.asarray(E, dtype=float).ravel()
     if eta < 0:
         raise ValidationError(f"eta must be >= 0, got {eta}")
     shifted = np.zeros(E.size, dtype=bool)
     if eta == 0.0:
         if np.any(E <= 0.0):
-            raise ValidationError("boundary-mode evaluation requires E > 0")
+            raise BoundaryPointError("boundary-mode evaluation requires E > 0")
         Eu = E.copy()
         for i, Ei in enumerate(E):
             Eu[i], shifted[i] = _shift_off_edge(Ei, K, L)
@@ -235,14 +208,13 @@ def fixed_point_batch(E, eta: float, K: int, L: float) -> FixedPointBatch:
         z = E + 1j * eta
         w = np.sqrt(z)
 
-    c = np.cos(w * L)
-    s = np.sin(w * L)
-    degenerate = np.abs(s) <= _DEGENERATE_S * np.maximum(1.0, np.abs(w) * L)
-
-    A = K * s / np.where(w == 0, 1.0, w)
-    B = (K - 1.0) * c
-    C = w * s
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
+        c = np.cos(w * L)
+        s = np.sin(w * L)
+        A = K * s / w
+        B = (K - 1.0) * c
+        C = w * s
+        # Roots of A x^2 + B x + C without cancellation.
         sq = np.sqrt(B * B - 4.0 * A * C)
         sign = np.where((np.conj(B) * sq).real >= 0.0, 1.0, -1.0)
         qq = -(B + sign * sq) / 2.0
@@ -250,17 +222,18 @@ def fixed_point_batch(E, eta: float, K: int, L: float) -> FixedPointBatch:
         r2 = np.where(qq == 0, 0j, C / np.where(qq == 0, 1.0, qq))
         pos1 = r1.imag > 0.0
         pos2 = r2.imag > 0.0
-        u1 = np.abs(c + r1 * s / np.where(w == 0, 1.0, w))
-        u2 = np.abs(c + r2 * s / np.where(w == 0, 1.0, w))
+        u1 = np.abs(c + r1 * s / w)
+        u2 = np.abs(c + r2 * s / w)
         phi = np.where(pos1 != pos2, np.where(pos1, r1, r2), np.where(u1 <= u2, r1, r2))
         residual = np.abs(A * phi * phi + B * phi + C)
-
-    if np.any(degenerate):
-        for i in np.nonzero(degenerate)[0]:
-            fp = fixed_point_R(complex(z[i]), K, L)
-            phi[i] = fp.phi
-            residual[i] = fp.residual
-            shifted[i] = shifted[i] or fp.shifted
+        # Boundary mode at w*L = n*pi only (eta > 0 keeps |s| >= sinh of
+        # the imaginary part).  The exact degeneracy is not representable,
+        # so an ulp-scale window stands in for s = 0; the quadratic there
+        # is rounding noise.  K = 1 keeps the free decaying value; K >= 2
+        # degenerates to the linear equation (K-1)*c*Phi = 0.
+        degenerate = np.abs(s) <= _DEGENERATE_S * np.maximum(1.0, np.abs(w) * L)
+    phi = np.where(degenerate, 1j * w if K == 1 else 0j, phi)
+    residual = np.where(degenerate, 0.0, residual)
     return FixedPointBatch(phi=phi, residual=residual, z_used=z, shifted=shifted)
 
 
@@ -303,8 +276,15 @@ def cut_seed_disk(z, K: int, L: float) -> complex:
     an O(1) deficit that decays only like exp(-2*gamma0) per generation.
     """
     p = as_point(z)
-    w = sqrt_upper(p)
-    phi = fixed_point_R(p, K, L).phi
+    return _cut_seed(fixed_point_R(p, K, L).phi, sqrt_upper(p), K)
+
+
+def _cut_seed(phi, w, K: int):
+    """Disk transform of K*phi at sqrt(z) = w, for scalars or arrays.
+
+    This is the far-end cut seed of :func:`cut_seed_disk` for a given
+    stationary value phi.
+    """
     return (K * phi - 1j * w) / (K * phi + 1j * w)
 
 

@@ -38,7 +38,7 @@ from wtree import (
     symmetric_tilde_inverse,
     vertex_merge_m,
 )
-from wtree.engine import cos_sin
+from wtree.engine import _eta_intercept, cos_sin
 from wtree.errors import NumericalDegeneracyError
 
 
@@ -209,28 +209,89 @@ def test_clean_tree_zero_seed_converges_with_depth():
     assert errs[2] < 0.02
 
 
+def _half_plane_R(spec, dm, z, path, R_seed, replica):
+    # Independent oracle: half-plane recursion over explicit addresses.
+    # Each edge pulls its far-end WT value back by the Moebius flow over
+    # minus its length; a vertex adds the values of its K children.
+    if len(path) == spec.depth:
+        R_far = R_seed
+    else:
+        R_far = sum(
+            _half_plane_R(spec, dm, z, path + (d,), R_seed, replica) for d in range(spec.K)
+        )
+    le = edge_length(spec, dm, EdgeAddress(path), replica)
+    return edge_step_R(R_far, -le, z)
+
+
+def _close(a, b):
+    return abs(a - b) <= 1e-10 * max(1.0, abs(b))
+
+
+ORACLE_TREES = [(1, 7), (2, 6), (3, 4)]
+
+
 def test_scalar_vs_batch():
-    spec = TreeSpec(K=2, L=1.0, depth=6)
-    dm = DisorderModel(lam=0.15, dist="uniform", master_seed=11)
     z = complex(3.1, 0.07)
-    batch = solve_root_R_batch(spec, dm, z, replicas=range(5))
-    for i in range(5):
-        r = solve_root_R(spec, dm, z, replica=i)
-        assert abs(batch[i] - r) < 1e-12
+    for K, depth in ORACLE_TREES:
+        spec = TreeSpec(K=K, L=1.0, depth=depth)
+        dm = DisorderModel(lam=0.15, dist="uniform", master_seed=11)
+        seed = cut_seed_disk(z, K, 1.0)
+        R_seed = r_from_m(seed, z)
+        batch = solve_root_R_batch(spec, dm, z, seed, replicas=range(4))
+        for i in range(4):
+            expect = _half_plane_R(spec, dm, z, (), R_seed, i)
+            assert _close(batch[i], expect)
+            assert _close(solve_root_R(spec, dm, z, seed_m=seed, replica=i), expect)
+
+
+def test_solve_edge_R_deep_address_matches_oracle():
+    z = complex(2.3, 0.05)
+    for K, depth in ORACLE_TREES:
+        spec = TreeSpec(K=K, L=1.0, depth=depth)
+        dm = DisorderModel(lam=0.2, dist="truncated_normal", master_seed=4)
+        seed = complex(0.3, -0.2)
+        for g in (depth - 2, depth):
+            path = tuple((j + 1) % K for j in range(g))
+            got = solve_edge_R(spec, dm, z, EdgeAddress(path), seed, replica=7)
+            assert _close(got, _half_plane_R(spec, dm, z, path, r_from_m(seed, z), 7))
 
 
 def test_batch_per_replica_z_and_seed():
-    spec = TreeSpec(K=2, L=1.0, depth=5)
     dm = DisorderModel(lam=0.1, master_seed=2)
     zs = np.array([complex(2.0, 0.1), complex(2.5, 0.2), complex(3.0, 0.4)])
     seeds = np.array([0j, complex(0.2, 0.1), complex(-0.1, 0.3)])
-    batch = solve_root_R_batch(spec, dm, zs, seed_m=seeds, replicas=range(3))
-    for i in range(3):
-        r = solve_root_R(spec, dm, complex(zs[i]), seed_m=complex(seeds[i]), replica=i)
-        assert abs(batch[i] - r) < 1e-12
+    for K, depth in ORACLE_TREES:
+        spec = TreeSpec(K=K, L=1.0, depth=depth)
+        batch = solve_root_R_batch(spec, dm, zs, seed_m=seeds, replicas=range(3))
+        for i in range(3):
+            z = complex(zs[i])
+            expect = _half_plane_R(spec, dm, z, (), r_from_m(complex(seeds[i]), z), i)
+            assert _close(batch[i], expect)
+    spec = TreeSpec(K=2, L=1.0, depth=5)
     bad = np.array([complex(2.0, 0.1), complex(2.0, 0.0)])
     with pytest.raises(ValidationError):
         solve_root_R_batch(spec, dm, bad, replicas=range(2))
+
+
+def test_subtree_split_matches_default():
+    # chunk_elems below the leaf count forces the kernel to solve child
+    # subtrees and merge them; results and captures must not change
+    z = complex(2.2, 0.03)
+    for K, depth in ORACLE_TREES:
+        spec = TreeSpec(K=K, L=1.0, depth=depth)
+        dm = DisorderModel(lam=0.15, master_seed=3)
+        seed = cut_seed_disk(z, K, 1.0)
+        full, cap = solve_root_R_batch(spec, dm, z, seed, range(5), capture=True)
+        for chunk in (1, K + 1, K**2):
+            split, cap_s = solve_root_R_batch(
+                spec, dm, z, seed, range(5), capture=True, chunk_elems=chunk
+            )
+            assert np.allclose(split, full, rtol=1e-13, atol=0.0)
+            for g in range(depth + 1):
+                assert np.array_equal(cap_s.lengths[g], cap.lengths[g])
+                assert np.allclose(cap_s.m_near[g], cap.m_near[g], rtol=0.0, atol=1e-13)
+        expect = _half_plane_R(spec, dm, z, (), r_from_m(seed, z), 2)
+        assert _close(solve_root_R_batch(spec, dm, z, seed, [2], chunk_elems=1)[0], expect)
 
 
 def test_batch_capture_consistent_with_addresses():
@@ -361,6 +422,15 @@ def test_solve_R_minus_herglotz_sum():
         assert (rp_at + rm).imag > 0.0
 
 
+def test_solve_R_minus_rejects_missing_edges():
+    spec = TreeSpec(K=2, L=1.0, depth=3)
+    dm = DisorderModel(lam=0.1)
+    z = complex(2.0, 0.1)
+    for path in [(5,), (0, 2), (-1,), (0, 0, 0, 0)]:
+        with pytest.raises(ValidationError):
+            solve_R_minus(spec, dm, z, target=EdgeAddress(path))
+
+
 def test_solve_R_minus_position_validation():
     spec = TreeSpec(K=2, L=1.0, depth=2)
     dm = DisorderModel()
@@ -368,6 +438,17 @@ def test_solve_R_minus_position_validation():
         solve_R_minus(spec, dm, complex(2.0, 0.1), position=5.0)
     with pytest.raises(ValidationError):
         solve_R_minus(spec, dm, complex(2.0, 0.1), position=-0.1)
+
+
+def test_eta_intercept_matches_polyfit():
+    rng = np.random.default_rng(5)
+    etas = [1e-1, 1e-2, 1e-3, 1e-4]
+    values = rng.normal(size=(4, 7, 3))
+    got = _eta_intercept(etas, values)
+    for i in range(7):
+        for k in range(3):
+            expect = np.polyfit(etas, values[:, i, k], 1)[1]
+            assert abs(got[i, k] - expect) < 1e-12
 
 
 def test_boundary_extrapolate():

@@ -342,6 +342,17 @@ def test_fluctuation_pool_source_and_validation():
         fluctuation_report(SPEC6, CLEAN, Z_MID, n=500, source="bogus")
 
 
+@pytest.mark.filterwarnings("error")
+def test_fluctuation_validates_up_front():
+    # checked before any sampling, so no numpy warning escapes first
+    with pytest.raises(InsufficientSamplesError):
+        fluctuation_report(SPEC6, CLEAN, Z_MID, n=1)
+    with pytest.raises(InsufficientSamplesError):
+        fluctuation_report(SPEC6, CLEAN, Z_MID, n=1, source="pool", burn_in=5)
+    with pytest.raises(ValidationError):
+        fluctuation_report(SPEC6, CLEAN, complex(2.0, 0.0), n=100)
+
+
 def test_stability_clean_row_is_zero():
     spec = TreeSpec(K=2, L=1.0, depth=8)
     cells = stability_scan(

@@ -103,6 +103,22 @@ def test_omega_for_generation_matches_scalar():
     for i in range(K**g):
         path = [(i // K ** (g - 1 - j)) % K for j in range(g)]
         assert float(block[i]) == resample_omega(dm, EdgeAddress(path), replica=5)
+    # a subtree below a non-empty prefix draws the same omegas edge by edge
+    for prefix in [(2,), (0, 1), (1, 2, 0)]:
+        n = g - len(prefix)
+        sub = omega_for_generation(dm, K, g, 5, prefix)
+        assert sub.shape == (K**n,)
+        for i in range(K**n):
+            path = list(prefix) + [(i // K ** (n - 1 - j)) % K for j in range(n)]
+            assert float(sub[i]) == resample_omega(dm, EdgeAddress(path), replica=5)
+    reps = np.arange(3, dtype=np.uint64).reshape(-1, 1)
+    rows = omega_for_generation(dm, K, 4, reps, (1, 0))
+    for r in range(3):
+        for i in range(K**2):
+            path = (1, 0, i // K, i % K)
+            assert float(rows[r, i]) == resample_omega(dm, EdgeAddress(path), replica=r)
+    with pytest.raises(ValidationError):
+        omega_for_generation(dm, K, 1, 5, (0, 1))
 
 
 def test_omega_for_generation_replica_block():

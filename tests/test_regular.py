@@ -148,13 +148,28 @@ def test_degenerate_sin_zero():
     assert abs(fp1.phi - complex(0.0, math.pi)) < 1e-8
 
 
+def _phi_oracle(z, K, L):
+    # extended-precision roots of the fixed-point quadratic, same selection rule
+    with mpmath.workdps(40):
+        w = mpmath.sqrt(mpmath.mpc(z))
+        c, s = mpmath.cos(w * L), mpmath.sin(w * L)
+        roots = mpmath.polyroots([K * s / w, (K - 1) * c, w * s], maxsteps=200, extraprec=60)
+        upper = [r for r in roots if r.imag > 0]
+        if len(upper) == 1:
+            return complex(upper[0])
+        return complex(min(roots, key=lambda r: abs(c + r * s / w)))
+
+
 def test_batch_matches_scalar():
     E = np.linspace(0.3, 7.5, 40)
-    batch = fixed_point_batch(E, 0.01, 2, 1.0)
-    for i, e in enumerate(E):
-        fp = fixed_point_R(complex(float(e), 0.01), 2, 1.0)
-        assert abs(batch.phi[i] - fp.phi) < 1e-14
-    assert np.all(batch.residual < 1e-12)
+    for K in (1, 2, 3):
+        batch = fixed_point_batch(E, 0.01, K, 1.0)
+        for i, e in enumerate(E):
+            z = complex(float(e), 0.01)
+            expect = _phi_oracle(z, K, 1.0)
+            assert abs(batch.phi[i] - expect) < 1e-12 * max(1.0, abs(expect))
+            assert fixed_point_R(z, K, 1.0).phi == batch.phi[i]
+        assert np.all(batch.residual < 1e-12)
 
 
 def test_batch_boundary_with_degenerate_point():
@@ -232,6 +247,9 @@ def test_iterate_m_grid_validation():
 
 
 def test_fixed_point_validation():
+    for K, L in [(0, 1.0), (2, -1.0), (2, 0.0), (2, math.inf)]:
+        with pytest.raises(ValidationError):
+            fixed_point_batch([2.0], 0.1, K=K, L=L)
     with pytest.raises(ValidationError):
         fixed_point_R(complex(2.0, 0.1), 0, 1.0)
     with pytest.raises(ValidationError):
