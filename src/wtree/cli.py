@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .config import DEFAULTS, apply_override, load_config, make_disorder, make_spec
-from .engine import _eta_intercept, solve_root_R_batch
+from .engine import _eta_intercept, _failed_rows, solve_root_R_batch
 from .ensemble import (
     _root_edge_lengths,
     _seed_disk,
@@ -393,17 +393,11 @@ def _cmd_recursion(cfg, out_dir, threads):
     replicas = np.arange(n, dtype=np.uint64)
     seed = _seed_disk(spec, z, sec["seed_mode"], at_cut=True)
     lengths = _root_edge_lengths(spec, dm, replicas)
-    status = ["ok"] * n
     try:
         R = solve_root_R_batch(spec, dm, z, seed, replicas)
-    except WtreeError:
-        # Isolate failing replicas so the sweep still reports the rest.
-        R = np.full(n, math.nan + 1j * math.nan, dtype=np.complex128)
-        for i in range(n):
-            try:
-                R[i] = solve_root_R_batch(spec, dm, z, seed, replicas[i : i + 1])[0]
-            except WtreeError as exc:
-                status[i] = f"{type(exc).__name__}: {exc}"
+        status = ["ok"] * n
+    except WtreeError as exc:
+        R, status = _failed_rows(exc, n)
     rows = []
     for i in range(n):
         if status[i] != "ok":

@@ -29,9 +29,11 @@ from .errors import (
     BudgetExceededError,
     MoebiusPoleError,
     NumericalDegeneracyError,
+    RowDegeneracyError,
     SingularMergeError,
     SingularTransformError,
     ValidationError,
+    WtreeError,
 )
 from .graphmodel import (
     DisorderModel,
@@ -258,6 +260,8 @@ def _subtree_edge_count(K: int, depth_local: int) -> int:
 
 def _check_seed_m(seed_m: complex) -> complex:
     seed_m = complex(seed_m)
+    if not cmath.isfinite(seed_m):
+        raise ValidationError(f"truncation seed must be finite, got {seed_m}")
     if abs(seed_m) > 1.0 + 1e-12:
         raise ValidationError(f"truncation seed must satisfy |m| <= 1, got |m| = {abs(seed_m)}")
     if seed_m == 1:
@@ -353,6 +357,10 @@ def _solve_subtree(spec, dm, prefix, w, seed, reps, chunk_elems, capture):
     return out, cap
 
 
+_NONFINITE = "tree solve produced non-finite WT values"
+_LOWER = "tree solve left the upper half plane"
+
+
 def _solve(spec, dm, z, seed_m, replicas, prefix, capture, visit_budget, chunk_elems):
     """Validate a solve of the subtree below ``prefix`` and run it."""
     _check_kirchhoff(spec)
@@ -365,6 +373,8 @@ def _solve(spec, dm, z, seed_m, replicas, prefix, capture, visit_budget, chunk_e
         z_arr = np.asarray(z, dtype=np.complex128).ravel()
         if z_arr.size != S:
             raise ValidationError("per-replica z array must match the replica count")
+        if not np.all(np.isfinite(z_arr)):
+            raise ValidationError("per-replica z values must be finite")
         if not np.all(z_arr.imag > 0.0):
             raise ValidationError("direct recursion requires eta > 0 at every point")
         w = np.sqrt(z_arr)
@@ -389,13 +399,30 @@ def _solve(spec, dm, z, seed_m, replicas, prefix, capture, visit_budget, chunk_e
             f"tree solve would visit {n_edges} edges, budget is {visit_budget}"
         )
 
-    m, cap = _solve_subtree(spec, dm, tuple(prefix), w, seed, replicas, int(chunk_elems), capture)
-    out = 1j * w * (1.0 + m) / (1.0 - m)
-    if not np.all(np.isfinite(out.view(np.float64))):
-        raise NumericalDegeneracyError("tree solve produced non-finite WT values")
-    if not np.all(out.imag > 0.0):
-        raise NumericalDegeneracyError("tree solve left the upper half plane")
+    # Degenerate rows (a NaN seed row, a singular merge) are found and
+    # named below, so the arithmetic that produces them stays quiet.
+    with np.errstate(all="ignore"):
+        m, cap = _solve_subtree(spec, dm, tuple(prefix), w, seed, replicas, int(chunk_elems), capture)
+        out = 1j * w * (1.0 + m) / (1.0 - m)
+    finite = np.isfinite(out)
+    bad = ~(finite & (out.imag > 0.0))
+    if bad.any():
+        reasons = [_NONFINITE if not f else _LOWER if b else None for f, b in zip(finite, bad)]
+        out[bad] = complex(math.nan, math.nan)
+        raise RowDegeneracyError(_LOWER if finite.all() else _NONFINITE, out, reasons)
     return (out, cap) if capture else out
+
+
+def _failed_rows(exc: WtreeError, n: int):
+    """Root values and per-row status ("ok" or error text) after ``exc``.
+
+    A :class:`RowDegeneracyError` fails only the rows it names; any
+    other error fails all ``n`` rows.
+    """
+    if isinstance(exc, RowDegeneracyError):
+        prefix = f"{NumericalDegeneracyError.__name__}: "
+        return exc.values, ["ok" if r is None else prefix + r for r in exc.reasons]
+    return np.full(n, complex(math.nan, math.nan)), [f"{type(exc).__name__}: {exc}"] * n
 
 
 _CHUNK_ELEMS = 2**20
@@ -492,6 +519,13 @@ def solve_root_R_batch(
     -------
     np.ndarray or (np.ndarray, BatchCapture)
         Root WT values, shape ``(len(replicas),)``.
+
+    Raises
+    ------
+    RowDegeneracyError
+        When some rows (a NaN seed row, say) come out non-finite or with
+        Im R <= 0.  Its ``values`` hold every row, NaN where one failed,
+        and its ``reasons`` the failure text per row, None where good.
     """
     return _solve(spec, dm, z, seed_m, replicas, (), capture, visit_budget, chunk_elems)
 

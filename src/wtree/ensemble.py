@@ -75,6 +75,24 @@ def _root_edge_lengths(spec: TreeSpec, dm: DisorderModel, replicas: np.ndarray) 
     return spec.L * np.exp(dm.lam * omega_from_uniform(dm.dist, u))
 
 
+def _sampling_point(z, n: int, boundary_message: str):
+    """``z`` as a point, checked to have eta > 0 and n >= 2 samples."""
+    p = as_point(z)
+    if p.boundary_mode:
+        raise ValidationError(boundary_message)
+    if n < 2:
+        raise InsufficientSamplesError("need at least 2 samples")
+    return p
+
+
+def _direct_roots(spec: TreeSpec, dm: DisorderModel, p, n: int, seed_mode: str):
+    """Root WT values and root-edge lengths of cut-seeded replicas 0..n-1."""
+    replicas = np.arange(n, dtype=np.uint64)
+    seed = _seed_disk(spec, p, seed_mode, at_cut=True)
+    R = solve_root_R_batch(spec, dm, p.z, seed, replicas)
+    return R, _root_edge_lengths(spec, dm, replicas)
+
+
 log = logging.getLogger(__name__)
 
 
@@ -221,38 +239,6 @@ def _auto_thin(z, K: int, L: float) -> int:
     return min(2000, max(1, math.ceil(1.5 / g0)))
 
 
-def _pool_collect(spec, dm, p, w, n, seed_mode, burn_in, pool_size, thin, term_fn):
-    """Generation-batched pool samples of a per-member statistic.
-
-    Collects whole generations spaced ``thin`` steps apart until at
-    least n member samples exist, returning (terms, generation means).
-    """
-    K = spec.K
-    if pool_size is not None:
-        P = max(1, min(pool_size, n))
-    else:
-        P = max(1, min(4096, n // 8)) if n >= 8 else n
-    G = max(1, math.ceil(n / P))
-    if thin is None:
-        thin = _auto_thin(p, K, spec.L)
-    pool = pool_init(spec, dm, p, P, seed_mode)
-    for _ in range(burn_in):
-        pool_step(pool)
-    chunks = []
-    gen_means = np.empty(G)
-    for g in range(G):
-        if g:
-            for _ in range(thin - 1):
-                pool_step(pool)
-        child_idx, lengths, m_new, _ = _pool_advance(pool)
-        t = term_fn(child_idx, lengths, m_new, pool.values)
-        pool.values = m_new
-        pool.generation += 1
-        chunks.append(t)
-        gen_means[g] = t.mean()
-    return np.concatenate(chunks), gen_means
-
-
 def estimate_gamma(
     spec: TreeSpec,
     dm: DisorderModel,
@@ -290,36 +276,18 @@ def estimate_gamma(
         Generations between collections; default is a few relaxation
         times 1/(2*gamma0) of the clean contraction.
     """
-    p = as_point(z)
-    if p.boundary_mode:
-        raise ValidationError("Lyapunov estimation requires eta > 0")
-    if n < 2:
-        raise InsufficientSamplesError("need at least 2 samples")
-    w = sqrt_upper(p)
-    K = spec.K
-
-    if source == "direct":
-        replicas = np.arange(n, dtype=np.uint64)
-        seed = _seed_disk(spec, p, seed_mode, at_cut=True)
-        R = solve_root_R_batch(spec, dm, p.z, seed, replicas)
-        terms = _gamma_terms(R, _root_edge_lengths(spec, dm, replicas), w, K)
-        stderr = float(terms.std(ddof=1) / math.sqrt(terms.size))
-    elif source == "pool":
-        def term_fn(child_idx, lengths, m_new, values):
-            return _gamma_terms(_r_from_m_arr(m_new, w), lengths, w, K)
-
-        terms, gen_means = _pool_collect(
-            spec, dm, p, w, n, seed_mode, burn_in, pool_size, thin, term_fn
-        )
-        if gen_means.size >= 2:
-            stderr = float(gen_means.std(ddof=1) / math.sqrt(gen_means.size))
-        else:
-            stderr = float(terms.std(ddof=1) / math.sqrt(terms.size))
-    else:
+    p = _sampling_point(z, n, "Lyapunov estimation requires eta > 0")
+    if source == "pool":
+        return estimate_gamma_tilde(spec, dm, p, n, 0.0, seed_mode, burn_in, pool_size, thin)
+    if source != "direct":
         raise ValidationError(f"unknown source {source!r}; use 'pool' or 'direct'")
 
-    gamma = float(terms.mean())
-    return LyapunovEstimate(gamma_hat=gamma, stderr=stderr, n=terms.size, z=p.z, source=source)
+    R, lengths = _direct_roots(spec, dm, p, n, seed_mode)
+    terms = _gamma_terms(R, lengths, sqrt_upper(p), spec.K)
+    stderr = float(terms.std(ddof=1) / math.sqrt(terms.size))
+    return LyapunovEstimate(
+        gamma_hat=float(terms.mean()), stderr=stderr, n=terms.size, z=p.z, source=source
+    )
 
 
 def estimate_gamma_tilde(
@@ -338,34 +306,46 @@ def estimate_gamma_tilde(
     The rotated amplitude across one generation gains the factor
     (cot(beta) + R_child) / (cot(beta) + R_parent) on top of the plain
     edge ratio, so each sample pairs a parent edge with one of its
-    children.  For beta_v = 0 this reduces to :func:`estimate_gamma`.
-    Sampling and standard errors follow the generation-batched scheme of
-    :func:`estimate_gamma`'s pool source.
+    children.  For beta_v = 0 this is the pool source of
+    :func:`estimate_gamma`, which delegates here: whole generations of a
+    burnt-in pool are collected ``thin`` generations apart, and the
+    standard error comes from the spread of the generation means.
     """
-    p = as_point(z)
-    if p.boundary_mode:
-        raise ValidationError("Lyapunov estimation requires eta > 0")
-    if n < 2:
-        raise InsufficientSamplesError("need at least 2 samples")
+    p = _sampling_point(z, n, "Lyapunov estimation requires eta > 0")
     if not 0.0 <= beta_v < math.pi:
         raise ValidationError(f"beta_v must lie in [0, pi), got {beta_v}")
     w = sqrt_upper(p)
     K = spec.K
     ct = 0.0 if beta_v == 0.0 else math.cos(beta_v) / math.sin(beta_v)
-
-    def term_fn(child_idx, lengths, m_new, values):
+    if pool_size is not None:
+        P = max(1, min(pool_size, n))
+    else:
+        P = max(1, min(4096, n // 8)) if n >= 8 else n
+    G = max(1, math.ceil(n / P))
+    if thin is None:
+        thin = _auto_thin(p, K, spec.L)
+    pool = pool_init(spec, dm, p, P, seed_mode)
+    for _ in range(burn_in):
+        pool_step(pool)
+    chunks = []
+    gen_means = np.empty(G)
+    for g in range(G):
+        if g:
+            for _ in range(thin - 1):
+                pool_step(pool)
+        child_idx, lengths, m_new, _ = _pool_advance(pool)
         R_parent = _r_from_m_arr(m_new, w)
         t = _gamma_terms(R_parent, lengths, w, K)
         if beta_v != 0.0:
-            R_child = _r_from_m_arr(values[child_idx[:, 0]], w)
+            R_child = _r_from_m_arr(pool.values[child_idx[:, 0]], w)
             t = t - np.log(np.abs(ct + R_child)) + np.log(np.abs(ct + R_parent))
-        return t
-
-    terms, gen_means = _pool_collect(
-        spec, dm, p, w, n, seed_mode, burn_in, pool_size, thin, term_fn
-    )
-    if gen_means.size >= 2:
-        stderr = float(gen_means.std(ddof=1) / math.sqrt(gen_means.size))
+        pool.values = m_new
+        pool.generation += 1
+        chunks.append(t)
+        gen_means[g] = t.mean()
+    terms = np.concatenate(chunks)
+    if G >= 2:
+        stderr = float(gen_means.std(ddof=1) / math.sqrt(G))
     else:
         stderr = float(terms.std(ddof=1) / math.sqrt(terms.size))
     gamma = float(terms.mean())
@@ -541,18 +521,11 @@ def fluctuation_report(
     burnt-in pool of size n instead; its members share the population's
     stochastic drift, so its nominal standard error is optimistic.
     """
-    p = as_point(z)
-    if p.boundary_mode:
-        raise ValidationError("fluctuation widths require eta > 0")
-    if n < 2:
-        raise InsufficientSamplesError("need at least 2 samples")
+    p = _sampling_point(z, n, "fluctuation widths require eta > 0")
     w = sqrt_upper(p)
     K = spec.K
     if source == "direct":
-        replicas = np.arange(n, dtype=np.uint64)
-        seed = _seed_disk(spec, p, seed_mode, at_cut=True)
-        R = solve_root_R_batch(spec, dm, p.z, seed, replicas)
-        lengths = _root_edge_lengths(spec, dm, replicas)
+        R, lengths = _direct_roots(spec, dm, p, n, seed_mode)
     elif source == "pool":
         pool = pool_init(spec, dm, p, n, seed_mode)
         for _ in range(burn_in):

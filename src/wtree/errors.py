@@ -49,5 +49,17 @@ class MoebiusPoleError(NumericalDegeneracyError):
     """An edge propagation in the R-representation hit a vanishing denominator."""
 
 
+class RowDegeneracyError(NumericalDegeneracyError):
+    """Some rows of a batch tree solve degenerated; the others are valid.
+
+    ``values`` is the batch result with NaN in the failed rows;
+    ``reasons`` has one entry per row, None or the row's failure text.
+    """
+
+    def __init__(self, message, values, reasons):
+        super().__init__(message)
+        self.values, self.reasons = values, reasons
+
+
 class SelectionFailureError(NumericalDegeneracyError):
     """Neither quadratic root satisfies the fixed-point selection rule."""

@@ -19,6 +19,7 @@ import numpy as np
 
 from .engine import (
     WT_INFINITY,
+    _failed_rows,
     as_point,
     cos_sin,
     solve_root_R_batch,
@@ -157,8 +158,11 @@ def current_profile(R0: complex, psi0: complex, l: float, z, n_pts: int = 10):
 class DensityPoint:
     """Spectral-density sample at z = E + i*eta.
 
-    ``status`` is "ok" for a clean evaluation; failed sweep points carry
-    the error text instead of aborting the sweep.
+    ``status`` is "ok" for a clean evaluation.  A failed sweep point
+    carries NaN values and the error text instead of aborting the sweep:
+    "NumericalDegeneracyError: ..." for a tree solve that degenerated at
+    this point alone, or the text of an error that failed its whole
+    chunk (such as ``BudgetExceededError``).
     """
 
     E: float
@@ -205,53 +209,31 @@ def spectral_density(
     list of DensityPoint
     """
     energies = np.asarray(energies, dtype=float).ravel()
-    if eta <= 0:
-        raise ValidationError("spectral density sweeps require eta > 0")
+    if not 0.0 < eta < math.inf:
+        raise ValidationError(f"spectral density sweeps require 0 < eta < inf, got {eta}")
+    if not np.all(np.isfinite(energies)):
+        raise ValidationError("spectral density energies must be finite")
     if threads < 1:
         raise ValidationError("threads must be >= 1")
     seeds = _seed_array(spec, energies, eta, seed_mode)
     z_arr = energies + 1j * eta
     reps = np.full(energies.size, replica, dtype=np.uint64)
 
-    def point_row(i, R):
+    def point_row(i, R, status):
+        E = float(energies[i])
+        if status != "ok":
+            return DensityPoint(E, eta, math.nan, math.nan, math.nan, status)
         G = green_root(R, spec.alpha)
         r = reflection_coeff(R, _root_R_minus(spec.alpha), z_arr[i])
-        return DensityPoint(
-            E=float(energies[i]),
-            eta=eta,
-            rho=G.imag / math.pi,
-            im_R=R.imag,
-            abs_r=abs(r),
-        )
-
-    def failed_row(i, exc):
-        return DensityPoint(
-            E=float(energies[i]),
-            eta=eta,
-            rho=math.nan,
-            im_R=math.nan,
-            abs_r=math.nan,
-            status=f"{type(exc).__name__}: {exc}",
-        )
+        return DensityPoint(E, eta, G.imag / math.pi, R.imag, abs(r))
 
     def solve_chunk(lo, hi):
         try:
-            R_chunk = solve_root_R_batch(
-                spec, dm, z_arr[lo:hi], seeds[lo:hi], reps[lo:hi]
-            )
-        except WtreeError:
-            # Isolate the offending points; keep the rest of the chunk.
-            rows = []
-            for i in range(lo, hi):
-                try:
-                    R = solve_root_R_batch(
-                        spec, dm, z_arr[i : i + 1], seeds[i : i + 1], reps[i : i + 1]
-                    )[0]
-                    rows.append(point_row(i, R))
-                except WtreeError as exc:
-                    rows.append(failed_row(i, exc))
-            return rows
-        return [point_row(i, R_chunk[i - lo]) for i in range(lo, hi)]
+            R = solve_root_R_batch(spec, dm, z_arr[lo:hi], seeds[lo:hi], reps[lo:hi])
+            status = ["ok"] * (hi - lo)
+        except WtreeError as exc:
+            R, status = _failed_rows(exc, hi - lo)
+        return [point_row(i, R[i - lo], status[i - lo]) for i in range(lo, hi)]
 
     if threads == 1 or energies.size < 2:
         return solve_chunk(0, energies.size)

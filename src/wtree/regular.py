@@ -283,9 +283,11 @@ def _cut_seed(phi, w, K: int):
     """Disk transform of K*phi at sqrt(z) = w, for scalars or arrays.
 
     This is the far-end cut seed of :func:`cut_seed_disk` for a given
-    stationary value phi.
+    stationary value phi.  A non-finite phi (an overflowed fixed point)
+    gives a NaN seed, which a tree solve reports as a failed row.
     """
-    return (K * phi - 1j * w) / (K * phi + 1j * w)
+    with np.errstate(invalid="ignore"):
+        return (K * phi - 1j * w) / (K * phi + 1j * w)
 
 
 def iterate_m_map(z, K: int, L: float, m0: complex = 0j, n_steps: int = 100) -> complex:

@@ -1,4 +1,5 @@
 import copy
+import csv
 import json
 import math
 import os
@@ -309,6 +310,28 @@ def test_recursion_command(tmp_path):
         assert cells[5] == "1"
         assert cells[7] == "1"
         assert cells[8] == "ok"
+
+
+@pytest.mark.filterwarnings("error")
+def test_recursion_budget_failure_one_solve(tmp_path, monkeypatch):
+    # a call-level error gives every row its status from one solve
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    solve = cli.solve_root_R_batch
+    monkeypatch.setattr(cli, "solve_root_R_batch", counting)
+    rc = cli.main(["recursion", "--out", str(tmp_path), "--n", "4", "--set", "depth=30"])
+    assert rc == 0
+    assert len(calls) == 1
+    with open(tmp_path / "recursion.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 5
+    status = "BudgetExceededError: tree solve would visit 2147483647 edges, budget is 16777216"
+    for cells in rows[1:]:
+        assert cells[3:] == ["nan", "nan", "0", "nan", "0", status]
 
 
 def test_density_extrapolate_mode(tmp_path):

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from wtree import (
     HalfPlanePoint,
     MoebiusPoleError,
     ROOT_EDGE,
+    RowDegeneracyError,
+    SelectionFailureError,
     SingularMergeError,
     SingularTransformError,
     TreeSpec,
@@ -37,6 +40,7 @@ from wtree import (
     symmetric_tilde,
     symmetric_tilde_inverse,
     vertex_merge_m,
+    wt_bound,
 )
 from wtree.engine import _eta_intercept, cos_sin
 from wtree.errors import NumericalDegeneracyError
@@ -268,9 +272,9 @@ def test_batch_per_replica_z_and_seed():
             expect = _half_plane_R(spec, dm, z, (), r_from_m(complex(seeds[i]), z), i)
             assert _close(batch[i], expect)
     spec = TreeSpec(K=2, L=1.0, depth=5)
-    bad = np.array([complex(2.0, 0.1), complex(2.0, 0.0)])
-    with pytest.raises(ValidationError):
-        solve_root_R_batch(spec, dm, bad, replicas=range(2))
+    for bad_z in (complex(2.0, 0.0), complex(math.nan, 0.1), complex(2.0, math.inf)):
+        with pytest.raises(ValidationError):
+            solve_root_R_batch(spec, dm, np.array([complex(2.0, 0.1), bad_z]), replicas=range(2))
 
 
 def test_subtree_split_matches_default():
@@ -318,13 +322,96 @@ def test_visit_budget():
         solve_root_R_batch(spec, dm, complex(2.0, 0.5))
 
 
+@pytest.mark.filterwarnings("error")
 def test_seed_validation():
     spec = TreeSpec(K=2, L=1.0, depth=2)
     dm = DisorderModel()
-    with pytest.raises(ValidationError):
-        solve_root_R(spec, dm, complex(2.0, 0.5), seed_m=complex(1.2, 0.0))
-    with pytest.raises(ValidationError):
-        solve_root_R(spec, dm, complex(2.0, 0.5), seed_m=complex(1.0, 0.0))
+    for seed in (complex(1.2, 0.0), complex(1.0, 0.0), complex(math.nan, 0.0), complex(0.0, math.inf)):
+        with pytest.raises(ValidationError):
+            solve_root_R(spec, dm, complex(2.0, 0.5), seed_m=seed)
+
+
+@pytest.mark.filterwarnings("error")
+def test_batch_reports_failed_rows():
+    # one NaN seed row fails alone; every row is still computed
+    spec = TreeSpec(K=2, L=1.0, depth=6)
+    dm = DisorderModel(lam=0.2, master_seed=8)
+    z = complex(2.3, 0.02)
+    seeds = np.full(4, cut_seed_disk(z, 2, 1.0))
+    clean = solve_root_R_batch(spec, dm, z, seeds, range(4))
+    seeds[2] = complex(math.nan, 0.0)
+    with pytest.raises(RowDegeneracyError) as info:
+        solve_root_R_batch(spec, dm, z, seeds, range(4))
+    exc = info.value
+    assert isinstance(exc, NumericalDegeneracyError)
+    assert str(exc) == "tree solve produced non-finite WT values"
+    assert exc.reasons == [None, None, "tree solve produced non-finite WT values", None]
+    assert np.isnan(exc.values[2])
+    keep = [0, 1, 3]
+    assert np.array_equal(exc.values[keep], clean[keep])
+    # one-replica views still raise for their row
+    with pytest.raises(NumericalDegeneracyError):
+        solve_root_R_batch(spec, dm, z, seeds[2:3], [2])
+
+
+_SEED_MODES = st.sampled_from(["zero", "cut", "nan"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    K=st.integers(1, 3),
+    depth=st.integers(0, 6),
+    lam=st.floats(0.0, 1.0),
+    dist=st.sampled_from(["uniform", "two_point", "truncated_normal"]),
+    e=st.floats(-50.0, 100.0),
+    log_eta=st.floats(-8.0, 6.0),
+    modes=st.lists(_SEED_MODES, min_size=1, max_size=4),
+    master_seed=st.integers(0, 2**32),
+)
+def test_batch_rows_are_herglotz_or_named(K, depth, lam, dist, e, log_eta, modes, master_seed):
+    # Seeds are images of Herglotz values (m = 0, the cut seed) or NaN
+    # rows; arbitrary disk points are not, since for E < 0 a point with
+    # |m| <= 1 need not come from an R with Im R > 0.  Warnings are
+    # errors in the body only: hypothesis's failure report emits a
+    # DeprecationWarning that a filterwarnings mark would turn into an
+    # internal error of the whole session.
+    z = complex(e, 10.0**log_eta)
+    spec = TreeSpec(K=K, L=1.0, depth=depth)
+    dm = DisorderModel(lam=lam, dist=dist, master_seed=master_seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            cut = cut_seed_disk(z, K, 1.0)
+        except SelectionFailureError:
+            # The clean fixed point overflows at large eta (see
+            # test_cut_seed_large_eta); the array seed path gives NaN there.
+            cut = complex(math.nan, math.nan)
+        nan = complex(math.nan, math.nan)
+        seeds = np.array([{"zero": 0j, "cut": cut, "nan": nan}[m] for m in modes])
+        replicas = 7 * np.arange(len(modes)) + 3
+        try:
+            R = solve_root_R_batch(spec, dm, z, seeds, replicas)
+            reasons = [None] * len(modes)
+        except RowDegeneracyError as exc:
+            R, reasons = exc.values, exc.reasons
+        for i, rep in enumerate(replicas):
+            if reasons[i] is None:
+                r = complex(R[i])
+                assert cmath.isfinite(r) and r.imag > 0.0
+                bound = wt_bound(z, edge_length(spec, dm, ROOT_EDGE, int(rep)))
+                assert abs(r) <= bound * (1.0 + 1e-12)
+            else:
+                assert cmath.isnan(R[i])
+            assert (reasons[i] is not None) == cmath.isnan(seeds[i])
+
+
+@pytest.mark.xfail(
+    raises=SelectionFailureError,
+    strict=True,
+    reason="ROADMAP item 4: the clean fixed point overflows in cos/sin at eta = 1e6",
+)
+def test_cut_seed_large_eta():
+    assert abs(cut_seed_disk(complex(2.0, 1e6), 2, 1.0)) <= 1.0
 
 
 def test_randomized_solves_are_herglotz_and_bounded():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import wtree.observables
 from wtree import (
     DisorderModel,
     GREEN_POLE,
@@ -212,6 +213,7 @@ def test_density_gap_decays_with_eta():
     assert rows[2] < 1e-2
 
 
+@pytest.mark.filterwarnings("error")
 def test_density_seed_modes_and_validation():
     spec = TreeSpec(K=2, L=1.0, depth=6)
     dm = DisorderModel(lam=0.0)
@@ -220,8 +222,11 @@ def test_density_seed_modes_and_validation():
     b = spectral_density(spec, dm, E, eta=1e-2, seed_mode="disk_zero")
     # clean tree, deep enough: both seeds agree to the truncation decay
     assert abs(a[0].rho - b[0].rho) < 1e-1
+    for eta in (0.0, math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            spectral_density(spec, dm, E, eta=eta)
     with pytest.raises(ValidationError):
-        spectral_density(spec, dm, E, eta=0.0)
+        spectral_density(spec, dm, np.array([2.0, math.nan]), eta=1e-2)
     with pytest.raises(ValidationError):
         spectral_density(spec, dm, E, eta=1e-2, seed_mode="bogus")
     with pytest.raises(ValidationError):
@@ -249,6 +254,35 @@ def test_density_failure_isolation():
         assert math.isnan(p.rho)
     with pytest.raises(ValidationError):
         band_support(pts)
+
+
+@pytest.mark.filterwarnings("error")
+def test_density_failed_points_one_solve_per_chunk(monkeypatch):
+    # failed points are read from the chunk's one solve, not re-solved
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[2].size)
+        return solve_root_R_batch(*args, **kwargs)
+
+    monkeypatch.setattr(wtree.observables, "solve_root_R_batch", counting)
+    spec = TreeSpec(K=3, L=1.0, depth=4)
+    dm = DisorderModel(lam=0.1, master_seed=2)
+    E = np.linspace(0.5, 20.0, 9)
+    # the clean fixed point overflows at eta = 1e6: every cut seed is NaN
+    failed = "NumericalDegeneracyError: tree solve produced non-finite WT values"
+    pts = spectral_density(spec, dm, E, eta=1e6, threads=2)
+    assert calls == [4, 5]
+    for p in pts:
+        assert p.status == failed
+        assert math.isnan(p.rho) and math.isnan(p.im_R) and math.isnan(p.abs_r)
+    # mixed chunks: only the overflowing energies fail
+    calls.clear()
+    E = np.array([2.0, -1e6, 3.0, -2e6])
+    pts = spectral_density(spec, dm, E, eta=1e-2, threads=2)
+    assert calls == [2, 2]
+    assert [pts[0], pts[2]] == spectral_density(spec, dm, E[[0, 2]], eta=1e-2)
+    assert pts[1].status == pts[3].status == failed
 
 
 def test_band_support_clean():
