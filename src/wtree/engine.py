@@ -290,16 +290,27 @@ class BatchCapture:
 
 
 def _merge(m: np.ndarray, K: int) -> np.ndarray:
-    """Merge every run of K sibling disk values along the last axis."""
-    h = (1.0 + m) / (1.0 - m)
-    zeta = h.reshape(m.shape[0], -1, K).sum(axis=2)
+    """Merge every run of K sibling disk values along the last axis, overwriting ``m``."""
+    den = 1.0 - m
+    m += 1.0
+    m /= den
+    del den  # freed before the sums, so at most two leaf-sized arrays are alive
+    zeta = m.reshape(m.shape[0], -1, K).sum(axis=2)
     return (zeta - 1.0) / (zeta + 1.0)
 
 
 def _edge_phase(spec, dm, m, g, prefix, w, reps):
     """Pull far-end disk values of generation ``g`` to the near ends."""
-    le = spec.L * np.exp(dm.lam * omega_for_generation(dm, spec.K, g, reps, prefix))
-    return np.exp((2j * w) * le) * m, le
+    le = omega_for_generation(dm, spec.K, g, reps, prefix)
+    le *= dm.lam
+    np.exp(le, out=le)
+    le *= spec.L
+    phase = (2j * w) * le
+    np.exp(phase, out=phase)
+    # numpy rounds an in-place complex product of a single element
+    # differently from an out-of-place one; one-element blocks multiply
+    # out of place so that every block gets the out-of-place rounding
+    return np.multiply(phase, m, out=phase if phase.size > 1 else None), le
 
 
 def _solve_subtree(spec, dm, prefix, w, seed, reps, chunk_elems, capture):
@@ -345,7 +356,7 @@ def _solve_subtree(spec, dm, prefix, w, seed, reps, chunk_elems, capture):
                 m = _merge(m, K)
             m, le = _edge_phase(spec, dm, m, g0 + j, prefix, wc, r)
             if capture:
-                cap_m[j].append(m)
+                cap_m[j].append(m.copy())  # the next _merge overwrites m
                 cap_len[j].append(le)
         out[lo:hi] = m[:, 0]
     cap = None

@@ -71,7 +71,7 @@ def _mix(x: int) -> int:
 
 
 def _mix_np(x: np.ndarray) -> np.ndarray:
-    x = x.copy()
+    # splitmix64 finalizer, in place: callers pass a fresh XOR result
     x ^= x >> np.uint64(30)
     x *= np.uint64(_MIX1)
     x ^= x >> np.uint64(27)
@@ -298,7 +298,10 @@ def omega_for_generation(dm: DisorderModel, K: int, g: int, replicas, prefix=())
     generation ``g`` are laid out in lexicographic order of their local
     digits, index ``i = sum(path[len(prefix) + j] * K**(n-1-j))`` with
     ``n = g - len(prefix)``.  The result is bit-identical to calling
-    :func:`resample_omega` edge by edge.
+    :func:`resample_omega` edge by edge.  The hash is expanded level by
+    level from the shared ``(seed, DOMAIN_EDGE, replica, g, *prefix)``
+    state, each child mixing its parent's state with one digit, so a
+    block costs about K/(K-1) mixes per edge.
 
     Parameters
     ----------
@@ -308,31 +311,34 @@ def omega_for_generation(dm: DisorderModel, K: int, g: int, replicas, prefix=())
     g : int
         Generation (0 is the root edge), at least ``len(prefix)``.
     replicas : int or np.ndarray
-        Scalar replica, or an integer array broadcast against the edge
-        axis (shape ``(S, 1)`` yields an ``(S, K**n)`` block).
+        Scalar replica, or an integer column of shape ``(S, 1)``, one
+        replica per row.
     prefix : tuple of int
         Address path of the subtree's top edge; empty for the whole tree.
 
     Returns
     -------
     np.ndarray
-        omega values, shape ``broadcast(replicas, (K**n,))``.
+        omega values, shape ``(K**n,)`` for a scalar replica and
+        ``(S, K**n)`` for a column.
     """
     n = g - len(prefix)
     if n < 0:
         raise ValidationError(f"generation {g} lies above the subtree prefix {tuple(prefix)}")
     if isinstance(replicas, np.ndarray):
+        if replicas.ndim != 2 or replicas.shape[1] != 1 or replicas.dtype.kind not in "iu":
+            raise ValidationError(
+                f"replicas must be an int or an (S, 1) int array, got {replicas.dtype} {replicas.shape}"
+            )
         reps = replicas.astype(np.uint64, copy=False)
     else:
-        reps = np.asarray([int(replicas)], dtype=np.uint64)
-    idx = np.arange(K**n, dtype=np.uint64)
+        reps = np.full((1, 1), int(replicas) & _MASK64, dtype=np.uint64)
     h = hash_words(dm.master_seed, DOMAIN_EDGE, reps, g, *prefix)
-    # Chain the local digits one at a time, as hash_words would, so only
-    # one digit array is alive at once.
-    for j in range(n):
-        h = _mix_np(h ^ ((idx // np.uint64(K ** (n - 1 - j))) % np.uint64(K)))
-    out = omega_from_uniform(dm.dist, uniform01(h))
-    return np.asarray(out, dtype=np.float64)
+    digits = np.arange(K, dtype=np.uint64)
+    for _ in range(n):
+        h = _mix_np((h[:, :, None] ^ digits).reshape(h.shape[0], -1))
+    out = np.asarray(omega_from_uniform(dm.dist, uniform01(h)), dtype=np.float64)
+    return out if isinstance(replicas, np.ndarray) else out[0]
 
 
 def edge_length(spec: TreeSpec, dm: DisorderModel, addr: EdgeAddress, replica: int = 0) -> float:

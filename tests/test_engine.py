@@ -298,6 +298,25 @@ def test_subtree_split_matches_default():
         assert _close(solve_root_R_batch(spec, dm, z, seed, [2], chunk_elems=1)[0], expect)
 
 
+# One-replica root values, pinned to the bit: the top block of a one-replica
+# solve holds a single edge, and numpy rounds a one-element complex product
+# differently in place than out of place.
+_PINNED_ROOTS = [
+    (2, 2, complex(2, 0.01), 2, "0x1.8d248d6097e3dp-3", "0x1.ff6a14ece34a3p-1"),
+    (2, 2, complex(9, 0.5), 4, "-0x1.4602cf667a84dp+2", "0x1.16bb8880a364fp+3"),
+    (2, 4, complex(0.7, 0.3), 0, "-0x1.7c47714dd75e8p-3", "0x1.2581f37996068p-1"),
+    (3, 2, complex(2, 0.01), 3, "-0x1.21c1db971dd20p-6", "0x1.90c280af7d62ap-1"),
+]
+
+
+@pytest.mark.parametrize("K,depth,z,replica,re_hex,im_hex", _PINNED_ROOTS)
+def test_single_replica_root_pinned(K, depth, z, replica, re_hex, im_hex):
+    spec = TreeSpec(K=K, L=1.0, depth=depth)
+    dm = DisorderModel(lam=0.3, dist="uniform", master_seed=7)
+    R = solve_root_R(spec, dm, z, cut_seed_disk(z, K, 1.0), replica)
+    assert R == complex(float.fromhex(re_hex), float.fromhex(im_hex))
+
+
 def test_batch_capture_consistent_with_addresses():
     spec = TreeSpec(K=2, L=1.0, depth=2)
     dm = DisorderModel(lam=0.2, master_seed=5)

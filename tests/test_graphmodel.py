@@ -121,6 +121,85 @@ def test_omega_for_generation_matches_scalar():
         omega_for_generation(dm, K, 1, 5, (0, 1))
 
 
+# resample_omega values at fixed (seed, dist, path, replica), recorded from
+# the digit-by-digit hash: any refactor of the counter stream must keep them.
+_PINNED_OMEGAS = [
+    (1, "uniform", (), 0, "0x1.bd7a90021efe8p-1"),
+    (42, "uniform", (0, 1), 0, "-0x1.00b029f699300p-2"),
+    (42, "uniform", (0, 1), 7, "-0x1.0584cb51c2508p-1"),
+    (7, "two_point", (2, 0, 1), 3, "0x1.0000000000000p+0"),
+    (2**64 - 1, "truncated_normal", (1, 1, 0, 1, 0), 11, "-0x1.d333b12eb3479p-2"),
+    (123456789, "truncated_normal", (), 2**40, "-0x1.2cc5c61897141p-2"),
+    (5, "uniform", (3, 2, 1, 0, 3, 2, 1), 1, "0x1.683f00c30fa30p-3"),
+]
+
+
+@pytest.mark.parametrize("seed,dist,path,replica,expected", _PINNED_OMEGAS)
+def test_resample_omega_pinned(seed, dist, path, replica, expected):
+    dm = DisorderModel(lam=0.1, dist=dist, master_seed=seed)
+    assert resample_omega(dm, EdgeAddress(path), replica) == float.fromhex(expected)
+    K = max(path, default=0) + 1
+    block = omega_for_generation(dm, K, len(path), replica, path)
+    assert block.shape == (1,) and float(block[0]) == float.fromhex(expected)
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
+@pytest.mark.parametrize("dist", sorted(DIST_MOMENTS))
+def test_omega_for_generation_sweep(K, dist):
+    # every generation g <= 7, one prefix of every length, scalar and
+    # column replicas, against resample_omega edge by edge
+    dm = DisorderModel(lam=0.1, dist=dist, master_seed=2024 + K)
+    reps = np.array([[9], [2**63 + 5]], dtype=np.uint64)
+    for g in range(8):
+        for p in range(g + 1):
+            prefix = tuple((j * 7 + g) % K for j in range(p))
+            n = g - p
+            paths = [
+                prefix + tuple((i // K ** (n - 1 - j)) % K for j in range(n))
+                for i in range(K**n)
+            ]
+            scalar = omega_for_generation(dm, K, g, 9, prefix)
+            column = omega_for_generation(dm, K, g, reps, prefix)
+            assert scalar.shape == (K**n,) and column.shape == (2, K**n)
+            for i, path in enumerate(paths):
+                addr = EdgeAddress(path)
+                assert float(scalar[i]) == float(column[0, i]) == resample_omega(dm, addr, 9)
+                assert float(column[1, i]) == resample_omega(dm, addr, 2**63 + 5)
+
+
+def test_omega_for_generation_rejects_replica_shapes():
+    dm = DisorderModel(lam=0.2, dist="uniform", master_seed=7)
+    for bad in [
+        np.arange(4, dtype=np.uint64),  # 1-D of length K**n would pair replica i with edge i
+        np.arange(3, dtype=np.uint64),
+        np.arange(4, dtype=np.int64).reshape(2, 2),
+        np.arange(4, dtype=np.uint64).reshape(1, 4),
+        np.zeros((2, 1, 1), dtype=np.uint64),
+        np.zeros((2, 1), dtype=np.float64),
+    ]:
+        with pytest.raises(ValidationError):
+            omega_for_generation(dm, 2, 2, bad)
+
+
+@pytest.mark.parametrize("dtype", [np.uint64, np.int64])
+def test_hash_leaves_caller_arrays_unchanged(dtype):
+    words = np.arange(6, dtype=dtype)
+    later = np.arange(6, 12, dtype=dtype)
+    h = hash_words(3, DOMAIN_EDGE, words, 2, later)
+    h2 = hash_words(3, words, later)
+    assert np.array_equal(words, np.arange(6, dtype=dtype))
+    assert np.array_equal(later, np.arange(6, 12, dtype=dtype))
+    for i in range(6):
+        assert int(h[i]) == hash_words(3, DOMAIN_EDGE, i, 2, 6 + i)
+        assert int(h2[i]) == hash_words(3, i, 6 + i)
+    dm = DisorderModel(lam=0.2, dist="uniform", master_seed=7)
+    reps = np.arange(4, dtype=dtype).reshape(-1, 1)
+    before = reps.copy()
+    for g, prefix in [(0, ()), (3, ()), (3, (1,)), (3, (1, 0, 1))]:
+        omega_for_generation(dm, 2, g, reps, prefix)
+        assert reps.dtype == dtype and np.array_equal(reps, before)
+
+
 def test_omega_for_generation_replica_block():
     dm = DisorderModel(lam=0.2, dist="uniform", master_seed=7)
     reps = np.arange(4, dtype=np.uint64).reshape(-1, 1)
