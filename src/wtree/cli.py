@@ -24,7 +24,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .config import DEFAULTS, apply_override, load_config, make_disorder, make_spec
+from .config import _set_leaf, apply_override, load_config, make_disorder, make_spec
 from .engine import _eta_intercept, _failed_rows, solve_root_R_batch
 from .ensemble import (
     _root_edge_lengths,
@@ -593,11 +593,7 @@ def main(argv=None) -> int:
         for attr, path in _FLAG_PATHS.get(args.command, {}).items():
             val = getattr(args, attr, None)
             if val is not None:
-                node = cfg
-                keys = path.split(".")
-                for k in keys[:-1]:
-                    node = node[k]
-                node[keys[-1]] = val
+                _set_leaf(cfg, path, val)
         threads = _resolve_threads(args.threads)
         outputs = run(args.command, cfg, args.out, threads)
     except ValidationError as exc:

@@ -153,22 +153,27 @@ def apply_override(cfg: dict, assignment: str):
     if "=" not in assignment:
         raise ValidationError(f"override {assignment!r} is not of the form key=value")
     path, _, raw = assignment.partition("=")
-    keys = path.strip().split(".")
     try:
         val = json.loads(raw)
     except json.JSONDecodeError:
         val = raw
+    _set_leaf(cfg, path.strip(), val)
+
+
+def _set_leaf(cfg: dict, path: str, val):
+    """Set the existing leaf at the dotted ``path`` to ``val``, coerced to its type."""
+    keys = path.split(".")
     node = cfg
     for k in keys[:-1]:
         if not isinstance(node, dict) or k not in node:
-            raise ValidationError(f"unknown configuration key {path.strip()!r}")
+            raise ValidationError(f"unknown configuration key {path!r}")
         node = node[k]
     leaf = keys[-1]
     if not isinstance(node, dict) or leaf not in node:
-        raise ValidationError(f"unknown configuration key {path.strip()!r}")
+        raise ValidationError(f"unknown configuration key {path!r}")
     if isinstance(node[leaf], dict):
-        raise ValidationError(f"configuration key {path.strip()!r} is a table, not a leaf")
-    node[leaf] = _coerce(path.strip(), node[leaf], val)
+        raise ValidationError(f"configuration key {path!r} is a table, not a leaf")
+    node[leaf] = _coerce(path, node[leaf], val)
 
 
 def make_spec(cfg: dict) -> TreeSpec:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -142,19 +142,17 @@ def sqrt_upper(z) -> complex:
 def m_from_r(R: complex, z) -> complex:
     """Unit-disk transform m = (R - i*w) / (R + i*w), w = sqrt_upper(z)."""
     w = sqrt_upper(z)
-    den = R + 1j * w
-    if den == 0:
+    if R + 1j * w == 0:
         raise SingularTransformError("m transform evaluated at its pole R = -i*sqrt(z)")
-    return (R - 1j * w) / den
+    return _r_to_disk(R, w)
 
 
 def r_from_m(m: complex, z) -> complex:
     """Inverse disk transform R = i*w*(1 + m) / (1 - m), w = sqrt_upper(z)."""
     w = sqrt_upper(z)
-    den = 1.0 - m
-    if den == 0:
+    if m == 1:
         raise SingularTransformError("inverse disk transform evaluated at m = 1")
-    return 1j * w * (1.0 + m) / den
+    return _disk_to_r(m, w)
 
 
 def edge_step_m(m_far: complex, L_e: float, z) -> complex:
@@ -252,12 +250,6 @@ def symmetric_tilde_inverse(R_tilde: complex, beta_v: float) -> complex:
     return -1.0 / R_tilde - ct
 
 
-def _subtree_edge_count(K: int, depth_local: int) -> int:
-    if K == 1:
-        return depth_local + 1
-    return (K ** (depth_local + 1) - 1) // (K - 1)
-
-
 def _check_seed_m(seed_m: complex) -> complex:
     seed_m = complex(seed_m)
     if not cmath.isfinite(seed_m):
@@ -299,18 +291,38 @@ def _merge(m: np.ndarray, K: int) -> np.ndarray:
     return (zeta - 1.0) / (zeta + 1.0)
 
 
-def _edge_phase(spec, dm, m, g, prefix, w, reps):
-    """Pull far-end disk values of generation ``g`` to the near ends."""
-    le = omega_for_generation(dm, spec.K, g, reps, prefix)
-    le *= dm.lam
-    np.exp(le, out=le)
-    le *= spec.L
+def _lengths(omega, lam: float, L: float):
+    """Edge lengths L * exp(lam * omega), computed in place in ``omega``."""
+    omega *= lam
+    np.exp(omega, out=omega)
+    omega *= L
+    return omega
+
+
+def _pull(m, w, le):
+    """Pull far-end disk values to the near ends, exp(2i*w*le) * m."""
     phase = (2j * w) * le
     np.exp(phase, out=phase)
     # numpy rounds an in-place complex product of a single element
     # differently from an out-of-place one; one-element blocks multiply
     # out of place so that every block gets the out-of-place rounding
-    return np.multiply(phase, m, out=phase if phase.size > 1 else None), le
+    return np.multiply(phase, m, out=phase if phase.size > 1 else None)
+
+
+def _r_to_disk(R, w):
+    """Disk transform (R - i*w) / (R + i*w), for scalars or arrays."""
+    return (R - 1j * w) / (R + 1j * w)
+
+
+def _disk_to_r(m, w):
+    """Inverse disk transform i*w*(1 + m) / (1 - m), for scalars or arrays."""
+    return 1j * w * (1.0 + m) / (1.0 - m)
+
+
+def _edge_ratio(R, w, le):
+    """Amplitude ratio psi(le) / psi(0) = cos(w*le) + R*sin(w*le)/w across an edge."""
+    wl = w * le
+    return np.cos(wl) + R * np.sin(wl) / w
 
 
 def _solve_subtree(spec, dm, prefix, w, seed, reps, chunk_elems, capture):
@@ -332,7 +344,8 @@ def _solve_subtree(spec, dm, prefix, w, seed, reps, chunk_elems, capture):
             for d in range(K)
         ]
         merged = _merge(np.stack([m_d for m_d, _ in kids], axis=1), K)
-        m, le = _edge_phase(spec, dm, merged, g0, prefix, w[:, None], reps[:, None])
+        le = _lengths(omega_for_generation(dm, K, g0, reps[:, None], prefix), dm.lam, spec.L)
+        m = _pull(merged, w[:, None], le)
         cap = None
         if capture:
             cap = BatchCapture(m_near=[m], lengths=[le])
@@ -354,7 +367,8 @@ def _solve_subtree(spec, dm, prefix, w, seed, reps, chunk_elems, capture):
         for j in range(n, -1, -1):
             if j < n:
                 m = _merge(m, K)
-            m, le = _edge_phase(spec, dm, m, g0 + j, prefix, wc, r)
+            le = _lengths(omega_for_generation(dm, K, g0 + j, r, prefix), dm.lam, spec.L)
+            m = _pull(m, wc, le)
             if capture:
                 cap_m[j].append(m.copy())  # the next _merge overwrites m
                 cap_len[j].append(le)
@@ -404,7 +418,7 @@ def _solve(spec, dm, z, seed_m, replicas, prefix, capture, visit_budget, chunk_e
     else:
         seed = np.full(S, _check_seed_m(seed_m), dtype=np.complex128)
 
-    n_edges = _subtree_edge_count(spec.K, spec.depth - len(prefix))
+    n_edges = replace(spec, depth=spec.depth - len(prefix)).edge_count()
     if n_edges > visit_budget:
         raise BudgetExceededError(
             f"tree solve would visit {n_edges} edges, budget is {visit_budget}"
@@ -414,7 +428,7 @@ def _solve(spec, dm, z, seed_m, replicas, prefix, capture, visit_budget, chunk_e
     # named below, so the arithmetic that produces them stays quiet.
     with np.errstate(all="ignore"):
         m, cap = _solve_subtree(spec, dm, tuple(prefix), w, seed, replicas, int(chunk_elems), capture)
-        out = 1j * w * (1.0 + m) / (1.0 - m)
+        out = _disk_to_r(m, w)
     finite = np.isfinite(out)
     bad = ~(finite & (out.imag > 0.0))
     if bad.any():

@@ -20,7 +20,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import as_point, solve_root_R_batch, sqrt_upper
+from . import observables
+from .engine import (
+    _disk_to_r,
+    _edge_ratio,
+    _lengths,
+    _merge,
+    _pull,
+    as_point,
+    solve_root_R_batch,
+    sqrt_upper,
+)
 from .errors import (
     BudgetExceededError,
     InsufficientSamplesError,
@@ -38,7 +48,7 @@ from .graphmodel import (
     omega_from_uniform,
     uniform01,
 )
-from .regular import _cut_seed, cut_seed_disk, fixed_point_batch, gamma_clean, stationary_disk
+from .regular import cut_seed_disk, fixed_point_batch, gamma_clean, stationary_disk
 
 __all__ = [
     "SamplePool",
@@ -72,7 +82,7 @@ def _seed_disk(spec: TreeSpec, z, mode: str, at_cut: bool) -> complex:
 def _root_edge_lengths(spec: TreeSpec, dm: DisorderModel, replicas: np.ndarray) -> np.ndarray:
     """Root-edge lengths of the given replicas, hashed with the tree solver's words."""
     u = uniform01(hash_words(dm.master_seed, DOMAIN_EDGE, replicas, 0))
-    return spec.L * np.exp(dm.lam * omega_from_uniform(dm.dist, u))
+    return _lengths(omega_from_uniform(dm.dist, u), dm.lam, spec.L)
 
 
 def _sampling_point(z, n: int, boundary_message: str):
@@ -143,19 +153,8 @@ def pool_init(
     )
 
 
-def _merge_rows(mc: np.ndarray):
-    """Row-wise K-child merge; flags rows that hit a singular point."""
-    den = 1.0 - mc
-    sing = den == 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        zeta = ((1.0 + mc) / np.where(sing, 1.0, den)).sum(axis=1)
-        merged = (zeta - 1.0) / (zeta + 1.0)
-    bad = sing.any(axis=1) | ~np.isfinite(merged.real) | ~np.isfinite(merged.imag)
-    return merged, bad
-
-
 def _pool_advance(pool: SamplePool):
-    """One pooled generation; returns (child_idx, lengths, m_new, resampled)."""
+    """Advance the pool by one generation in place; returns (child_idx, lengths, old values)."""
     P = pool.size
     K = pool.spec.K
     seed = pool.dm.master_seed
@@ -165,46 +164,45 @@ def _pool_advance(pool: SamplePool):
     h = hash_words(seed, DOMAIN_POOL_CHILD, gen, members, slots)
     child_idx = (h % np.uint64(P)).astype(np.int64)
     u = uniform01(hash_words(seed, DOMAIN_POOL_LENGTH, gen, members[:, 0]))
-    om = omega_from_uniform(pool.dm.dist, u)
-    lengths = pool.spec.L * np.exp(pool.dm.lam * om)
+    lengths = _lengths(omega_from_uniform(pool.dm.dist, u), pool.dm.lam, pool.spec.L)
 
-    merged, bad = _merge_rows(pool.values[child_idx])
+    old = pool.values
     resampled = 0
     retry = 0
-    while bad.any():
-        # A draw combination hit m = 1 or zeta = -1; redraw those rows'
-        # children through a salted counter word so everything else is
-        # untouched and reruns stay deterministic.
-        retry += 1
-        if retry > 8:
-            raise NumericalDegeneracyError("pool merge kept hitting singular children")
-        rows = np.nonzero(bad)[0]
-        resampled += rows.size
-        h2 = hash_words(
-            seed, DOMAIN_POOL_CHILD, gen, rows.astype(np.uint64).reshape(-1, 1), slots, retry
-        )
-        idx2 = (h2 % np.uint64(P)).astype(np.int64)
-        child_idx[rows] = idx2
-        m2, bad2 = _merge_rows(pool.values[idx2])
-        merged[rows] = m2
-        bad = np.zeros_like(bad)
-        bad[rows] = bad2
+    # a child at m = 1 or a total zeta = -1 merges to a non-finite value
+    with np.errstate(divide="ignore", invalid="ignore"):
+        merged = _merge(old[child_idx].reshape(1, -1), K)[0]
+        bad = ~np.isfinite(merged)
+        while bad.any():
+            # Redraw the singular rows' children through a salted counter
+            # word, so everything else is untouched and reruns stay
+            # deterministic.
+            retry += 1
+            if retry > 8:
+                raise NumericalDegeneracyError("pool merge kept hitting singular children")
+            rows = np.nonzero(bad)[0]
+            resampled += rows.size
+            h2 = hash_words(
+                seed, DOMAIN_POOL_CHILD, gen, rows.astype(np.uint64).reshape(-1, 1), slots, retry
+            )
+            child_idx[rows] = (h2 % np.uint64(P)).astype(np.int64)
+            merged[rows] = _merge(old[child_idx[rows]].reshape(1, -1), K)[0]
+            bad = ~np.isfinite(merged)
     if resampled:
         log.info("pool generation %d resampled %d singular merges", gen, resampled)
 
-    w = sqrt_upper(as_point(pool.z))
-    m_new = np.exp(2j * w * lengths) * merged
+    m_new = _pull(merged, sqrt_upper(as_point(pool.z)), lengths)
     if not np.all(np.isfinite(m_new.view(np.float64))):
         raise NumericalDegeneracyError("pool step produced non-finite disk values")
-    return child_idx, lengths, m_new, resampled
+    pool.values = m_new
+    pool.generation += 1
+    pool.resampled += resampled
+    return child_idx, lengths, old
 
 
 def pool_step(pool: SamplePool) -> SamplePool:
     """Advance the pool by one generation in place."""
-    _, _, m_new, resampled = _pool_advance(pool)
-    pool.values = m_new
-    pool.generation += 1
-    pool.resampled += resampled
+    _pool_advance(pool)
     return pool
 
 
@@ -219,13 +217,8 @@ class LyapunovEstimate:
     source: str
 
 
-def _r_from_m_arr(m: np.ndarray, w: complex) -> np.ndarray:
-    return 1j * w * (1.0 + m) / (1.0 - m)
-
-
 def _gamma_terms(R: np.ndarray, lengths: np.ndarray, w: complex, K: int) -> np.ndarray:
-    ratio = np.cos(w * lengths) + R * np.sin(w * lengths) / w
-    return -0.5 * math.log(K) - np.log(np.abs(ratio))
+    return -0.5 * math.log(K) - np.log(np.abs(_edge_ratio(R, w, lengths)))
 
 
 def _auto_thin(z, K: int, L: float) -> int:
@@ -333,14 +326,12 @@ def estimate_gamma_tilde(
         if g:
             for _ in range(thin - 1):
                 pool_step(pool)
-        child_idx, lengths, m_new, _ = _pool_advance(pool)
-        R_parent = _r_from_m_arr(m_new, w)
+        child_idx, lengths, old = _pool_advance(pool)
+        R_parent = _disk_to_r(pool.values, w)
         t = _gamma_terms(R_parent, lengths, w, K)
         if beta_v != 0.0:
-            R_child = _r_from_m_arr(pool.values[child_idx[:, 0]], w)
+            R_child = _disk_to_r(old[child_idx[:, 0]], w)
             t = t - np.log(np.abs(ct + R_child)) + np.log(np.abs(ct + R_parent))
-        pool.values = m_new
-        pool.generation += 1
         chunks.append(t)
         gen_means[g] = t.mean()
     terms = np.concatenate(chunks)
@@ -530,13 +521,11 @@ def fluctuation_report(
         pool = pool_init(spec, dm, p, n, seed_mode)
         for _ in range(burn_in):
             pool_step(pool)
-        _, lengths, m_new, _ = _pool_advance(pool)
-        pool.values = m_new
-        pool.generation += 1
-        R = _r_from_m_arr(m_new, w)
+        _, lengths, _ = _pool_advance(pool)
+        R = _disk_to_r(pool.values, w)
     else:
         raise ValidationError(f"unknown source {source!r}; use 'direct' or 'pool'")
-    ratio_sq = np.abs(np.cos(w * lengths) + R * np.sin(w * lengths) / w) ** 2
+    ratio_sq = np.abs(_edge_ratio(R, w, lengths)) ** 2
     terms = -0.5 * math.log(K) - 0.5 * np.log(ratio_sq)
     gamma = float(terms.mean())
     gamma_se = float(terms.std(ddof=1) / math.sqrt(n))
@@ -612,9 +601,8 @@ def stability_scan(
             u = uniform01(hash_words(dm.master_seed, DOMAIN_SCAN_ENERGY, cell_idx, idx))
             energies = e_min + (e_max - e_min) * u
             z_arr = energies + 1j * float(eta)
-            phi_solver = fixed_point_batch(energies, float(eta), spec.K, spec.L).phi
+            seeds = observables._seed_array(spec, energies, float(eta), seed_mode)
             phi_target = fixed_point_batch(energies, 0.0, spec.K, spec.L).phi
-            seeds = _cut_seed(phi_solver, np.sqrt(z_arr), spec.K)
             replicas = (cell_idx * n + idx.astype(np.int64)).astype(np.uint64)
             R = solve_root_R_batch(spec, dm_cell, z_arr, seeds, replicas)
             dev = np.abs(R - phi_target)

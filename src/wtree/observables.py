@@ -10,7 +10,6 @@ consistency checks on a solved tree.
 
 from __future__ import annotations
 
-import cmath
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -19,7 +18,10 @@ import numpy as np
 
 from .engine import (
     WT_INFINITY,
+    _disk_to_r,
+    _edge_ratio,
     _failed_rows,
+    _r_to_disk,
     as_point,
     cos_sin,
     solve_root_R_batch,
@@ -330,16 +332,12 @@ def tree_profile(
         np.asarray([replica], dtype=np.uint64),
         capture=True,
     )
-    R_near = [1j * w * (1.0 + m[0]) / (1.0 - m[0]) for m in cap.m_near]
+    R_near = [_disk_to_r(m[0], w) for m in cap.m_near]
     lengths = [le[0] for le in cap.lengths]
     psi_near = [np.ones(1, dtype=np.complex128)]
     for g in range(spec.depth):
-        c = np.cos(w * lengths[g])
-        s = np.sin(w * lengths[g])
-        psi_end = psi_near[g] * (c + R_near[g] * s / w)
+        psi_end = psi_near[g] * _edge_ratio(R_near[g], w, lengths[g])
         psi_near.append(np.repeat(psi_end, spec.K))
-    seed = complex(seed_m)
-    R_far_cut = 1j * w * (1.0 + seed) / (1.0 - seed)
     return TreeProfile(
         z=p.z,
         K=spec.K,
@@ -347,7 +345,7 @@ def tree_profile(
         R_near=R_near,
         psi_near=psi_near,
         lengths=lengths,
-        R_far_cut=R_far_cut,
+        R_far_cut=_disk_to_r(complex(seed_m), w),
     )
 
 
@@ -358,21 +356,18 @@ def vertex_current_mismatch(profile: TreeProfile) -> float:
     sum over children of their near-end currents; returns
     max |J_parent - sum J_children| / J_parent.
     """
-    w = cmath.sqrt(profile.z)
+    w = sqrt_upper(profile.z)
     worst = 0.0
     K = profile.K
     for g in range(profile.depth):
         R0 = profile.R_near[g]
         psi0 = profile.psi_near[g]
         le = profile.lengths[g]
-        c = np.cos(w * le)
-        s = np.sin(w * le)
-        psi_end = psi0 * (c + R0 * s / w)
+        psi_end = psi0 * _edge_ratio(R0, w, le)
         # Far-end value from the parent's own disk variable, so the check
         # exercises the merge identity instead of restating it.
-        m_near = (R0 - 1j * w) / (R0 + 1j * w)
-        m_far = m_near * np.exp(-2j * w * le)
-        R_end = 1j * w * (1.0 + m_far) / (1.0 - m_far)
+        m_far = _r_to_disk(R0, w) * np.exp(-2j * w * le)
+        R_end = _disk_to_r(m_far, w)
         J_parent = np.abs(psi_end) ** 2 * R_end.imag
         J_children = (
             np.abs(profile.psi_near[g + 1]) ** 2 * profile.R_near[g + 1].imag

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 
-from .engine import as_point, sqrt_upper, edge_step_m, vertex_merge_m
+from .engine import _r_to_disk, as_point, sqrt_upper, edge_step_m, vertex_merge_m
 from .errors import BoundaryPointError, SelectionFailureError, ValidationError
 
 __all__ = [
@@ -260,9 +260,7 @@ def stationary_disk(z, K: int, L: float) -> complex:
     near-end samples.
     """
     p = as_point(z)
-    w = sqrt_upper(p)
-    phi = fixed_point_R(p, K, L).phi
-    return (phi - 1j * w) / (phi + 1j * w)
+    return _r_to_disk(fixed_point_R(p, K, L).phi, sqrt_upper(p))
 
 
 def cut_seed_disk(z, K: int, L: float) -> complex:
@@ -287,7 +285,7 @@ def _cut_seed(phi, w, K: int):
     gives a NaN seed, which a tree solve reports as a failed row.
     """
     with np.errstate(invalid="ignore"):
-        return (K * phi - 1j * w) / (K * phi + 1j * w)
+        return _r_to_disk(K * phi, w)
 
 
 def iterate_m_map(z, K: int, L: float, m0: complex = 0j, n_steps: int = 100) -> complex:

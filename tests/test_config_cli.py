@@ -1,5 +1,6 @@
 import copy
 import csv
+import hashlib
 import json
 import math
 import os
@@ -357,6 +358,42 @@ def test_density_extrapolate_mode(tmp_path):
     rows = (tmp_path / "density.csv").read_text().splitlines()
     assert len(rows) == 9
     assert all(r.endswith("ok") for r in rows[1:])
+
+
+# SHA-256 of the CSV each command writes at a tiny configuration, pinned
+# so that any drift in the numbers (or their formatting) shows up here.
+_PINNED_CSVS = [
+    ("density", ["--extrapolate", "--threads", "2", "--set", "depth=4",
+                 "--set", "disorder.lambda=0.2", "--set", "density.n_points=24"],
+     "871747ebbef8a61db1806016c474d4b3f1a176d451743bb56bdd79e7b72cac14"),
+    ("lyapunov", ["--set", "depth=4", "--n", "96", "--set", "lyapunov.burn_in=10",
+                  "--set", "lyapunov.etas=[0.1]", "--set", "lyapunov.lambdas=[0,0.2]"],
+     "65a712c8e5f5b72d9d4f3c84546c80c0d324f92b01d7cf8fced8bba3d8b6f62c"),
+    ("lyapunov", ["--source", "direct", "--set", "depth=4", "--n", "64",
+                  "--set", "lyapunov.etas=[0.1]", "--set", "lyapunov.lambdas=[0.2]"],
+     "8e093d80f0165ff8c065a001df654899b67eb08effc75d4c07b195b032d6e179"),
+    ("fluctuation", ["--set", "depth=5", "--n", "64", "--set", "fluctuation.lambdas=[0.2]"],
+     "cd16de2591545d7174ebe8fe209f5ff0737af4832dfb01f0ce3d8524de293f32"),
+    ("fluctuation", ["--set", "fluctuation.source=pool", "--set", "fluctuation.burn_in=20",
+                     "--n", "64", "--set", "fluctuation.lambdas=[0.2]"],
+     "24c2ac782f52f456d50e7fbe3a796eeb4ba8f41e35015dab9fffef72035bd68b"),
+    ("stability", ["--set", "depth=4", "--n", "32", "--set", "stability.lambdas=[0.2,0.05]"],
+     "069458686ab696e96bbb4909b2b6978e90f8167311165657c01f9a7fb921e92b"),
+    ("recursion", ["--set", "depth=5", "--n", "32", "--set", "disorder.lambda=0.3"],
+     "d3332a7d004154940742c5b99b7dc23e12e0ee1dbd8b1feca0f76cf20ab6a3f3"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,args,digest",
+    _PINNED_CSVS,
+    ids=["density", "lyapunov-pool", "lyapunov-direct", "fluctuation-direct",
+         "fluctuation-pool", "stability", "recursion"],
+)
+def test_csv_digest_pinned(tmp_path, command, args, digest):
+    assert cli.main([command, "--out", str(tmp_path)] + args) == 0
+    data = (tmp_path / f"{command}.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_run_does_not_mutate_cfg(tmp_path):

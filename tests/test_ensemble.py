@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import wtree.ensemble as ensemble
 from wtree import (
     BudgetExceededError,
     DisorderModel,
@@ -18,8 +19,11 @@ from wtree import (
     pool_step,
     quantile_width,
     stability_scan,
+    solve_root_R_batch,
     stationary_disk,
 )
+from wtree.graphmodel import DOMAIN_SCAN_ENERGY, hash_words, uniform01
+from wtree.regular import fixed_point_batch
 
 Z_MID = complex(2.0, 0.01)
 SPEC6 = TreeSpec(K=2, L=1.0, depth=6)
@@ -127,6 +131,109 @@ def test_pool_singular_member_resampled():
     assert pool.resampled >= 1
     assert np.all(np.isfinite(pool.values.view(np.float64)))
     assert np.all(np.abs(pool.values) <= 1.0 + 1e-12)
+
+
+# Pool members after 5 steps from the start values below, cycled to the
+# pool size (lam = 0.3, master seed 11, z = 2 + 0.05i), pinned to the bit:
+# (K, dist, size, poisoned, members, resampled).  The one-member pool
+# merges and pulls one element; the poisoned pool starts with member 0 at
+# the singular point m = 1, which pins the resample path.
+_POOL_START = [0.3 + 0.1j, -0.2 + 0.4j, 0.1 - 0.5j]
+_PINNED_POOLS = [
+    (1, "uniform", 3, False, [("0x1.68436e74608d2p-2", "0x1.e90265d3acb46p-3"),
+                              ("0x1.b5cad3ffbc57bp-2", "-0x1.0c51ec4db3f72p-5"),
+                              ("0x1.be3c071ff9c6ap-3", "0x1.7325456e478b8p-2")], 0),
+    (1, "two_point", 3, False, [("-0x1.cf528ae013632p-5", "0x1.a97a588a50a0bp-2"),
+                                ("0x1.b6afac99c1b6ap-2", "-0x1.d44db6fa60883p-8"),
+                                ("-0x1.93090a1d8eab0p-2", "-0x1.dc4340eb6f9dap-4")], 0),
+    (1, "truncated_normal", 3, False, [("0x1.74a3935e78eedp-2", "0x1.c3795d0c8df6dp-3"),
+                                       ("0x1.b61ee14581a83p-2", "-0x1.bd4e7d46019aap-6"),
+                                       ("0x1.06a826cc4c84cp-2", "0x1.590b2f42f8df2p-2")], 0),
+    (2, "uniform", 3, False, [("-0x1.2bef97373d71ep-4", "0x1.79e7921aa182ep-4"),
+                              ("-0x1.0e65abea4c7fdp-4", "-0x1.fd036e1af6521p-8"),
+                              ("-0x1.4d320e24997c3p-4", "0x1.dd99d7d367b7ap-7")], 0),
+    (2, "two_point", 3, False, [("-0x1.18cbf70554bb0p-3", "0x1.310f1d89ac0c6p-4"),
+                                ("-0x1.07aeb53413092p-3", "-0x1.f4576647a6c1bp-4"),
+                                ("0x1.0c569ec858173p-5", "-0x1.fa01adb171ff9p-4")], 0),
+    (2, "truncated_normal", 3, False, [("-0x1.f813db78f2d22p-5", "0x1.780de8d6272a6p-4"),
+                                       ("-0x1.c1aea4a3838f2p-5", "-0x1.00c84b972bb2ap-8"),
+                                       ("-0x1.1e69a5ad03180p-4", "0x1.88a6f7074206ep-6")], 0),
+    (3, "uniform", 3, False, [("-0x1.0096519098bb0p-2", "0x1.189c6dbe9842dp-3"),
+                              ("-0x1.87e24c0a44143p-3", "0x1.065086d232e31p-5"),
+                              ("-0x1.eb4685f69361ep-3", "-0x1.5d297d56f69d1p-9")], 0),
+    (3, "two_point", 3, False, [("-0x1.5e1a915514f9bp-2", "0x1.50af222aea378p-4"),
+                                ("-0x1.527d8a2a1a62ap-2", "-0x1.841bb885d0534p-6"),
+                                ("0x1.2a711e0dcbc77p-6", "-0x1.5222cd4b44a64p-2")], 0),
+    (3, "truncated_normal", 3, False, [("-0x1.e0b0b5f77db62p-3", "0x1.198995d120a77p-3"),
+                                       ("-0x1.66244c2e3fc64p-3", "0x1.1839f582497acp-5"),
+                                       ("-0x1.cc044dff37bb5p-3", "0x1.1002d03465935p-6")], 0),
+    (2, "uniform", 1, False, [("0x1.4d2fc0a3a376ap-2", "-0x1.7624efb1273aap-3")], 0),
+    (2, "uniform", 8, True, [("-0x1.676df5c43f90ep-2", "0x1.b2ae82ddb7826p-5"),
+                             ("-0x1.bb5cc1287d4cdp-3", "0x1.8f99024130002p-5"),
+                             ("-0x1.359c903adddc7p-2", "-0x1.7de5183b8c6c5p-4"),
+                             ("-0x1.4c6a2c5fc17f9p-2", "-0x1.acb7867763977p-7"),
+                             ("-0x1.b7c62de9c3fc7p-3", "0x1.566834d96d4f9p-3"),
+                             ("-0x1.2aa284f0a099ep-2", "0x1.4618b3ce3eb4cp-6"),
+                             ("-0x1.64a9d500cfaa9p-2", "0x1.796fd0eac0d17p-4"),
+                             ("-0x1.f921c72dc5769p-3", "0x1.fb83c67f9ae36p-5")], 5),
+]
+
+
+@pytest.mark.parametrize("K,dist,size,poisoned,members,resampled", _PINNED_POOLS)
+def test_pool_step_pinned(K, dist, size, poisoned, members, resampled):
+    dm = DisorderModel(lam=0.3, dist=dist, master_seed=11)
+    pool = pool_init(TreeSpec(K=K, L=1.0, depth=6), dm, complex(2.0, 0.05), size)
+    pool.values[:] = np.resize(_POOL_START, size)
+    if poisoned:
+        pool.values[0] = 1.0
+    for _ in range(5):
+        pool_step(pool)
+    expected = [complex(float.fromhex(re), float.fromhex(im)) for re, im in members]
+    assert pool.values.tolist() == expected
+    assert (pool.generation, pool.resampled) == (5, resampled)
+
+
+def test_pool_collection_counts_resamples(monkeypatch):
+    # Collected generations are pool steps too: their singular merges
+    # must reach the pool's resample count.
+    pools = []
+
+    def poisoned_init(*args, **kwargs):
+        pool = pool_init(*args, **kwargs)
+        pool.values[0] = 1.0
+        pools.append(pool)
+        return pool
+
+    monkeypatch.setattr(ensemble, "pool_init", poisoned_init)
+    dm = DisorderModel(lam=0.1, master_seed=1)
+    est = estimate_gamma(SPEC6, dm, Z_MID, n=64, source="pool", burn_in=0, pool_size=16, thin=1)
+    assert math.isfinite(est.gamma_hat)
+    assert pools[0].generation == 4
+    assert pools[0].resampled >= 1
+
+
+def test_estimate_gamma_tilde_pinned():
+    # the rotated terms pair each new member with the previous generation
+    expected = {
+        "uniform": ("-0x1.98fcfac80030dp-10", "0x1.34b09ede02169p-6"),
+        "two_point": ("0x1.9e277c06aee60p-5", "0x1.f39cd54a84758p-6"),
+    }
+    for dist, (g_hex, se_hex) in expected.items():
+        est = estimate_gamma_tilde(
+            TreeSpec(K=2, L=1.0, depth=4),
+            DisorderModel(lam=0.2, dist=dist, master_seed=3),
+            complex(2.0, 0.05),
+            48,
+            math.pi / 3,
+            burn_in=10,
+            pool_size=8,
+            thin=2,
+        )
+        assert (est.gamma_hat, est.stderr, est.n) == (
+            float.fromhex(g_hex),
+            float.fromhex(se_hex),
+            48,
+        )
 
 
 def test_estimate_gamma_clean_exact():
@@ -404,6 +511,23 @@ def test_stability_scan_determinism():
     dm = DisorderModel(lam=0.0, master_seed=9)
     kw = dict(lambdas=[0.1], etas=[1e-2], e_min=1.5, e_max=2.5, eps=0.1, n=200)
     assert stability_scan(spec, dm, **kw) == stability_scan(spec, dm, **kw)
+
+
+def test_stability_scan_seed_mode():
+    spec = TreeSpec(K=2, L=1.0, depth=3)
+    dm = DisorderModel(lam=0.1, master_seed=4)
+    kw = dict(lambdas=[0.1], etas=[1e-2], e_min=1.5, e_max=2.5, eps=0.05, n=200)
+    (fixed,) = stability_scan(spec, dm, **kw)
+    (zero,) = stability_scan(spec, dm, seed_mode="disk_zero", **kw)
+    # the same cell solved directly with the far ends seeded at m = 0
+    idx = np.arange(200, dtype=np.uint64)
+    energies = 1.5 + uniform01(hash_words(4, DOMAIN_SCAN_ENERGY, 0, idx))
+    R = solve_root_R_batch(spec, dm, energies + 0.01j, 0j, idx)
+    phi = fixed_point_batch(energies, 0.0, 2, 1.0).phi
+    assert zero.exceedance == float(np.mean(np.abs(R - phi) > 0.05))
+    assert zero.exceedance != fixed.exceedance
+    with pytest.raises(ValidationError):
+        stability_scan(spec, dm, seed_mode="bogus", **kw)
 
 
 def test_stability_scan_validation():
