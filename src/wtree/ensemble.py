@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -103,6 +103,16 @@ def _direct_roots(spec: TreeSpec, dm: DisorderModel, p, n: int, seed_mode: str):
     return R, _root_edge_lengths(spec, dm, replicas)
 
 
+def _check_pool_counts(burn_in: int, pool_size: int = None, thin: int = None) -> None:
+    """Reject counts that the pool loops would otherwise clamp or skip."""
+    if burn_in < 0:
+        raise ValidationError(f"burn_in must be >= 0, got {burn_in}")
+    if pool_size is not None and pool_size < 1:
+        raise ValidationError(f"pool_size must be >= 1, got {pool_size}")
+    if thin is not None and thin < 1:
+        raise ValidationError(f"thin must be >= 1, got {thin}")
+
+
 log = logging.getLogger(__name__)
 
 
@@ -113,6 +123,11 @@ class SamplePool:
     ``generation`` counts applied steps and feeds the counter RNG, so a
     pool's trajectory is a pure function of (spec, dm, z, size, seed
     mode).  ``resampled`` counts entries redrawn after singular merges.
+    The child slots and edge lengths of a generation depend only on its
+    counter words, so they are hashed for a block of consecutive
+    generations at once and held in a private cache keyed by the
+    block's first generation and the fields above; setting
+    ``generation``, ``dm`` or ``values`` by hand is safe.
     """
 
     spec: TreeSpec
@@ -121,6 +136,7 @@ class SamplePool:
     values: np.ndarray
     generation: int = 0
     resampled: int = 0
+    _draws: _PoolDraws = field(default=None, repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -153,18 +169,65 @@ def pool_init(
     )
 
 
+#: hashed words per block of pool draws: a block holds
+#: max(1, _POOL_BLOCK_WORDS // (P*K)) generations, so its child slots and
+#: lengths take at most 0.5 MB unless one generation alone is larger
+_POOL_BLOCK_WORDS = 2**15
+
+
+def _draws_key(pool: SamplePool) -> tuple:
+    """Everything but the generation that a pool's draws depend on."""
+    return (pool.size, pool.spec, pool.dm, pool.z)
+
+
+@dataclass(frozen=True)
+class _PoolDraws:
+    """Child slots (T, P, K) and edge lengths (T, P) of generations g0..g0+T-1."""
+
+    key: tuple
+    g0: int
+    child_idx: np.ndarray
+    lengths: np.ndarray
+    w: complex
+
+    def covers(self, pool: SamplePool) -> bool:
+        return self.key == _draws_key(pool) and 0 <= pool.generation - self.g0 < len(self.lengths)
+
+
+def _pool_draws(pool: SamplePool, g0: int) -> _PoolDraws:
+    """Hash the pool's draws for the block of generations starting at ``g0``.
+
+    The words are those of a single generation, (seed, domain, generation,
+    member[, slot]), with the generation as an array word, so every row
+    equals what hashing its generation alone gives.
+    """
+    P = pool.size
+    K = pool.spec.K
+    T = max(1, _POOL_BLOCK_WORDS // (P * K))
+    seed = pool.dm.master_seed
+    gens = np.arange(g0, g0 + T, dtype=np.uint64).reshape(T, 1)
+    members = np.arange(P, dtype=np.uint64)
+    slots = np.arange(K, dtype=np.uint64)
+    h = hash_words(seed, DOMAIN_POOL_CHILD, gens[:, :, None], members[:, None], slots)
+    child_idx = (h % np.uint64(P)).astype(np.int64)
+    u = uniform01(hash_words(seed, DOMAIN_POOL_LENGTH, gens, members))
+    lengths = _lengths(omega_from_uniform(pool.dm.dist, u), pool.dm.lam, pool.spec.L)
+    # rows are handed out as views, so the cache is read-only
+    child_idx.flags.writeable = False
+    lengths.flags.writeable = False
+    return _PoolDraws(_draws_key(pool), g0, child_idx, lengths, sqrt_upper(as_point(pool.z)))
+
+
 def _pool_advance(pool: SamplePool):
     """Advance the pool by one generation in place; returns (child_idx, lengths, old values)."""
     P = pool.size
     K = pool.spec.K
-    seed = pool.dm.master_seed
     gen = pool.generation
-    members = np.arange(P, dtype=np.uint64).reshape(P, 1)
-    slots = np.arange(K, dtype=np.uint64).reshape(1, K)
-    h = hash_words(seed, DOMAIN_POOL_CHILD, gen, members, slots)
-    child_idx = (h % np.uint64(P)).astype(np.int64)
-    u = uniform01(hash_words(seed, DOMAIN_POOL_LENGTH, gen, members[:, 0]))
-    lengths = _lengths(omega_from_uniform(pool.dm.dist, u), pool.dm.lam, pool.spec.L)
+    draws = pool._draws
+    if draws is None or not draws.covers(pool):
+        draws = pool._draws = _pool_draws(pool, gen)
+    child_idx = draws.child_idx[gen - draws.g0]
+    lengths = draws.lengths[gen - draws.g0]
 
     old = pool.values
     resampled = 0
@@ -182,16 +245,18 @@ def _pool_advance(pool: SamplePool):
                 raise NumericalDegeneracyError("pool merge kept hitting singular children")
             rows = np.nonzero(bad)[0]
             resampled += rows.size
-            h2 = hash_words(
-                seed, DOMAIN_POOL_CHILD, gen, rows.astype(np.uint64).reshape(-1, 1), slots, retry
-            )
+            if retry == 1:
+                child_idx = child_idx.copy()  # the cached block stays as hashed
+            slots = np.arange(K, dtype=np.uint64)
+            row_words = rows.astype(np.uint64)[:, None]
+            h2 = hash_words(pool.dm.master_seed, DOMAIN_POOL_CHILD, gen, row_words, slots, retry)
             child_idx[rows] = (h2 % np.uint64(P)).astype(np.int64)
             merged[rows] = _merge(old[child_idx[rows]].reshape(1, -1), K)[0]
             bad = ~np.isfinite(merged)
     if resampled:
         log.info("pool generation %d resampled %d singular merges", gen, resampled)
 
-    m_new = _pull(merged, sqrt_upper(as_point(pool.z)), lengths)
+    m_new = _pull(merged, draws.w, lengths)
     if not np.all(np.isfinite(m_new.view(np.float64))):
         raise NumericalDegeneracyError("pool step produced non-finite disk values")
     pool.values = m_new
@@ -261,13 +326,19 @@ def estimate_gamma(
     seed_mode : str
         Truncation seeding; "fixed_point" is exact at lam = 0.
     burn_in : int
-        Pool generations discarded before collecting (pool source).
+        Pool generations discarded before collecting (pool source), >= 0.
     pool_size : int
-        Pool population; defaults to about n/8, capped at 4096, so that
-        several generations contribute.
+        Pool population, >= 1; defaults to about n/8, capped at 4096, so
+        that several generations contribute.
     thin : int
-        Generations between collections; default is a few relaxation
-        times 1/(2*gamma0) of the clean contraction.
+        Generations between collections, >= 1; default is a few
+        relaxation times 1/(2*gamma0) of the clean contraction.
+
+    Raises
+    ------
+    ValidationError
+        For the pool source, before any sampling, if ``burn_in < 0``,
+        ``pool_size < 1`` or ``thin < 1``.
     """
     p = _sampling_point(z, n, "Lyapunov estimation requires eta > 0")
     if source == "pool":
@@ -303,15 +374,17 @@ def estimate_gamma_tilde(
     :func:`estimate_gamma`, which delegates here: whole generations of a
     burnt-in pool are collected ``thin`` generations apart, and the
     standard error comes from the spread of the generation means.
+    ``burn_in``, ``pool_size`` and ``thin`` are checked as there.
     """
     p = _sampling_point(z, n, "Lyapunov estimation requires eta > 0")
+    _check_pool_counts(burn_in, pool_size, thin)
     if not 0.0 <= beta_v < math.pi:
         raise ValidationError(f"beta_v must lie in [0, pi), got {beta_v}")
     w = sqrt_upper(p)
     K = spec.K
     ct = 0.0 if beta_v == 0.0 else math.cos(beta_v) / math.sin(beta_v)
     if pool_size is not None:
-        P = max(1, min(pool_size, n))
+        P = min(pool_size, n)
     else:
         P = max(1, min(4096, n // 8)) if n >= 8 else n
     G = max(1, math.ceil(n / P))
@@ -510,7 +583,8 @@ def fluctuation_report(
     (R, length) pairs for the widths and an exact standard error on the
     Lyapunov estimate.  The "pool" source takes one generation of a
     burnt-in pool of size n instead; its members share the population's
-    stochastic drift, so its nominal standard error is optimistic.
+    stochastic drift, so its nominal standard error is optimistic;
+    ``burn_in`` < 0 raises ``ValidationError`` before any sampling.
     """
     p = _sampling_point(z, n, "fluctuation widths require eta > 0")
     w = sqrt_upper(p)
@@ -518,6 +592,7 @@ def fluctuation_report(
     if source == "direct":
         R, lengths = _direct_roots(spec, dm, p, n, seed_mode)
     elif source == "pool":
+        _check_pool_counts(burn_in)
         pool = pool_init(spec, dm, p, n, seed_mode)
         for _ in range(burn_in):
             pool_step(pool)

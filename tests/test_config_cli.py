@@ -144,6 +144,15 @@ def test_main_validation_exit_code(tmp_path, capsys):
     assert rc2 == 1
 
 
+@pytest.mark.parametrize("command", ["lyapunov", "fluctuation"])
+def test_negative_burn_in_exit_code(tmp_path, capsys, command):
+    rc = cli.main([command, "--out", str(tmp_path), "--set", f"{command}.source=pool",
+                   "--set", f"{command}.burn_in=-1"])
+    assert rc == 1
+    assert "burn_in" in capsys.readouterr().err
+    assert not (tmp_path / f"{command}.csv").exists()
+
+
 def test_main_degeneracy_exit_code(tmp_path, monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise NumericalDegeneracyError("synthetic failure")
@@ -369,6 +378,10 @@ _PINNED_CSVS = [
     ("lyapunov", ["--set", "depth=4", "--n", "96", "--set", "lyapunov.burn_in=10",
                   "--set", "lyapunov.etas=[0.1]", "--set", "lyapunov.lambdas=[0,0.2]"],
      "65a712c8e5f5b72d9d4f3c84546c80c0d324f92b01d7cf8fced8bba3d8b6f62c"),
+    # 1024 members, 16 generations per block of pool draws, 291 generations
+    ("lyapunov", ["--set", "depth=4", "--n", "8192", "--set", "lyapunov.burn_in=10",
+                  "--set", "lyapunov.etas=[0.1]", "--set", "lyapunov.lambdas=[0,0.2]"],
+     "fc49eb80365361d8a20aa3bd4e0638f5ee5e1b420a1557124fceec855c1c1066"),
     ("lyapunov", ["--source", "direct", "--set", "depth=4", "--n", "64",
                   "--set", "lyapunov.etas=[0.1]", "--set", "lyapunov.lambdas=[0.2]"],
      "8e093d80f0165ff8c065a001df654899b67eb08effc75d4c07b195b032d6e179"),
@@ -387,8 +400,8 @@ _PINNED_CSVS = [
 @pytest.mark.parametrize(
     "command,args,digest",
     _PINNED_CSVS,
-    ids=["density", "lyapunov-pool", "lyapunov-direct", "fluctuation-direct",
-         "fluctuation-pool", "stability", "recursion"],
+    ids=["density", "lyapunov-pool", "lyapunov-pool-blocks", "lyapunov-direct",
+         "fluctuation-direct", "fluctuation-pool", "stability", "recursion"],
 )
 def test_csv_digest_pinned(tmp_path, command, args, digest):
     assert cli.main([command, "--out", str(tmp_path)] + args) == 0

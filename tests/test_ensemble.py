@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -22,7 +23,14 @@ from wtree import (
     solve_root_R_batch,
     stationary_disk,
 )
-from wtree.graphmodel import DOMAIN_SCAN_ENERGY, hash_words, uniform01
+from wtree.graphmodel import (
+    DOMAIN_POOL_CHILD,
+    DOMAIN_POOL_LENGTH,
+    DOMAIN_SCAN_ENERGY,
+    hash_words,
+    omega_from_uniform,
+    uniform01,
+)
 from wtree.regular import fixed_point_batch
 
 Z_MID = complex(2.0, 0.01)
@@ -137,7 +145,9 @@ def test_pool_singular_member_resampled():
 # pool size (lam = 0.3, master seed 11, z = 2 + 0.05i), pinned to the bit:
 # (K, dist, size, poisoned, members, resampled).  The one-member pool
 # merges and pulls one element; the poisoned pool starts with member 0 at
-# the singular point m = 1, which pins the resample path.
+# the singular point m = 1, which pins the resample path.  The last case
+# runs (steps, SHA-256 of the member bytes) instead: 40 steps of 2048
+# members span five blocks of hashed draws.
 _POOL_START = [0.3 + 0.1j, -0.2 + 0.4j, 0.1 - 0.5j]
 _PINNED_POOLS = [
     (1, "uniform", 3, False, [("0x1.68436e74608d2p-2", "0x1.e90265d3acb46p-3"),
@@ -176,6 +186,9 @@ _PINNED_POOLS = [
                              ("-0x1.2aa284f0a099ep-2", "0x1.4618b3ce3eb4cp-6"),
                              ("-0x1.64a9d500cfaa9p-2", "0x1.796fd0eac0d17p-4"),
                              ("-0x1.f921c72dc5769p-3", "0x1.fb83c67f9ae36p-5")], 5),
+    pytest.param(2, "uniform", 2048, True,
+                 (40, "25fe00df8508e18efb11a91b6683177ff94bb1bda528c73810c94b19f5e35cc6"), 4,
+                 id="2-uniform-2048-True-sha256-4"),
 ]
 
 
@@ -186,11 +199,95 @@ def test_pool_step_pinned(K, dist, size, poisoned, members, resampled):
     pool.values[:] = np.resize(_POOL_START, size)
     if poisoned:
         pool.values[0] = 1.0
-    for _ in range(5):
+    steps = members[0] if isinstance(members, tuple) else 5
+    for _ in range(steps):
         pool_step(pool)
-    expected = [complex(float.fromhex(re), float.fromhex(im)) for re, im in members]
-    assert pool.values.tolist() == expected
-    assert (pool.generation, pool.resampled) == (5, resampled)
+    if isinstance(members, tuple):
+        assert hashlib.sha256(pool.values.tobytes()).hexdigest() == members[1]
+    else:
+        expected = [complex(float.fromhex(re), float.fromhex(im)) for re, im in members]
+        assert pool.values.tolist() == expected
+    assert (pool.generation, pool.resampled) == (steps, resampled)
+
+
+def _single_generation_draws(pool, gen):
+    """Child slots and edge lengths of one generation, hashed on their own.
+
+    The words are (seed, domain, generation, member[, slot]) with the
+    generation as a scalar, as a pool hashed them one step at a time.
+    """
+    P, K, dm = pool.size, pool.spec.K, pool.dm
+    members = np.arange(P, dtype=np.uint64).reshape(P, 1)
+    slots = np.arange(K, dtype=np.uint64).reshape(1, K)
+    h = hash_words(dm.master_seed, DOMAIN_POOL_CHILD, gen, members, slots)
+    u = uniform01(hash_words(dm.master_seed, DOMAIN_POOL_LENGTH, gen, members[:, 0]))
+    lengths = pool.spec.L * np.exp(dm.lam * omega_from_uniform(dm.dist, u))
+    return (h % np.uint64(P)).astype(np.int64), lengths
+
+
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_pool_draws_cross_block_boundaries(K):
+    # 5000 members hold 6, 3 and 2 generations per block of draws for K = 1, 2, 3
+    dm = DisorderModel(lam=0.3, dist="truncated_normal", master_seed=5)
+    pool = pool_init(TreeSpec(K=K, L=1.0, depth=6), dm, complex(2.0, 0.05), 5000)
+
+    def step_and_check(gen):
+        assert pool.generation == gen
+        child_idx, lengths, _ = ensemble._pool_advance(pool)
+        ref_idx, ref_lengths = _single_generation_draws(pool, gen)
+        np.testing.assert_array_equal(child_idx, ref_idx)
+        assert lengths.tobytes() == ref_lengths.tobytes()
+        return pool._draws.g0
+
+    blocks = {step_and_check(gen) for gen in range(20)}
+    assert len(blocks) >= 4
+
+    # a generation set back by hand, and one far ahead, draw as if reached in order
+    for start in (1, 10**6):
+        pool.generation = start
+        for gen in range(start, start + 7):
+            step_and_check(gen)
+
+    # other disorder set mid-block draws its own lengths from the next step on
+    pool.dm = DisorderModel(lam=0.1, dist="uniform", master_seed=6)
+    for gen in range(pool.generation, pool.generation + 2):
+        step_and_check(gen)
+
+    # a singular member on a block's first generation: the resampled rows
+    # change the returned slots only, never the cached block
+    gen = pool.generation = 3 * 10**6
+    ref_idx, ref_lengths = _single_generation_draws(pool, gen)
+    pool.values[ref_idx[0, 0]] = 1.0
+    child_idx, lengths, _ = ensemble._pool_advance(pool)
+    hit = np.any(ref_idx == ref_idx[0, 0], axis=1)
+    assert pool.resampled == hit.sum() > 0
+    np.testing.assert_array_equal(child_idx[~hit], ref_idx[~hit])
+    assert np.all(np.any(child_idx[hit] != ref_idx[hit], axis=1))
+    assert pool._draws.g0 == gen
+    np.testing.assert_array_equal(pool._draws.child_idx[0], ref_idx)
+    assert lengths.tobytes() == ref_lengths.tobytes()
+    step_and_check(gen + 1)
+    assert np.all(np.isfinite(pool.values))
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"burn_in": -1}, {"thin": 0}, {"thin": -3}, {"pool_size": 0}, {"pool_size": -2}],
+    ids=["burn_in=-1", "thin=0", "thin=-3", "pool_size=0", "pool_size=-2"],
+)
+def test_pool_counts_validated_before_sampling(monkeypatch, kwargs):
+    def no_pool(*args, **kw):
+        raise AssertionError("a pool was sampled")
+
+    monkeypatch.setattr(ensemble, "pool_init", no_pool)
+    dm = DisorderModel(lam=0.1, master_seed=1)
+    with pytest.raises(ValidationError):
+        estimate_gamma(SPEC6, dm, Z_MID, n=64, source="pool", **kwargs)
+    with pytest.raises(ValidationError):
+        estimate_gamma_tilde(SPEC6, dm, Z_MID, 64, 0.5, **kwargs)
+    if set(kwargs) == {"burn_in"}:
+        with pytest.raises(ValidationError):
+            fluctuation_report(SPEC6, dm, Z_MID, 64, source="pool", **kwargs)
 
 
 def test_pool_collection_counts_resamples(monkeypatch):
