@@ -28,6 +28,7 @@ from .config import _set_leaf, apply_override, load_config, make_disorder, make_
 from .engine import _eta_intercept, _failed_rows, solve_root_R_batch
 from .ensemble import (
     _root_edge_lengths,
+    _sampling_point,
     _seed_disk,
     estimate_gamma,
     fluctuation_report,
@@ -265,14 +266,24 @@ def _cmd_lyapunov(cfg, out_dir, threads):
     sec = cfg["lyapunov"]
     spec = make_spec(cfg)
     dm0 = make_disorder(cfg)
+    # every model and point is checked before any is sampled
+    dms = [
+        DisorderModel(lam=lam, dist=dm0.dist, master_seed=dm0.master_seed)
+        for lam in sec["lambdas"]
+    ]
+    points = [
+        _sampling_point(complex(sec["E"], eta), sec["n"], "Lyapunov estimation requires eta > 0")
+        for eta in sec["etas"]
+    ]
+    # one stacked pool per eta advances all lambdas; rows stay lam-major
+    by_eta = [
+        estimate_gamma(spec, dms, p, sec["n"], source=sec["source"], burn_in=sec["burn_in"])
+        for p in points
+    ]
     rows = []
-    for lam in sec["lambdas"]:
-        dm = DisorderModel(lam=lam, dist=dm0.dist, master_seed=dm0.master_seed)
-        for eta in sec["etas"]:
-            z = complex(sec["E"], eta)
-            est = estimate_gamma(
-                spec, dm, z, sec["n"], source=sec["source"], burn_in=sec["burn_in"]
-            )
+    for i, lam in enumerate(sec["lambdas"]):
+        for eta, p, estimates in zip(sec["etas"], points, by_eta):
+            est = estimates[i]
             rows.append(
                 (
                     lam,
@@ -282,7 +293,7 @@ def _cmd_lyapunov(cfg, out_dir, threads):
                     est.source,
                     est.gamma_hat,
                     est.stderr,
-                    gamma_clean(z, spec.K, spec.L),
+                    gamma_clean(p.z, spec.K, spec.L),
                 )
             )
     path = os.path.join(out_dir, "lyapunov.csv")

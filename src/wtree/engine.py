@@ -299,10 +299,15 @@ def _lengths(omega, lam: float, L: float):
     return omega
 
 
+def _phase(w, le):
+    """Edge phases exp(2i*w*le), the factor that pulls a disk value across an edge."""
+    phase = (2j * w) * le
+    return np.exp(phase, out=phase)
+
+
 def _pull(m, w, le):
     """Pull far-end disk values to the near ends, exp(2i*w*le) * m."""
-    phase = (2j * w) * le
-    np.exp(phase, out=phase)
+    phase = _phase(w, le)
     # numpy rounds an in-place complex product of a single element
     # differently from an out-of-place one; one-element blocks multiply
     # out of place so that every block gets the out-of-place rounding

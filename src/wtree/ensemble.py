@@ -26,7 +26,7 @@ from .engine import (
     _edge_ratio,
     _lengths,
     _merge,
-    _pull,
+    _phase,
     as_point,
     solve_root_R_batch,
     sqrt_upper,
@@ -116,22 +116,48 @@ def _check_pool_counts(burn_in: int, pool_size: int = None, thin: int = None) ->
 log = logging.getLogger(__name__)
 
 
+def _as_models(dm) -> tuple:
+    """The disorder models of a pool's rows: ``(dm,)`` for one model, else the checked sequence."""
+    if isinstance(dm, DisorderModel):
+        return (dm,)
+    try:
+        models = tuple(dm)
+    except TypeError:
+        models = ()
+    if not models or not all(isinstance(m, DisorderModel) for m in models):
+        raise ValidationError(
+            f"expected a DisorderModel or a non-empty sequence of them, got {dm!r}"
+        )
+    return models
+
+
+def _one_or_list(dm, estimates: list):
+    """One estimate for one disorder model, the list for a sequence."""
+    return estimates[0] if isinstance(dm, DisorderModel) else estimates
+
+
 @dataclass
 class SamplePool:
     """Population of disk values evolving under the pooled recursion.
 
+    A pool of one ``DisorderModel`` holds ``values`` of shape (P,).  A
+    stacked pool holds one row per model of a tuple ``dm``, ``values`` of
+    shape (B, P); every row is bit for bit the pool its model would give
+    alone, and all rows share ``spec``, ``z`` and ``generation``.
+    ``size`` counts the members of all rows.
+
     ``generation`` counts applied steps and feeds the counter RNG, so a
     pool's trajectory is a pure function of (spec, dm, z, size, seed
-    mode).  ``resampled`` counts entries redrawn after singular merges.
-    The child slots and edge lengths of a generation depend only on its
-    counter words, so they are hashed for a block of consecutive
-    generations at once and held in a private cache keyed by the
-    block's first generation and the fields above; setting
+    mode).  ``resampled`` counts entries, over all rows, redrawn after
+    singular merges.  The child slots and edge lengths of a generation
+    depend only on its counter words, so they are hashed for a block of
+    consecutive generations at once and held in a private cache keyed by
+    the block's first generation and the fields above; setting
     ``generation``, ``dm`` or ``values`` by hand is safe.
     """
 
     spec: TreeSpec
-    dm: DisorderModel
+    dm: DisorderModel | tuple
     z: complex
     values: np.ndarray
     generation: int = 0
@@ -145,50 +171,60 @@ class SamplePool:
 
 def pool_init(
     spec: TreeSpec,
-    dm: DisorderModel,
+    dm,
     z,
     size: int,
     seed_mode: str = "fixed_point",
 ) -> SamplePool:
-    """Fresh pool of ``size`` identical disk values.
+    """Fresh pool of ``size`` identical disk values per disorder model.
 
-    ``seed_mode`` "fixed_point" starts at the clean-tree stationary
-    value (exact for lam = 0), "disk_zero" at m = 0.
+    ``dm`` is one ``DisorderModel`` (``values`` of shape (size,)) or a
+    non-empty sequence of B of them at this one z (a stacked pool,
+    ``values`` of shape (B, size)); anything else raises
+    ``ValidationError``.  ``seed_mode`` "fixed_point" starts at the
+    clean-tree stationary value (exact for lam = 0), "disk_zero" at m = 0.
     """
+    models = _as_models(dm)
     p = as_point(z)
     if p.boundary_mode:
         raise ValidationError("pools require eta > 0")
     if size < 1:
         raise ValidationError("pool size must be >= 1")
     seed = _seed_disk(spec, p, seed_mode, at_cut=False)
+    stacked = not isinstance(dm, DisorderModel)
     return SamplePool(
         spec=spec,
-        dm=dm,
+        dm=models if stacked else dm,
         z=p.z,
-        values=np.full(size, seed, dtype=np.complex128),
+        values=np.full((len(models), size) if stacked else size, seed, dtype=np.complex128),
     )
 
 
 #: hashed words per block of pool draws: a block holds
-#: max(1, _POOL_BLOCK_WORDS // (P*K)) generations, so its child slots and
-#: lengths take at most 0.5 MB unless one generation alone is larger
+#: max(1, _POOL_BLOCK_WORDS // (B*P*K)) generations of all B rows, so its
+#: child slots, lengths and phases take 0.5 MB (K = 3) to 1 MB (K = 1)
+#: unless one generation alone is larger
 _POOL_BLOCK_WORDS = 2**15
 
 
 def _draws_key(pool: SamplePool) -> tuple:
     """Everything but the generation that a pool's draws depend on."""
-    return (pool.size, pool.spec, pool.dm, pool.z)
+    return (pool.values.shape, pool.spec, pool.dm, pool.z)
 
 
 @dataclass(frozen=True)
 class _PoolDraws:
-    """Child slots (T, P, K) and edge lengths (T, P) of generations g0..g0+T-1."""
+    """Draws of generations g0..g0+T-1, indexed (T, *values.shape[, K]).
+
+    ``child_idx`` indexes ``values.ravel()``, so row b's slots are offset
+    by b*P; ``phases`` are exp(2i*w*lengths), the pull of each new edge.
+    """
 
     key: tuple
     g0: int
     child_idx: np.ndarray
     lengths: np.ndarray
-    w: complex
+    phases: np.ndarray
 
     def covers(self, pool: SamplePool) -> bool:
         return self.key == _draws_key(pool) and 0 <= pool.generation - self.g0 < len(self.lengths)
@@ -197,76 +233,99 @@ class _PoolDraws:
 def _pool_draws(pool: SamplePool, g0: int) -> _PoolDraws:
     """Hash the pool's draws for the block of generations starting at ``g0``.
 
-    The words are those of a single generation, (seed, domain, generation,
-    member[, slot]), with the generation as an array word, so every row
-    equals what hashing its generation alone gives.
+    Each row's words are those of a single generation of its own pool,
+    (seed, domain, generation, member[, slot]), with the generation as an
+    array word, so every row equals what hashing its generation alone
+    gives.  Rows with the same master seed share the hashed words.
     """
-    P = pool.size
+    models = _as_models(pool.dm)
+    B = len(models)
+    P = pool.values.shape[-1]
     K = pool.spec.K
-    T = max(1, _POOL_BLOCK_WORDS // (P * K))
-    seed = pool.dm.master_seed
+    T = max(1, _POOL_BLOCK_WORDS // (pool.size * K))
     gens = np.arange(g0, g0 + T, dtype=np.uint64).reshape(T, 1)
     members = np.arange(P, dtype=np.uint64)
     slots = np.arange(K, dtype=np.uint64)
-    h = hash_words(seed, DOMAIN_POOL_CHILD, gens[:, :, None], members[:, None], slots)
-    child_idx = (h % np.uint64(P)).astype(np.int64)
-    u = uniform01(hash_words(seed, DOMAIN_POOL_LENGTH, gens, members))
-    lengths = _lengths(omega_from_uniform(pool.dm.dist, u), pool.dm.lam, pool.spec.L)
+    child_idx = np.empty((T, B, P, K), dtype=np.int64)
+    lengths = np.empty((T, B, P))
+    hashed = {}
+    for b, dm in enumerate(models):
+        seed = dm.master_seed
+        if seed not in hashed:
+            h = hash_words(seed, DOMAIN_POOL_CHILD, gens[:, :, None], members[:, None], slots)
+            u = uniform01(hash_words(seed, DOMAIN_POOL_LENGTH, gens, members))
+            hashed[seed] = ((h % np.uint64(P)).astype(np.int64), u)
+        row_idx, u = hashed[seed]
+        np.add(row_idx, b * P, out=child_idx[:, b])
+        lengths[:, b] = _lengths(omega_from_uniform(dm.dist, u), dm.lam, pool.spec.L)
+    shape = (T,) + pool.values.shape
+    child_idx = child_idx.reshape(shape + (K,))
+    lengths = lengths.reshape(shape)
+    phases = _phase(sqrt_upper(as_point(pool.z)), lengths)
     # rows are handed out as views, so the cache is read-only
-    child_idx.flags.writeable = False
-    lengths.flags.writeable = False
-    return _PoolDraws(_draws_key(pool), g0, child_idx, lengths, sqrt_upper(as_point(pool.z)))
+    for a in (child_idx, lengths, phases):
+        a.flags.writeable = False
+    return _PoolDraws(_draws_key(pool), g0, child_idx, lengths, phases)
 
 
 def _pool_advance(pool: SamplePool):
-    """Advance the pool by one generation in place; returns (child_idx, lengths, old values)."""
-    P = pool.size
+    """Advance every row of the pool by one generation in place.
+
+    Returns (child_idx, lengths, old values); ``child_idx`` indexes
+    ``old.ravel()``, which for a one-model pool is ``old`` itself.
+    """
+    P = pool.values.shape[-1]
     K = pool.spec.K
     gen = pool.generation
     draws = pool._draws
     if draws is None or not draws.covers(pool):
         draws = pool._draws = _pool_draws(pool, gen)
-    child_idx = draws.child_idx[gen - draws.g0]
-    lengths = draws.lengths[gen - draws.g0]
+    t = gen - draws.g0
+    child_idx = draws.child_idx[t]
 
     old = pool.values
+    flat = old.ravel()
     resampled = 0
     retry = 0
     # a child at m = 1 or a total zeta = -1 merges to a non-finite value
     with np.errstate(divide="ignore", invalid="ignore"):
-        merged = _merge(old[child_idx].reshape(1, -1), K)[0]
+        merged = _merge(flat[child_idx].reshape(-1, P * K), K)
         bad = ~np.isfinite(merged)
         while bad.any():
-            # Redraw the singular rows' children through a salted counter
-            # word, so everything else is untouched and reruns stay
-            # deterministic.
+            # Redraw the singular members' children through a salted
+            # counter word of their own row, so everything else is
+            # untouched and reruns stay deterministic.
             retry += 1
             if retry > 8:
                 raise NumericalDegeneracyError("pool merge kept hitting singular children")
-            rows = np.nonzero(bad)[0]
-            resampled += rows.size
             if retry == 1:
                 child_idx = child_idx.copy()  # the cached block stays as hashed
+            models = _as_models(pool.dm)
+            row_idx = child_idx.reshape(-1, P, K)
             slots = np.arange(K, dtype=np.uint64)
-            row_words = rows.astype(np.uint64)[:, None]
-            h2 = hash_words(pool.dm.master_seed, DOMAIN_POOL_CHILD, gen, row_words, slots, retry)
-            child_idx[rows] = (h2 % np.uint64(P)).astype(np.int64)
-            merged[rows] = _merge(old[child_idx[rows]].reshape(1, -1), K)[0]
+            for b in np.nonzero(bad.any(axis=1))[0]:
+                members = np.nonzero(bad[b])[0]
+                resampled += members.size
+                words = members.astype(np.uint64)[:, None]
+                h2 = hash_words(models[b].master_seed, DOMAIN_POOL_CHILD, gen, words, slots, retry)
+                row_idx[b, members] = (h2 % np.uint64(P)).astype(np.int64) + b * P
+                merged[b, members] = _merge(flat[row_idx[b, members]].reshape(1, -1), K)[0]
             bad = ~np.isfinite(merged)
     if resampled:
         log.info("pool generation %d resampled %d singular merges", gen, resampled)
 
-    m_new = _pull(merged, draws.w, lengths)
-    if not np.all(np.isfinite(m_new.view(np.float64))):
+    # out of place, as ``engine._pull`` multiplies one-element blocks
+    m_new = np.multiply(draws.phases[t], merged.reshape(old.shape))
+    if not np.isfinite(m_new.view(np.float64)).all():
         raise NumericalDegeneracyError("pool step produced non-finite disk values")
     pool.values = m_new
     pool.generation += 1
     pool.resampled += resampled
-    return child_idx, lengths, old
+    return child_idx, draws.lengths[t], old
 
 
 def pool_step(pool: SamplePool) -> SamplePool:
-    """Advance the pool by one generation in place."""
+    """Advance every row of the pool, (P,) or (B, P), by one generation in place."""
     _pool_advance(pool)
     return pool
 
@@ -299,7 +358,7 @@ def _auto_thin(z, K: int, L: float) -> int:
 
 def estimate_gamma(
     spec: TreeSpec,
-    dm: DisorderModel,
+    dm,
     z,
     n: int,
     source: str = "pool",
@@ -307,7 +366,7 @@ def estimate_gamma(
     burn_in: int = 200,
     pool_size: int = None,
     thin: int = None,
-) -> LyapunovEstimate:
+) -> LyapunovEstimate | list[LyapunovEstimate]:
     """Lyapunov exponent of the edge-to-edge amplitude decay.
 
     Each sample pairs the WT value at the near end of an edge with that
@@ -316,6 +375,11 @@ def estimate_gamma(
 
     Parameters
     ----------
+    dm : DisorderModel or sequence of DisorderModel
+        One model gives one :class:`LyapunovEstimate`; a non-empty
+        sequence gives the list of their estimates at this z, equal to
+        one call per model.  The pool source then advances one stacked
+        pool with a row per model.
     source : str
         "direct" solves n independent trees of depth ``spec.depth`` and
         samples their root edges (iid samples, exact standard error).
@@ -337,26 +401,33 @@ def estimate_gamma(
     Raises
     ------
     ValidationError
-        For the pool source, before any sampling, if ``burn_in < 0``,
-        ``pool_size < 1`` or ``thin < 1``.
+        Before any sampling, if ``dm`` is neither a ``DisorderModel`` nor
+        a non-empty sequence of them, or, for the pool source, if
+        ``burn_in < 0``, ``pool_size < 1`` or ``thin < 1``.
     """
+    models = _as_models(dm)
     p = _sampling_point(z, n, "Lyapunov estimation requires eta > 0")
     if source == "pool":
         return estimate_gamma_tilde(spec, dm, p, n, 0.0, seed_mode, burn_in, pool_size, thin)
     if source != "direct":
         raise ValidationError(f"unknown source {source!r}; use 'pool' or 'direct'")
 
-    R, lengths = _direct_roots(spec, dm, p, n, seed_mode)
-    terms = _gamma_terms(R, lengths, sqrt_upper(p), spec.K)
-    stderr = float(terms.std(ddof=1) / math.sqrt(terms.size))
-    return LyapunovEstimate(
-        gamma_hat=float(terms.mean()), stderr=stderr, n=terms.size, z=p.z, source=source
-    )
+    estimates = []
+    for model in models:
+        R, lengths = _direct_roots(spec, model, p, n, seed_mode)
+        terms = _gamma_terms(R, lengths, sqrt_upper(p), spec.K)
+        stderr = float(terms.std(ddof=1) / math.sqrt(terms.size))
+        estimates.append(
+            LyapunovEstimate(
+                gamma_hat=float(terms.mean()), stderr=stderr, n=terms.size, z=p.z, source=source
+            )
+        )
+    return _one_or_list(dm, estimates)
 
 
 def estimate_gamma_tilde(
     spec: TreeSpec,
-    dm: DisorderModel,
+    dm,
     z,
     n: int,
     beta_v: float,
@@ -364,7 +435,7 @@ def estimate_gamma_tilde(
     burn_in: int = 200,
     pool_size: int = None,
     thin: int = None,
-) -> LyapunovEstimate:
+) -> LyapunovEstimate | list[LyapunovEstimate]:
     """Lyapunov exponent of the rotated (tilde) system, pool source.
 
     The rotated amplitude across one generation gains the factor
@@ -374,12 +445,15 @@ def estimate_gamma_tilde(
     :func:`estimate_gamma`, which delegates here: whole generations of a
     burnt-in pool are collected ``thin`` generations apart, and the
     standard error comes from the spread of the generation means.
-    ``burn_in``, ``pool_size`` and ``thin`` are checked as there.
+    ``dm``, ``burn_in``, ``pool_size`` and ``thin`` are checked as there;
+    a sequence of models advances as the rows of one stacked pool, which
+    share burn-in, thinning, P and G, and gives the list of estimates.
     """
     p = _sampling_point(z, n, "Lyapunov estimation requires eta > 0")
     _check_pool_counts(burn_in, pool_size, thin)
     if not 0.0 <= beta_v < math.pi:
         raise ValidationError(f"beta_v must lie in [0, pi), got {beta_v}")
+    _as_models(dm)  # checked before any pool is built
     w = sqrt_upper(p)
     K = spec.K
     ct = 0.0 if beta_v == 0.0 else math.cos(beta_v) / math.sin(beta_v)
@@ -394,7 +468,8 @@ def estimate_gamma_tilde(
     for _ in range(burn_in):
         pool_step(pool)
     chunks = []
-    gen_means = np.empty(G)
+    # (rows, G) with each row contiguous, so every row reduces as a lone pool would
+    gen_means = np.empty(pool.values.shape[:-1] + (G,))
     for g in range(G):
         if g:
             for _ in range(thin - 1):
@@ -403,17 +478,27 @@ def estimate_gamma_tilde(
         R_parent = _disk_to_r(pool.values, w)
         t = _gamma_terms(R_parent, lengths, w, K)
         if beta_v != 0.0:
-            R_child = _disk_to_r(old[child_idx[:, 0]], w)
+            R_child = _disk_to_r(old.ravel()[child_idx[..., 0]], w)
             t = t - np.log(np.abs(ct + R_child)) + np.log(np.abs(ct + R_parent))
         chunks.append(t)
-        gen_means[g] = t.mean()
-    terms = np.concatenate(chunks)
-    if G >= 2:
-        stderr = float(gen_means.std(ddof=1) / math.sqrt(G))
-    else:
-        stderr = float(terms.std(ddof=1) / math.sqrt(terms.size))
-    gamma = float(terms.mean())
-    return LyapunovEstimate(gamma_hat=gamma, stderr=stderr, n=terms.size, z=p.z, source="pool")
+        gen_means[..., g] = t.mean(axis=-1)
+    terms = np.concatenate(chunks, axis=-1)
+    estimates = []
+    for row_terms, row_means in zip(terms.reshape(-1, G * P), gen_means.reshape(-1, G)):
+        if G >= 2:
+            stderr = float(row_means.std(ddof=1) / math.sqrt(G))
+        else:
+            stderr = float(row_terms.std(ddof=1) / math.sqrt(row_terms.size))
+        estimates.append(
+            LyapunovEstimate(
+                gamma_hat=float(row_terms.mean()),
+                stderr=stderr,
+                n=row_terms.size,
+                z=p.z,
+                source="pool",
+            )
+        )
+    return _one_or_list(dm, estimates)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import wtree.cli as cli
+import wtree.ensemble as ensemble
 from wtree import NumericalDegeneracyError, ValidationError, ac_bands
 from wtree.config import (
     DEFAULTS,
@@ -151,6 +152,23 @@ def test_negative_burn_in_exit_code(tmp_path, capsys, command):
     assert rc == 1
     assert "burn_in" in capsys.readouterr().err
     assert not (tmp_path / f"{command}.csv").exists()
+
+
+@pytest.mark.parametrize("source", ["pool", "direct"])
+@pytest.mark.parametrize(
+    "override", ["lyapunov.lambdas=[0.05,2]", "lyapunov.etas=[0.1,-1]", "lyapunov.etas=[0.1,0]"]
+)
+def test_lyapunov_points_validated_before_sampling(tmp_path, monkeypatch, capsys, override, source):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("a pool or tree was sampled")
+
+    monkeypatch.setattr(ensemble, "pool_init", no_sampling)
+    monkeypatch.setattr(ensemble, "solve_root_R_batch", no_sampling)
+    rc = cli.main(["lyapunov", "--out", str(tmp_path), "--set", f"lyapunov.source={source}",
+                   "--set", override])
+    assert rc == 1
+    assert "error" in capsys.readouterr().err
+    assert not (tmp_path / "lyapunov.csv").exists()
 
 
 def test_main_degeneracy_exit_code(tmp_path, monkeypatch, capsys):

@@ -309,6 +309,146 @@ def test_pool_collection_counts_resamples(monkeypatch):
     assert pools[0].resampled >= 1
 
 
+def _row_pools(stack):
+    """One pool per row of a stacked pool, with that row's values."""
+    pools = []
+    for b, dm in enumerate(stack.dm):
+        pool = pool_init(stack.spec, dm, stack.z, stack.values.shape[1])
+        pool.values[:] = stack.values[b]
+        pool.generation = stack.generation
+        pools.append(pool)
+    return pools
+
+
+def _assert_rows_equal(stack, pools):
+    for b, pool in enumerate(pools):
+        assert stack.values[b].tobytes() == pool.values.tobytes()
+        assert pool.generation == stack.generation
+    assert stack.resampled == sum(pool.resampled for pool in pools)
+
+
+@pytest.mark.parametrize("dist", ["uniform", "two_point", "truncated_normal"])
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_stacked_pool_equals_one_point_pools(K, dist):
+    # rows 0 and 2 share a master seed, so they share hashed words
+    models = [
+        DisorderModel(lam=0.3, dist=dist, master_seed=5),
+        DisorderModel(lam=0.1, dist=dist, master_seed=6),
+        DisorderModel(lam=0.05, dist=dist, master_seed=5),
+    ]
+    spec = TreeSpec(K=K, L=1.0, depth=6)
+    stack = pool_init(spec, models, complex(2.0, 0.05), 1000)
+    assert stack.values.shape == (3, 1000) and stack.size == 3000
+    assert stack.dm == tuple(models)
+    for b in range(3):
+        stack.values[b] = np.roll(np.resize(_POOL_START, 1000), b)
+    pools = _row_pools(stack)
+
+    # 3000 members hold 10, 5 and 3 generations per block of draws for K = 1, 2, 3
+    blocks = set()
+    for _ in range(25):
+        pool_step(stack)
+        blocks.add(stack._draws.g0)
+        for pool in pools:
+            pool_step(pool)
+        _assert_rows_equal(stack, pools)
+    assert len(blocks) >= 3
+
+    # a singular member of row 1 on a block's first generation: only that
+    # row resamples, and the cached block keeps the hashed slots
+    gen = stack.generation = 10**6
+    for pool in pools:
+        pool.generation = gen
+    ref_idx, _ = _single_generation_draws(pools[1], gen)
+    stack.values[1, ref_idx[0, 0]] = pools[1].values[ref_idx[0, 0]] = 1.0
+    resampled = stack.resampled
+    pool_step(stack)
+    for pool in pools:
+        pool_step(pool)
+    _assert_rows_equal(stack, pools)
+    assert stack.resampled - resampled == pools[1].resampled > 0
+    assert pools[0].resampled == pools[2].resampled == 0
+    assert stack._draws.g0 == gen
+    np.testing.assert_array_equal(stack._draws.child_idx[0, 1] - 1000, ref_idx)
+    for _ in range(4):
+        pool_step(stack)
+        for pool in pools:
+            pool_step(pool)
+        _assert_rows_equal(stack, pools)
+
+
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_stacked_one_member_rows_keep_rounding(K):
+    # one member per row: each lone pool pulls one element out of place,
+    # and the stacked rows must round the same through the block phases
+    models = [
+        DisorderModel(lam=0.3, dist="uniform", master_seed=11),
+        DisorderModel(lam=0.2, dist="two_point", master_seed=12),
+        DisorderModel(lam=0.1, dist="truncated_normal", master_seed=13),
+        DisorderModel(lam=0.0, master_seed=11),
+    ]
+    stack = pool_init(TreeSpec(K=K, L=1.0, depth=6), models, complex(2.0, 0.05), 1)
+    stack.values[:, 0] = _POOL_START + [0.05 - 0.3j]
+    pools = _row_pools(stack)
+    for _ in range(60):
+        pool_step(stack)
+        for pool in pools:
+            pool_step(pool)
+        _assert_rows_equal(stack, pools)
+
+
+def test_estimate_gamma_sequence_equals_loop(monkeypatch):
+    spec = TreeSpec(K=2, L=1.0, depth=4)
+    z = complex(2.0, 0.05)
+    models = [
+        DisorderModel(lam=0.2, dist="uniform", master_seed=3),
+        DisorderModel(lam=0.0, dist="uniform", master_seed=3),
+        DisorderModel(lam=0.1, dist="two_point", master_seed=4),
+    ]
+    pool_kw = dict(burn_in=10, pool_size=16, thin=3)
+    for source, kw in (("pool", pool_kw), ("direct", {})):
+        stacked = estimate_gamma(spec, models, z, 64, source=source, **kw)
+        assert stacked == [estimate_gamma(spec, dm, z, 64, source=source, **kw) for dm in models]
+    stacked = estimate_gamma_tilde(spec, tuple(models), z, 64, math.pi / 3, **pool_kw)
+    assert stacked == [estimate_gamma_tilde(spec, dm, z, 64, math.pi / 3, **pool_kw) for dm in models]
+    one = estimate_gamma(spec, models[:1], z, 64, **pool_kw)
+    assert isinstance(one, list) and len(one) == 1
+
+    # one step per non-collecting generation of the stack, not per row
+    steps = []
+    real_step = ensemble.pool_step
+
+    def counted(pool):
+        steps.append(pool.values.shape)
+        return real_step(pool)
+
+    monkeypatch.setattr(ensemble, "pool_step", counted)
+    estimate_gamma(spec, models, z, 64, **pool_kw)
+    # G = 64 / 16 = 4 collections: burn-in plus (G - 1) gaps of thin - 1
+    assert steps == [(3, 16)] * (10 + 3 * 2)
+
+
+@pytest.mark.parametrize(
+    "dm",
+    [[], [DisorderModel(lam=0.1), "uniform"], "uniform", None, 0.1],
+    ids=["empty", "mixed", "str", "None", "float"],
+)
+def test_disorder_sequence_validated_before_sampling(monkeypatch, dm):
+    def no_sampling(*args, **kw):
+        raise AssertionError("a pool or tree was sampled")
+
+    monkeypatch.setattr(ensemble, "pool_init", no_sampling)
+    monkeypatch.setattr(ensemble, "solve_root_R_batch", no_sampling)
+    for source in ("pool", "direct"):
+        with pytest.raises(ValidationError):
+            estimate_gamma(SPEC6, dm, Z_MID, n=64, source=source)
+    with pytest.raises(ValidationError):
+        estimate_gamma_tilde(SPEC6, dm, Z_MID, 64, 0.5)
+    monkeypatch.undo()
+    with pytest.raises(ValidationError):
+        pool_init(SPEC6, dm, Z_MID, 8)
+
+
 def test_estimate_gamma_tilde_pinned():
     # the rotated terms pair each new member with the previous generation
     expected = {
