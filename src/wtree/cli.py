@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .config import _set_leaf, apply_override, load_config, make_disorder, make_spec
-from .engine import _eta_intercept, _failed_rows, solve_root_R_batch
+from .engine import _eta_intercept, _eta_ladder, _failed_rows, solve_root_R_batch
 from .ensemble import (
     _root_edge_lengths,
     _sampling_point,
@@ -227,7 +227,7 @@ def _cmd_density(cfg, out_dir, threads):
     dm = make_disorder(cfg)
     energies = np.linspace(sec["e_min"], sec["e_max"], sec["n_points"])
     if sec["extrapolate"]:
-        ladder = sec["eta_ladder"]
+        ladder = _eta_ladder(sec["eta_ladder"])
         sweeps = [
             spectral_density(
                 spec, dm, energies, eta, sec["replica"], sec["seed_mode"], threads

@@ -115,6 +115,9 @@ def _coerce(dotted: str, default, val):
     if isinstance(default, list):
         if not isinstance(val, list):
             raise ValidationError(f"configuration key {dotted!r} must be a list")
+        if not val:
+            # every list is a grid of points, and an empty grid has no output
+            raise ValidationError(f"configuration key {dotted!r} must list at least one number")
         try:
             return [float(v) for v in val]
         except (TypeError, ValueError) as exc:

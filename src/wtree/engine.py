@@ -281,14 +281,60 @@ class BatchCapture:
     lengths: list
 
 
-def _merge(m: np.ndarray, K: int) -> np.ndarray:
-    """Merge every run of K sibling disk values along the last axis, overwriting ``m``."""
+def _merge_terms(m: np.ndarray) -> np.ndarray:
+    """Merge terms (1 + m) / (1 - m) of disk values, overwriting ``m``.
+
+    The term of a disk value is R / (i*w) for its half-plane value R, so
+    the Kirchhoff merge adds terms where the half plane adds R.
+    """
     den = 1.0 - m
     m += 1.0
     m /= den
-    del den  # freed before the sums, so at most two leaf-sized arrays are alive
-    zeta = m.reshape(m.shape[0], -1, K).sum(axis=2)
-    return (zeta - 1.0) / (zeta + 1.0)
+    return m  # den is freed on return: one leaf-sized temporary beside m
+
+
+def _pairwise_sum(v: np.ndarray, lo: int, n: int) -> np.ndarray:
+    """Row sums of ``v[:, lo:lo + n]`` in numpy's pairwise order.
+
+    ``v.sum(axis=1)`` over a short contiguous axis adds sequentially
+    below 4 values, in 4 lanes joined as (l0 + l1) + (l2 + l3) plus a
+    sequential tail up to 64, and above that splits the run at a multiple
+    of 4 values and recurses.  Adding column slices in that order gives
+    the same bits at a fraction of the reduction's per-element cost.
+    (numpy then adds the total to 0.0, which only turns an exact -0.0
+    part into +0.0; the one-value run keeps that, longer runs skip it.)
+    """
+    if n < 4:
+        s = v[:, lo] + v[:, lo + 1] if n > 1 else v[:, lo] + 0.0
+        for k in range(lo + 2, lo + n):
+            s += v[:, k]
+        return s
+    if n <= 64:
+        m = n - n % 4
+        lanes = v[:, lo : lo + m].reshape(-1, m // 4, 4)
+        acc = lanes[:, 0] + lanes[:, 1] if m > 4 else lanes[:, 0]
+        for i in range(2, m // 4):
+            acc += lanes[:, i]
+        s = (acc[:, 0] + acc[:, 1]) + (acc[:, 2] + acc[:, 3])
+        for k in range(lo + m, lo + n):
+            s += v[:, k]
+        return s
+    n2 = (n - n % 8) // 2
+    return _pairwise_sum(v, lo, n2) + _pairwise_sum(v, lo + n2, n - n2)
+
+
+def _merge_sum(h: np.ndarray) -> np.ndarray:
+    """Merged disk values (zeta - 1) / (zeta + 1), zeta the sum of ``h`` over its last axis.
+
+    ``h`` holds the :func:`_merge_terms` of each parent's K children
+    along its last axis; the result drops that axis.
+    """
+    K = h.shape[-1]
+    zeta = _pairwise_sum(h.reshape(-1, K), 0, K)
+    den = zeta + 1.0
+    zeta -= 1.0
+    zeta /= den
+    return zeta.reshape(h.shape[:-1])
 
 
 def _lengths(omega, lam: float, L: float):
@@ -348,7 +394,8 @@ def _solve_subtree(spec, dm, prefix, w, seed, reps, chunk_elems, capture):
             _solve_subtree(spec, dm, prefix + (d,), w, seed, reps, chunk_elems, capture)
             for d in range(K)
         ]
-        merged = _merge(np.stack([m_d for m_d, _ in kids], axis=1), K)
+        h = _merge_terms(np.stack([m_d for m_d, _ in kids], axis=1))
+        merged = _merge_sum(h[:, None, :])
         le = _lengths(omega_for_generation(dm, K, g0, reps[:, None], prefix), dm.lam, spec.L)
         m = _pull(merged, w[:, None], le)
         cap = None
@@ -371,11 +418,11 @@ def _solve_subtree(spec, dm, prefix, w, seed, reps, chunk_elems, capture):
         m = np.broadcast_to(seed[lo:hi, None], (hi - lo, leaves)).copy()
         for j in range(n, -1, -1):
             if j < n:
-                m = _merge(m, K)
+                m = _merge_sum(_merge_terms(m).reshape(hi - lo, -1, K))
             le = _lengths(omega_for_generation(dm, K, g0 + j, r, prefix), dm.lam, spec.L)
             m = _pull(m, wc, le)
             if capture:
-                cap_m[j].append(m.copy())  # the next _merge overwrites m
+                cap_m[j].append(m.copy())  # the next _merge_terms overwrites m
                 cap_len[j].append(le)
         out[lo:hi] = m[:, 0]
     cap = None
@@ -645,6 +692,20 @@ def _eta_intercept(etas, values):
     return y_mean - slope * x.mean()
 
 
+def _eta_ladder(etas) -> list:
+    """The ladder as floats, checked to hold at least two distinct finite etas > 0.
+
+    Fewer distinct etas leave the line fit of :func:`_eta_intercept`
+    undetermined (its slope divides by zero).
+    """
+    etas = [float(t) for t in etas]
+    if len(set(etas)) < 2 or not all(0.0 < t < math.inf for t in etas):
+        raise ValidationError(
+            f"eta ladder needs at least two distinct finite positive entries, got {etas}"
+        )
+    return etas
+
+
 def boundary_extrapolate(fn, E: float, etas=DEFAULT_ETA_LADDER):
     """Boundary value at E + i0 via a linear fit over a decreasing eta ladder.
 
@@ -655,15 +716,14 @@ def boundary_extrapolate(fn, E: float, etas=DEFAULT_ETA_LADDER):
     E : float
         Real energy.
     etas : sequence of float
-        Strictly positive ladder; the fit value at eta = 0 is returned.
+        Finite positive ladder with at least two distinct entries; the
+        fit value at eta = 0 is returned.
 
     Returns
     -------
     complex
         Extrapolated boundary value.
     """
-    etas = [float(t) for t in etas]
-    if len(etas) < 2 or any(t <= 0 for t in etas):
-        raise ValidationError("eta ladder needs at least two positive entries")
+    etas = _eta_ladder(etas)
     vals = np.asarray([complex(fn(complex(E, t))) for t in etas])
     return complex(_eta_intercept(etas, vals))

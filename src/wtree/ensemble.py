@@ -25,7 +25,8 @@ from .engine import (
     _disk_to_r,
     _edge_ratio,
     _lengths,
-    _merge,
+    _merge_sum,
+    _merge_terms,
     _phase,
     as_point,
     solve_root_R_batch,
@@ -284,39 +285,46 @@ def _pool_advance(pool: SamplePool):
     child_idx = draws.child_idx[t]
 
     old = pool.values
-    flat = old.ravel()
+    phases = draws.phases[t]
     resampled = 0
-    retry = 0
-    # a child at m = 1 or a total zeta = -1 merges to a non-finite value
+    # A child at m = 1 or a total zeta = -1 merges to a non-finite value.
+    # A finite m_new needs finite merges, so one check covers both.
     with np.errstate(divide="ignore", invalid="ignore"):
-        merged = _merge(flat[child_idx].reshape(-1, P * K), K)
-        bad = ~np.isfinite(merged)
-        while bad.any():
-            # Redraw the singular members' children through a salted
-            # counter word of their own row, so everything else is
-            # untouched and reruns stay deterministic.
-            retry += 1
-            if retry > 8:
-                raise NumericalDegeneracyError("pool merge kept hitting singular children")
-            if retry == 1:
-                child_idx = child_idx.copy()  # the cached block stays as hashed
-            models = _as_models(pool.dm)
-            row_idx = child_idx.reshape(-1, P, K)
-            slots = np.arange(K, dtype=np.uint64)
-            for b in np.nonzero(bad.any(axis=1))[0]:
-                members = np.nonzero(bad[b])[0]
-                resampled += members.size
-                words = members.astype(np.uint64)[:, None]
-                h2 = hash_words(models[b].master_seed, DOMAIN_POOL_CHILD, gen, words, slots, retry)
-                row_idx[b, members] = (h2 % np.uint64(P)).astype(np.int64) + b * P
-                merged[b, members] = _merge(flat[row_idx[b, members]].reshape(1, -1), K)[0]
-            bad = ~np.isfinite(merged)
+        # each member's merge term is computed once, however often it is drawn
+        h = _merge_terms(old.ravel().copy())
+        merged = _merge_sum(h.take(child_idx))
+        # out of place, as ``engine._pull`` multiplies one-element blocks
+        m_new = np.multiply(phases, merged)
+        finite = np.isfinite(m_new.view(np.float64)).all()
+        if not finite:
+            rows = merged.reshape(-1, P)
+            bad = ~np.isfinite(rows)
+            retry = 0
+            while bad.any():
+                # Redraw the singular members' children through a salted
+                # counter word of their own row, so everything else is
+                # untouched and reruns stay deterministic.
+                retry += 1
+                if retry > 8:
+                    raise NumericalDegeneracyError("pool merge kept hitting singular children")
+                if retry == 1:
+                    child_idx = child_idx.copy()  # the cached block stays as hashed
+                models = _as_models(pool.dm)
+                row_idx = child_idx.reshape(-1, P, K)
+                slots = np.arange(K, dtype=np.uint64)
+                for b in np.nonzero(bad.any(axis=1))[0]:
+                    members = np.nonzero(bad[b])[0]
+                    resampled += members.size
+                    words = members.astype(np.uint64)[:, None]
+                    h2 = hash_words(models[b].master_seed, DOMAIN_POOL_CHILD, gen, words, slots, retry)
+                    row_idx[b, members] = (h2 % np.uint64(P)).astype(np.int64) + b * P
+                    rows[b, members] = _merge_sum(h.take(row_idx[b, members]))
+                bad = ~np.isfinite(rows)
+            m_new = np.multiply(phases, merged)
+            finite = np.isfinite(m_new.view(np.float64)).all()
     if resampled:
         log.info("pool generation %d resampled %d singular merges", gen, resampled)
-
-    # out of place, as ``engine._pull`` multiplies one-element blocks
-    m_new = np.multiply(draws.phases[t], merged.reshape(old.shape))
-    if not np.isfinite(m_new.view(np.float64)).all():
+    if not finite:
         raise NumericalDegeneracyError("pool step produced non-finite disk values")
     pool.values = m_new
     pool.generation += 1

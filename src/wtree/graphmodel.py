@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import AddressRangeError, ValidationError
 
@@ -45,9 +44,11 @@ DOMAIN_POOL_CHILD = 0x8CB92BA72F3D8DD7
 DOMAIN_POOL_LENGTH = 0xEB44ACCAB455D165
 DOMAIN_SCAN_ENERGY = 0x2545F4914F6CDD1D
 
-# Truncated standard normal clipped to [-1, 1].
-_TN_LO = float(ndtr(-1.0))
-_TN_HI = float(ndtr(1.0))
+# Truncated standard normal clipped to [-1, 1]: Phi(-1) and Phi(1) through
+# math.erfc, equal bit for bit to scipy.special.ndtr(-1.0) and ndtr(1.0)
+# (a test pins both), so importing wtree does not load scipy.special.
+_TN_LO = 0.5 * math.erfc(1 / math.sqrt(2))
+_TN_HI = 0.5 * math.erfc(-1 / math.sqrt(2))
 _TN_Z = _TN_HI - _TN_LO
 _TN_VAR = 1.0 - 2.0 * math.exp(-0.5) / math.sqrt(2.0 * math.pi) / _TN_Z
 
@@ -71,12 +72,14 @@ def _mix(x: int) -> int:
 
 
 def _mix_np(x: np.ndarray) -> np.ndarray:
-    # splitmix64 finalizer, in place: callers pass a fresh XOR result
-    x ^= x >> np.uint64(30)
+    # splitmix64 finalizer, in place: callers pass a fresh XOR result;
+    # the three shifts share one scratch array
+    tmp = np.right_shift(x, np.uint64(30))
+    x ^= tmp
     x *= np.uint64(_MIX1)
-    x ^= x >> np.uint64(27)
+    x ^= np.right_shift(x, np.uint64(27), out=tmp)
     x *= np.uint64(_MIX2)
-    x ^= x >> np.uint64(31)
+    x ^= np.right_shift(x, np.uint64(31), out=tmp)
     return x
 
 
@@ -119,19 +122,25 @@ def hash_words(seed: int, *words) -> "int | np.ndarray":
 def uniform01(h):
     """Map mixed 64-bit state to a float64 uniform on [0, 1)."""
     if isinstance(h, np.ndarray):
-        return (h >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        u = (h >> np.uint64(11)).astype(np.float64)
+        u *= 2.0**-53
+        return u
     return (h >> 11) * 2.0**-53
 
 
 def omega_from_uniform(dist: str, u):
     """Transform uniform deviates into omega values of the named distribution."""
     if dist == "uniform":
-        return 2.0 * u - 1.0
+        out = 2.0 * u
+        out -= 1.0  # in place for arrays, which 2.0 * u just made
+        return out
     if dist == "two_point":
         if isinstance(u, np.ndarray):
             return np.where(u < 0.5, -1.0, 1.0)
         return -1.0 if u < 0.5 else 1.0
     if dist == "truncated_normal":
+        from scipy.special import ndtri  # loaded on first use: it dominates import time
+
         p = _TN_LO + u * _TN_Z
         out = ndtri(p)
         return out if isinstance(u, np.ndarray) else float(out)

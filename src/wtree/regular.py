@@ -14,7 +14,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 
 from .engine import _r_to_disk, as_point, sqrt_upper, edge_step_m, vertex_merge_m
@@ -83,6 +82,8 @@ def ac_bands(K: int, L: float, n_max: int) -> BandList:
         raise ValidationError(f"edge length must be positive, got {L}")
     if n_max < 0:
         raise ValidationError(f"n_max must be >= 0, got {n_max}")
+    import mpmath  # loaded on first use, not with the package
+
     with mpmath.workdps(40):
         rk = mpmath.sqrt(K)
         th = mpmath.atan((rk - 1 / rk) / 2)

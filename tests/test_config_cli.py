@@ -4,6 +4,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -169,6 +171,37 @@ def test_lyapunov_points_validated_before_sampling(tmp_path, monkeypatch, capsys
     assert rc == 1
     assert "error" in capsys.readouterr().err
     assert not (tmp_path / "lyapunov.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command,args",
+    [
+        ("lyapunov", ["--set", "lyapunov.n=4", "--set", "lyapunov.etas=[]"]),
+        ("stability", ["--set", "stability.n=4", "--set", "stability.etas=[]"]),
+        ("fluctuation", ["--set", "fluctuation.n=4", "--set", "fluctuation.lambdas=[]"]),
+        ("density", ["--extrapolate", "--set", "density.n_points=4", "--set", "density.eta_ladder=[]"]),
+        ("density", ["--extrapolate", "--set", "density.n_points=4",
+                     "--set", "density.eta_ladder=[0.1]"]),
+        ("density", ["--extrapolate", "--set", "density.n_points=4",
+                     "--set", "density.eta_ladder=[0.1,0.1]"]),
+    ],
+    ids=["lyapunov-etas", "stability-etas", "fluctuation-lambdas", "density-ladder-empty",
+         "density-ladder-one", "density-ladder-repeated"],
+)
+def test_empty_or_degenerate_grid_rejected(tmp_path, capsys, command, args):
+    rc = cli.main([command, "--out", str(tmp_path), "--set", "depth=3"] + args)
+    assert rc == 1
+    assert "wtree: error:" in capsys.readouterr().err
+    assert not (tmp_path / f"{command}.csv").exists()
+
+
+def test_cli_import_leaves_scipy_special_and_mpmath_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = "import sys, wtree.cli; print([m for m in ('scipy.special', 'mpmath') if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 def test_main_degeneracy_exit_code(tmp_path, monkeypatch, capsys):

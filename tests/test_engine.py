@@ -42,7 +42,7 @@ from wtree import (
     vertex_merge_m,
     wt_bound,
 )
-from wtree.engine import _eta_intercept, cos_sin
+from wtree.engine import _eta_intercept, _merge_sum, _merge_terms, _pairwise_sum, cos_sin
 from wtree.errors import NumericalDegeneracyError
 
 
@@ -567,3 +567,26 @@ def test_boundary_extrapolate():
         boundary_extrapolate(fn, 1.0, etas=(0.1,))
     with pytest.raises(ValidationError):
         boundary_extrapolate(fn, 1.0, etas=(0.1, -0.2))
+    # one distinct eta leaves the fit's slope undetermined
+    for etas in [(0.1, 0.1), (), (0.1, math.inf), (0.1, math.nan)]:
+        with pytest.raises(ValidationError):
+            boundary_extrapolate(fn, 1.0, etas=etas)
+
+
+def test_merge_sum_matches_numpy_sum():
+    # the slice sums follow numpy's pairwise order: sequential below 4
+    # siblings, four lanes up to 64, recursive halving above
+    rng = np.random.default_rng(8)
+    for K in range(1, 131):
+        for S, N in [(5, K), (3, K * K)]:
+            mag = 10.0 ** rng.uniform(-8, 8, size=(S, N))
+            m = (rng.standard_normal((S, N)) + 1j * rng.standard_normal((S, N))) * mag
+            zeta = m.reshape(S, -1, K).sum(axis=2)
+            got = _pairwise_sum(m.reshape(-1, K), 0, K).reshape(S, -1)
+            assert got.tobytes() == zeta.tobytes(), K
+            merged = _merge_sum(m.reshape(S, -1, K))
+            assert merged.tobytes() == ((zeta - 1.0) / (zeta + 1.0)).tobytes(), K
+    m = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+    h = m.copy()
+    assert _merge_terms(h) is h
+    assert h.tobytes() == ((1.0 + m) / (1.0 - m)).tobytes()

@@ -1,5 +1,7 @@
 import hashlib
 import math
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from wtree import (
     solve_root_R_batch,
     stationary_disk,
 )
+from wtree.engine import sqrt_upper
 from wtree.graphmodel import (
     DOMAIN_POOL_CHILD,
     DOMAIN_POOL_LENGTH,
@@ -375,6 +378,71 @@ def test_stacked_pool_equals_one_point_pools(K, dist):
         for pool in pools:
             pool_step(pool)
         _assert_rows_equal(stack, pools)
+
+
+def _gather_then_merge_step(stack):
+    """The stack's next generation by the direct route, row by row: gather
+    the children's disk values, map each to its merge term, sum siblings
+    with numpy's reduction, divide, pull."""
+    w = sqrt_upper(stack.z)
+    P, K = stack.values.shape[1], stack.spec.K
+    out = np.empty_like(stack.values)
+    for b, dm in enumerate(stack.dm):
+        row = SimpleNamespace(size=P, spec=stack.spec, dm=dm)
+        idx, lengths = _single_generation_draws(row, stack.generation)
+        m = stack.values[b][idx]
+        zeta = ((1.0 + m) / (1.0 - m)).sum(axis=1)
+        out[b] = np.exp((2j * w) * lengths) * ((zeta - 1.0) / (zeta + 1.0))
+    return out
+
+
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_pool_step_equals_gather_then_merge(K):
+    models = [
+        DisorderModel(lam=0.3, dist="uniform", master_seed=5),
+        DisorderModel(lam=0.1, dist="two_point", master_seed=6),
+        DisorderModel(lam=0.2, dist="truncated_normal", master_seed=7),
+    ]
+    stack = pool_init(TreeSpec(K=K, L=1.0, depth=6), models, complex(2.0, 0.05), 2000)
+    for b in range(3):
+        stack.values[b] = np.roll(np.resize(_POOL_START, 2000), b)
+    # 6000 members hold 5, 2 and 1 generations per block of draws for K = 1, 2, 3
+    blocks = set()
+    for _ in range(12):
+        expected = _gather_then_merge_step(stack)
+        pool_step(stack)
+        blocks.add(stack._draws.g0)
+        assert stack.values.tobytes() == expected.tobytes()
+    assert len(blocks) >= 3 and stack.resampled == 0
+
+
+# (K, resampled, SHA-256 of the member bytes) after 10 steps of three
+# 64-member rows with a member at m = 1 in rows 1 and 2, recorded with a
+# step that gathered disk values and merged them with numpy's reduction
+_POISONED_STACKS = [
+    (1, 2, "dda75a6a79d3e6a168ed599e9f70e6e5d90a1a65aedb2b39e64eba73946d9546"),
+    (2, 2, "b73aa35effedadc5ba9da38da35a76ed232d1dfddd71531e3da6a4482ff48785"),
+    (3, 4, "d767d7c5c40499f42013c69c83785b5391f0a0338d02bb691b7c24708db0a1b8"),
+]
+
+
+@pytest.mark.parametrize("K,resampled,digest", _POISONED_STACKS)
+def test_poisoned_stack_resamples_quietly(K, resampled, digest):
+    models = [
+        DisorderModel(lam=0.3, master_seed=5),
+        DisorderModel(lam=0.1, dist="two_point", master_seed=6),
+        DisorderModel(lam=0.2, dist="truncated_normal", master_seed=7),
+    ]
+    stack = pool_init(TreeSpec(K=K, L=1.0, depth=6), models, complex(2.0, 0.05), 64)
+    for b in range(3):
+        stack.values[b] = np.roll(np.resize(_POOL_START, 64), b)
+    stack.values[1, 0] = stack.values[2, 5] = 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(10):
+            pool_step(stack)
+    assert stack.resampled == resampled
+    assert hashlib.sha256(stack.values.tobytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("K", [1, 2, 3])

@@ -15,6 +15,8 @@ from wtree import (
     resample_omega,
 )
 from wtree.graphmodel import (
+    _TN_HI,
+    _TN_LO,
     DIST_MOMENTS,
     DOMAIN_EDGE,
     hash_words,
@@ -198,6 +200,26 @@ def test_hash_leaves_caller_arrays_unchanged(dtype):
     for g, prefix in [(0, ()), (3, ()), (3, (1,)), (3, (1, 0, 1))]:
         omega_for_generation(dm, 2, g, reps, prefix)
         assert reps.dtype == dtype and np.array_equal(reps, before)
+
+
+def test_uniform_transforms_leave_inputs_unchanged():
+    h = hash_words(3, DOMAIN_EDGE, np.arange(64, dtype=np.uint64))
+    h_before = h.copy()
+    u = uniform01(h)
+    assert h.tobytes() == h_before.tobytes()
+    assert u.tolist() == [uniform01(int(x)) for x in h]
+    u_before = u.copy()
+    for dist in DIST_MOMENTS:
+        omega = omega_from_uniform(dist, u)
+        assert u.tobytes() == u_before.tobytes()
+        assert omega.tolist() == [omega_from_uniform(dist, float(x)) for x in u]
+
+
+def test_truncated_normal_bounds_match_ndtr():
+    from scipy.special import ndtr
+
+    assert _TN_LO == float(ndtr(-1.0))
+    assert _TN_HI == float(ndtr(1.0))
 
 
 def test_omega_for_generation_replica_block():
