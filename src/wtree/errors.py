@@ -59,7 +59,3 @@ class RowDegeneracyError(NumericalDegeneracyError):
     def __init__(self, message, values, reasons):
         super().__init__(message)
         self.values, self.reasons = values, reasons
-
-
-class SelectionFailureError(NumericalDegeneracyError):
-    """Neither quadratic root satisfies the fixed-point selection rule."""

@@ -179,8 +179,7 @@ def _seed_array(spec: TreeSpec, energies: np.ndarray, eta: float, mode: str) -> 
     if mode == "disk_zero":
         return np.zeros(energies.size, dtype=np.complex128)
     if mode == "fixed_point":
-        fp = fixed_point_batch(energies, eta, spec.K, spec.L)
-        return _cut_seed(fp.phi, np.sqrt(energies + 1j * eta), spec.K)
+        return _cut_seed(fixed_point_batch(energies, eta, spec.K, spec.L).m, spec.K)
     raise ValidationError(f"unknown seed mode {mode!r}; use 'fixed_point' or 'disk_zero'")
 
 

@@ -1,23 +1,31 @@
 """Spectral analysis of the clean (non-random) homogeneous tree.
 
-On the tree with constant edge length L and branching K the forward WT
-function of the decaying solution is constant along the tree and solves
-a quadratic self-consistency equation; its multiplier yields the clean
-Lyapunov exponent.  The absolutely continuous spectrum consists of bands
+On the tree with constant edge length L and branching K the decaying
+solution carries one disk value m on every edge, a root of a quadratic
+self-consistency equation with bounded coefficients; the multiplier of
+the disk map at m yields the clean Lyapunov exponent.  The absolutely
+continuous spectrum consists of bands
 [( (pi*n + theta)/L )^2, ( (pi*(n+1) - theta)/L )^2] with
 theta = arctan((sqrt(K) - 1/sqrt(K)) / 2).
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import _r_to_disk, as_point, sqrt_upper, edge_step_m, vertex_merge_m
-from .errors import BoundaryPointError, SelectionFailureError, ValidationError
+from .engine import (
+    _disk_to_r,
+    _merge_sum,
+    _merge_terms,
+    as_point,
+    edge_step_m,
+    sqrt_upper,
+    vertex_merge_m,
+)
+from .errors import BoundaryPointError, ValidationError
 
 __all__ = [
     "BandList",
@@ -30,16 +38,12 @@ __all__ = [
     "stationary_disk",
     "cut_seed_disk",
     "iterate_m_map",
-    "iterate_m_grid",
     "band_theta",
     "EDGE_SHIFT",
 ]
 
 #: Shift applied to boundary-mode energies that sit within EDGE_SHIFT of a band edge.
 EDGE_SHIFT = 1e-9
-
-# width of the window standing in for the unrepresentable sin(w*L) = 0
-_DEGENERATE_S = 1e-13
 
 
 def band_theta(K: int) -> float:
@@ -101,13 +105,15 @@ def ac_bands(K: int, L: float, n_max: int) -> BandList:
 class FixedPoint:
     """Solution of the clean self-consistency equation at one point.
 
+    ``m`` is the stationary near-end disk value and ``phi`` its WT value.
     ``z_used`` is the point actually evaluated; it differs from the
     request only when a boundary-mode energy was nudged off a band edge
     (``shifted`` is then True).  ``residual`` is the absolute value of
-    the defining quadratic at ``phi``.
+    the disk quadratic at ``m``.
     """
 
     phi: complex
+    m: complex
     residual: float
     z_used: complex
     shifted: bool = False
@@ -140,32 +146,21 @@ def _shift_off_edge(E: float, K: int, L: float):
 
 
 def fixed_point_R(z, K: int, L: float) -> FixedPoint:
-    """Stationary WT value Phi of the clean tree.
+    """Stationary WT value Phi of the clean tree and its disk value m.
 
-    Phi solves (K*s/w) Phi^2 + (K-1)*c Phi + w*s = 0 with c = cos(w*L),
-    s = sin(w*L), w = sqrt_upper(z): the condition that the merged value
-    of K identical children propagated through one edge reproduces
-    itself.  Root selection picks the decaying branch: the unique root
-    with Im Phi > 0 when one exists, otherwise the root with the smaller
-    edge multiplier |c + Phi*s/w| (the attracting one).
+    One generation of the clean tree merges K children at m and pulls
+    the result through an edge of length L, which must reproduce m; see
+    :func:`fixed_point_batch` for the quadratic and the root selection.
 
     Boundary-mode energies closer than :data:`EDGE_SHIFT` to a band edge
     are nudged off the edge first (the two roots collide there).  This is
     a one-point view of :func:`fixed_point_batch`.
-
-    Raises
-    ------
-    SelectionFailureError
-        If no finite root is admissible (the trigonometric factors
-        overflow).
     """
     p = as_point(z)
     fp = fixed_point_batch(np.array([p.E]), p.eta, K, L)
-    phi = complex(fp.phi[0])
-    if not (math.isfinite(phi.real) and math.isfinite(phi.imag)):
-        raise SelectionFailureError(f"no admissible fixed-point root at z = {p.z}")
     return FixedPoint(
-        phi=phi,
+        phi=complex(fp.phi[0]),
+        m=complex(fp.m[0]),
         residual=float(fp.residual[0]),
         z_used=complex(fp.z_used[0]),
         shifted=bool(fp.shifted[0]),
@@ -177,6 +172,7 @@ class FixedPointBatch:
     """Vectorized :class:`FixedPoint` over an energy grid."""
 
     phi: np.ndarray
+    m: np.ndarray
     residual: np.ndarray
     z_used: np.ndarray
     shifted: np.ndarray
@@ -185,9 +181,15 @@ class FixedPointBatch:
 def fixed_point_batch(E, eta: float, K: int, L: float) -> FixedPointBatch:
     """Clean fixed points on a real energy grid at fixed eta >= 0.
 
-    Vectorized form of :func:`fixed_point_R`, with the same root
-    selection.  Points whose trigonometric factors overflow carry a
-    non-finite ``phi``.
+    The stationary disk value solves m = q * merge(m, ..., m) with
+    q = exp(2i*w*L), w = sqrt(z), that is
+
+        (K-1) m^2 + (K+1)(1-q) m - (K-1) q = 0,
+
+    whose coefficients are bounded for every eta >= 0.  Of the two roots
+    the one with the smaller |m| * |lambda(m)| is kept, lambda being the
+    multiplier of the disk map at m: the attracting root for eta > 0 and
+    in the gaps at eta = 0, the root inside the disk in the bands.
     """
     if K < 1:
         raise ValidationError(f"branching number must be >= 1, got {K}")
@@ -208,64 +210,64 @@ def fixed_point_batch(E, eta: float, K: int, L: float) -> FixedPointBatch:
     else:
         z = E + 1j * eta
         w = np.sqrt(z)
+    m, residual = _disk_root(np.exp(2j * w * L), K)
+    return FixedPointBatch(
+        phi=_disk_to_r(m, w), m=m, residual=residual, z_used=z, shifted=shifted
+    )
 
-    with np.errstate(all="ignore"):
-        c = np.cos(w * L)
-        s = np.sin(w * L)
-        A = K * s / w
-        B = (K - 1.0) * c
-        C = w * s
-        # Roots of A x^2 + B x + C without cancellation.
-        sq = np.sqrt(B * B - 4.0 * A * C)
-        sign = np.where((np.conj(B) * sq).real >= 0.0, 1.0, -1.0)
-        qq = -(B + sign * sq) / 2.0
-        r1 = np.where(qq == 0, 0j, qq / np.where(A == 0, 1.0, A))
-        r2 = np.where(qq == 0, 0j, C / np.where(qq == 0, 1.0, qq))
-        pos1 = r1.imag > 0.0
-        pos2 = r2.imag > 0.0
-        u1 = np.abs(c + r1 * s / w)
-        u2 = np.abs(c + r2 * s / w)
-        phi = np.where(pos1 != pos2, np.where(pos1, r1, r2), np.where(u1 <= u2, r1, r2))
-        residual = np.abs(A * phi * phi + B * phi + C)
-        # Boundary mode at w*L = n*pi only (eta > 0 keeps |s| >= sinh of
-        # the imaginary part).  The exact degeneracy is not representable,
-        # so an ulp-scale window stands in for s = 0; the quadratic there
-        # is rounding noise.  K = 1 keeps the free decaying value; K >= 2
-        # degenerates to the linear equation (K-1)*c*Phi = 0.
-        degenerate = np.abs(s) <= _DEGENERATE_S * np.maximum(1.0, np.abs(w) * L)
-    phi = np.where(degenerate, 1j * w if K == 1 else 0j, phi)
-    residual = np.where(degenerate, 0.0, residual)
-    return FixedPointBatch(phi=phi, residual=residual, z_used=z, shifted=shifted)
+
+def _disk_root(q, K: int):
+    """Selected root m of the disk quadratic at phases q, and its residual.
+
+    With lambda(m) = 4Kq / d^2, d = (K+1) + (K-1) m, the product
+    |m| * |lambda| is compared cross-multiplied, which needs no case for
+    q = 0 or for a root at the merge pole d = 0 (section 4 of
+    docs/derivations.md).  K = 1 gives m = 0.
+    """
+    if K == 1:
+        return np.zeros_like(q), np.zeros(q.shape)
+    a = K - 1.0
+    b = (K + 1.0) * (1.0 - q)
+    c = -a * q
+    # the larger-magnitude half of -b -+ sqrt first, then its mate c / qq
+    sq = np.sqrt(b * b - 4.0 * a * c)
+    sign = np.where((np.conj(b) * sq).real >= 0.0, 1.0, -1.0)
+    qq = -(b + sign * sq) / 2.0
+    r1 = qq / a
+    r2 = c / qq
+    d1 = np.abs((K + 1.0) + a * r1)
+    d2 = np.abs((K + 1.0) + a * r2)
+    m = np.where(np.abs(r1) * d2 * d2 <= np.abs(r2) * d1 * d1, r1, r2)
+    return m, np.abs((a * m + b) * m + c)
 
 
 def gamma_clean(z, K: int, L: float) -> float:
-    """Clean Lyapunov exponent -log(sqrt(K)) - log|c + Phi*s/w|.
+    """Clean Lyapunov exponent gamma0 = -1/2 log|lambda(m)|.
 
-    Vanishes identically (to rounding) inside the AC bands at eta = 0,
-    is strictly positive for eta > 0 and in the gaps, and depends on
-    (E, L) only through x = sqrt(z)*L up to the exact period pi.
+    lambda(m) = 4Kq / d^2 is the multiplier of the disk map at the
+    stationary value, so gamma0 = Im(w)*L + log|d| - 1/2 log(4K) with
+    d = (K+1) + (K-1) m.  It vanishes (to rounding) inside the AC bands at
+    eta = 0, is strictly positive for eta > 0 and in the gaps, and
+    depends on (E, L) only through x = sqrt(z)*L up to the exact period
+    pi.
     """
     fp = fixed_point_R(z, K, L)
-    w = sqrt_upper(fp.z_used)
-    c = cmath.cos(w * L)
-    s = cmath.sin(w * L)
-    ratio = c + fp.phi * s / w
-    return -0.5 * math.log(K) - math.log(abs(ratio))
+    d = (K + 1.0) + (K - 1.0) * fp.m
+    return sqrt_upper(fp.z_used).imag * L + math.log(abs(d)) - 0.5 * math.log(4.0 * K)
 
 
 def stationary_disk(z, K: int, L: float) -> complex:
-    """Disk transform of the stationary WT value Phi.
+    """Stationary disk value m of the clean tree.
 
     This is the near-end value every edge of the clean tree carries; it
     is the right seed for population pools, whose members stand for
     near-end samples.
     """
-    p = as_point(z)
-    return _r_to_disk(fixed_point_R(p, K, L).phi, sqrt_upper(p))
+    return fixed_point_R(z, K, L).m
 
 
 def cut_seed_disk(z, K: int, L: float) -> complex:
-    """Disk transform of K*Phi, the clean continuation across a cut.
+    """Merge of K stationary disk values, the clean continuation across a cut.
 
     A truncated tree solve places its seed at the far end of the last
     generation, where the clean tree would contribute the merged value
@@ -274,19 +276,16 @@ def cut_seed_disk(z, K: int, L: float) -> complex:
     transient at small lam); seeding with the near-end value would leave
     an O(1) deficit that decays only like exp(-2*gamma0) per generation.
     """
-    p = as_point(z)
-    return _cut_seed(fixed_point_R(p, K, L).phi, sqrt_upper(p), K)
+    return complex(_cut_seed(fixed_point_R(z, K, L).m, K))
 
 
-def _cut_seed(phi, w, K: int):
-    """Disk transform of K*phi at sqrt(z) = w, for scalars or arrays.
+def _cut_seed(m, K: int):
+    """Merge of K copies of the stationary disk value m, for scalars or arrays.
 
-    This is the far-end cut seed of :func:`cut_seed_disk` for a given
-    stationary value phi.  A non-finite phi (an overflowed fixed point)
-    gives a NaN seed, which a tree solve reports as a failed row.
+    This is the far-end cut seed of :func:`cut_seed_disk`.
     """
-    with np.errstate(invalid="ignore"):
-        return _r_to_disk(K * phi, w)
+    children = np.repeat(np.asarray(m, dtype=np.complex128)[..., None], K, axis=-1)
+    return _merge_sum(_merge_terms(children))
 
 
 def iterate_m_map(z, K: int, L: float, m0: complex = 0j, n_steps: int = 100) -> complex:
@@ -294,51 +293,10 @@ def iterate_m_map(z, K: int, L: float, m0: complex = 0j, n_steps: int = 100) -> 
 
     One step merges K copies of the current disk value across a vertex
     and propagates through one edge of length L.  For eta > 0 the step
-    contracts toward the disk image of the stationary WT value.
+    contracts toward the stationary disk value.
     """
     p = as_point(z)
     m = complex(m0)
     for _ in range(n_steps):
         m = edge_step_m(vertex_merge_m([m] * K, p), L, p)
     return m
-
-
-def iterate_m_grid(
-    E,
-    eta: float,
-    K: int,
-    L: float,
-    m0: complex = 0j,
-    tol: float = 1e-13,
-    max_iter: int = 200_000,
-):
-    """Converged clean disk fixed points on an energy grid.
-
-    Iterates the map of :func:`iterate_m_map` pointwise until the step
-    size drops below ``tol``, freezing converged points.  Returns
-    ``(m, iterations, converged)`` arrays.
-    """
-    E = np.asarray(E, dtype=float).ravel()
-    if eta <= 0:
-        raise ValidationError("grid iteration requires eta > 0")
-    z = E + 1j * eta
-    w = np.sqrt(z)
-    phase = np.exp(2j * w * L)
-    m = np.full(E.size, complex(m0), dtype=np.complex128)
-    iterations = np.zeros(E.size, dtype=np.int64)
-    active = np.ones(E.size, dtype=bool)
-    for _ in range(max_iter):
-        if not active.any():
-            break
-        ma = m[active]
-        h = (1.0 + ma) / (1.0 - ma)
-        zeta = K * h
-        merged = (zeta - 1.0) / (zeta + 1.0)
-        m_new = phase[active] * merged
-        delta = np.abs(m_new - ma)
-        m[active] = m_new
-        iterations[active] += 1
-        still = delta >= tol
-        idx = np.nonzero(active)[0]
-        active[idx[~still]] = False
-    return m, iterations, ~active

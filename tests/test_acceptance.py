@@ -35,7 +35,7 @@ from wtree import (
     wt_bound,
 )
 from wtree.graphmodel import ROOT_EDGE
-from wtree.regular import iterate_m_grid
+from oracles import iterate_m_grid
 
 BAND0 = ac_bands(2, 1.0, 0).intervals[0]
 

@@ -425,22 +425,22 @@ def test_density_extrapolate_mode(tmp_path):
 _PINNED_CSVS = [
     ("density", ["--extrapolate", "--threads", "2", "--set", "depth=4",
                  "--set", "disorder.lambda=0.2", "--set", "density.n_points=24"],
-     "871747ebbef8a61db1806016c474d4b3f1a176d451743bb56bdd79e7b72cac14"),
+     "1cd5d5e5bf5fed2886eb74bf09c5ac3edd21b0cbc8cad4cfe20c8cf86c0187d3"),
     ("lyapunov", ["--set", "depth=4", "--n", "96", "--set", "lyapunov.burn_in=10",
                   "--set", "lyapunov.etas=[0.1]", "--set", "lyapunov.lambdas=[0,0.2]"],
-     "65a712c8e5f5b72d9d4f3c84546c80c0d324f92b01d7cf8fced8bba3d8b6f62c"),
+     "5f9b368b34ba311c0fb68ad49226c21182130155d22b2a8114ad374a0b08063b"),
     # 1024 members, 16 generations per block of pool draws, 291 generations
     ("lyapunov", ["--set", "depth=4", "--n", "8192", "--set", "lyapunov.burn_in=10",
                   "--set", "lyapunov.etas=[0.1]", "--set", "lyapunov.lambdas=[0,0.2]"],
-     "fc49eb80365361d8a20aa3bd4e0638f5ee5e1b420a1557124fceec855c1c1066"),
+     "f81872dd1cf2d2998dcf5d7186c6baa6768f48d769549b323fbbc88510d87c27"),
     ("lyapunov", ["--source", "direct", "--set", "depth=4", "--n", "64",
                   "--set", "lyapunov.etas=[0.1]", "--set", "lyapunov.lambdas=[0.2]"],
-     "8e093d80f0165ff8c065a001df654899b67eb08effc75d4c07b195b032d6e179"),
+     "46d804f7ef0c3ba909389905ea45062154a244ca6db37b960531bbd2d8ceea13"),
     ("fluctuation", ["--set", "depth=5", "--n", "64", "--set", "fluctuation.lambdas=[0.2]"],
-     "cd16de2591545d7174ebe8fe209f5ff0737af4832dfb01f0ce3d8524de293f32"),
+     "d6faaa0a04b69dc82df6e55f14e2224e6f8ea6d0403f403bb2b72c4d0c3f507f"),
     ("fluctuation", ["--set", "fluctuation.source=pool", "--set", "fluctuation.burn_in=20",
                      "--n", "64", "--set", "fluctuation.lambdas=[0.2]"],
-     "24c2ac782f52f456d50e7fbe3a796eeb4ba8f41e35015dab9fffef72035bd68b"),
+     "baa0590af31abd3cc37738523674dbacc872daf45fc9cf3b4cc3eff81fea0481"),
     ("stability", ["--set", "depth=4", "--n", "32", "--set", "stability.lambdas=[0.2,0.05]"],
      "069458686ab696e96bbb4909b2b6978e90f8167311165657c01f9a7fb921e92b"),
     ("recursion", ["--set", "depth=5", "--n", "32", "--set", "disorder.lambda=0.3"],

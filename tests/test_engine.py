@@ -16,7 +16,6 @@ from wtree import (
     MoebiusPoleError,
     ROOT_EDGE,
     RowDegeneracyError,
-    SelectionFailureError,
     SingularMergeError,
     SingularTransformError,
     TreeSpec,
@@ -30,6 +29,7 @@ from wtree import (
     edge_step_R,
     edge_step_m,
     fixed_point_R,
+    gamma_clean,
     m_from_r,
     r_from_m,
     solve_R_minus,
@@ -37,6 +37,7 @@ from wtree import (
     solve_root_R,
     solve_root_R_batch,
     sqrt_upper,
+    stationary_disk,
     symmetric_tilde,
     symmetric_tilde_inverse,
     vertex_merge_m,
@@ -309,11 +310,24 @@ _PINNED_ROOTS = [
 ]
 
 
+# The far-end seeds of those solves, pinned to the bit as inputs so that the
+# roots pin the kernel's rounding alone; each is a clean cut seed to within
+# a few ulps.
+_PINNED_SEEDS = {
+    (2, complex(2, 0.01)): ("0x1.60ec5ce98994cp-3", "0x1.bc039c30a2db0p-6"),
+    (2, complex(9, 0.5)): ("0x1.9948eac130bddp-1", "-0x1.d3edac2172ebep-3"),
+    (2, complex(0.7, 0.3)): ("0x1.d51e321ae7193p-3", "0x1.1fbe38699a00fp-3"),
+    (3, complex(2, 0.01)): ("0x1.13e929babff20p-2", "0x1.5b006d503c52fp-5"),
+}
+
+
 @pytest.mark.parametrize("K,depth,z,replica,re_hex,im_hex", _PINNED_ROOTS)
 def test_single_replica_root_pinned(K, depth, z, replica, re_hex, im_hex):
     spec = TreeSpec(K=K, L=1.0, depth=depth)
     dm = DisorderModel(lam=0.3, dist="uniform", master_seed=7)
-    R = solve_root_R(spec, dm, z, cut_seed_disk(z, K, 1.0), replica)
+    seed = complex(*map(float.fromhex, _PINNED_SEEDS[K, z]))
+    assert abs(seed - cut_seed_disk(z, K, 1.0)) < 1e-15
+    R = solve_root_R(spec, dm, z, seed, replica)
     assert R == complex(float.fromhex(re_hex), float.fromhex(im_hex))
 
 
@@ -379,6 +393,7 @@ _SEED_MODES = st.sampled_from(["zero", "cut", "nan"])
 @settings(max_examples=60, deadline=None)
 @given(
     K=st.integers(1, 3),
+    L=st.floats(0.3, 3.0),
     depth=st.integers(0, 6),
     lam=st.floats(0.0, 1.0),
     dist=st.sampled_from(["uniform", "two_point", "truncated_normal"]),
@@ -387,7 +402,7 @@ _SEED_MODES = st.sampled_from(["zero", "cut", "nan"])
     modes=st.lists(_SEED_MODES, min_size=1, max_size=4),
     master_seed=st.integers(0, 2**32),
 )
-def test_batch_rows_are_herglotz_or_named(K, depth, lam, dist, e, log_eta, modes, master_seed):
+def test_batch_rows_are_herglotz_or_named(K, L, depth, lam, dist, e, log_eta, modes, master_seed):
     # Seeds are images of Herglotz values (m = 0, the cut seed) or NaN
     # rows; arbitrary disk points are not, since for E < 0 a point with
     # |m| <= 1 need not come from an R with Im R > 0.  Warnings are
@@ -395,16 +410,11 @@ def test_batch_rows_are_herglotz_or_named(K, depth, lam, dist, e, log_eta, modes
     # DeprecationWarning that a filterwarnings mark would turn into an
     # internal error of the whole session.
     z = complex(e, 10.0**log_eta)
-    spec = TreeSpec(K=K, L=1.0, depth=depth)
+    spec = TreeSpec(K=K, L=L, depth=depth)
     dm = DisorderModel(lam=lam, dist=dist, master_seed=master_seed)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        try:
-            cut = cut_seed_disk(z, K, 1.0)
-        except SelectionFailureError:
-            # The clean fixed point overflows at large eta (see
-            # test_cut_seed_large_eta); the array seed path gives NaN there.
-            cut = complex(math.nan, math.nan)
+        cut = cut_seed_disk(z, K, L)
         nan = complex(math.nan, math.nan)
         seeds = np.array([{"zero": 0j, "cut": cut, "nan": nan}[m] for m in modes])
         replicas = 7 * np.arange(len(modes)) + 3
@@ -424,13 +434,18 @@ def test_batch_rows_are_herglotz_or_named(K, depth, lam, dist, e, log_eta, modes
             assert (reasons[i] is not None) == cmath.isnan(seeds[i])
 
 
-@pytest.mark.xfail(
-    raises=SelectionFailureError,
-    strict=True,
-    reason="ROADMAP item 4: the clean fixed point overflows in cos/sin at eta = 1e6",
-)
 def test_cut_seed_large_eta():
-    assert abs(cut_seed_disk(complex(2.0, 1e6), 2, 1.0)) <= 1.0
+    # At z = 2 + 1e6i the edge phase exp(2i*w*L) underflows to 0, so the
+    # stationary value is m = 0 (Phi = i*w, the outgoing wave) and the cut
+    # seed is the merge of K zeros, (K - 1) / (K + 1).
+    z = complex(2.0, 1e6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for K in (1, 2, 3):
+            assert stationary_disk(z, K, 1.0) == 0
+            assert abs(cut_seed_disk(z, K, 1.0) - (K - 1) / (K + 1)) < 1e-15
+            assert cmath.isfinite(fixed_point_R(z, K, 1.0).phi)
+            assert math.isfinite(gamma_clean(z, K, 1.0))
 
 
 def test_randomized_solves_are_herglotz_and_bounded():

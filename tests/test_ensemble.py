@@ -520,7 +520,7 @@ def test_disorder_sequence_validated_before_sampling(monkeypatch, dm):
 def test_estimate_gamma_tilde_pinned():
     # the rotated terms pair each new member with the previous generation
     expected = {
-        "uniform": ("-0x1.98fcfac80030dp-10", "0x1.34b09ede02169p-6"),
+        "uniform": ("-0x1.98fcfac80034dp-10", "0x1.34b09ede02174p-6"),
         "two_point": ("0x1.9e277c06aee60p-5", "0x1.f39cd54a84758p-6"),
     }
     for dist, (g_hex, se_hex) in expected.items():

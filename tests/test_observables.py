@@ -266,17 +266,25 @@ def test_density_failed_points_one_solve_per_chunk(monkeypatch):
         return solve_root_R_batch(*args, **kwargs)
 
     monkeypatch.setattr(wtree.observables, "solve_root_R_batch", counting)
+    # a NaN cut seed at every negative energy stands in for a degenerate seed
+    seed_array = wtree.observables._seed_array
+
+    def nan_below_zero(spec, energies, eta, mode):
+        seeds = seed_array(spec, energies, eta, mode)
+        seeds[energies < 0] = complex(math.nan, math.nan)
+        return seeds
+
+    monkeypatch.setattr(wtree.observables, "_seed_array", nan_below_zero)
     spec = TreeSpec(K=3, L=1.0, depth=4)
     dm = DisorderModel(lam=0.1, master_seed=2)
-    E = np.linspace(0.5, 20.0, 9)
-    # the clean fixed point overflows at eta = 1e6: every cut seed is NaN
+    E = -np.linspace(0.5, 20.0, 9)
     failed = "NumericalDegeneracyError: tree solve produced non-finite WT values"
-    pts = spectral_density(spec, dm, E, eta=1e6, threads=2)
+    pts = spectral_density(spec, dm, E, eta=1e-2, threads=2)
     assert calls == [4, 5]
     for p in pts:
         assert p.status == failed
         assert math.isnan(p.rho) and math.isnan(p.im_R) and math.isnan(p.abs_r)
-    # mixed chunks: only the overflowing energies fail
+    # mixed chunks: only the NaN-seeded energies fail
     calls.clear()
     E = np.array([2.0, -1e6, 3.0, -2e6])
     pts = spectral_density(spec, dm, E, eta=1e-2, threads=2)

@@ -1,14 +1,18 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wtree import (
     ValidationError,
     ac_bands,
     band_theta,
     cut_seed_disk,
+    edge_step_m,
     fixed_point_R,
     fixed_point_batch,
     gamma_clean,
@@ -16,8 +20,9 @@ from wtree import (
     m_from_r,
     sqrt_upper,
     stationary_disk,
+    vertex_merge_m,
 )
-from wtree.regular import iterate_m_grid
+from oracles import iterate_m_grid
 
 BAND0_A = 0.11548912502732907
 BAND0_B = 7.849835249797229
@@ -137,15 +142,30 @@ def test_gamma_nonnegative_randomized():
         e = float(rng.uniform(0.1, 30.0))
         eta = float(10 ** rng.uniform(-6, 1.0))
         assert gamma_clean(complex(e, eta), K, 1.0) >= -1e-13
+    # the energies E = (n*pi)^2, where the edge phase is 1 at L = 1
+    for K in (1, 2, 3, 4):
+        for n in (1, 2, 3):
+            for eta in (0.0, 1e-13, 1e-6):
+                assert gamma_clean(complex((n * math.pi) ** 2, eta), K, 1.0) >= -1e-13
 
 
 def test_degenerate_sin_zero():
-    # at E = pi^2, eta = 0 the quadratic degenerates: s = 0
-    e = math.pi**2
-    fp2 = fixed_point_R(complex(e, 0.0), 2, 1.0)
-    assert abs(fp2.phi) < 1e-9
-    fp1 = fixed_point_R(complex(e, 0.0), 1, 1.0)
-    assert abs(fp1.phi - complex(0.0, math.pi)) < 1e-8
+    # At E = (n*pi/L)^2 the edge phase is q = 1 and the disk quadratic has
+    # the roots m = +-1.  For K >= 2 the attracting one is m = 1 (Phi at
+    # infinity) with multiplier 1/K, so gamma0 = log(K)/2, continuous with
+    # the gap energies beside it; the repelling m = -1 is Phi = 0.
+    for L in (1.0, 0.7):
+        for n in (1, 2):
+            e = (n * math.pi / L) ** 2
+            for K in (2, 3):
+                for z in (complex(e, 0.0), complex(e, 1e-13)):
+                    assert abs(gamma_clean(z, K, L) - 0.5 * math.log(K)) < 1e-9
+                    assert abs(fixed_point_R(z, K, L).m - 1.0) < 1e-12
+                for z in (complex(e * (1.0 - 1e-9), 0.0), complex(e * (1.0 + 1e-9), 0.0)):
+                    assert abs(gamma_clean(z, K, L) - 0.5 * math.log(K)) < 1e-9
+            # K = 1 keeps the free decaying value Phi = i*w
+            fp1 = fixed_point_R(complex(e, 0.0), 1, L)
+            assert abs(fp1.phi - complex(0.0, n * math.pi / L)) < 1e-8
 
 
 def _phi_oracle(z, K, L):
@@ -176,8 +196,32 @@ def test_batch_boundary_with_degenerate_point():
     E = np.array([2.0, math.pi**2, 11.0])
     batch = fixed_point_batch(E, 0.0, 2, 1.0)
     assert batch.phi[0].imag > 1e-3
-    assert abs(batch.phi[1]) < 1e-9
-    assert np.all(np.isfinite(batch.phi.view(float)))
+    # the attracting root m = 1 (Phi at infinity), not the repelling Phi = 0
+    assert abs(batch.m[1] - 1.0) < 1e-12
+    assert abs(batch.phi[1]) > 1e12
+    assert np.all(np.isfinite(batch.m.view(float)))
+    assert np.all(batch.residual < 1e-13)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    K=st.integers(1, 4),
+    L=st.floats(0.3, 3.0),
+    e=st.floats(0.05, 60.0),
+    eta=st.one_of(st.just(0.0), st.floats(-8.0, 6.0).map(lambda x: 10.0**x)),
+)
+def test_disk_root_is_the_attracting_fixed_point(K, L, e, eta):
+    # Warnings are errors in the body only (a filterwarnings mark would
+    # also catch hypothesis's own report).
+    z = complex(e, eta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fp = fixed_point_R(z, K, L)
+        assert abs(fp.m) <= 1.0 + 1e-12
+        assert fp.residual < 1e-13
+        if eta > 0:
+            step = edge_step_m(vertex_merge_m([fp.m] * K, z), L, z)
+            assert abs(step - fp.m) <= 1e-12
 
 
 def test_shift_off_band_edge():
