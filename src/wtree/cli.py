@@ -37,7 +37,7 @@ from .ensemble import (
 from .errors import NumericalDegeneracyError, ValidationError, WtreeError
 from .graphmodel import DisorderModel
 from .observables import spectral_density, wt_bound
-from .regular import ac_bands, fixed_point_batch, gamma_clean
+from .regular import _gamma0, ac_bands, fixed_point_batch, gamma_clean
 
 __all__ = ["main", "run", "emit_plotdata"]
 
@@ -199,6 +199,7 @@ def _cmd_fixed_point(cfg, out_dir, threads):
     K, L = cfg["K"], cfg["L"]
     energies = np.linspace(sec["e_min"], sec["e_max"], sec["n_points"])
     fp = fixed_point_batch(energies, sec["eta"], K, L)
+    gamma0 = _gamma0(fp, K, L)
     rows = []
     for i, E in enumerate(energies):
         rows.append(
@@ -208,7 +209,7 @@ def _cmd_fixed_point(cfg, out_dir, threads):
                 fp.phi[i].real,
                 fp.phi[i].imag,
                 float(fp.residual[i]),
-                gamma_clean(complex(fp.z_used[i]), K, L),
+                gamma0[i],
                 bool(fp.shifted[i]),
             )
         )

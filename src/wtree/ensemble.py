@@ -96,24 +96,6 @@ def _sampling_point(z, n: int, boundary_message: str):
     return p
 
 
-def _direct_roots(spec: TreeSpec, dm: DisorderModel, p, n: int, seed_mode: str):
-    """Root WT values and root-edge lengths of cut-seeded replicas 0..n-1."""
-    replicas = np.arange(n, dtype=np.uint64)
-    seed = _seed_disk(spec, p, seed_mode, at_cut=True)
-    R = solve_root_R_batch(spec, dm, p.z, seed, replicas)
-    return R, _root_edge_lengths(spec, dm, replicas)
-
-
-def _check_pool_counts(burn_in: int, pool_size: int = None, thin: int = None) -> None:
-    """Reject counts that the pool loops would otherwise clamp or skip."""
-    if burn_in < 0:
-        raise ValidationError(f"burn_in must be >= 0, got {burn_in}")
-    if pool_size is not None and pool_size < 1:
-        raise ValidationError(f"pool_size must be >= 1, got {pool_size}")
-    if thin is not None and thin < 1:
-        raise ValidationError(f"thin must be >= 1, got {thin}")
-
-
 log = logging.getLogger(__name__)
 
 
@@ -130,11 +112,6 @@ def _as_models(dm) -> tuple:
             f"expected a DisorderModel or a non-empty sequence of them, got {dm!r}"
         )
     return models
-
-
-def _one_or_list(dm, estimates: list):
-    """One estimate for one disorder model, the list for a sequence."""
-    return estimates[0] if isinstance(dm, DisorderModel) else estimates
 
 
 @dataclass
@@ -364,6 +341,71 @@ def _auto_thin(z, K: int, L: float) -> int:
     return min(2000, max(1, math.ceil(1.5 / g0)))
 
 
+def _sample(spec, dm, p, n, term, source, seed_mode, burn_in, pool_size, thin) -> list:
+    """One sampling pass: (mean, stderr, count) of ``term`` per disorder model.
+
+    ``term(R, lengths, child)`` maps one block of near-end WT values, edge
+    lengths and first-child disk values (pool only, else None) to
+    per-sample terms.  "direct" gives one (n,) block per model, the root
+    edges of cut-seeded trees 0..n-1; "pool" gives G = ceil(n / P)
+    generations of one stacked pool, ``thin`` apart after ``burn_in``,
+    each a (B, P) block.  The stderr is the spread of the G generation
+    means over sqrt(G), or for G = 1 that of the iid samples over
+    sqrt(count).  Arguments are checked before any sampling.
+    """
+    models = _as_models(dm)
+    if source == "direct":
+        replicas = np.arange(n, dtype=np.uint64)
+        seed = _seed_disk(spec, p, seed_mode, at_cut=True)
+        terms = np.empty((len(models), 1, n))
+        for b, model in enumerate(models):
+            R = solve_root_R_batch(spec, model, p.z, seed, replicas)
+            terms[b, 0] = term(R, _root_edge_lengths(spec, model, replicas), None)
+    elif source == "pool":
+        if burn_in < 0:
+            raise ValidationError(f"burn_in must be >= 0, got {burn_in}")
+        if pool_size is not None and pool_size < 1:
+            raise ValidationError(f"pool_size must be >= 1, got {pool_size}")
+        if thin is not None and thin < 1:
+            raise ValidationError(f"thin must be >= 1, got {thin}")
+        if pool_size is not None:
+            P = min(pool_size, n)
+        else:
+            P = min(4096, n // 8) if n >= 8 else n
+        G = math.ceil(n / P)
+        if thin is None and G >= 2:
+            thin = _auto_thin(p, spec.K, spec.L)
+        w = sqrt_upper(p)
+        pool = pool_init(spec, dm, p, P, seed_mode)
+        for _ in range(burn_in):
+            pool_step(pool)
+        terms = np.empty((len(models), G, P))
+        for g in range(G):
+            if g:
+                for _ in range(thin - 1):
+                    pool_step(pool)
+            child_idx, lengths, old = _pool_advance(pool)
+            child = old.ravel()[child_idx[..., 0]]
+            terms[:, g] = term(_disk_to_r(pool.values, w), lengths, child)
+    else:
+        raise ValidationError(f"unknown source {source!r}; use 'pool' or 'direct'")
+    stats = []
+    for row in terms:
+        flat = row.ravel()
+        if len(row) >= 2:
+            stderr = row.mean(axis=-1).std(ddof=1) / math.sqrt(len(row))
+        else:
+            stderr = flat.std(ddof=1) / math.sqrt(flat.size)
+        stats.append((float(flat.mean()), float(stderr), flat.size))
+    return stats
+
+
+def _estimates(dm, p, source: str, stats: list):
+    """One estimate for one disorder model, the list for a sequence."""
+    estimates = [LyapunovEstimate(g, se, count, p.z, source) for g, se, count in stats]
+    return estimates[0] if isinstance(dm, DisorderModel) else estimates
+
+
 def estimate_gamma(
     spec: TreeSpec,
     dm,
@@ -413,24 +455,13 @@ def estimate_gamma(
         a non-empty sequence of them, or, for the pool source, if
         ``burn_in < 0``, ``pool_size < 1`` or ``thin < 1``.
     """
-    models = _as_models(dm)
     p = _sampling_point(z, n, "Lyapunov estimation requires eta > 0")
-    if source == "pool":
-        return estimate_gamma_tilde(spec, dm, p, n, 0.0, seed_mode, burn_in, pool_size, thin)
-    if source != "direct":
-        raise ValidationError(f"unknown source {source!r}; use 'pool' or 'direct'")
-
-    estimates = []
-    for model in models:
-        R, lengths = _direct_roots(spec, model, p, n, seed_mode)
-        terms = _gamma_terms(R, lengths, sqrt_upper(p), spec.K)
-        stderr = float(terms.std(ddof=1) / math.sqrt(terms.size))
-        estimates.append(
-            LyapunovEstimate(
-                gamma_hat=float(terms.mean()), stderr=stderr, n=terms.size, z=p.z, source=source
-            )
-        )
-    return _one_or_list(dm, estimates)
+    w = sqrt_upper(p)
+    stats = _sample(
+        spec, dm, p, n, lambda R, lengths, child: _gamma_terms(R, lengths, w, spec.K),
+        source, seed_mode, burn_in, pool_size, thin,
+    )
+    return _estimates(dm, p, source, stats)
 
 
 def estimate_gamma_tilde(
@@ -448,65 +479,28 @@ def estimate_gamma_tilde(
 
     The rotated amplitude across one generation gains the factor
     (cot(beta) + R_child) / (cot(beta) + R_parent) on top of the plain
-    edge ratio, so each sample pairs a parent edge with one of its
-    children.  For beta_v = 0 this is the pool source of
-    :func:`estimate_gamma`, which delegates here: whole generations of a
-    burnt-in pool are collected ``thin`` generations apart, and the
-    standard error comes from the spread of the generation means.
+    edge ratio, so each sample pairs a parent edge with its first child.
+    For beta_v = 0 this is the pool source of :func:`estimate_gamma`,
+    read from the same sampling pass with the same standard error.
     ``dm``, ``burn_in``, ``pool_size`` and ``thin`` are checked as there;
     a sequence of models advances as the rows of one stacked pool, which
     share burn-in, thinning, P and G, and gives the list of estimates.
     """
     p = _sampling_point(z, n, "Lyapunov estimation requires eta > 0")
-    _check_pool_counts(burn_in, pool_size, thin)
     if not 0.0 <= beta_v < math.pi:
         raise ValidationError(f"beta_v must lie in [0, pi), got {beta_v}")
-    _as_models(dm)  # checked before any pool is built
     w = sqrt_upper(p)
     K = spec.K
     ct = 0.0 if beta_v == 0.0 else math.cos(beta_v) / math.sin(beta_v)
-    if pool_size is not None:
-        P = min(pool_size, n)
-    else:
-        P = max(1, min(4096, n // 8)) if n >= 8 else n
-    G = max(1, math.ceil(n / P))
-    if thin is None:
-        thin = _auto_thin(p, K, spec.L)
-    pool = pool_init(spec, dm, p, P, seed_mode)
-    for _ in range(burn_in):
-        pool_step(pool)
-    chunks = []
-    # (rows, G) with each row contiguous, so every row reduces as a lone pool would
-    gen_means = np.empty(pool.values.shape[:-1] + (G,))
-    for g in range(G):
-        if g:
-            for _ in range(thin - 1):
-                pool_step(pool)
-        child_idx, lengths, old = _pool_advance(pool)
-        R_parent = _disk_to_r(pool.values, w)
-        t = _gamma_terms(R_parent, lengths, w, K)
-        if beta_v != 0.0:
-            R_child = _disk_to_r(old.ravel()[child_idx[..., 0]], w)
-            t = t - np.log(np.abs(ct + R_child)) + np.log(np.abs(ct + R_parent))
-        chunks.append(t)
-        gen_means[..., g] = t.mean(axis=-1)
-    terms = np.concatenate(chunks, axis=-1)
-    estimates = []
-    for row_terms, row_means in zip(terms.reshape(-1, G * P), gen_means.reshape(-1, G)):
-        if G >= 2:
-            stderr = float(row_means.std(ddof=1) / math.sqrt(G))
-        else:
-            stderr = float(row_terms.std(ddof=1) / math.sqrt(row_terms.size))
-        estimates.append(
-            LyapunovEstimate(
-                gamma_hat=float(row_terms.mean()),
-                stderr=stderr,
-                n=row_terms.size,
-                z=p.z,
-                source="pool",
-            )
-        )
-    return _one_or_list(dm, estimates)
+
+    def term(R, lengths, child):
+        t = _gamma_terms(R, lengths, w, K)
+        if beta_v == 0.0:
+            return t
+        return t - np.log(np.abs(ct + _disk_to_r(child, w))) + np.log(np.abs(ct + R))
+
+    stats = _sample(spec, dm, p, n, term, "pool", seed_mode, burn_in, pool_size, thin)
+    return _estimates(dm, p, "pool", stats)
 
 
 @dataclass(frozen=True)
@@ -528,10 +522,14 @@ class WidthStats:
     delta: float
 
 
-def quantile_width(samples, a: float) -> WidthStats:
-    """Width statistic delta(X, a) of a positive sample."""
+def _check_level(a: float) -> None:
     if not 0.0 < a <= 0.5:
         raise ValidationError(f"quantile level a must lie in (0, 1/2], got {a}")
+
+
+def quantile_width(samples, a: float) -> WidthStats:
+    """Width statistic delta(X, a) of a positive sample."""
+    _check_level(a)
     x = np.sort(np.asarray(samples, dtype=float).ravel())
     n = x.size
     if n < 2:
@@ -676,30 +674,30 @@ def fluctuation_report(
     (R, length) pairs for the widths and an exact standard error on the
     Lyapunov estimate.  The "pool" source takes one generation of a
     burnt-in pool of size n instead; its members share the population's
-    stochastic drift, so its nominal standard error is optimistic;
-    ``burn_in`` < 0 raises ``ValidationError`` before any sampling.
+    stochastic drift, so its nominal standard error is optimistic.  Both
+    are the one-generation case of the estimators' sampling pass, so
+    ``gamma_hat`` and ``gamma_stderr`` are those of
+    ``estimate_gamma(..., pool_size=n)`` up to rounding.  ``dm`` must be
+    one ``DisorderModel``, ``a`` must lie in (0, 1/2] and, for the pool
+    source, ``burn_in`` >= 0; otherwise ``ValidationError`` is raised
+    before any sampling.
     """
     p = _sampling_point(z, n, "fluctuation widths require eta > 0")
+    if not isinstance(dm, DisorderModel):
+        raise ValidationError(f"expected a DisorderModel, got {dm!r}")
+    _check_level(a)
     w = sqrt_upper(p)
     K = spec.K
-    if source == "direct":
-        R, lengths = _direct_roots(spec, dm, p, n, seed_mode)
-    elif source == "pool":
-        _check_pool_counts(burn_in)
-        pool = pool_init(spec, dm, p, n, seed_mode)
-        for _ in range(burn_in):
-            pool_step(pool)
-        _, lengths, _ = _pool_advance(pool)
-        R = _disk_to_r(pool.values, w)
-    else:
-        raise ValidationError(f"unknown source {source!r}; use 'direct' or 'pool'")
-    ratio_sq = np.abs(_edge_ratio(R, w, lengths)) ** 2
-    terms = -0.5 * math.log(K) - 0.5 * np.log(ratio_sq)
-    gamma = float(terms.mean())
-    gamma_se = float(terms.std(ddof=1) / math.sqrt(n))
+    sample = {}
 
-    d_im = quantile_width(R.imag, a).delta
-    d_mod = quantile_width(ratio_sq, a).delta
+    def term(R, lengths, child):
+        sample["im_R"] = R.imag
+        sample["ratio_sq"] = ratio_sq = np.abs(_edge_ratio(R, w, lengths)) ** 2
+        return -0.5 * math.log(K) - 0.5 * np.log(ratio_sq)
+
+    ((gamma, gamma_se, _),) = _sample(spec, dm, p, n, term, source, seed_mode, burn_in, n, None)
+    d_im = quantile_width(sample["im_R"], a).delta
+    d_mod = quantile_width(sample["ratio_sq"], a).delta
     gamma_hi = gamma + 3.0 * gamma_se
     bound1 = (8.0 / (a * a)) * gamma_hi
     bound2 = (512.0 * (K + 1) ** 2 / (a * a)) * gamma_hi
@@ -751,25 +749,32 @@ def stability_scan(
     boundary fixed point is thresholded at eps.
 
     Returns one :class:`ScanCell` per (lam, eta) pair, lambdas outermost.
+    Every cell is checked before the first solve: each lambda must be a
+    valid disorder strength, each eta finite and > 0, ``e_min`` and
+    ``e_max`` finite with 0 < e_min < e_max, and ``eps`` finite and > 0;
+    otherwise ``ValidationError`` is raised.
     """
-    if e_min <= 0 or e_max <= e_min:
-        raise ValidationError("need 0 < e_min < e_max")
+    if not (math.isfinite(e_min) and math.isfinite(e_max) and 0 < e_min < e_max):
+        raise ValidationError(f"need finite 0 < e_min < e_max, got {e_min}, {e_max}")
     if n < 2:
         raise InsufficientSamplesError("need at least 2 samples per cell")
-    if eps <= 0:
-        raise ValidationError("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValidationError(f"eps must be finite and positive, got {eps}")
+    models = [
+        DisorderModel(lam=float(lam), dist=dm.dist, master_seed=dm.master_seed) for lam in lambdas
+    ]
+    etas = [float(eta) for eta in etas]
+    if not all(math.isfinite(eta) and eta > 0 for eta in etas):
+        raise ValidationError(f"scan requires finite eta > 0 in every cell, got {etas}")
     cells = []
     cell_idx = 0
-    for lam in lambdas:
-        dm_cell = DisorderModel(lam=float(lam), dist=dm.dist, master_seed=dm.master_seed)
+    for dm_cell in models:
         for eta in etas:
-            if eta <= 0:
-                raise ValidationError("scan requires eta > 0 in every cell")
             idx = np.arange(n, dtype=np.uint64)
             u = uniform01(hash_words(dm.master_seed, DOMAIN_SCAN_ENERGY, cell_idx, idx))
             energies = e_min + (e_max - e_min) * u
-            z_arr = energies + 1j * float(eta)
-            seeds = observables._seed_array(spec, energies, float(eta), seed_mode)
+            z_arr = energies + 1j * eta
+            seeds = observables._seed_array(spec, energies, eta, seed_mode)
             phi_target = fixed_point_batch(energies, 0.0, spec.K, spec.L).phi
             replicas = (cell_idx * n + idx.astype(np.int64)).astype(np.uint64)
             R = solve_root_R_batch(spec, dm_cell, z_arr, seeds, replicas)
@@ -778,8 +783,8 @@ def stability_scan(
             se = math.sqrt(max(p_exc * (1.0 - p_exc), 1.0 / n) / n)
             cells.append(
                 ScanCell(
-                    lam=float(lam),
-                    eta=float(eta),
+                    lam=dm_cell.lam,
+                    eta=eta,
                     eps=eps,
                     n=n,
                     exceedance=p_exc,

@@ -119,30 +119,25 @@ class FixedPoint:
     shifted: bool = False
 
 
-def _nearest_edge_x(x: float, theta: float) -> float:
-    """Band-edge location in x = sqrt(E)*L nearest to x (K >= 2)."""
-    n = math.floor(x / math.pi)
-    best = None
-    for k in (n - 1, n, n + 1):
-        for xe in (k * math.pi + theta, (k + 1) * math.pi - theta):
-            if xe <= 0:
-                continue
-            if best is None or abs(x - xe) < abs(x - best):
-                best = xe
-    return best
+def _shift_off_edges(E: np.ndarray, K: int, L: float):
+    """Boundary-mode energies nudged off any band edge within EDGE_SHIFT, and which moved.
 
-
-def _shift_off_edge(E: float, K: int, L: float):
-    """Nudge a boundary-mode energy off a band edge if within EDGE_SHIFT."""
-    if K == 1 or E <= 0:
-        return E, False
+    The nearest edge in x = sqrt(E)*L is taken among the six of bands
+    n-1, n and n+1, n = floor(x/pi), the first on a tie; an energy within
+    EDGE_SHIFT of it moves to EDGE_SHIFT beyond the edge on its own side.
+    """
+    if K == 1:
+        return E.copy(), np.zeros(E.size, dtype=bool)
     th = band_theta(K)
-    xe = _nearest_edge_x(math.sqrt(E) * L, th)
-    E_edge = (xe / L) ** 2
-    if abs(E - E_edge) < EDGE_SHIFT:
-        E = E_edge + EDGE_SHIFT if E >= E_edge else E_edge - EDGE_SHIFT
-        return E, True
-    return E, False
+    x = np.sqrt(E) * L
+    k = np.floor(x / math.pi)[:, None] + np.array([-1.0, 0.0, 1.0])
+    xe = np.stack([k * math.pi + th, (k + 1.0) * math.pi - th], axis=-1).reshape(E.size, 6)
+    dist = np.where(xe > 0, np.abs(x[:, None] - xe), np.inf)
+    x_edge = np.take_along_axis(xe, dist.argmin(axis=1)[:, None], axis=1)[:, 0]
+    E_edge = (x_edge / L) ** 2
+    shifted = np.abs(E - E_edge) < EDGE_SHIFT
+    moved = np.where(E >= E_edge, E_edge + EDGE_SHIFT, E_edge - EDGE_SHIFT)
+    return np.where(shifted, moved, E), shifted
 
 
 def fixed_point_R(z, K: int, L: float) -> FixedPoint:
@@ -202,9 +197,7 @@ def fixed_point_batch(E, eta: float, K: int, L: float) -> FixedPointBatch:
     if eta == 0.0:
         if np.any(E <= 0.0):
             raise BoundaryPointError("boundary-mode evaluation requires E > 0")
-        Eu = E.copy()
-        for i, Ei in enumerate(E):
-            Eu[i], shifted[i] = _shift_off_edge(Ei, K, L)
+        Eu, shifted = _shift_off_edges(E, K, L)
         z = Eu.astype(np.complex128)
         w = np.sqrt(Eu).astype(np.complex128)
     else:
@@ -251,9 +244,18 @@ def gamma_clean(z, K: int, L: float) -> float:
     depends on (E, L) only through x = sqrt(z)*L up to the exact period
     pi.
     """
-    fp = fixed_point_R(z, K, L)
-    d = (K + 1.0) + (K - 1.0) * fp.m
-    return sqrt_upper(fp.z_used).imag * L + math.log(abs(d)) - 0.5 * math.log(4.0 * K)
+    p = as_point(z)
+    return _gamma0(fixed_point_batch(np.array([p.E]), p.eta, K, L), K, L)[0]
+
+
+def _gamma0(fp: FixedPointBatch, K: int, L: float) -> list:
+    """:func:`gamma_clean` at every point of a fixed-point batch, from its own m and z_used."""
+    c = 0.5 * math.log(4.0 * K)
+    # scalar math per point: numpy's complex abs and log can round differently
+    return [
+        sqrt_upper(complex(z)).imag * L + math.log(abs((K + 1.0) + (K - 1.0) * complex(m))) - c
+        for m, z in zip(fp.m, fp.z_used)
+    ]
 
 
 def stationary_disk(z, K: int, L: float) -> complex:

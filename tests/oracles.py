@@ -1,8 +1,11 @@
 """Independent reference computations shared by the test modules."""
 
+import math
+
 import numpy as np
 
-from wtree import ValidationError
+from wtree import ValidationError, band_theta
+from wtree.regular import EDGE_SHIFT
 
 
 def iterate_m_grid(
@@ -45,3 +48,27 @@ def iterate_m_grid(
         idx = np.nonzero(active)[0]
         active[idx[~still]] = False
     return m, iterations, ~active
+
+
+def shift_off_edge(E: float, K: int, L: float):
+    """One boundary-mode energy nudged off a band edge, the scalar loop.
+
+    Of the edges x = k*pi + theta and (k+1)*pi - theta, k = n-1, n, n+1,
+    n = floor(sqrt(E)*L/pi), the nearest positive one in x = sqrt(E)*L is
+    taken (the first on a tie); an energy closer than EDGE_SHIFT to it
+    moves to EDGE_SHIFT beyond it on its own side.  Returns (E, shifted).
+    """
+    if K == 1 or E <= 0:
+        return E, False
+    th = band_theta(K)
+    x = math.sqrt(E) * L
+    n = math.floor(x / math.pi)
+    best = None
+    for k in (n - 1, n, n + 1):
+        for xe in (k * math.pi + th, (k + 1) * math.pi - th):
+            if xe > 0 and (best is None or abs(x - xe) < abs(x - best)):
+                best = xe
+    E_edge = (best / L) ** 2
+    if abs(E - E_edge) < EDGE_SHIFT:
+        return (E_edge + EDGE_SHIFT if E >= E_edge else E_edge - EDGE_SHIFT), True
+    return E, False

@@ -178,6 +178,9 @@ def test_lyapunov_points_validated_before_sampling(tmp_path, monkeypatch, capsys
     [
         ("lyapunov", ["--set", "lyapunov.n=4", "--set", "lyapunov.etas=[]"]),
         ("stability", ["--set", "stability.n=4", "--set", "stability.etas=[]"]),
+        ("stability", ["--set", "stability.n=4", "--set", "stability.etas=[1e-3,NaN]"]),
+        ("stability", ["--set", "stability.n=4", "--set", "stability.eps=NaN"]),
+        ("stability", ["--set", "stability.n=4", "--set", "stability.e_min=NaN"]),
         ("fluctuation", ["--set", "fluctuation.n=4", "--set", "fluctuation.lambdas=[]"]),
         ("density", ["--extrapolate", "--set", "density.n_points=4", "--set", "density.eta_ladder=[]"]),
         ("density", ["--extrapolate", "--set", "density.n_points=4",
@@ -185,7 +188,8 @@ def test_lyapunov_points_validated_before_sampling(tmp_path, monkeypatch, capsys
         ("density", ["--extrapolate", "--set", "density.n_points=4",
                      "--set", "density.eta_ladder=[0.1,0.1]"]),
     ],
-    ids=["lyapunov-etas", "stability-etas", "fluctuation-lambdas", "density-ladder-empty",
+    ids=["lyapunov-etas", "stability-etas", "stability-etas-nan", "stability-eps-nan",
+         "stability-e-min-nan", "fluctuation-lambdas", "density-ladder-empty",
          "density-ladder-one", "density-ladder-repeated"],
 )
 def test_empty_or_degenerate_grid_rejected(tmp_path, capsys, command, args):

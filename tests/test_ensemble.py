@@ -477,6 +477,11 @@ def test_estimate_gamma_sequence_equals_loop(monkeypatch):
     for source, kw in (("pool", pool_kw), ("direct", {})):
         stacked = estimate_gamma(spec, models, z, 64, source=source, **kw)
         assert stacked == [estimate_gamma(spec, dm, z, 64, source=source, **kw) for dm in models]
+    # a stack of many generations: each is evaluated as a block of its own
+    big = [DisorderModel(lam=lam, master_seed=3) for lam in (0.0, 0.2)]
+    big_kw = dict(pool_size=1024, burn_in=10)
+    stacked = estimate_gamma(spec, big, complex(2.0, 0.1), 8192, **big_kw)
+    assert stacked == [estimate_gamma(spec, dm, complex(2.0, 0.1), 8192, **big_kw) for dm in big]
     stacked = estimate_gamma_tilde(spec, tuple(models), z, 64, math.pi / 3, **pool_kw)
     assert stacked == [estimate_gamma_tilde(spec, dm, z, 64, math.pi / 3, **pool_kw) for dm in models]
     one = estimate_gamma(spec, models[:1], z, 64, **pool_kw)
@@ -755,14 +760,39 @@ def test_fluctuation_pool_source_and_validation():
 
 
 @pytest.mark.filterwarnings("error")
-def test_fluctuation_validates_up_front():
+def test_fluctuation_validates_up_front(monkeypatch):
     # checked before any sampling, so no numpy warning escapes first
+    def no_sampling(*args, **kw):
+        raise AssertionError("a pool or tree was sampled")
+
+    monkeypatch.setattr(ensemble, "solve_root_R_batch", no_sampling)
+    monkeypatch.setattr(ensemble, "pool_init", no_sampling)
     with pytest.raises(InsufficientSamplesError):
         fluctuation_report(SPEC6, CLEAN, Z_MID, n=1)
     with pytest.raises(InsufficientSamplesError):
         fluctuation_report(SPEC6, CLEAN, Z_MID, n=1, source="pool", burn_in=5)
     with pytest.raises(ValidationError):
         fluctuation_report(SPEC6, CLEAN, complex(2.0, 0.0), n=100)
+    for source in ("direct", "pool"):
+        for a in (0.7, 0.0, -0.1, math.nan):
+            with pytest.raises(ValidationError):
+                fluctuation_report(SPEC6, CLEAN, Z_MID, n=100, a=a, source=source)
+        for dm in ([CLEAN], (CLEAN, CLEAN), "uniform", None):
+            with pytest.raises(ValidationError):
+                fluctuation_report(SPEC6, dm, Z_MID, n=100, source=source)
+
+
+@pytest.mark.parametrize("source", ["direct", "pool"])
+def test_fluctuation_reads_estimator_samples(source):
+    # one generation of the estimators' sampling pass, P = n
+    spec = TreeSpec(K=2, L=1.0, depth=6)
+    dm = DisorderModel(lam=0.1, master_seed=2)
+    n = 400
+    rep = fluctuation_report(spec, dm, Z_MID, n, source=source, burn_in=20)
+    est = estimate_gamma(spec, dm, Z_MID, n, source=source, burn_in=20, pool_size=n)
+    assert est.n == rep.n == n
+    assert abs(rep.gamma_hat - est.gamma_hat) <= 1e-14
+    assert abs(rep.gamma_stderr - est.stderr) <= 1e-14
 
 
 def test_stability_clean_row_is_zero():
@@ -835,22 +865,39 @@ def test_stability_scan_seed_mode():
         stability_scan(spec, dm, seed_mode="bogus", **kw)
 
 
-def test_stability_scan_validation():
+def test_stability_scan_validation(monkeypatch):
+    # every cell is checked before the first solve, with no numpy warning
+    solves = []
+
+    def counted(*args, **kwargs):
+        solves.append(args)
+        return solve_root_R_batch(*args, **kwargs)
+
+    monkeypatch.setattr(ensemble, "solve_root_R_batch", counted)
     spec = TreeSpec(K=2, L=1.0, depth=4)
-    kw = dict(lambdas=[0.1], etas=[1e-2], eps=0.1, n=100)
-    with pytest.raises(ValidationError):
-        stability_scan(spec, CLEAN, e_min=0.0, e_max=2.5, **kw)
-    with pytest.raises(ValidationError):
-        stability_scan(spec, CLEAN, e_min=2.5, e_max=1.5, **kw)
-    with pytest.raises(ValidationError):
-        stability_scan(
-            spec, CLEAN, lambdas=[0.1], etas=[0.0], e_min=1.5, e_max=2.5, eps=0.1, n=100
-        )
-    with pytest.raises(ValidationError):
-        stability_scan(
-            spec, CLEAN, lambdas=[0.1], etas=[1e-2], e_min=1.5, e_max=2.5, eps=0.0, n=100
-        )
-    with pytest.raises(InsufficientSamplesError):
-        stability_scan(
-            spec, CLEAN, lambdas=[0.1], etas=[1e-2], e_min=1.5, e_max=2.5, eps=0.1, n=1
-        )
+    grid = dict(lambdas=[0.1], etas=[1e-2], e_min=1.5, e_max=2.5, eps=0.1, n=100)
+    bad = [
+        dict(e_min=0.0),
+        dict(e_min=2.5, e_max=1.5),
+        dict(e_min=math.nan),
+        dict(e_min=-math.inf),
+        dict(e_max=math.nan),
+        dict(e_max=math.inf),
+        dict(etas=[0.0]),
+        dict(etas=[1e-3, -1.0]),
+        dict(etas=[1e-3, math.nan]),
+        dict(etas=[1e-3, math.inf]),
+        dict(lambdas=[0.1, 2.0]),
+        dict(lambdas=[0.1, math.nan]),
+        dict(eps=0.0),
+        dict(eps=math.nan),
+        dict(eps=math.inf),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kw in bad:
+            with pytest.raises(ValidationError):
+                stability_scan(spec, CLEAN, **{**grid, **kw})
+        with pytest.raises(InsufficientSamplesError):
+            stability_scan(spec, CLEAN, **{**grid, "n": 1})
+    assert solves == []

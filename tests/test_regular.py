@@ -22,7 +22,7 @@ from wtree import (
     stationary_disk,
     vertex_merge_m,
 )
-from oracles import iterate_m_grid
+from oracles import iterate_m_grid, shift_off_edge
 
 BAND0_A = 0.11548912502732907
 BAND0_B = 7.849835249797229
@@ -232,6 +232,18 @@ def test_shift_off_band_edge():
     assert fp.z_used != complex(a0, 0.0)
     fp_mid = fixed_point_R(complex(2.0, 0.0), 2, 1.0)
     assert not fp_mid.shifted
+    # the whole grid shifts as the scalar loop does, bit for bit
+    for K in (1, 2, 3, 5):
+        for L in (0.7, 1.0, 2.3):
+            edges = np.array(ac_bands(K, L, 5).intervals).ravel()
+            E = np.concatenate([edges, edges - 4e-10, edges + 4e-10, [2.0, 5.0]])
+            E = E[E > 0]
+            fp = fixed_point_batch(E, 0.0, K, L)
+            ref = [shift_off_edge(float(e), K, L) for e in E]
+            assert fp.z_used.real.tobytes() == np.array([r[0] for r in ref]).tobytes()
+            assert fp.shifted.tolist() == [r[1] for r in ref]
+            if K > 1:
+                assert fp.shifted[: 3 * edges.size].all()
 
 
 def test_gamma_translation_symmetry():
