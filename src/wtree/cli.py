@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .config import _set_leaf, apply_override, load_config, make_disorder, make_spec
-from .engine import _eta_intercept, _eta_ladder, _failed_rows, solve_root_R_batch
+from .engine import _check_threads, _eta_intercept, _eta_ladder, _failed_rows, solve_root_R_batch
 from .ensemble import (
     _root_edge_lengths,
     _sampling_point,
@@ -278,7 +278,9 @@ def _cmd_lyapunov(cfg, out_dir, threads):
     ]
     # one stacked pool per eta advances all lambdas; rows stay lam-major
     by_eta = [
-        estimate_gamma(spec, dms, p, sec["n"], source=sec["source"], burn_in=sec["burn_in"])
+        estimate_gamma(
+            spec, dms, p, sec["n"], source=sec["source"], burn_in=sec["burn_in"], threads=threads
+        )
         for p in points
     ]
     rows = []
@@ -328,6 +330,7 @@ def _cmd_fluctuation(cfg, out_dir, threads):
             a=sec["a"],
             source=sec["source"],
             burn_in=sec["burn_in"],
+            threads=threads,
         )
         rows.append(
             (
@@ -382,6 +385,7 @@ def _cmd_stability(cfg, out_dir, threads):
         sec["e_max"],
         sec["eps"],
         sec["n"],
+        threads=threads,
     )
     rows = [(c.lam, c.eta, c.eps, c.n, c.exceedance, c.stderr) for c in cells]
     path = os.path.join(out_dir, "stability.csv")
@@ -406,7 +410,7 @@ def _cmd_recursion(cfg, out_dir, threads):
     seed = _seed_disk(spec, z, sec["seed_mode"], at_cut=True)
     lengths = _root_edge_lengths(spec, dm, replicas)
     try:
-        R = solve_root_R_batch(spec, dm, z, seed, replicas)
+        R = solve_root_R_batch(spec, dm, z, seed, replicas, threads=threads)
         status = ["ok"] * n
     except WtreeError as exc:
         R, status = _failed_rows(exc, n)
@@ -490,7 +494,7 @@ def _build_parser() -> _Parser:
         type=int,
         metavar="N",
         default=None,
-        help=f"worker threads (default: ${_ENV_THREADS} or 1)",
+        help=f"worker threads of the tree solves (default: ${_ENV_THREADS} or 1)",
     )
     common.add_argument(
         "--seed", type=int, metavar="U64", default=None, help="disorder master seed"
@@ -586,8 +590,7 @@ def _resolve_threads(flag_value) -> int:
                 raise ValidationError(f"${_ENV_THREADS} must be an integer, got {env!r}")
         else:
             threads = 1
-    if threads < 1:
-        raise ValidationError(f"threads must be >= 1, got {threads}")
+    _check_threads(threads)
     return threads
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -376,6 +377,24 @@ def _edge_ratio(R, w, le):
     return np.cos(wl) + R * np.sin(wl) / w
 
 
+def _one_tree(reps):
+    """The first row of a replica column whose rows all carry one replica, else the column.
+
+    Rows of one replica draw one tree, so the kernel hashes, draws and
+    sizes its edges once per generation, as a ``(1, K**g)`` row that
+    :func:`_pull` broadcasts against the per-row ``w``.
+    """
+    return reps[:1] if reps.shape[0] > 1 and (reps == reps[0]).all() else reps
+
+
+def _joined(caps, axis):
+    """One capture from the captures of row blocks (axis 0) or of sibling subtrees (axis 1)."""
+    return BatchCapture(
+        m_near=[np.concatenate(g, axis=axis) for g in zip(*(c.m_near for c in caps))],
+        lengths=[np.concatenate(g, axis=axis) for g in zip(*(c.lengths for c in caps))],
+    )
+
+
 def _solve_subtree(spec, dm, prefix, w, seed, reps, chunk_elems, capture):
     """Near-end disk values of the edge ``prefix``, one per replica.
 
@@ -396,51 +415,58 @@ def _solve_subtree(spec, dm, prefix, w, seed, reps, chunk_elems, capture):
         ]
         h = _merge_terms(np.stack([m_d for m_d, _ in kids], axis=1))
         merged = _merge_sum(h[:, None, :])
-        le = _lengths(omega_for_generation(dm, K, g0, reps[:, None], prefix), dm.lam, spec.L)
+        r = _one_tree(reps[:, None])
+        le = _lengths(omega_for_generation(dm, K, g0, r, prefix), dm.lam, spec.L)
         m = _pull(merged, w[:, None], le)
         cap = None
         if capture:
-            cap = BatchCapture(m_near=[m], lengths=[le])
-            for j in range(n):
-                cap.m_near.append(np.concatenate([c.m_near[j] for _, c in kids], axis=1))
-                cap.lengths.append(np.concatenate([c.lengths[j] for _, c in kids], axis=1))
+            below = _joined([c for _, c in kids], 1)
+            cap = BatchCapture([m] + below.m_near, [np.broadcast_to(le, m.shape)] + below.lengths)
         return m[:, 0], cap
 
     S = reps.size
     chunk = max(1, chunk_elems // leaves)
     out = np.empty(S, dtype=np.complex128)
-    cap_m = [[] for _ in range(n + 1)]
-    cap_len = [[] for _ in range(n + 1)]
+    caps = []
     for lo in range(0, S, chunk):
         hi = min(lo + chunk, S)
-        r = reps[lo:hi, None]
+        r = _one_tree(reps[lo:hi, None])
         wc = w[lo:hi, None]
         m = np.broadcast_to(seed[lo:hi, None], (hi - lo, leaves)).copy()
+        cap = BatchCapture([None] * (n + 1), [None] * (n + 1))
         for j in range(n, -1, -1):
             if j < n:
                 m = _merge_sum(_merge_terms(m).reshape(hi - lo, -1, K))
             le = _lengths(omega_for_generation(dm, K, g0 + j, r, prefix), dm.lam, spec.L)
             m = _pull(m, wc, le)
             if capture:
-                cap_m[j].append(m.copy())  # the next _merge_terms overwrites m
-                cap_len[j].append(le)
+                cap.m_near[j] = m.copy()  # the next _merge_terms overwrites m
+                # a block of one replica drew its lengths once, for every row
+                cap.lengths[j] = np.broadcast_to(le, m.shape) if r.shape[0] < hi - lo else le
+        caps.append(cap)
         out[lo:hi] = m[:, 0]
-    cap = None
-    if capture:
-        cap = BatchCapture(
-            m_near=[np.concatenate(blocks, axis=0) for blocks in cap_m],
-            lengths=[np.concatenate(blocks, axis=0) for blocks in cap_len],
-        )
-    return out, cap
+    return out, _joined(caps, 0) if capture else None
 
 
 _NONFINITE = "tree solve produced non-finite WT values"
 _LOWER = "tree solve left the upper half plane"
 
 
-def _solve(spec, dm, z, seed_m, replicas, prefix, capture, visit_budget, chunk_elems):
-    """Validate a solve of the subtree below ``prefix`` and run it."""
+def _check_threads(threads) -> None:
+    if not isinstance(threads, (int, np.integer)) or isinstance(threads, bool) or threads < 1:
+        raise ValidationError(f"threads must be an integer >= 1, got {threads!r}")
+
+
+def _solve(spec, dm, z, seed_m, replicas, prefix, capture, visit_budget, chunk_elems, threads=1):
+    """Validate a solve of the subtree below ``prefix`` and run it.
+
+    With ``threads`` > 1 the replica rows are split into that many
+    contiguous parts (at least one row each), solved on a thread pool and
+    joined before the one degeneracy check, so values, failed rows and
+    their reasons do not depend on the thread count.
+    """
     _check_kirchhoff(spec)
+    _check_threads(threads)
     if replicas is None:
         replicas = [0]
     replicas = np.asarray(replicas, dtype=np.uint64).ravel()
@@ -476,10 +502,26 @@ def _solve(spec, dm, z, seed_m, replicas, prefix, capture, visit_budget, chunk_e
             f"tree solve would visit {n_edges} edges, budget is {visit_budget}"
         )
 
-    # Degenerate rows (a NaN seed row, a singular merge) are found and
-    # named below, so the arithmetic that produces them stays quiet.
+    prefix, chunk_elems = tuple(prefix), int(chunk_elems)
+
+    def part(lo, hi):
+        # Degenerate rows (a NaN seed row, a singular merge) are found and
+        # named below, so the arithmetic that produces them stays quiet;
+        # numpy's error state is per thread, so each part sets its own.
+        with np.errstate(all="ignore"):
+            return _solve_subtree(
+                spec, dm, prefix, w[lo:hi], seed[lo:hi], replicas[lo:hi], chunk_elems, capture
+            )
+
+    cuts = np.linspace(0, S, min(threads, S) + 1).astype(int)
+    if cuts.size <= 2:
+        m, cap = part(0, S)
+    else:
+        with ThreadPoolExecutor(max_workers=cuts.size - 1) as ex:
+            parts = list(ex.map(part, cuts[:-1], cuts[1:]))
+        m = np.concatenate([m_p for m_p, _ in parts])
+        cap = _joined([c for _, c in parts], 0) if capture else None
     with np.errstate(all="ignore"):
-        m, cap = _solve_subtree(spec, dm, tuple(prefix), w, seed, replicas, int(chunk_elems), capture)
         out = _disk_to_r(m, w)
     finite = np.isfinite(out)
     bad = ~(finite & (out.imag > 0.0))
@@ -569,12 +611,16 @@ def solve_root_R_batch(
     capture: bool = False,
     visit_budget: int = VISIT_BUDGET,
     chunk_elems: int = _CHUNK_ELEMS,
+    threads: int = 1,
 ):
     """Vectorized root solves across disorder replicas.
 
     Runs the backward recursion one generation at a time over a batch of
     replicas.  Edge lengths come from the address-based counter stream,
     so every replica's tree is the one :func:`edge_length` describes.
+    Rows may share a replica (one tree at many z, say): a block whose
+    rows all carry one replica hashes and sizes that tree's edges once
+    per generation, and each row gets the bits it would get alone.
 
     Parameters
     ----------
@@ -591,6 +637,10 @@ def solve_root_R_batch(
     chunk_elems : int
         Target working-set size (array elements) used to chunk the batch;
         trees with more leaves than this are solved subtree by subtree.
+    threads : int
+        Worker threads, >= 1: the rows are split into contiguous parts
+        solved on a thread pool.  Values, captures and failed rows are
+        the same at any thread count.
 
     Returns
     -------
@@ -599,12 +649,14 @@ def solve_root_R_batch(
 
     Raises
     ------
+    ValidationError
+        Before any solve, for invalid z, seeds, budget or ``threads``.
     RowDegeneracyError
         When some rows (a NaN seed row, say) come out non-finite or with
         Im R <= 0.  Its ``values`` hold every row, NaN where one failed,
         and its ``reasons`` the failure text per row, None where good.
     """
-    return _solve(spec, dm, z, seed_m, replicas, (), capture, visit_budget, chunk_elems)
+    return _solve(spec, dm, z, seed_m, replicas, (), capture, visit_budget, chunk_elems, threads)
 
 
 def solve_R_minus(

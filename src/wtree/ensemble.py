@@ -22,6 +22,7 @@ import numpy as np
 
 from . import observables
 from .engine import (
+    _check_threads,
     _disk_to_r,
     _edge_ratio,
     _lengths,
@@ -341,7 +342,7 @@ def _auto_thin(z, K: int, L: float) -> int:
     return min(2000, max(1, math.ceil(1.5 / g0)))
 
 
-def _sample(spec, dm, p, n, term, source, seed_mode, burn_in, pool_size, thin) -> list:
+def _sample(spec, dm, p, n, term, source, seed_mode, burn_in, pool_size, thin, threads=1) -> list:
     """One sampling pass: (mean, stderr, count) of ``term`` per disorder model.
 
     ``term(R, lengths, child)`` maps one block of near-end WT values, edge
@@ -351,15 +352,17 @@ def _sample(spec, dm, p, n, term, source, seed_mode, burn_in, pool_size, thin) -
     generations of one stacked pool, ``thin`` apart after ``burn_in``,
     each a (B, P) block.  The stderr is the spread of the G generation
     means over sqrt(G), or for G = 1 that of the iid samples over
-    sqrt(count).  Arguments are checked before any sampling.
+    sqrt(count).  ``threads`` splits the direct source's tree solves.
+    Arguments are checked before any sampling.
     """
     models = _as_models(dm)
+    _check_threads(threads)
     if source == "direct":
         replicas = np.arange(n, dtype=np.uint64)
         seed = _seed_disk(spec, p, seed_mode, at_cut=True)
         terms = np.empty((len(models), 1, n))
         for b, model in enumerate(models):
-            R = solve_root_R_batch(spec, model, p.z, seed, replicas)
+            R = solve_root_R_batch(spec, model, p.z, seed, replicas, threads=threads)
             terms[b, 0] = term(R, _root_edge_lengths(spec, model, replicas), None)
     elif source == "pool":
         if burn_in < 0:
@@ -416,6 +419,7 @@ def estimate_gamma(
     burn_in: int = 200,
     pool_size: int = None,
     thin: int = None,
+    threads: int = 1,
 ) -> LyapunovEstimate | list[LyapunovEstimate]:
     """Lyapunov exponent of the edge-to-edge amplitude decay.
 
@@ -447,19 +451,22 @@ def estimate_gamma(
     thin : int
         Generations between collections, >= 1; default is a few
         relaxation times 1/(2*gamma0) of the clean contraction.
+    threads : int
+        Worker threads of the direct source's tree solves, >= 1; the
+        estimate is the same at any thread count.
 
     Raises
     ------
     ValidationError
         Before any sampling, if ``dm`` is neither a ``DisorderModel`` nor
-        a non-empty sequence of them, or, for the pool source, if
-        ``burn_in < 0``, ``pool_size < 1`` or ``thin < 1``.
+        a non-empty sequence of them, if ``threads < 1``, or, for the
+        pool source, if ``burn_in < 0``, ``pool_size < 1`` or ``thin < 1``.
     """
     p = _sampling_point(z, n, "Lyapunov estimation requires eta > 0")
     w = sqrt_upper(p)
     stats = _sample(
         spec, dm, p, n, lambda R, lengths, child: _gamma_terms(R, lengths, w, spec.K),
-        source, seed_mode, burn_in, pool_size, thin,
+        source, seed_mode, burn_in, pool_size, thin, threads,
     )
     return _estimates(dm, p, source, stats)
 
@@ -667,6 +674,7 @@ def fluctuation_report(
     seed_mode: str = "fixed_point",
     source: str = "direct",
     burn_in: int = 200,
+    threads: int = 1,
 ) -> FluctuationReport:
     """Stationary fluctuation widths at z versus their Lyapunov bounds.
 
@@ -678,9 +686,10 @@ def fluctuation_report(
     are the one-generation case of the estimators' sampling pass, so
     ``gamma_hat`` and ``gamma_stderr`` are those of
     ``estimate_gamma(..., pool_size=n)`` up to rounding.  ``dm`` must be
-    one ``DisorderModel``, ``a`` must lie in (0, 1/2] and, for the pool
-    source, ``burn_in`` >= 0; otherwise ``ValidationError`` is raised
-    before any sampling.
+    one ``DisorderModel``, ``a`` must lie in (0, 1/2], ``threads`` (the
+    worker threads of the direct source's tree solve) >= 1 and, for the
+    pool source, ``burn_in`` >= 0; otherwise ``ValidationError`` is
+    raised before any sampling.
     """
     p = _sampling_point(z, n, "fluctuation widths require eta > 0")
     if not isinstance(dm, DisorderModel):
@@ -695,7 +704,9 @@ def fluctuation_report(
         sample["ratio_sq"] = ratio_sq = np.abs(_edge_ratio(R, w, lengths)) ** 2
         return -0.5 * math.log(K) - 0.5 * np.log(ratio_sq)
 
-    ((gamma, gamma_se, _),) = _sample(spec, dm, p, n, term, source, seed_mode, burn_in, n, None)
+    ((gamma, gamma_se, _),) = _sample(
+        spec, dm, p, n, term, source, seed_mode, burn_in, n, None, threads
+    )
     d_im = quantile_width(sample["im_R"], a).delta
     d_mod = quantile_width(sample["ratio_sq"], a).delta
     gamma_hi = gamma + 3.0 * gamma_se
@@ -739,6 +750,7 @@ def stability_scan(
     eps: float,
     n: int,
     seed_mode: str = "fixed_point",
+    threads: int = 1,
 ) -> list:
     """Fraction of solves that stray from the clean fixed point.
 
@@ -749,10 +761,11 @@ def stability_scan(
     boundary fixed point is thresholded at eps.
 
     Returns one :class:`ScanCell` per (lam, eta) pair, lambdas outermost.
-    Every cell is checked before the first solve: each lambda must be a
-    valid disorder strength, each eta finite and > 0, ``e_min`` and
-    ``e_max`` finite with 0 < e_min < e_max, and ``eps`` finite and > 0;
-    otherwise ``ValidationError`` is raised.
+    ``threads`` worker threads split each cell's tree solve.  Every cell
+    is checked before the first solve: each lambda must be a valid
+    disorder strength, each eta finite and > 0, ``e_min`` and ``e_max``
+    finite with 0 < e_min < e_max, ``eps`` finite and > 0, and
+    ``threads`` >= 1; otherwise ``ValidationError`` is raised.
     """
     if not (math.isfinite(e_min) and math.isfinite(e_max) and 0 < e_min < e_max):
         raise ValidationError(f"need finite 0 < e_min < e_max, got {e_min}, {e_max}")
@@ -760,6 +773,7 @@ def stability_scan(
         raise InsufficientSamplesError("need at least 2 samples per cell")
     if not (math.isfinite(eps) and eps > 0):
         raise ValidationError(f"eps must be finite and positive, got {eps}")
+    _check_threads(threads)
     models = [
         DisorderModel(lam=float(lam), dist=dm.dist, master_seed=dm.master_seed) for lam in lambdas
     ]
@@ -777,7 +791,7 @@ def stability_scan(
             seeds = observables._seed_array(spec, energies, eta, seed_mode)
             phi_target = fixed_point_batch(energies, 0.0, spec.K, spec.L).phi
             replicas = (cell_idx * n + idx.astype(np.int64)).astype(np.uint64)
-            R = solve_root_R_batch(spec, dm_cell, z_arr, seeds, replicas)
+            R = solve_root_R_batch(spec, dm_cell, z_arr, seeds, replicas, threads=threads)
             dev = np.abs(R - phi_target)
             p_exc = float(np.mean(dev > eps))
             se = math.sqrt(max(p_exc * (1.0 - p_exc), 1.0 / n) / n)

@@ -346,7 +346,13 @@ def omega_for_generation(dm: DisorderModel, K: int, g: int, replicas, prefix=())
     digits = np.arange(K, dtype=np.uint64)
     for _ in range(n):
         h = _mix_np((h[:, :, None] ^ digits).reshape(h.shape[0], -1))
-    out = np.asarray(omega_from_uniform(dm.dist, uniform01(h)), dtype=np.float64)
+    # uniform01 on words this function owns: shift and scale in place, and
+    # free the words once converted, so no shifted copy lives beside them
+    h >>= np.uint64(11)
+    u = h.astype(np.float64)
+    del h
+    u *= 2.0**-53
+    out = np.asarray(omega_from_uniform(dm.dist, u), dtype=np.float64)
     return out if isinstance(replicas, np.ndarray) else out[0]
 
 

@@ -11,13 +11,13 @@ consistency checks on a solved tree.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .engine import (
     WT_INFINITY,
+    _check_threads,
     _disk_to_r,
     _edge_ratio,
     _failed_rows,
@@ -194,16 +194,17 @@ def spectral_density(
 ):
     """Root spectral density rho = Im G(0,0) / pi on an energy grid.
 
-    One tree (one replica) is solved per grid point at z = E + i*eta.
-    Far ends of the cut generation are seeded with the clean-tree
-    fixed-point disk value by default, which is exact for lam = 0 and
-    suppresses the truncation transient for small lam.
+    One tree (replica ``replica``) is drawn once and solved at every grid
+    point z = E + i*eta, in one kernel call.  Far ends of the cut
+    generation are seeded with the clean-tree fixed-point disk value by
+    default, which is exact for lam = 0 and suppresses the truncation
+    transient for small lam.
 
     Parameters
     ----------
     threads : int
-        Number of worker threads; the grid is split into contiguous
-        chunks, and results are identical for any thread count.
+        Worker threads of the tree kernel, which splits the grid into
+        contiguous parts; results are identical for any thread count.
 
     Returns
     -------
@@ -214,36 +215,23 @@ def spectral_density(
         raise ValidationError(f"spectral density sweeps require 0 < eta < inf, got {eta}")
     if not np.all(np.isfinite(energies)):
         raise ValidationError("spectral density energies must be finite")
-    if threads < 1:
-        raise ValidationError("threads must be >= 1")
+    _check_threads(threads)  # here, since the solve's errors become point statuses
     seeds = _seed_array(spec, energies, eta, seed_mode)
     z_arr = energies + 1j * eta
     reps = np.full(energies.size, replica, dtype=np.uint64)
-
-    def point_row(i, R, status):
-        E = float(energies[i])
-        if status != "ok":
-            return DensityPoint(E, eta, math.nan, math.nan, math.nan, status)
-        G = green_root(R, spec.alpha)
-        r = reflection_coeff(R, _root_R_minus(spec.alpha), z_arr[i])
-        return DensityPoint(E, eta, G.imag / math.pi, R.imag, abs(r))
-
-    def solve_chunk(lo, hi):
-        try:
-            R = solve_root_R_batch(spec, dm, z_arr[lo:hi], seeds[lo:hi], reps[lo:hi])
-            status = ["ok"] * (hi - lo)
-        except WtreeError as exc:
-            R, status = _failed_rows(exc, hi - lo)
-        return [point_row(i, R[i - lo], status[i - lo]) for i in range(lo, hi)]
-
-    if threads == 1 or energies.size < 2:
-        return solve_chunk(0, energies.size)
-    bounds = np.linspace(0, energies.size, threads + 1).astype(int)
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        futures = [ex.submit(solve_chunk, bounds[k], bounds[k + 1]) for k in range(threads)]
-        out = []
-        for f in futures:
-            out.extend(f.result())
+    try:
+        R = solve_root_R_batch(spec, dm, z_arr, seeds, reps, threads=threads)
+        status = ["ok"] * energies.size
+    except WtreeError as exc:
+        R, status = _failed_rows(exc, energies.size)
+    out = []
+    for E, z, R_i, st in zip(energies, z_arr, R, status):
+        if st != "ok":
+            out.append(DensityPoint(float(E), eta, math.nan, math.nan, math.nan, st))
+            continue
+        G = green_root(R_i, spec.alpha)
+        r = reflection_coeff(R_i, _root_R_minus(spec.alpha), z)
+        out.append(DensityPoint(float(E), eta, G.imag / math.pi, R_i.imag, abs(r)))
     return out
 
 

@@ -185,14 +185,18 @@ def fixed_point_batch(E, eta: float, K: int, L: float) -> FixedPointBatch:
     the one with the smaller |m| * |lambda(m)| is kept, lambda being the
     multiplier of the disk map at m: the attracting root for eta > 0 and
     in the gaps at eta = 0, the root inside the disk in the bands.
+    Non-finite energies, eta < 0 and non-finite eta raise
+    ``ValidationError`` before any arithmetic.
     """
     if K < 1:
         raise ValidationError(f"branching number must be >= 1, got {K}")
     if L <= 0 or not math.isfinite(L):
         raise ValidationError(f"edge length must be positive, got {L}")
     E = np.asarray(E, dtype=float).ravel()
-    if eta < 0:
-        raise ValidationError(f"eta must be >= 0, got {eta}")
+    if not (math.isfinite(eta) and eta >= 0):
+        raise ValidationError(f"eta must be finite and >= 0, got {eta}")
+    if not np.all(np.isfinite(E)):
+        raise ValidationError("fixed-point energies must be finite")
     shifted = np.zeros(E.size, dtype=bool)
     if eta == 0.0:
         if np.any(E <= 0.0):

@@ -6,11 +6,13 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import wtree.cli as cli
+import wtree.engine
 import wtree.ensemble as ensemble
 from wtree import NumericalDegeneracyError, ValidationError, ac_bands
 from wtree.config import (
@@ -462,6 +464,44 @@ def test_csv_digest_pinned(tmp_path, command, args, digest):
     assert cli.main([command, "--out", str(tmp_path)] + args) == 0
     data = (tmp_path / f"{command}.csv").read_bytes()
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+# the pinned commands that solve trees: density, the direct sources,
+# stability and recursion
+_THREADED_CSVS = [_PINNED_CSVS[i] for i in (0, 3, 4, 6, 7)]
+
+
+@pytest.mark.parametrize("threads", ["2", "3"])
+@pytest.mark.parametrize(
+    "command,args,digest",
+    _THREADED_CSVS,
+    ids=["density", "lyapunov-direct", "fluctuation-direct", "stability", "recursion"],
+)
+def test_tree_commands_thread_independence(tmp_path, monkeypatch, command, args, digest, threads):
+    # --threads reaches every tree solve and leaves the CSV bits unchanged
+    seen = []
+    solve = wtree.engine._solve
+
+    def recording(*a, **kw):
+        seen.append(a[-1])
+        return solve(*a, **kw)
+
+    monkeypatch.setattr(wtree.engine, "_solve", recording)
+    # the last --threads wins over the pinned density run's own
+    assert cli.main([command, "--out", str(tmp_path)] + args + ["--threads", threads]) == 0
+    data = (tmp_path / f"{command}.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+    assert seen and set(seen) == {int(threads)}
+
+
+@pytest.mark.parametrize("eta", ["nan", "inf"])
+def test_fixed_point_non_finite_eta_exit_code(tmp_path, capsys, eta):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["fixed-point", "--eta", eta, "--n-points", "5", "--out", str(tmp_path)])
+    assert rc == 1
+    assert "eta must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "fixed_point.csv").exists()
 
 
 def test_run_does_not_mutate_cfg(tmp_path):

@@ -43,6 +43,7 @@ from wtree import (
     vertex_merge_m,
     wt_bound,
 )
+import wtree.engine
 from wtree.engine import _eta_intercept, _merge_sum, _merge_terms, _pairwise_sum, cos_sin
 from wtree.errors import NumericalDegeneracyError
 
@@ -385,6 +386,121 @@ def test_batch_reports_failed_rows():
     # one-replica views still raise for their row
     with pytest.raises(NumericalDegeneracyError):
         solve_root_R_batch(spec, dm, z, seeds[2:3], [2])
+
+
+def _addresses(K, g):
+    """Edge addresses of generation g in the kernel's lexicographic order."""
+    if g == 0:
+        return [()]
+    return [a + (d,) for a in _addresses(K, g - 1) for d in range(K)]
+
+
+@pytest.mark.parametrize("K,depth", ORACLE_TREES)
+def test_shared_replica_rows_equal_one_row_solves(K, depth, monkeypatch):
+    # rows that share one replica draw that tree once per generation; each
+    # row must equal its own one-row solve, which never takes that route
+    drawn_rows = set()
+    omega = wtree.engine.omega_for_generation
+
+    def recording(dm, K, g, replicas, prefix=()):
+        drawn_rows.add(replicas.shape[0])
+        return omega(dm, K, g, replicas, prefix)
+
+    monkeypatch.setattr(wtree.engine, "omega_for_generation", recording)
+    spec = TreeSpec(K=K, L=1.0, depth=depth)
+    dm = DisorderModel(lam=0.3, dist="truncated_normal", master_seed=12)
+    zs = np.array([complex(e, eta) for e, eta in [(2.0, 0.01), (0.5, 0.3), (9.0, 1e-3),
+                                                 (-1.0, 0.2), (3.3, 2.0), (2.0, 0.01)]])
+    seeds = np.array([cut_seed_disk(complex(z), K, 1.0) for z in zs])
+    seeds[3] = 0j
+    replica = 5
+    reps = np.full(zs.size, replica)
+    leaves = K**depth
+    # one block, blocks of 4 and 2 rows, and subtree splits
+    for chunk in (2**20, 4 * leaves, 2 * leaves, K + 1, 1):
+        drawn_rows.clear()
+        R, cap = solve_root_R_batch(spec, dm, zs, seeds, reps, capture=True, chunk_elems=chunk)
+        assert drawn_rows == {1}
+        for i in range(zs.size):
+            one, cap_1 = solve_root_R_batch(
+                spec, dm, zs[i], seeds[i], [replica], capture=True, chunk_elems=chunk
+            )
+            assert R[i] == one[0] == solve_root_R(spec, dm, complex(zs[i]), seeds[i], replica)
+            for g in range(depth + 1):
+                assert cap.m_near[g][i].tobytes() == cap_1.m_near[g][0].tobytes()
+                assert cap.lengths[g][i].tobytes() == cap_1.lengths[g][0].tobytes()
+        for g in range(depth + 1):
+            assert cap.lengths[g].shape == cap.m_near[g].shape == (zs.size, K**g)
+            # edge_length's scalar exp may differ from numpy's in the last bit
+            expect = [edge_length(spec, dm, EdgeAddress(a), replica) for a in _addresses(K, g)]
+            assert np.allclose(cap.lengths[g], expect, rtol=1e-15, atol=0.0)
+
+
+def _batch_outcome(*args, **kwargs):
+    """(values, reasons) of a batch solve, whether or not rows fail."""
+    try:
+        return solve_root_R_batch(*args, **kwargs), None
+    except RowDegeneracyError as exc:
+        return exc.values, exc.reasons
+
+
+def test_batch_threads_agree(monkeypatch):
+    # Values, captures and failed rows are the same at any thread count,
+    # also with more threads than rows, one-row parts and a NaN seed row
+    # in every part.  Warnings are errors in the worker threads too.
+    part_rows = []
+    subtree = wtree.engine._solve_subtree
+
+    def recording(spec, dm, prefix, w, seed, reps, *args):
+        part_rows.append(reps.size)
+        return subtree(spec, dm, prefix, w, seed, reps, *args)
+
+    monkeypatch.setattr(wtree.engine, "_solve_subtree", recording)
+    spec = TreeSpec(K=2, L=1.0, depth=5)
+    dm = DisorderModel(lam=0.2, master_seed=8)
+    z = complex(2.3, 0.02)
+    nan = complex(math.nan, math.nan)
+    cut = cut_seed_disk(z, 2, 1.0)
+    cases = [
+        (np.full(2, cut), range(2)),  # 3 threads, 2 rows
+        (np.array([cut, nan, 0j]), [4, 4, 4]),  # 3 one-row parts of one replica
+        (np.array([nan, cut, cut, nan, 0j, nan]), range(6)),  # a NaN in each part
+        (np.array([nan, cut, cut, nan, 0j, nan]), [9] * 6),
+        (np.full(7, cut), [1, 1, 1, 2, 2, 3, 3]),  # parts with and without a shared replica
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seeds, reps in cases:
+            zs = z + 0.1 * np.arange(seeds.size)
+            one, why = _batch_outcome(spec, dm, zs, seeds, reps)
+            assert (why is None) == (not np.isnan(seeds).any())
+            for threads in (2, 3):
+                part_rows.clear()
+                got, why_t = _batch_outcome(spec, dm, zs, seeds, reps, threads=threads)
+                assert got.tobytes() == one.tobytes()
+                assert why_t == why
+                # one part per thread, at most one per row, of near-equal size
+                assert len(part_rows) == min(threads, seeds.size)
+                assert sum(part_rows) == seeds.size
+                assert max(part_rows) - min(part_rows) <= 1
+            _, cap = solve_root_R_batch(spec, dm, zs, np.full(seeds.size, cut), reps, capture=True)
+            _, cap_3 = solve_root_R_batch(
+                spec, dm, zs, np.full(seeds.size, cut), reps, capture=True, threads=3
+            )
+            for g in range(spec.depth + 1):
+                assert cap_3.m_near[g].tobytes() == cap.m_near[g].tobytes()
+                assert cap_3.lengths[g].tobytes() == cap.lengths[g].tobytes()
+
+
+def test_batch_threads_validated_before_solving(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the kernel ran")
+
+    monkeypatch.setattr(wtree.engine, "_solve_subtree", never)
+    spec = TreeSpec(K=2, L=1.0, depth=3)
+    for threads in (0, -1, 1.5, None, True):
+        with pytest.raises(ValidationError):
+            solve_root_R_batch(spec, DisorderModel(), complex(2.0, 0.1), threads=threads)
 
 
 _SEED_MODES = st.sampled_from(["zero", "cut", "nan"])

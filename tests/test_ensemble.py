@@ -782,6 +782,22 @@ def test_fluctuation_validates_up_front(monkeypatch):
                 fluctuation_report(SPEC6, dm, Z_MID, n=100, source=source)
 
 
+def test_threads_validated_before_sampling(monkeypatch):
+    def no_sampling(*args, **kw):
+        raise AssertionError("a pool or tree was sampled")
+
+    monkeypatch.setattr(ensemble, "solve_root_R_batch", no_sampling)
+    monkeypatch.setattr(ensemble, "pool_init", no_sampling)
+    for threads in (0, -2, 1.5):
+        for source in ("direct", "pool"):
+            with pytest.raises(ValidationError):
+                estimate_gamma(SPEC6, CLEAN, Z_MID, n=64, source=source, threads=threads)
+            with pytest.raises(ValidationError):
+                fluctuation_report(SPEC6, CLEAN, Z_MID, n=64, source=source, threads=threads)
+        with pytest.raises(ValidationError):
+            stability_scan(SPEC6, CLEAN, [0.1], [1e-2], 1.5, 2.5, 0.1, 8, threads=threads)
+
+
 @pytest.mark.parametrize("source", ["direct", "pool"])
 def test_fluctuation_reads_estimator_samples(source):
     # one generation of the estimators' sampling pass, P = n

@@ -257,8 +257,9 @@ def test_density_failure_isolation():
 
 
 @pytest.mark.filterwarnings("error")
-def test_density_failed_points_one_solve_per_chunk(monkeypatch):
-    # failed points are read from the chunk's one solve, not re-solved
+def test_density_failed_points_one_solve_per_sweep(monkeypatch):
+    # failed points are read from the sweep's one solve, not re-solved,
+    # whatever the thread count
     calls = []
 
     def counting(*args, **kwargs):
@@ -280,7 +281,7 @@ def test_density_failed_points_one_solve_per_chunk(monkeypatch):
     E = -np.linspace(0.5, 20.0, 9)
     failed = "NumericalDegeneracyError: tree solve produced non-finite WT values"
     pts = spectral_density(spec, dm, E, eta=1e-2, threads=2)
-    assert calls == [4, 5]
+    assert calls == [9]
     for p in pts:
         assert p.status == failed
         assert math.isnan(p.rho) and math.isnan(p.im_R) and math.isnan(p.abs_r)
@@ -288,7 +289,7 @@ def test_density_failed_points_one_solve_per_chunk(monkeypatch):
     calls.clear()
     E = np.array([2.0, -1e6, 3.0, -2e6])
     pts = spectral_density(spec, dm, E, eta=1e-2, threads=2)
-    assert calls == [2, 2]
+    assert calls == [4]
     assert [pts[0], pts[2]] == spectral_density(spec, dm, E[[0, 2]], eta=1e-2)
     assert pts[1].status == pts[3].status == failed
 

@@ -312,3 +312,21 @@ def test_fixed_point_validation():
         fixed_point_R(complex(2.0, 0.1), 2, 0.0)
     with pytest.raises(ValidationError):
         fixed_point_R(complex(-1.0, 0.0), 2, 1.0)
+
+
+def test_fixed_point_rejects_non_finite_points():
+    # rejected before any arithmetic, so no RuntimeWarning escapes; the
+    # filter is set in the body (see test_batch_rows_are_herglotz_or_named)
+    cases = [
+        ([2.0], math.nan),
+        ([2.0], math.inf),
+        ([2.0], -math.inf),
+        ([2.0, math.nan], 0.1),
+        ([math.inf, 2.0], 0.0),
+        ([-math.inf], 1e-3),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for E, eta in cases:
+            with pytest.raises(ValidationError):
+                fixed_point_batch(E, eta, 2, 1.0)
