@@ -24,12 +24,12 @@ import time
 import numpy as np
 
 from . import __version__
-from .config import _set_leaf, apply_override, load_config, make_disorder, make_spec
+from . import observables
+from .config import DEFAULTS, _set_leaf, apply_override, load_config, make_disorder, make_spec
 from .engine import _check_threads, _eta_intercept, _eta_ladder, _failed_rows, solve_root_R_batch
 from .ensemble import (
     _root_edge_lengths,
     _sampling_point,
-    _seed_disk,
     estimate_gamma,
     fluctuation_report,
     stability_scan,
@@ -40,8 +40,6 @@ from .observables import spectral_density, wt_bound
 from .regular import _gamma0, ac_bands, fixed_point_batch, gamma_clean
 
 __all__ = ["main", "run", "emit_plotdata"]
-
-_ENV_THREADS = "WTREE_THREADS"
 
 
 def _fmt(x) -> str:
@@ -186,7 +184,16 @@ def emit_plotdata(path: str, title: str, xlabel: str, ylabel: str, series):
         fh.write("\n")
 
 
+def _energies(cfg, section: str) -> np.ndarray:
+    """The energy grid of a config section, checked to hold at least one point."""
+    sec = cfg[section]
+    if sec["n_points"] < 1:
+        raise ValidationError(f"{section}.n_points must be >= 1, got {sec['n_points']}")
+    return np.linspace(sec["e_min"], sec["e_max"], sec["n_points"])
+
+
 def _cmd_bands(cfg, out_dir, threads):
+    """AC band table of the clean tree"""
     bl = ac_bands(cfg["K"], cfg["L"], cfg["bands"]["n_max"])
     rows = [(n, a, b) for n, (a, b) in enumerate(bl.intervals)]
     path = os.path.join(out_dir, "bands.csv")
@@ -195,9 +202,10 @@ def _cmd_bands(cfg, out_dir, threads):
 
 
 def _cmd_fixed_point(cfg, out_dir, threads):
+    """clean fixed point on an energy grid"""
     sec = cfg["fixed_point"]
     K, L = cfg["K"], cfg["L"]
-    energies = np.linspace(sec["e_min"], sec["e_max"], sec["n_points"])
+    energies = _energies(cfg, "fixed_point")
     fp = fixed_point_batch(energies, sec["eta"], K, L)
     gamma0 = _gamma0(fp, K, L)
     rows = []
@@ -223,10 +231,11 @@ def _cmd_fixed_point(cfg, out_dir, threads):
 
 
 def _cmd_density(cfg, out_dir, threads):
+    """root spectral density sweep"""
     sec = cfg["density"]
     spec = make_spec(cfg)
     dm = make_disorder(cfg)
-    energies = np.linspace(sec["e_min"], sec["e_max"], sec["n_points"])
+    energies = _energies(cfg, "density")
     if sec["extrapolate"]:
         ladder = _eta_ladder(sec["eta_ladder"])
         sweeps = [
@@ -264,6 +273,7 @@ def _cmd_density(cfg, out_dir, threads):
 
 
 def _cmd_lyapunov(cfg, out_dir, threads):
+    """Lyapunov exponent estimates"""
     sec = cfg["lyapunov"]
     spec = make_spec(cfg)
     dm0 = make_disorder(cfg)
@@ -316,6 +326,7 @@ def _cmd_lyapunov(cfg, out_dir, threads):
 
 
 def _cmd_fluctuation(cfg, out_dir, threads):
+    """quantile widths vs Lyapunov bounds"""
     sec = cfg["fluctuation"]
     spec = make_spec(cfg)
     dm0 = make_disorder(cfg)
@@ -373,6 +384,7 @@ def _cmd_fluctuation(cfg, out_dir, threads):
 
 
 def _cmd_stability(cfg, out_dir, threads):
+    """fixed-point exceedance scan"""
     sec = cfg["stability"]
     spec = make_spec(cfg)
     dm = make_disorder(cfg)
@@ -401,13 +413,17 @@ def _cmd_stability(cfg, out_dir, threads):
 
 
 def _cmd_recursion(cfg, out_dir, threads):
+    """randomized solves with invariant columns"""
     sec = cfg["recursion"]
     spec = make_spec(cfg)
     dm = make_disorder(cfg)
     z = complex(sec["E"], sec["eta"])
     n = sec["n"]
+    if n < 1:
+        raise ValidationError(f"recursion.n must be >= 1, got {n}")
     replicas = np.arange(n, dtype=np.uint64)
-    seed = _seed_disk(spec, z, sec["seed_mode"], at_cut=True)
+    E = np.array([sec["E"]])
+    seed = complex(observables._seed_array(spec, E, sec["eta"], sec["seed_mode"])[0])
     lengths = _root_edge_lengths(spec, dm, replicas)
     try:
         R = solve_root_R_batch(spec, dm, z, seed, replicas, threads=threads)
@@ -459,6 +475,7 @@ def run(command: str, cfg: dict, out_dir: str = ".", threads: int = 1):
     """Execute one subcommand; returns the list of files written."""
     if command not in _COMMANDS:
         raise ValidationError(f"unknown command {command!r}")
+    _check_threads(threads)
     os.makedirs(out_dir, exist_ok=True)
     t0 = time.perf_counter()
     outputs = _COMMANDS[command](cfg, out_dir, threads)
@@ -473,6 +490,23 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+#: The config leaves each subcommand also takes as a flag, ``--<leaf>``
+#: with ``_`` as ``-``, typed like its default.
+_FLAGS = {
+    "bands": ("K", "L", "bands.n_max"),
+    "fixed-point": (
+        "fixed_point.eta", "fixed_point.e_min", "fixed_point.e_max", "fixed_point.n_points",
+    ),
+    "density": (
+        "density.eta", "density.e_min", "density.e_max", "density.n_points", "density.extrapolate",
+    ),
+    "lyapunov": ("lyapunov.E", "lyapunov.n", "lyapunov.source"),
+    "fluctuation": ("fluctuation.E", "fluctuation.eta", "fluctuation.a", "fluctuation.n"),
+    "stability": ("stability.eps", "stability.n"),
+    "recursion": ("recursion.n", "recursion.E", "recursion.eta"),
+}
 
 
 def _build_parser() -> _Parser:
@@ -490,108 +524,25 @@ def _build_parser() -> _Parser:
     )
     common.add_argument("--out", metavar="DIR", default=".", help="output directory")
     common.add_argument(
-        "--threads",
-        type=int,
-        metavar="N",
-        default=None,
-        help=f"worker threads of the tree solves (default: ${_ENV_THREADS} or 1)",
+        "--threads", type=int, metavar="N", default=1, help="worker threads of the tree solves"
     )
     common.add_argument(
         "--seed", type=int, metavar="U64", default=None, help="disorder master seed"
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    p_bands = sub.add_parser("bands", parents=[common], help="AC band table of the clean tree")
-    p_bands.add_argument("--K", type=int, default=None, help="branching number")
-    p_bands.add_argument("--L", type=float, default=None, help="edge length")
-    p_bands.add_argument("--n-max", type=int, default=None, help="highest band index")
-
-    p_fp = sub.add_parser(
-        "fixed-point", parents=[common], help="clean fixed point on an energy grid"
-    )
-    p_fp.add_argument("--eta", type=float, default=None)
-    p_fp.add_argument("--e-min", type=float, default=None)
-    p_fp.add_argument("--e-max", type=float, default=None)
-    p_fp.add_argument("--n-points", type=int, default=None)
-
-    p_dens = sub.add_parser("density", parents=[common], help="root spectral density sweep")
-    p_dens.add_argument("--eta", type=float, default=None)
-    p_dens.add_argument("--e-min", type=float, default=None)
-    p_dens.add_argument("--e-max", type=float, default=None)
-    p_dens.add_argument("--n-points", type=int, default=None)
-    p_dens.add_argument(
-        "--extrapolate", action="store_true", default=None, help="extrapolate to eta = 0"
-    )
-
-    p_lyap = sub.add_parser("lyapunov", parents=[common], help="Lyapunov exponent estimates")
-    p_lyap.add_argument("--E", type=float, default=None)
-    p_lyap.add_argument("--n", type=int, default=None)
-    p_lyap.add_argument("--source", choices=["pool", "direct"], default=None)
-
-    p_fluc = sub.add_parser(
-        "fluctuation", parents=[common], help="quantile widths vs Lyapunov bounds"
-    )
-    p_fluc.add_argument("--E", type=float, default=None)
-    p_fluc.add_argument("--eta", type=float, default=None)
-    p_fluc.add_argument("--a", type=float, default=None)
-    p_fluc.add_argument("--n", type=int, default=None)
-
-    p_stab = sub.add_parser(
-        "stability", parents=[common], help="fixed-point exceedance scan"
-    )
-    p_stab.add_argument("--eps", type=float, default=None)
-    p_stab.add_argument("--n", type=int, default=None)
-
-    p_rec = sub.add_parser(
-        "recursion", parents=[common], help="randomized solves with invariant columns"
-    )
-    p_rec.add_argument("--n", type=int, default=None)
-    p_rec.add_argument("--E", type=float, default=None)
-    p_rec.add_argument("--eta", type=float, default=None)
+    for command, fn in _COMMANDS.items():
+        p = sub.add_parser(command, parents=[common], help=fn.__doc__)
+        for path in _FLAGS[command]:
+            default = DEFAULTS
+            for key in path.split("."):
+                default = default[key]
+            if isinstance(default, bool):
+                kind = {"action": "store_true"}
+            else:
+                kind = {"type": type(default), "metavar": type(default).__name__.upper()}
+            flag = "--" + path.rpartition(".")[2].replace("_", "-")
+            p.add_argument(flag, dest=path, default=None, help=f"sets {path}", **kind)
     return parser
-
-
-_FLAG_PATHS = {
-    "bands": {"K": "K", "L": "L", "n_max": "bands.n_max"},
-    "fixed-point": {
-        "eta": "fixed_point.eta",
-        "e_min": "fixed_point.e_min",
-        "e_max": "fixed_point.e_max",
-        "n_points": "fixed_point.n_points",
-    },
-    "density": {
-        "eta": "density.eta",
-        "e_min": "density.e_min",
-        "e_max": "density.e_max",
-        "n_points": "density.n_points",
-        "extrapolate": "density.extrapolate",
-    },
-    "lyapunov": {"E": "lyapunov.E", "n": "lyapunov.n", "source": "lyapunov.source"},
-    "fluctuation": {
-        "E": "fluctuation.E",
-        "eta": "fluctuation.eta",
-        "a": "fluctuation.a",
-        "n": "fluctuation.n",
-    },
-    "stability": {"eps": "stability.eps", "n": "stability.n"},
-    "recursion": {"n": "recursion.n", "E": "recursion.E", "eta": "recursion.eta"},
-}
-
-
-def _resolve_threads(flag_value) -> int:
-    if flag_value is not None:
-        threads = flag_value
-    else:
-        env = os.environ.get(_ENV_THREADS)
-        if env is not None:
-            try:
-                threads = int(env)
-            except ValueError:
-                raise ValidationError(f"${_ENV_THREADS} must be an integer, got {env!r}")
-        else:
-            threads = 1
-    _check_threads(threads)
-    return threads
 
 
 def main(argv=None) -> int:
@@ -605,12 +556,11 @@ def main(argv=None) -> int:
             if args.seed < 0 or args.seed >= 2**64:
                 raise ValidationError("--seed must fit in an unsigned 64-bit integer")
             cfg["disorder"]["master_seed"] = args.seed
-        for attr, path in _FLAG_PATHS.get(args.command, {}).items():
-            val = getattr(args, attr, None)
+        for path in _FLAGS[args.command]:
+            val = getattr(args, path)
             if val is not None:
                 _set_leaf(cfg, path, val)
-        threads = _resolve_threads(args.threads)
-        outputs = run(args.command, cfg, args.out, threads)
+        outputs = run(args.command, cfg, args.out, args.threads)
     except ValidationError as exc:
         print(f"wtree: error: {exc}", file=sys.stderr)
         return 1

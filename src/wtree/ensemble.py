@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import observables
 from .engine import (
     _check_threads,
     _disk_to_r,
@@ -50,7 +49,7 @@ from .graphmodel import (
     omega_from_uniform,
     uniform01,
 )
-from .regular import cut_seed_disk, fixed_point_batch, gamma_clean, stationary_disk
+from .regular import _cut_seed, cut_seed_disk, fixed_point_batch, gamma_clean, stationary_disk
 
 __all__ = [
     "SamplePool",
@@ -68,17 +67,6 @@ __all__ = [
     "ScanCell",
     "stability_scan",
 ]
-
-
-def _seed_disk(spec: TreeSpec, z, mode: str, at_cut: bool) -> complex:
-    """Truncation seed; ``at_cut`` selects the far-end (tree-solver) variant."""
-    if mode == "disk_zero":
-        return 0j
-    if mode == "fixed_point":
-        if at_cut:
-            return cut_seed_disk(z, spec.K, spec.L)
-        return stationary_disk(z, spec.K, spec.L)
-    raise ValidationError(f"unknown seed mode {mode!r}; use 'fixed_point' or 'disk_zero'")
 
 
 def _root_edge_lengths(spec: TreeSpec, dm: DisorderModel, replicas: np.ndarray) -> np.ndarray:
@@ -126,12 +114,12 @@ class SamplePool:
     ``size`` counts the members of all rows.
 
     ``generation`` counts applied steps and feeds the counter RNG, so a
-    pool's trajectory is a pure function of (spec, dm, z, size, seed
-    mode).  ``resampled`` counts entries, over all rows, redrawn after
-    singular merges.  The child slots and edge lengths of a generation
-    depend only on its counter words, so they are hashed for a block of
-    consecutive generations at once and held in a private cache keyed by
-    the block's first generation and the fields above; setting
+    pool's trajectory is a pure function of (spec, dm, z, size).
+    ``resampled`` counts entries, over all rows, redrawn after singular
+    merges.  The child slots and edge lengths of a generation depend only
+    on its counter words, so they are hashed for a block of consecutive
+    generations at once and held in a private cache keyed by the block's
+    first generation and the fields above; setting
     ``generation``, ``dm`` or ``values`` by hand is safe.
     """
 
@@ -148,20 +136,14 @@ class SamplePool:
         return self.values.size
 
 
-def pool_init(
-    spec: TreeSpec,
-    dm,
-    z,
-    size: int,
-    seed_mode: str = "fixed_point",
-) -> SamplePool:
+def pool_init(spec: TreeSpec, dm, z, size: int) -> SamplePool:
     """Fresh pool of ``size`` identical disk values per disorder model.
 
     ``dm`` is one ``DisorderModel`` (``values`` of shape (size,)) or a
     non-empty sequence of B of them at this one z (a stacked pool,
     ``values`` of shape (B, size)); anything else raises
-    ``ValidationError``.  ``seed_mode`` "fixed_point" starts at the
-    clean-tree stationary value (exact for lam = 0), "disk_zero" at m = 0.
+    ``ValidationError``.  Every member starts at the clean-tree
+    stationary value, which is exact for lam = 0.
     """
     models = _as_models(dm)
     p = as_point(z)
@@ -169,7 +151,7 @@ def pool_init(
         raise ValidationError("pools require eta > 0")
     if size < 1:
         raise ValidationError("pool size must be >= 1")
-    seed = _seed_disk(spec, p, seed_mode, at_cut=False)
+    seed = stationary_disk(p, spec.K, spec.L)
     stacked = not isinstance(dm, DisorderModel)
     return SamplePool(
         spec=spec,
@@ -342,24 +324,24 @@ def _auto_thin(z, K: int, L: float) -> int:
     return min(2000, max(1, math.ceil(1.5 / g0)))
 
 
-def _sample(spec, dm, p, n, term, source, seed_mode, burn_in, pool_size, thin, threads=1) -> list:
+def _sample(spec, dm, p, n, term, source, burn_in, pool_size, threads=1) -> list:
     """One sampling pass: (mean, stderr, count) of ``term`` per disorder model.
 
     ``term(R, lengths, child)`` maps one block of near-end WT values, edge
     lengths and first-child disk values (pool only, else None) to
     per-sample terms.  "direct" gives one (n,) block per model, the root
     edges of cut-seeded trees 0..n-1; "pool" gives G = ceil(n / P)
-    generations of one stacked pool, ``thin`` apart after ``burn_in``,
-    each a (B, P) block.  The stderr is the spread of the G generation
-    means over sqrt(G), or for G = 1 that of the iid samples over
-    sqrt(count).  ``threads`` splits the direct source's tree solves.
+    generations of one stacked pool, :func:`_auto_thin` apart after
+    ``burn_in``, each a (B, P) block.  The stderr is the spread of the G
+    generation means over sqrt(G), or for G = 1 that of the iid samples
+    over sqrt(count).  ``threads`` splits the direct source's tree solves.
     Arguments are checked before any sampling.
     """
     models = _as_models(dm)
     _check_threads(threads)
     if source == "direct":
         replicas = np.arange(n, dtype=np.uint64)
-        seed = _seed_disk(spec, p, seed_mode, at_cut=True)
+        seed = cut_seed_disk(p, spec.K, spec.L)
         terms = np.empty((len(models), 1, n))
         for b, model in enumerate(models):
             R = solve_root_R_batch(spec, model, p.z, seed, replicas, threads=threads)
@@ -369,17 +351,14 @@ def _sample(spec, dm, p, n, term, source, seed_mode, burn_in, pool_size, thin, t
             raise ValidationError(f"burn_in must be >= 0, got {burn_in}")
         if pool_size is not None and pool_size < 1:
             raise ValidationError(f"pool_size must be >= 1, got {pool_size}")
-        if thin is not None and thin < 1:
-            raise ValidationError(f"thin must be >= 1, got {thin}")
         if pool_size is not None:
             P = min(pool_size, n)
         else:
             P = min(4096, n // 8) if n >= 8 else n
         G = math.ceil(n / P)
-        if thin is None and G >= 2:
-            thin = _auto_thin(p, spec.K, spec.L)
+        thin = _auto_thin(p, spec.K, spec.L) if G >= 2 else 1
         w = sqrt_upper(p)
-        pool = pool_init(spec, dm, p, P, seed_mode)
+        pool = pool_init(spec, dm, p, P)
         for _ in range(burn_in):
             pool_step(pool)
         terms = np.empty((len(models), G, P))
@@ -415,10 +394,8 @@ def estimate_gamma(
     z,
     n: int,
     source: str = "pool",
-    seed_mode: str = "fixed_point",
     burn_in: int = 200,
     pool_size: int = None,
-    thin: int = None,
     threads: int = 1,
 ) -> LyapunovEstimate | list[LyapunovEstimate]:
     """Lyapunov exponent of the edge-to-edge amplitude decay.
@@ -435,22 +412,19 @@ def estimate_gamma(
         one call per model.  The pool source then advances one stacked
         pool with a row per model.
     source : str
-        "direct" solves n independent trees of depth ``spec.depth`` and
+        "direct" solves n independent trees of depth ``spec.depth``,
+        cut-seeded with the clean fixed point (exact at lam = 0), and
         samples their root edges (iid samples, exact standard error).
-        "pool" collects whole generations of a burnt-in pool, spaced
-        ``thin`` generations apart; members of one generation share the
-        population's stochastic drift, so the standard error comes from
-        the spread of the per-generation means, not the member spread.
-    seed_mode : str
-        Truncation seeding; "fixed_point" is exact at lam = 0.
+        "pool" collects whole generations of a burnt-in pool, spaced a
+        few relaxation times 1/(2*gamma0) of the clean contraction apart;
+        members of one generation share the population's stochastic
+        drift, so the standard error comes from the spread of the
+        per-generation means, not the member spread.
     burn_in : int
         Pool generations discarded before collecting (pool source), >= 0.
     pool_size : int
         Pool population, >= 1; defaults to about n/8, capped at 4096, so
         that several generations contribute.
-    thin : int
-        Generations between collections, >= 1; default is a few
-        relaxation times 1/(2*gamma0) of the clean contraction.
     threads : int
         Worker threads of the direct source's tree solves, >= 1; the
         estimate is the same at any thread count.
@@ -460,13 +434,13 @@ def estimate_gamma(
     ValidationError
         Before any sampling, if ``dm`` is neither a ``DisorderModel`` nor
         a non-empty sequence of them, if ``threads < 1``, or, for the
-        pool source, if ``burn_in < 0``, ``pool_size < 1`` or ``thin < 1``.
+        pool source, if ``burn_in < 0`` or ``pool_size < 1``.
     """
     p = _sampling_point(z, n, "Lyapunov estimation requires eta > 0")
     w = sqrt_upper(p)
     stats = _sample(
         spec, dm, p, n, lambda R, lengths, child: _gamma_terms(R, lengths, w, spec.K),
-        source, seed_mode, burn_in, pool_size, thin, threads,
+        source, burn_in, pool_size, threads,
     )
     return _estimates(dm, p, source, stats)
 
@@ -477,10 +451,8 @@ def estimate_gamma_tilde(
     z,
     n: int,
     beta_v: float,
-    seed_mode: str = "fixed_point",
     burn_in: int = 200,
     pool_size: int = None,
-    thin: int = None,
 ) -> LyapunovEstimate | list[LyapunovEstimate]:
     """Lyapunov exponent of the rotated (tilde) system, pool source.
 
@@ -489,7 +461,7 @@ def estimate_gamma_tilde(
     edge ratio, so each sample pairs a parent edge with its first child.
     For beta_v = 0 this is the pool source of :func:`estimate_gamma`,
     read from the same sampling pass with the same standard error.
-    ``dm``, ``burn_in``, ``pool_size`` and ``thin`` are checked as there;
+    ``dm``, ``burn_in`` and ``pool_size`` are checked as there;
     a sequence of models advances as the rows of one stacked pool, which
     share burn-in, thinning, P and G, and gives the list of estimates.
     """
@@ -506,7 +478,7 @@ def estimate_gamma_tilde(
             return t
         return t - np.log(np.abs(ct + _disk_to_r(child, w))) + np.log(np.abs(ct + R))
 
-    stats = _sample(spec, dm, p, n, term, "pool", seed_mode, burn_in, pool_size, thin)
+    stats = _sample(spec, dm, p, n, term, "pool", burn_in, pool_size)
     return _estimates(dm, p, "pool", stats)
 
 
@@ -671,7 +643,6 @@ def fluctuation_report(
     z,
     n: int,
     a: float = 0.25,
-    seed_mode: str = "fixed_point",
     source: str = "direct",
     burn_in: int = 200,
     threads: int = 1,
@@ -704,9 +675,7 @@ def fluctuation_report(
         sample["ratio_sq"] = ratio_sq = np.abs(_edge_ratio(R, w, lengths)) ** 2
         return -0.5 * math.log(K) - 0.5 * np.log(ratio_sq)
 
-    ((gamma, gamma_se, _),) = _sample(
-        spec, dm, p, n, term, source, seed_mode, burn_in, n, None, threads
-    )
+    ((gamma, gamma_se, _),) = _sample(spec, dm, p, n, term, source, burn_in, n, threads)
     d_im = quantile_width(sample["im_R"], a).delta
     d_mod = quantile_width(sample["ratio_sq"], a).delta
     gamma_hi = gamma + 3.0 * gamma_se
@@ -749,16 +718,16 @@ def stability_scan(
     e_max: float,
     eps: float,
     n: int,
-    seed_mode: str = "fixed_point",
     threads: int = 1,
 ) -> list:
     """Fraction of solves that stray from the clean fixed point.
 
     For each (lam, eta) cell, n energies are drawn uniformly from
     [e_min, e_max] (counter RNG keyed by the cell index), one tree is
-    solved per energy at z = E + i*eta with disorder replica indices
-    unique across the scan, and the distance |R - Phi(E)| to the clean
-    boundary fixed point is thresholded at eps.
+    solved per energy at z = E + i*eta, cut-seeded with the clean fixed
+    point at that z, with disorder replica indices unique across the
+    scan, and the distance |R - Phi(E)| to the clean boundary fixed point
+    is thresholded at eps.
 
     Returns one :class:`ScanCell` per (lam, eta) pair, lambdas outermost.
     ``threads`` worker threads split each cell's tree solve.  Every cell
@@ -788,7 +757,7 @@ def stability_scan(
             u = uniform01(hash_words(dm.master_seed, DOMAIN_SCAN_ENERGY, cell_idx, idx))
             energies = e_min + (e_max - e_min) * u
             z_arr = energies + 1j * eta
-            seeds = observables._seed_array(spec, energies, eta, seed_mode)
+            seeds = _cut_seed(fixed_point_batch(energies, eta, spec.K, spec.L).m, spec.K)
             phi_target = fixed_point_batch(energies, 0.0, spec.K, spec.L).phi
             replicas = (cell_idx * n + idx.astype(np.int64)).astype(np.uint64)
             R = solve_root_R_batch(spec, dm_cell, z_arr, seeds, replicas, threads=threads)

@@ -176,6 +176,7 @@ class DensityPoint:
 
 
 def _seed_array(spec: TreeSpec, energies: np.ndarray, eta: float, mode: str) -> np.ndarray:
+    """Cut seeds at z = energies + i*eta for the named seed mode."""
     if mode == "disk_zero":
         return np.zeros(energies.size, dtype=np.complex128)
     if mode == "fixed_point":
@@ -202,6 +203,10 @@ def spectral_density(
 
     Parameters
     ----------
+    replica : int
+        Disorder replica index, 0 <= replica < 2**64.
+    seed_mode : str
+        "fixed_point" (the default above) or "disk_zero", m = 0 at the cut.
     threads : int
         Worker threads of the tree kernel, which splits the grid into
         contiguous parts; results are identical for any thread count.
@@ -215,6 +220,8 @@ def spectral_density(
         raise ValidationError(f"spectral density sweeps require 0 < eta < inf, got {eta}")
     if not np.all(np.isfinite(energies)):
         raise ValidationError("spectral density energies must be finite")
+    if not 0 <= replica < 2**64:
+        raise ValidationError(f"replica must fit in an unsigned 64-bit integer, got {replica}")
     _check_threads(threads)  # here, since the solve's errors become point statuses
     seeds = _seed_array(spec, energies, eta, seed_mode)
     z_arr = energies + 1j * eta

@@ -1,3 +1,4 @@
+import argparse
 import copy
 import csv
 import hashlib
@@ -108,20 +109,16 @@ def test_make_spec_and_disorder():
     assert dm.lam == 0.2 and dm.master_seed == 42
 
 
-def test_resolve_threads(monkeypatch):
-    monkeypatch.delenv("WTREE_THREADS", raising=False)
-    assert cli._resolve_threads(None) == 1
-    assert cli._resolve_threads(3) == 3
-    monkeypatch.setenv("WTREE_THREADS", "4")
-    assert cli._resolve_threads(None) == 4
-    # an explicit flag beats the environment
-    assert cli._resolve_threads(2) == 2
-    monkeypatch.setenv("WTREE_THREADS", "zebra")
-    with pytest.raises(ValidationError):
-        cli._resolve_threads(None)
-    monkeypatch.setenv("WTREE_THREADS", "0")
-    with pytest.raises(ValidationError):
-        cli._resolve_threads(None)
+def test_resolve_threads(tmp_path, monkeypatch, capsys):
+    seen = []
+    monkeypatch.setattr(cli, "run", lambda command, cfg, out, threads: seen.append(threads) or [])
+    assert cli.main(["bands", "--out", str(tmp_path)]) == 0
+    assert cli.main(["bands", "--out", str(tmp_path), "--threads", "3"]) == 0
+    assert seen == [1, 3]
+    monkeypatch.undo()
+    assert cli.main(["bands", "--out", str(tmp_path), "--threads", "0"]) == 1
+    assert "threads must be an integer >= 1" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_main_bands_success(tmp_path, capsys):
@@ -189,16 +186,86 @@ def test_lyapunov_points_validated_before_sampling(tmp_path, monkeypatch, capsys
                      "--set", "density.eta_ladder=[0.1]"]),
         ("density", ["--extrapolate", "--set", "density.n_points=4",
                      "--set", "density.eta_ladder=[0.1,0.1]"]),
+        ("recursion", ["--n", "0"]),
+        ("recursion", ["--n", "-1"]),
+        ("fixed-point", ["--n-points", "0"]),
+        ("fixed-point", ["--n-points", "-3"]),
+        ("density", ["--n-points", "0"]),
+        ("density", ["--n-points", "-3"]),
+        ("density", ["--n-points", "4", "--set", "density.replica=-1"]),
+        ("density", ["--n-points", "4", "--set", "density.replica=18446744073709551616"]),
     ],
     ids=["lyapunov-etas", "stability-etas", "stability-etas-nan", "stability-eps-nan",
          "stability-e-min-nan", "fluctuation-lambdas", "density-ladder-empty",
-         "density-ladder-one", "density-ladder-repeated"],
+         "density-ladder-one", "density-ladder-repeated", "recursion-n-zero",
+         "recursion-n-negative", "fixed-point-n-points-zero", "fixed-point-n-points-negative",
+         "density-n-points-zero", "density-n-points-negative", "density-replica-negative",
+         "density-replica-2**64"],
 )
 def test_empty_or_degenerate_grid_rejected(tmp_path, capsys, command, args):
-    rc = cli.main([command, "--out", str(tmp_path), "--set", "depth=3"] + args)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main([command, "--out", str(tmp_path), "--set", "depth=3"] + args)
     assert rc == 1
     assert "wtree: error:" in capsys.readouterr().err
-    assert not (tmp_path / f"{command}.csv").exists()
+    assert not list(tmp_path.iterdir())
+
+
+# the flags of each subcommand and the config key each one sets, in
+# declaration order, as the hand-written parser declared them
+_COMMON_FLAGS = ["-h", "--help", "--config", "--set", "--out", "--threads", "--seed"]
+_SUBCOMMAND_FLAGS = {
+    "bands": [("--K", "K"), ("--L", "L"), ("--n-max", "bands.n_max")],
+    "fixed-point": [("--eta", "fixed_point.eta"), ("--e-min", "fixed_point.e_min"),
+                    ("--e-max", "fixed_point.e_max"), ("--n-points", "fixed_point.n_points")],
+    "density": [("--eta", "density.eta"), ("--e-min", "density.e_min"),
+                ("--e-max", "density.e_max"), ("--n-points", "density.n_points"),
+                ("--extrapolate", "density.extrapolate")],
+    "lyapunov": [("--E", "lyapunov.E"), ("--n", "lyapunov.n"), ("--source", "lyapunov.source")],
+    "fluctuation": [("--E", "fluctuation.E"), ("--eta", "fluctuation.eta"),
+                    ("--a", "fluctuation.a"), ("--n", "fluctuation.n")],
+    "stability": [("--eps", "stability.eps"), ("--n", "stability.n")],
+    "recursion": [("--n", "recursion.n"), ("--E", "recursion.E"), ("--eta", "recursion.eta")],
+}
+
+
+def test_subcommand_flag_strings():
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == list(_SUBCOMMAND_FLAGS)
+    for command, p in sub.choices.items():
+        flags = [s for a in p._actions for s in a.option_strings]
+        assert flags == _COMMON_FLAGS + [flag for flag, _ in _SUBCOMMAND_FLAGS[command]]
+
+
+@pytest.mark.parametrize("command", list(_SUBCOMMAND_FLAGS))
+def test_flag_equals_set_override(tmp_path, monkeypatch, command):
+    # each flag is shorthand for one --set key, typed like its default
+    seen = []
+    monkeypatch.setattr(cli, "run", lambda cmd, cfg, out, threads: seen.append(cfg) or [])
+    values = {int: "7", float: "0.5", str: "direct"}
+    for flag, key in _SUBCOMMAND_FLAGS[command]:
+        section, _, leaf = key.rpartition(".")
+        default = (DEFAULTS[section] if section else DEFAULTS)[leaf]
+        if isinstance(default, bool):
+            by_flag, by_set = [flag], ["--set", f"{key}=true"]
+        else:
+            value = values[type(default)]
+            by_flag, by_set = [flag, value], ["--set", f"{key}={value}"]
+        assert cli.main([command, "--out", str(tmp_path)] + by_flag) == 0
+        assert cli.main([command, "--out", str(tmp_path)] + by_set) == 0
+        assert seen[-2] == seen[-1] != load_config()
+
+
+def test_lyapunov_bogus_source_rejected(tmp_path, monkeypatch, capsys):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("a pool or tree was sampled")
+
+    monkeypatch.setattr(ensemble, "pool_init", no_sampling)
+    monkeypatch.setattr(ensemble, "solve_root_R_batch", no_sampling)
+    assert cli.main(["lyapunov", "--out", str(tmp_path), "--source", "bogus"]) == 1
+    assert "unknown source 'bogus'" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_cli_import_leaves_scipy_special_and_mpmath_unloaded():
@@ -451,6 +518,9 @@ _PINNED_CSVS = [
      "069458686ab696e96bbb4909b2b6978e90f8167311165657c01f9a7fb921e92b"),
     ("recursion", ["--set", "depth=5", "--n", "32", "--set", "disorder.lambda=0.3"],
      "d3332a7d004154940742c5b99b7dc23e12e0ee1dbd8b1feca0f76cf20ab6a3f3"),
+    ("recursion", ["--set", "depth=5", "--n", "32", "--set", "disorder.lambda=0.3",
+                   "--set", "recursion.seed_mode=fixed_point"],
+     "4a17c770c158e5d0297248f0fd805247ed9a1a8d16f64152b2240944eb7daa8d"),
 ]
 
 
@@ -458,7 +528,8 @@ _PINNED_CSVS = [
     "command,args,digest",
     _PINNED_CSVS,
     ids=["density", "lyapunov-pool", "lyapunov-pool-blocks", "lyapunov-direct",
-         "fluctuation-direct", "fluctuation-pool", "stability", "recursion"],
+         "fluctuation-direct", "fluctuation-pool", "stability", "recursion",
+         "recursion-fixed-point"],
 )
 def test_csv_digest_pinned(tmp_path, command, args, digest):
     assert cli.main([command, "--out", str(tmp_path)] + args) == 0

@@ -34,7 +34,7 @@ from wtree.graphmodel import (
     omega_from_uniform,
     uniform01,
 )
-from wtree.regular import fixed_point_batch
+from wtree.regular import _cut_seed, fixed_point_batch
 
 Z_MID = complex(2.0, 0.01)
 SPEC6 = TreeSpec(K=2, L=1.0, depth=6)
@@ -48,7 +48,9 @@ def _im_R(pool):
 
 
 def test_pool_init_disk_zero():
-    pool = pool_init(SPEC6, CLEAN, Z_MID, size=1000, seed_mode="disk_zero")
+    # pools start at the stationary value; a pool at m = 0 is set by hand
+    pool = pool_init(SPEC6, CLEAN, Z_MID, size=1000)
+    pool.values[:] = 0
     assert pool.size == 1000
     assert pool.generation == 0
     assert np.all(pool.values == 0.0)
@@ -66,8 +68,6 @@ def test_pool_init_validation():
         pool_init(SPEC6, CLEAN, Z_MID, size=0)
     with pytest.raises(ValidationError):
         pool_init(SPEC6, CLEAN, complex(2.0, 0.0), size=8)
-    with pytest.raises(ValidationError):
-        pool_init(SPEC6, CLEAN, Z_MID, size=8, seed_mode="bogus")
 
 
 def test_pool_step_clean_is_stationary():
@@ -103,7 +103,8 @@ def test_pool_clean_convergence_from_zero():
     # the clean map contracts like exp(-2*gamma0) per generation, so the
     # approach to the stationary point is slow at small eta
     z = complex(2.0, 0.1)
-    pool = pool_init(TreeSpec(K=2, L=1.0, depth=1), CLEAN, z, size=16, seed_mode="disk_zero")
+    pool = pool_init(TreeSpec(K=2, L=1.0, depth=1), CLEAN, z, size=16)
+    pool.values[:] = 0
     m_star = stationary_disk(z, 2, 1.0)
     for _ in range(400):
         pool_step(pool)
@@ -111,7 +112,8 @@ def test_pool_clean_convergence_from_zero():
 
 
 def test_pool_clean_convergence_mean_small_eta():
-    pool = pool_init(SPEC6, CLEAN, Z_MID, size=16, seed_mode="disk_zero")
+    pool = pool_init(SPEC6, CLEAN, Z_MID, size=16)
+    pool.values[:] = 0
     m_star = stationary_disk(Z_MID, 2, 1.0)
     for _ in range(1700):
         pool_step(pool)
@@ -275,8 +277,8 @@ def test_pool_draws_cross_block_boundaries(K):
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{"burn_in": -1}, {"thin": 0}, {"thin": -3}, {"pool_size": 0}, {"pool_size": -2}],
-    ids=["burn_in=-1", "thin=0", "thin=-3", "pool_size=0", "pool_size=-2"],
+    [{"burn_in": -1}, {"pool_size": 0}, {"pool_size": -2}],
+    ids=["burn_in=-1", "pool_size=0", "pool_size=-2"],
 )
 def test_pool_counts_validated_before_sampling(monkeypatch, kwargs):
     def no_pool(*args, **kw):
@@ -306,9 +308,10 @@ def test_pool_collection_counts_resamples(monkeypatch):
 
     monkeypatch.setattr(ensemble, "pool_init", poisoned_init)
     dm = DisorderModel(lam=0.1, master_seed=1)
-    est = estimate_gamma(SPEC6, dm, Z_MID, n=64, source="pool", burn_in=0, pool_size=16, thin=1)
+    est = estimate_gamma(SPEC6, dm, Z_MID, n=64, source="pool", burn_in=0, pool_size=16)
     assert math.isfinite(est.gamma_hat)
-    assert pools[0].generation == 4
+    # G = 64 / 16 = 4 collections, thinned apart
+    assert pools[0].generation == 1 + 3 * ensemble._auto_thin(Z_MID, 2, 1.0)
     assert pools[0].resampled >= 1
 
 
@@ -473,7 +476,7 @@ def test_estimate_gamma_sequence_equals_loop(monkeypatch):
         DisorderModel(lam=0.0, dist="uniform", master_seed=3),
         DisorderModel(lam=0.1, dist="two_point", master_seed=4),
     ]
-    pool_kw = dict(burn_in=10, pool_size=16, thin=3)
+    pool_kw = dict(burn_in=10, pool_size=16)
     for source, kw in (("pool", pool_kw), ("direct", {})):
         stacked = estimate_gamma(spec, models, z, 64, source=source, **kw)
         assert stacked == [estimate_gamma(spec, dm, z, 64, source=source, **kw) for dm in models]
@@ -498,7 +501,8 @@ def test_estimate_gamma_sequence_equals_loop(monkeypatch):
     monkeypatch.setattr(ensemble, "pool_step", counted)
     estimate_gamma(spec, models, z, 64, **pool_kw)
     # G = 64 / 16 = 4 collections: burn-in plus (G - 1) gaps of thin - 1
-    assert steps == [(3, 16)] * (10 + 3 * 2)
+    thin = ensemble._auto_thin(z, 2, 1.0)
+    assert steps == [(3, 16)] * (10 + 3 * (thin - 1))
 
 
 @pytest.mark.parametrize(
@@ -523,10 +527,11 @@ def test_disorder_sequence_validated_before_sampling(monkeypatch, dm):
 
 
 def test_estimate_gamma_tilde_pinned():
-    # the rotated terms pair each new member with the previous generation
+    # the rotated terms pair each new member with the previous generation;
+    # collections are _auto_thin(z, 2, 1.0) = 80 generations apart
     expected = {
-        "uniform": ("-0x1.98fcfac80034dp-10", "0x1.34b09ede02174p-6"),
-        "two_point": ("0x1.9e277c06aee60p-5", "0x1.f39cd54a84758p-6"),
+        "uniform": ("0x1.2eb26eefb6fcep-7", "0x1.2d1b7f56635a7p-5"),
+        "two_point": ("0x1.d76778b58108dp-9", "0x1.08a55f308d58fp-4"),
     }
     for dist, (g_hex, se_hex) in expected.items():
         est = estimate_gamma_tilde(
@@ -537,7 +542,6 @@ def test_estimate_gamma_tilde_pinned():
             math.pi / 3,
             burn_in=10,
             pool_size=8,
-            thin=2,
         )
         assert (est.gamma_hat, est.stderr, est.n) == (
             float.fromhex(g_hex),
@@ -868,17 +872,17 @@ def test_stability_scan_seed_mode():
     spec = TreeSpec(K=2, L=1.0, depth=3)
     dm = DisorderModel(lam=0.1, master_seed=4)
     kw = dict(lambdas=[0.1], etas=[1e-2], e_min=1.5, e_max=2.5, eps=0.05, n=200)
-    (fixed,) = stability_scan(spec, dm, **kw)
-    (zero,) = stability_scan(spec, dm, seed_mode="disk_zero", **kw)
-    # the same cell solved directly with the far ends seeded at m = 0
+    (cell,) = stability_scan(spec, dm, **kw)
+    # the same cell solved directly with the far ends at the clean cut seed
     idx = np.arange(200, dtype=np.uint64)
     energies = 1.5 + uniform01(hash_words(4, DOMAIN_SCAN_ENERGY, 0, idx))
-    R = solve_root_R_batch(spec, dm, energies + 0.01j, 0j, idx)
+    seeds = _cut_seed(fixed_point_batch(energies, 0.01, 2, 1.0).m, 2)
+    R = solve_root_R_batch(spec, dm, energies + 0.01j, seeds, idx)
     phi = fixed_point_batch(energies, 0.0, 2, 1.0).phi
-    assert zero.exceedance == float(np.mean(np.abs(R - phi) > 0.05))
-    assert zero.exceedance != fixed.exceedance
-    with pytest.raises(ValidationError):
-        stability_scan(spec, dm, seed_mode="bogus", **kw)
+    assert cell.exceedance == float(np.mean(np.abs(R - phi) > 0.05))
+    # the seed matters at this depth: far ends at m = 0 stray differently
+    R0 = solve_root_R_batch(spec, dm, energies + 0.01j, 0j, idx)
+    assert cell.exceedance != float(np.mean(np.abs(R0 - phi) > 0.05))
 
 
 def test_stability_scan_validation(monkeypatch):

@@ -231,6 +231,9 @@ def test_density_seed_modes_and_validation():
         spectral_density(spec, dm, E, eta=1e-2, seed_mode="bogus")
     with pytest.raises(ValidationError):
         spectral_density(spec, dm, E, eta=1e-2, threads=0)
+    for replica in (-1, 2**64):
+        with pytest.raises(ValidationError):
+            spectral_density(spec, dm, E, eta=1e-2, replica=replica)
 
 
 def test_density_thread_determinism():
