@@ -20,6 +20,7 @@ import os
 import platform
 import sys
 import time
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -28,6 +29,8 @@ from . import observables
 from .config import DEFAULTS, _set_leaf, apply_override, load_config, make_disorder, make_spec
 from .engine import _check_threads, _eta_intercept, _eta_ladder, _failed_rows, solve_root_R_batch
 from .ensemble import (
+    FluctuationReport,
+    ScanCell,
     _root_edge_lengths,
     _sampling_point,
     estimate_gamma,
@@ -35,7 +38,6 @@ from .ensemble import (
     stability_scan,
 )
 from .errors import NumericalDegeneracyError, ValidationError, WtreeError
-from .graphmodel import DisorderModel
 from .observables import spectral_density, wt_bound
 from .regular import _gamma0, ac_bands, fixed_point_batch, gamma_clean
 
@@ -43,19 +45,37 @@ __all__ = ["main", "run", "emit_plotdata"]
 
 
 def _fmt(x) -> str:
-    if isinstance(x, bool):
+    if isinstance(x, (bool, np.bool_)):
         return "1" if x else "0"
     if isinstance(x, float):
         return format(x, ".17g")
     return str(x)
 
 
-def _write_csv(path: str, header, rows):
+def _write_csv(path: str, table: dict) -> str:
+    """Write ``table``, column name -> one value per row, as a CSV file; returns ``path``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerow(table)
+        writer.writerows([_fmt(v) for v in row] for row in zip(*table.values(), strict=True))
+    return path
+
+
+def _columns(records, names) -> dict:
+    """One table column per attribute name, read from each record."""
+    return {name: [getattr(r, name) for r in records] for name in names}
+
+
+def _series(key: str, keys, xs, ys) -> list:
+    """Plot series of (xs, ys), one per distinct value k of ``keys``, named ``key=k``."""
+    return [
+        (
+            f"{key}={k:.6g}",
+            [x for kx, x in zip(keys, xs) if kx == k],
+            [y for ky, y in zip(keys, ys) if ky == k],
+        )
+        for k in dict.fromkeys(keys)
+    ]
 
 
 def _write_manifest(path: str, command: str, cfg: dict, outputs, wall_s: float, threads: int):
@@ -87,14 +107,15 @@ def emit_plotdata(path: str, title: str, xlabel: str, ylabel: str, series):
     """Write a deterministic, self-contained SVG line plot.
 
     ``series`` is a list of (name, xs, ys); non-finite points break the
-    polyline.  Output bytes depend only on the arguments.
+    polyline, and with no finite point at all the plot is the bare axes
+    frame on the unit box.  Output bytes depend only on the arguments.
     """
     width, height = 800, 500
     ml, mr, mt, mb = 70, 160, 40, 55
     xs_all = [x for _, xs, _ in series for x in xs if math.isfinite(x)]
     ys_all = [y for _, _, ys in series for y in ys if math.isfinite(y)]
     if not xs_all or not ys_all:
-        raise ValidationError("plot needs at least one finite point")
+        xs_all = ys_all = [0.0, 1.0]
     x0, x1 = min(xs_all), max(xs_all)
     y0, y1 = min(ys_all), max(ys_all)
     if x1 == x0:
@@ -194,40 +215,26 @@ def _energies(cfg, section: str) -> np.ndarray:
 
 def _cmd_bands(cfg, out_dir, threads):
     """AC band table of the clean tree"""
-    bl = ac_bands(cfg["K"], cfg["L"], cfg["bands"]["n_max"])
-    rows = [(n, a, b) for n, (a, b) in enumerate(bl.intervals)]
-    path = os.path.join(out_dir, "bands.csv")
-    _write_csv(path, ["n", "e_low", "e_high"], rows)
-    return [path]
+    e_low, e_high = zip(*ac_bands(cfg["K"], cfg["L"], cfg["bands"]["n_max"]).intervals)
+    table = {"n": range(len(e_low)), "e_low": e_low, "e_high": e_high}
+    return [_write_csv(os.path.join(out_dir, "bands.csv"), table)]
 
 
 def _cmd_fixed_point(cfg, out_dir, threads):
     """clean fixed point on an energy grid"""
-    sec = cfg["fixed_point"]
-    K, L = cfg["K"], cfg["L"]
+    eta = cfg["fixed_point"]["eta"]
     energies = _energies(cfg, "fixed_point")
-    fp = fixed_point_batch(energies, sec["eta"], K, L)
-    gamma0 = _gamma0(fp, K, L)
-    rows = []
-    for i, E in enumerate(energies):
-        rows.append(
-            (
-                float(E),
-                sec["eta"],
-                fp.phi[i].real,
-                fp.phi[i].imag,
-                float(fp.residual[i]),
-                gamma0[i],
-                bool(fp.shifted[i]),
-            )
-        )
-    path = os.path.join(out_dir, "fixed_point.csv")
-    _write_csv(
-        path,
-        ["E", "eta", "phi_re", "phi_im", "residual", "gamma0", "shifted"],
-        rows,
-    )
-    return [path]
+    fp = fixed_point_batch(energies, eta, cfg["K"], cfg["L"])
+    table = {
+        "E": energies,
+        "eta": [eta] * energies.size,
+        "phi_re": fp.phi.real,
+        "phi_im": fp.phi.imag,
+        "residual": fp.residual,
+        "gamma0": _gamma0(fp, cfg["K"], cfg["L"]),
+        "shifted": fp.shifted,
+    }
+    return [_write_csv(os.path.join(out_dir, "fixed_point.csv"), table)]
 
 
 def _cmd_density(cfg, out_dir, threads):
@@ -236,38 +243,32 @@ def _cmd_density(cfg, out_dir, threads):
     spec = make_spec(cfg)
     dm = make_disorder(cfg)
     energies = _energies(cfg, "density")
+    # the plain sweep is the one-eta ladder, read off as is instead of fitted
+    ladder = _eta_ladder(sec["eta_ladder"]) if sec["extrapolate"] else [sec["eta"]]
+    sweeps = [
+        spectral_density(spec, dm, energies, eta, sec["replica"], sec["seed_mode"], threads)
+        for eta in ladder
+    ]
+    # shape (eta, point, column); a point failed at any eta keeps its first failure
+    values = np.array([[(p.rho, p.im_R, p.abs_r) for p in sweep] for sweep in sweeps])
+    status = [next((p.status for p in pts if p.status != "ok"), "ok") for pts in zip(*sweeps)]
     if sec["extrapolate"]:
-        ladder = _eta_ladder(sec["eta_ladder"])
-        sweeps = [
-            spectral_density(
-                spec, dm, energies, eta, sec["replica"], sec["seed_mode"], threads
-            )
-            for eta in ladder
-        ]
-        # One closed-form line fit per (point, column): shape (eta, point, column).
-        values = np.array([[(p.rho, p.im_R, p.abs_r) for p in sweep] for sweep in sweeps])
-        fits = _eta_intercept(ladder, values)
-        rows = []
-        for i, E in enumerate(energies):
-            bad = next((sweep[i].status for sweep in sweeps if sweep[i].status != "ok"), None)
-            if bad is None:
-                rows.append((float(E), 0.0, *(float(v) for v in fits[i]), "ok"))
-            else:
-                rows.append((float(E), 0.0, math.nan, math.nan, math.nan, bad))
+        values, eta = _eta_intercept(ladder, values), 0.0
     else:
-        pts = spectral_density(
-            spec, dm, energies, sec["eta"], sec["replica"], sec["seed_mode"], threads
-        )
-        rows = [(p.E, p.eta, p.rho, p.im_R, p.abs_r, p.status) for p in pts]
-    path = os.path.join(out_dir, "density.csv")
-    _write_csv(path, ["E", "eta", "rho", "im_R", "abs_r", "status"], rows)
+        values, eta = values[0], sec["eta"]
+    values[np.array(status) != "ok"] = math.nan
+    table = {
+        "E": energies,
+        "eta": [eta] * energies.size,
+        "rho": values[:, 0],
+        "im_R": values[:, 1],
+        "abs_r": values[:, 2],
+        "status": status,
+    }
+    path = _write_csv(os.path.join(out_dir, "density.csv"), table)
     svg = os.path.join(out_dir, "density.svg")
     emit_plotdata(
-        svg,
-        "Root spectral density",
-        "E",
-        "rho",
-        [("rho", [r[0] for r in rows], [r[2] for r in rows])],
+        svg, "Root spectral density", "E", "rho", [("rho", table["E"], table["rho"])]
     )
     return [path, svg]
 
@@ -276,12 +277,9 @@ def _cmd_lyapunov(cfg, out_dir, threads):
     """Lyapunov exponent estimates"""
     sec = cfg["lyapunov"]
     spec = make_spec(cfg)
-    dm0 = make_disorder(cfg)
+    dm = make_disorder(cfg)
     # every model and point is checked before any is sampled
-    dms = [
-        DisorderModel(lam=lam, dist=dm0.dist, master_seed=dm0.master_seed)
-        for lam in sec["lambdas"]
-    ]
+    dms = [replace(dm, lam=lam) for lam in sec["lambdas"]]
     points = [
         _sampling_point(complex(sec["E"], eta), sec["n"], "Lyapunov estimation requires eta > 0")
         for eta in sec["etas"]
@@ -293,34 +291,18 @@ def _cmd_lyapunov(cfg, out_dir, threads):
         )
         for p in points
     ]
-    rows = []
-    for i, lam in enumerate(sec["lambdas"]):
-        for eta, p, estimates in zip(sec["etas"], points, by_eta):
-            est = estimates[i]
-            rows.append(
-                (
-                    lam,
-                    eta,
-                    sec["E"],
-                    est.n,
-                    est.source,
-                    est.gamma_hat,
-                    est.stderr,
-                    gamma_clean(p.z, spec.K, spec.L),
-                )
-            )
-    path = os.path.join(out_dir, "lyapunov.csv")
-    _write_csv(
-        path,
-        ["lam", "eta", "E", "n", "source", "gamma_hat", "stderr", "gamma0"],
-        rows,
-    )
+    estimates = [est for by_lam in zip(*by_eta) for est in by_lam]
+    table = {
+        "lam": [lam for lam in sec["lambdas"] for _ in sec["etas"]],
+        "eta": sec["etas"] * len(dms),
+        "E": [sec["E"]] * len(estimates),
+        **_columns(estimates, ("n", "source", "gamma_hat", "stderr")),
+        "gamma0": [gamma_clean(p.z, spec.K, spec.L) for p in points] * len(dms),
+    }
+    path = _write_csv(os.path.join(out_dir, "lyapunov.csv"), table)
     svg = os.path.join(out_dir, "lyapunov.svg")
-    series = []
-    for lam in sec["lambdas"]:
-        xs = [math.log10(r[1]) for r in rows if r[0] == lam]
-        ys = [r[5] for r in rows if r[0] == lam]
-        series.append((f"lam={lam:.6g}", xs, ys))
+    log_eta = [math.log10(eta) for eta in table["eta"]]
+    series = _series("lam", table["lam"], log_eta, table["gamma_hat"])
     emit_plotdata(svg, "Lyapunov exponent", "log10(eta)", "gamma", series)
     return [path, svg]
 
@@ -329,85 +311,36 @@ def _cmd_fluctuation(cfg, out_dir, threads):
     """quantile widths vs Lyapunov bounds"""
     sec = cfg["fluctuation"]
     spec = make_spec(cfg)
-    dm0 = make_disorder(cfg)
-    rows = []
-    for lam in sec["lambdas"]:
-        dm = DisorderModel(lam=lam, dist=dm0.dist, master_seed=dm0.master_seed)
-        rep = fluctuation_report(
-            spec,
-            dm,
-            complex(sec["E"], sec["eta"]),
-            sec["n"],
-            a=sec["a"],
-            source=sec["source"],
-            burn_in=sec["burn_in"],
-            threads=threads,
+    dm = make_disorder(cfg)
+    z = complex(sec["E"], sec["eta"])
+    reports = [
+        fluctuation_report(
+            spec, replace(dm, lam=lam), z, sec["n"], a=sec["a"], source=sec["source"],
+            burn_in=sec["burn_in"], threads=threads,
         )
-        rows.append(
-            (
-                lam,
-                sec["E"],
-                sec["eta"],
-                rep.a,
-                rep.n,
-                rep.gamma_hat,
-                rep.gamma_stderr,
-                rep.delta_im,
-                rep.delta_mod,
-                rep.bound1,
-                rep.bound2,
-                rep.bound1_ok,
-                rep.bound2_ok,
-            )
-        )
-    path = os.path.join(out_dir, "fluctuation.csv")
-    _write_csv(
-        path,
-        [
-            "lam",
-            "E",
-            "eta",
-            "a",
-            "n",
-            "gamma_hat",
-            "gamma_stderr",
-            "delta_im",
-            "delta_mod",
-            "bound1",
-            "bound2",
-            "bound1_ok",
-            "bound2_ok",
-        ],
-        rows,
-    )
-    return [path]
+        for lam in sec["lambdas"]
+    ]
+    # the report's fields after z and lam are the last columns
+    table = {
+        "lam": sec["lambdas"],
+        "E": [sec["E"]] * len(reports),
+        "eta": [sec["eta"]] * len(reports),
+        **_columns(reports, [f.name for f in fields(FluctuationReport)[2:]]),
+    }
+    return [_write_csv(os.path.join(out_dir, "fluctuation.csv"), table)]
 
 
 def _cmd_stability(cfg, out_dir, threads):
     """fixed-point exceedance scan"""
     sec = cfg["stability"]
-    spec = make_spec(cfg)
-    dm = make_disorder(cfg)
     cells = stability_scan(
-        spec,
-        dm,
-        sec["lambdas"],
-        sec["etas"],
-        sec["e_min"],
-        sec["e_max"],
-        sec["eps"],
-        sec["n"],
-        threads=threads,
+        make_spec(cfg), make_disorder(cfg), sec["lambdas"], sec["etas"], sec["e_min"],
+        sec["e_max"], sec["eps"], sec["n"], threads=threads,
     )
-    rows = [(c.lam, c.eta, c.eps, c.n, c.exceedance, c.stderr) for c in cells]
-    path = os.path.join(out_dir, "stability.csv")
-    _write_csv(path, ["lam", "eta", "eps", "n", "exceedance", "stderr"], rows)
+    table = _columns(cells, [f.name for f in fields(ScanCell)])
+    path = _write_csv(os.path.join(out_dir, "stability.csv"), table)
     svg = os.path.join(out_dir, "stability.svg")
-    series = []
-    for eta in sec["etas"]:
-        xs = [r[0] for r in rows if r[1] == eta]
-        ys = [r[4] for r in rows if r[1] == eta]
-        series.append((f"eta={eta:.6g}", xs, ys))
+    series = _series("eta", table["eta"], table["lam"], table["exceedance"])
     emit_plotdata(svg, "Fixed-point exceedance", "lambda", "exceedance", series)
     return [path, svg]
 
@@ -417,10 +350,13 @@ def _cmd_recursion(cfg, out_dir, threads):
     sec = cfg["recursion"]
     spec = make_spec(cfg)
     dm = make_disorder(cfg)
-    z = complex(sec["E"], sec["eta"])
     n = sec["n"]
     if n < 1:
         raise ValidationError(f"recursion.n must be >= 1, got {n}")
+    z = complex(sec["E"], sec["eta"])
+    # checked here, since the solve's errors become row statuses
+    if not (math.isfinite(z.real) and 0.0 < z.imag < math.inf):
+        raise ValidationError(f"recursion needs a finite E and 0 < eta < inf, got z = {z}")
     replicas = np.arange(n, dtype=np.uint64)
     E = np.array([sec["E"]])
     seed = complex(observables._seed_array(spec, E, sec["eta"], sec["seed_mode"])[0])
@@ -430,34 +366,21 @@ def _cmd_recursion(cfg, out_dir, threads):
         status = ["ok"] * n
     except WtreeError as exc:
         R, status = _failed_rows(exc, n)
-    rows = []
-    for i in range(n):
-        if status[i] != "ok":
-            rows.append(
-                (i, sec["E"], sec["eta"], math.nan, math.nan, False, math.nan, False, status[i])
-            )
-            continue
-        bound = wt_bound(z, float(lengths[i]))
-        rows.append(
-            (
-                i,
-                sec["E"],
-                sec["eta"],
-                float(R[i].real),
-                float(R[i].imag),
-                bool(R[i].imag > 0),
-                bound,
-                bool(abs(R[i]) <= bound),
-                "ok",
-            )
-        )
-    path = os.path.join(out_dir, "recursion.csv")
-    _write_csv(
-        path,
-        ["replica", "E", "eta", "R_re", "R_im", "herglotz_ok", "wt_bound", "bound_ok", "status"],
-        rows,
-    )
-    return [path]
+    # failed rows hold NaN, so their bound and both checks read NaN and 0
+    bound = np.array([wt_bound(z, float(l_e)) for l_e in lengths])
+    bound[np.isnan(R)] = math.nan
+    table = {
+        "replica": range(n),
+        "E": [sec["E"]] * n,
+        "eta": [sec["eta"]] * n,
+        "R_re": R.real,
+        "R_im": R.imag,
+        "herglotz_ok": R.imag > 0,
+        "wt_bound": bound,
+        "bound_ok": np.abs(R) <= bound,
+        "status": status,
+    }
+    return [_write_csv(os.path.join(out_dir, "recursion.csv"), table)]
 
 
 _COMMANDS = {

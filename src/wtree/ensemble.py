@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -743,9 +743,7 @@ def stability_scan(
     if not (math.isfinite(eps) and eps > 0):
         raise ValidationError(f"eps must be finite and positive, got {eps}")
     _check_threads(threads)
-    models = [
-        DisorderModel(lam=float(lam), dist=dm.dist, master_seed=dm.master_seed) for lam in lambdas
-    ]
+    models = [replace(dm, lam=float(lam)) for lam in lambdas]
     etas = [float(eta) for eta in etas]
     if not all(math.isfinite(eta) and eta > 0 for eta in etas):
         raise ValidationError(f"scan requires finite eta > 0 in every cell, got {etas}")

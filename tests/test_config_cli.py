@@ -1,6 +1,7 @@
 import argparse
 import copy
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -188,6 +189,8 @@ def test_lyapunov_points_validated_before_sampling(tmp_path, monkeypatch, capsys
                      "--set", "density.eta_ladder=[0.1,0.1]"]),
         ("recursion", ["--n", "0"]),
         ("recursion", ["--n", "-1"]),
+        ("recursion", ["--eta", "0"]),
+        ("recursion", ["--eta", "-1"]),
         ("fixed-point", ["--n-points", "0"]),
         ("fixed-point", ["--n-points", "-3"]),
         ("density", ["--n-points", "0"]),
@@ -198,7 +201,8 @@ def test_lyapunov_points_validated_before_sampling(tmp_path, monkeypatch, capsys
     ids=["lyapunov-etas", "stability-etas", "stability-etas-nan", "stability-eps-nan",
          "stability-e-min-nan", "fluctuation-lambdas", "density-ladder-empty",
          "density-ladder-one", "density-ladder-repeated", "recursion-n-zero",
-         "recursion-n-negative", "fixed-point-n-points-zero", "fixed-point-n-points-negative",
+         "recursion-n-negative", "recursion-eta-zero", "recursion-eta-negative",
+         "fixed-point-n-points-zero", "fixed-point-n-points-negative",
          "density-n-points-zero", "density-n-points-negative", "density-replica-negative",
          "density-replica-2**64"],
 )
@@ -493,6 +497,48 @@ def test_density_extrapolate_mode(tmp_path):
     assert all(r.endswith("ok") for r in rows[1:])
 
 
+def test_density_extrapolate_one_eta_failure(tmp_path, monkeypatch):
+    # a point that fails at one ladder eta only is a failed row of the fit
+    status = "NumericalDegeneracyError: marked"
+    sweep = cli.spectral_density
+
+    def marking(spec, dm, energies, eta, *args):
+        pts = sweep(spec, dm, energies, eta, *args)
+        if eta == 0.05:
+            pts[2] = dataclasses.replace(pts[2], status=status)
+        return pts
+
+    monkeypatch.setattr(cli, "spectral_density", marking)
+    rc = cli.main(
+        ["density", "--out", str(tmp_path), "--n-points", "4", "--extrapolate",
+         "--set", "depth=3", "--set", "density.eta_ladder=[0.1, 0.05]",
+         "--set", "density.e_min=1.0", "--set", "density.e_max=3.0"]
+    )
+    assert rc == 0
+    with open(tmp_path / "density.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    E = format(np.linspace(1.0, 3.0, 4)[2], ".17g")
+    assert rows[3] == [E, "0", "nan", "nan", "nan", status]
+    assert [r[5] for r in rows[1:]] == ["ok", "ok", status, "ok"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("extra", [[], ["--extrapolate"]], ids=["sweep", "extrapolate"])
+def test_density_all_points_failing(tmp_path, extra):
+    # a sweep whose every point fails still writes its CSV, a bare plot and the manifest
+    rc = cli.main(["density", "--out", str(tmp_path), "--n-points", "5", "--set", "depth=30"] + extra)
+    assert rc == 0
+    assert sorted(os.listdir(tmp_path)) == ["density.csv", "density.svg", "density_manifest.json"]
+    with open(tmp_path / "density.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 6
+    status = "BudgetExceededError: tree solve would visit 2147483647 edges, budget is 16777216"
+    for cells in rows[1:]:
+        assert cells[2:] == ["nan", "nan", "nan", status]
+    svg = (tmp_path / "density.svg").read_text()
+    assert "<polyline" not in svg and "<circle" not in svg
+
+
 # SHA-256 of the CSV each command writes at a tiny configuration, pinned
 # so that any drift in the numbers (or their formatting) shows up here.
 _PINNED_CSVS = [
@@ -521,6 +567,11 @@ _PINNED_CSVS = [
     ("recursion", ["--set", "depth=5", "--n", "32", "--set", "disorder.lambda=0.3",
                    "--set", "recursion.seed_mode=fixed_point"],
      "4a17c770c158e5d0297248f0fd805247ed9a1a8d16f64152b2240944eb7daa8d"),
+    ("bands", [], "29ac3b80d1fc25fd94205ae6fb6df641671e00f95ca1d3f9ee2b044f9f4be8ef"),
+    # the grid starts on the lower edge of the first band, so one shifted cell reads 1
+    ("fixed-point", ["--e-min", repr(ac_bands(2, 1.0, 3).intervals[0][0]), "--e-max", "3.0",
+                     "--n-points", "8"],
+     "1967cd52bd81e7609dd082dea4652974a0745c5113ca0c1e45bc96691571a5a7"),
 ]
 
 
@@ -529,11 +580,28 @@ _PINNED_CSVS = [
     _PINNED_CSVS,
     ids=["density", "lyapunov-pool", "lyapunov-pool-blocks", "lyapunov-direct",
          "fluctuation-direct", "fluctuation-pool", "stability", "recursion",
-         "recursion-fixed-point"],
+         "recursion-fixed-point", "bands", "fixed-point-band-edge"],
 )
 def test_csv_digest_pinned(tmp_path, command, args, digest):
     assert cli.main([command, "--out", str(tmp_path)] + args) == 0
-    data = (tmp_path / f"{command}.csv").read_bytes()
+    data = (tmp_path / f"{command.replace('-', '_')}.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+# SHA-256 of the SVG plot written by three of the pinned CSV runs
+_PINNED_SVGS = [
+    (*_PINNED_CSVS[0][:2], "d4532c285937b423061c245af1bd72bde522c1dc304aa6cd655eac6f316ae5fb"),
+    (*_PINNED_CSVS[1][:2], "ceb74ec6019d20a45da861a3de64f2a5098db8616573a5874f7263b649583ead"),
+    (*_PINNED_CSVS[6][:2], "6da18224af0a60472fa1725309570ee32c993f5a0033e1ab65592bbf1e2a06bf"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,args,digest", _PINNED_SVGS, ids=["density", "lyapunov", "stability"]
+)
+def test_svg_digest_pinned(tmp_path, command, args, digest):
+    assert cli.main([command, "--out", str(tmp_path)] + args) == 0
+    data = (tmp_path / f"{command}.svg").read_bytes()
     assert hashlib.sha256(data).hexdigest() == digest
 
 
@@ -588,11 +656,16 @@ def test_run_unknown_command(tmp_path):
 
 
 def test_emit_plotdata_validation(tmp_path):
-    with pytest.raises(ValidationError):
-        cli.emit_plotdata(str(tmp_path / "x.svg"), "t", "x", "y", [("a", [], [])])
+    # with no finite point the plot is the bare axes frame on the unit box
     nan = float("nan")
-    with pytest.raises(ValidationError):
-        cli.emit_plotdata(str(tmp_path / "y.svg"), "t", "x", "y", [("a", [nan], [nan])])
+    cli.emit_plotdata(str(tmp_path / "x.svg"), "t", "x", "y", [("a", [], [])])
+    cli.emit_plotdata(str(tmp_path / "y.svg"), "t", "x", "y", [("a", [nan], [nan])])
+    svg = (tmp_path / "x.svg").read_text()
+    assert svg == (tmp_path / "y.svg").read_text()
+    assert '<path d="M 70 40 V 445 H 640"' in svg
+    assert "<polyline" not in svg and "<circle" not in svg
+    for tick in ("0", "0.25", "0.5", "0.75", "1"):
+        assert svg.count(f'font-size="11">{tick}</text>') == 2
 
 
 def test_emit_plotdata_break_on_nonfinite(tmp_path):
