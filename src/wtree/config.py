@@ -12,7 +12,7 @@ import json
 import math
 
 from .errors import ValidationError
-from .graphmodel import DisorderModel, TreeSpec, VertexBC
+from .graphmodel import DisorderModel, TreeSpec
 
 __all__ = [
     "DEFAULTS",
@@ -27,11 +27,6 @@ DEFAULTS = {
     "L": 1.0,
     "depth": 12,
     "alpha": math.pi / 2,
-    "vertex_bc": {
-        "type": "kirchhoff",
-        "alpha_v": math.pi / 2,
-        "beta_v": 0.0,
-    },
     "disorder": {
         "lambda": 0.0,
         "dist": "uniform",
@@ -180,15 +175,8 @@ def _set_leaf(cfg: dict, path: str, val):
 
 
 def make_spec(cfg: dict) -> TreeSpec:
-    """TreeSpec from the geometry and boundary sections."""
-    vb = cfg["vertex_bc"]
-    return TreeSpec(
-        K=cfg["K"],
-        L=cfg["L"],
-        depth=cfg["depth"],
-        alpha=cfg["alpha"],
-        vertex_bc=VertexBC(kind=vb["type"], alpha_v=vb["alpha_v"], beta_v=vb["beta_v"]),
-    )
+    """TreeSpec from the geometry and root-condition keys."""
+    return TreeSpec(K=cfg["K"], L=cfg["L"], depth=cfg["depth"], alpha=cfg["alpha"])
 
 
 def make_disorder(cfg: dict) -> DisorderModel:

@@ -262,14 +262,6 @@ def _check_seed_m(seed_m: complex) -> complex:
     return seed_m
 
 
-def _check_kirchhoff(spec: TreeSpec) -> None:
-    if not spec.vertex_bc.is_kirchhoff:
-        raise ValidationError(
-            "the recursion merges Kirchhoff vertices; apply symmetric_tilde to "
-            "reduce symmetric conditions first"
-        )
-
-
 @dataclass
 class BatchCapture:
     """Per-generation arrays captured during a batch solve.
@@ -465,7 +457,6 @@ def _solve(spec, dm, z, seed_m, replicas, prefix, capture, visit_budget, chunk_e
     joined before the one degeneracy check, so values, failed rows and
     their reasons do not depend on the thread count.
     """
-    _check_kirchhoff(spec)
     _check_threads(threads)
     if replicas is None:
         replicas = [0]
@@ -685,14 +676,11 @@ def solve_R_minus(
     Raises
     ------
     ValidationError
-        For boundary-mode z, out-of-range targets or positions, or
-        non-Kirchhoff vertex conditions (use the tilde rotation to reduce
-        those).
+        For boundary-mode z or out-of-range targets or positions.
     """
     p = as_point(z)
     if p.boundary_mode:
         raise ValidationError("direct recursion requires eta > 0; boundary values need extrapolation")
-    _check_kirchhoff(spec)
     _check_address(spec, target)
     alpha = spec.alpha
     if alpha == 0.0 and target.generation == 0 and position == 0.0:

@@ -12,19 +12,18 @@ parallel scheduling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AddressRangeError, ValidationError
 
 __all__ = [
-    "VertexBC",
     "TreeSpec",
     "DisorderModel",
     "EdgeAddress",
     "ROOT_EDGE",
-    "DIST_MOMENTS",
+    "DISTS",
     "edge_length",
     "resample_omega",
     "omega_for_generation",
@@ -50,14 +49,9 @@ DOMAIN_SCAN_ENERGY = 0x2545F4914F6CDD1D
 _TN_LO = 0.5 * math.erfc(1 / math.sqrt(2))
 _TN_HI = 0.5 * math.erfc(-1 / math.sqrt(2))
 _TN_Z = _TN_HI - _TN_LO
-_TN_VAR = 1.0 - 2.0 * math.exp(-0.5) / math.sqrt(2.0 * math.pi) / _TN_Z
 
-#: mean and variance of each supported omega distribution
-DIST_MOMENTS = {
-    "uniform": (0.0, 1.0 / 3.0),
-    "two_point": (0.0, 1.0),
-    "truncated_normal": (0.0, _TN_VAR),
-}
+#: names of the supported omega distributions
+DISTS = ("uniform", "two_point", "truncated_normal")
 
 
 def _mix(x: int) -> int:
@@ -148,34 +142,6 @@ def omega_from_uniform(dist: str, u):
 
 
 @dataclass(frozen=True)
-class VertexBC:
-    """Vertex boundary-condition family.
-
-    ``kirchhoff`` is continuity plus vanishing net flux; ``symmetric``
-    generalizes it with the two mixing angles.  Kirchhoff coincides with
-    ``symmetric`` at ``beta_v = 0``, ``alpha_v = pi/2``.
-    """
-
-    kind: str = "kirchhoff"
-    alpha_v: float = math.pi / 2
-    beta_v: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("kirchhoff", "symmetric"):
-            raise ValidationError(f"vertex_bc.type must be kirchhoff or symmetric, got {self.kind!r}")
-        if not 0.0 <= self.alpha_v <= math.pi:
-            raise ValidationError(f"vertex_bc.alpha_v must lie in [0, pi], got {self.alpha_v}")
-        if not 0.0 <= self.beta_v <= math.pi:
-            raise ValidationError(f"vertex_bc.beta_v must lie in [0, pi], got {self.beta_v}")
-        if self.kind == "kirchhoff" and self.beta_v != 0.0:
-            raise ValidationError("kirchhoff boundary conditions require beta_v = 0")
-
-    @property
-    def is_kirchhoff(self) -> bool:
-        return self.beta_v == 0.0
-
-
-@dataclass(frozen=True)
 class TreeSpec:
     """Geometry and boundary data of a truncated rooted tree.
 
@@ -191,21 +157,21 @@ class TreeSpec:
     alpha : float
         Root boundary angle in [0, pi).  ``pi/2`` is the Neumann-type
         default; ``0`` is the Dirichlet condition.
-    vertex_bc : VertexBC
-        Boundary-condition family applied at interior vertices.
+
+    Interior vertices carry the Kirchhoff condition (continuity plus
+    vanishing net flux).
     """
 
     K: int
     L: float
     depth: int
     alpha: float = math.pi / 2
-    vertex_bc: VertexBC = field(default_factory=VertexBC)
 
     def __post_init__(self):
         if not isinstance(self.K, int) or self.K < 1:
             raise ValidationError(f"K must be an integer >= 1, got {self.K!r}")
-        if not self.L > 0.0:
-            raise ValidationError(f"L must be positive, got {self.L!r}")
+        if not 0.0 < self.L < math.inf:
+            raise ValidationError(f"L must be positive and finite, got {self.L!r}")
         if not isinstance(self.depth, int) or self.depth < 0:
             raise ValidationError(f"depth must be an integer >= 0, got {self.depth!r}")
         if not 0.0 <= self.alpha < math.pi:
@@ -240,10 +206,8 @@ class DisorderModel:
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
             raise ValidationError(f"disorder strength must lie in [0, 1], got {self.lam!r}")
-        if self.dist not in DIST_MOMENTS:
-            raise ValidationError(
-                f"disorder dist must be one of {sorted(DIST_MOMENTS)}, got {self.dist!r}"
-            )
+        if self.dist not in DISTS:
+            raise ValidationError(f"disorder dist must be one of {sorted(DISTS)}, got {self.dist!r}")
         if not 0 <= int(self.master_seed) <= _MASK64:
             raise ValidationError("master_seed must fit in 64 bits")
 

@@ -163,8 +163,8 @@ class DensityPoint:
     ``status`` is "ok" for a clean evaluation.  A failed sweep point
     carries NaN values and the error text instead of aborting the sweep:
     "NumericalDegeneracyError: ..." for a tree solve that degenerated at
-    this point alone, or the text of an error that failed its whole
-    chunk (such as ``BudgetExceededError``).
+    this point alone, or the text of an error that failed the whole
+    sweep (such as ``BudgetExceededError``).
     """
 
     E: float
@@ -231,13 +231,14 @@ def spectral_density(
         status = ["ok"] * energies.size
     except WtreeError as exc:
         R, status = _failed_rows(exc, energies.size)
+    R_minus = _root_R_minus(spec.alpha)
     out = []
     for E, z, R_i, st in zip(energies, z_arr, R, status):
         if st != "ok":
             out.append(DensityPoint(float(E), eta, math.nan, math.nan, math.nan, st))
             continue
-        G = green_root(R_i, spec.alpha)
-        r = reflection_coeff(R_i, _root_R_minus(spec.alpha), z)
+        G = green_diag(R_i, R_minus)
+        r = reflection_coeff(R_i, R_minus, z)
         out.append(DensityPoint(float(E), eta, G.imag / math.pi, R_i.imag, abs(r)))
     return out
 

@@ -106,7 +106,6 @@ def test_make_spec_and_disorder():
     spec = make_spec(cfg)
     dm = make_disorder(cfg)
     assert spec.K == 3 and spec.depth == 5
-    assert spec.vertex_bc.is_kirchhoff
     assert dm.lam == 0.2 and dm.master_seed == 42
 
 
@@ -197,6 +196,7 @@ def test_lyapunov_points_validated_before_sampling(tmp_path, monkeypatch, capsys
         ("density", ["--n-points", "-3"]),
         ("density", ["--n-points", "4", "--set", "density.replica=-1"]),
         ("density", ["--n-points", "4", "--set", "density.replica=18446744073709551616"]),
+        ("recursion", ["--set", "L=1e999"]),
     ],
     ids=["lyapunov-etas", "stability-etas", "stability-etas-nan", "stability-eps-nan",
          "stability-e-min-nan", "fluctuation-lambdas", "density-ladder-empty",
@@ -204,7 +204,7 @@ def test_lyapunov_points_validated_before_sampling(tmp_path, monkeypatch, capsys
          "recursion-n-negative", "recursion-eta-zero", "recursion-eta-negative",
          "fixed-point-n-points-zero", "fixed-point-n-points-negative",
          "density-n-points-zero", "density-n-points-negative", "density-replica-negative",
-         "density-replica-2**64"],
+         "density-replica-2**64", "recursion-L-inf"],
 )
 def test_empty_or_degenerate_grid_rejected(tmp_path, capsys, command, args):
     with warnings.catch_warnings():
@@ -259,6 +259,23 @@ def test_flag_equals_set_override(tmp_path, monkeypatch, command):
         assert cli.main([command, "--out", str(tmp_path)] + by_flag) == 0
         assert cli.main([command, "--out", str(tmp_path)] + by_set) == 0
         assert seen[-2] == seen[-1] != load_config()
+
+
+@pytest.mark.parametrize("via", ["set", "config"])
+@pytest.mark.parametrize("command", list(_SUBCOMMAND_FLAGS))
+def test_vertex_bc_key_rejected(tmp_path, capsys, command, via):
+    # the tree kernel merges Kirchhoff vertices only, so there is no vertex
+    # condition to configure: the key is unknown before any work is done
+    if via == "set":
+        args = ["--set", "vertex_bc.beta_v=0.3"]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"vertex_bc": {"type": "symmetric", "beta_v": 0.3}}))
+        args = ["--config", str(cfg)]
+    out = tmp_path / "out"
+    assert cli.main([command, "--out", str(out)] + args) == 1
+    assert "unknown configuration key" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_lyapunov_bogus_source_rejected(tmp_path, monkeypatch, capsys):

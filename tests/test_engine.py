@@ -20,7 +20,6 @@ from wtree import (
     SingularTransformError,
     TreeSpec,
     ValidationError,
-    VertexBC,
     WT_INFINITY,
     as_point,
     boundary_extrapolate,
@@ -581,33 +580,6 @@ def test_randomized_solves_are_herglotz_and_bounded():
         w = sqrt_upper(z)
         bound = 2.0 * abs(w) / (1.0 - math.exp(-2.0 * le * w.imag))
         assert abs(r) <= bound * (1.0 + 1e-12)
-
-
-def test_symmetric_bc_zero_beta_matches_kirchhoff():
-    z = complex(2.0, 0.2)
-    dm = DisorderModel(lam=0.1, master_seed=9)
-    plain = TreeSpec(K=2, L=1.0, depth=5)
-    tagged = TreeSpec(
-        K=2, L=1.0, depth=5, vertex_bc=VertexBC(kind="symmetric", beta_v=0.0)
-    )
-    assert solve_root_R(plain, dm, z) == solve_root_R(tagged, dm, z)
-    a = solve_root_R_batch(plain, dm, z, replicas=range(3))
-    b = solve_root_R_batch(tagged, dm, z, replicas=range(3))
-    assert np.array_equal(a, b)
-
-
-def test_non_kirchhoff_rejected_by_solvers():
-    spec = TreeSpec(
-        K=2, L=1.0, depth=3, vertex_bc=VertexBC(kind="symmetric", beta_v=0.3)
-    )
-    dm = DisorderModel()
-    z = complex(2.0, 0.2)
-    with pytest.raises(ValidationError):
-        solve_edge_R(spec, dm, z)
-    with pytest.raises(ValidationError):
-        solve_root_R_batch(spec, dm, z)
-    with pytest.raises(ValidationError):
-        solve_R_minus(spec, dm, z)
 
 
 def test_solve_R_minus_root_values():

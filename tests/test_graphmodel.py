@@ -10,20 +10,28 @@ from wtree import (
     ROOT_EDGE,
     TreeSpec,
     ValidationError,
-    VertexBC,
     edge_length,
     resample_omega,
 )
 from wtree.graphmodel import (
     _TN_HI,
     _TN_LO,
-    DIST_MOMENTS,
+    _TN_Z,
+    DISTS,
     DOMAIN_EDGE,
     hash_words,
     omega_for_generation,
     omega_from_uniform,
     uniform01,
 )
+
+# mean and variance of each omega distribution; the truncated normal's
+# variance is 1 - 2 phi(1) / (Phi(1) - Phi(-1))
+_MOMENTS = {
+    "uniform": (0.0, 1.0 / 3.0),
+    "two_point": (0.0, 1.0),
+    "truncated_normal": (0.0, 1.0 - 2.0 * math.exp(-0.5) / math.sqrt(2.0 * math.pi) / _TN_Z),
+}
 
 
 def test_hash_words_deterministic():
@@ -47,19 +55,19 @@ def test_uniform01_range():
     assert np.all(u >= 0.0) and np.all(u < 1.0)
 
 
-@pytest.mark.parametrize("dist", sorted(DIST_MOMENTS))
+@pytest.mark.parametrize("dist", sorted(DISTS))
 def test_omega_bounded(dist):
     u = uniform01(hash_words(3, np.arange(50_000, dtype=np.uint64)))
     om = omega_from_uniform(dist, u)
     assert np.all(np.abs(om) <= 1.0)
 
 
-@pytest.mark.parametrize("dist", sorted(DIST_MOMENTS))
+@pytest.mark.parametrize("dist", sorted(DISTS))
 def test_omega_moments(dist):
     n = 400_000
     u = uniform01(hash_words(12, np.arange(n, dtype=np.uint64)))
     om = omega_from_uniform(dist, u)
-    mean, var = DIST_MOMENTS[dist]
+    mean, var = _MOMENTS[dist]
     # 5 standard errors on each moment
     se_mean = math.sqrt(var / n)
     assert abs(om.mean() - mean) < 5 * se_mean
@@ -82,7 +90,7 @@ def test_omega_unknown_dist():
 
 
 def test_omega_scalar_matches_array():
-    for dist in sorted(DIST_MOMENTS):
+    for dist in sorted(DISTS):
         u = uniform01(hash_words(8, np.arange(64, dtype=np.uint64)))
         arr = omega_from_uniform(dist, u)
         for i in range(64):
@@ -146,7 +154,7 @@ def test_resample_omega_pinned(seed, dist, path, replica, expected):
 
 
 @pytest.mark.parametrize("K", [1, 2, 3, 4])
-@pytest.mark.parametrize("dist", sorted(DIST_MOMENTS))
+@pytest.mark.parametrize("dist", sorted(DISTS))
 def test_omega_for_generation_sweep(K, dist):
     # every generation g <= 7, one prefix of every length, scalar and
     # column replicas, against resample_omega edge by edge
@@ -209,7 +217,7 @@ def test_uniform_transforms_leave_inputs_unchanged():
     assert h.tobytes() == h_before.tobytes()
     assert u.tolist() == [uniform01(int(x)) for x in h]
     u_before = u.copy()
-    for dist in DIST_MOMENTS:
+    for dist in DISTS:
         omega = omega_from_uniform(dist, u)
         assert u.tobytes() == u_before.tobytes()
         assert omega.tolist() == [omega_from_uniform(dist, float(x)) for x in u]
@@ -275,6 +283,8 @@ def test_tree_spec_validation():
     with pytest.raises(ValidationError):
         TreeSpec(K=2, L=0.0, depth=2)
     with pytest.raises(ValidationError):
+        TreeSpec(K=2, L=math.inf, depth=2)
+    with pytest.raises(ValidationError):
         TreeSpec(K=2, L=1.0, depth=-1)
     with pytest.raises(ValidationError):
         TreeSpec(K=2, L=1.0, depth=2, alpha=math.pi)
@@ -296,12 +306,3 @@ def test_disorder_validation():
     with pytest.raises(ValidationError):
         DisorderModel(master_seed=2**64)
 
-
-def test_vertex_bc():
-    assert VertexBC().is_kirchhoff
-    assert VertexBC(kind="symmetric", beta_v=0.0).is_kirchhoff
-    assert not VertexBC(kind="symmetric", beta_v=0.3).is_kirchhoff
-    with pytest.raises(ValidationError):
-        VertexBC(kind="kirchhoff", beta_v=0.3)
-    with pytest.raises(ValidationError):
-        VertexBC(kind="robin")
