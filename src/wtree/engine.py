@@ -55,8 +55,6 @@ __all__ = [
     "vertex_merge_m",
     "edge_step_R",
     "cos_sin",
-    "symmetric_tilde",
-    "symmetric_tilde_inverse",
     "solve_root_R",
     "solve_edge_R",
     "solve_root_R_batch",
@@ -221,34 +219,6 @@ def edge_step_R(R0: complex, l: float, z) -> complex:
     if not (math.isfinite(out.real) and math.isfinite(out.imag)):
         raise MoebiusPoleError("edge propagation produced a non-finite value")
     return out
-
-
-def symmetric_tilde(R: complex, beta_v: float) -> complex:
-    """Rotated WT value -1 / (cot(beta_v) + R) for symmetric vertex conditions.
-
-    ``beta_v = 0`` is the Kirchhoff case and returns R unchanged.
-    """
-    if beta_v == 0.0:
-        return R
-    if not 0.0 < beta_v < math.pi:
-        raise ValidationError(f"beta_v must lie in [0, pi), got {beta_v}")
-    ct = math.cos(beta_v) / math.sin(beta_v)
-    den = ct + R
-    if den == 0:
-        raise SingularTransformError("tilde rotation evaluated at its pole R = -cot(beta)")
-    return -1.0 / den
-
-
-def symmetric_tilde_inverse(R_tilde: complex, beta_v: float) -> complex:
-    """Inverse of :func:`symmetric_tilde`."""
-    if beta_v == 0.0:
-        return R_tilde
-    if not 0.0 < beta_v < math.pi:
-        raise ValidationError(f"beta_v must lie in [0, pi), got {beta_v}")
-    if R_tilde == 0:
-        raise SingularTransformError("inverse tilde rotation evaluated at R_tilde = 0")
-    ct = math.cos(beta_v) / math.sin(beta_v)
-    return -1.0 / R_tilde - ct
 
 
 def _check_seed_m(seed_m: complex) -> complex:

@@ -57,7 +57,6 @@ __all__ = [
     "pool_step",
     "LyapunovEstimate",
     "estimate_gamma",
-    "estimate_gamma_tilde",
     "WidthStats",
     "quantile_width",
     "JensenReport",
@@ -232,8 +231,8 @@ def _pool_draws(pool: SamplePool, g0: int) -> _PoolDraws:
 def _pool_advance(pool: SamplePool):
     """Advance every row of the pool by one generation in place.
 
-    Returns (child_idx, lengths, old values); ``child_idx`` indexes
-    ``old.ravel()``, which for a one-model pool is ``old`` itself.
+    Returns (child_idx, lengths) of the step; ``child_idx`` indexes the
+    old ``values.ravel()``.
     """
     P = pool.values.shape[-1]
     K = pool.spec.K
@@ -244,14 +243,13 @@ def _pool_advance(pool: SamplePool):
     t = gen - draws.g0
     child_idx = draws.child_idx[t]
 
-    old = pool.values
     phases = draws.phases[t]
     resampled = 0
     # A child at m = 1 or a total zeta = -1 merges to a non-finite value.
     # A finite m_new needs finite merges, so one check covers both.
     with np.errstate(divide="ignore", invalid="ignore"):
         # each member's merge term is computed once, however often it is drawn
-        h = _merge_terms(old.ravel().copy())
+        h = _merge_terms(pool.values.ravel().copy())
         merged = _merge_sum(h.take(child_idx))
         # out of place, as ``engine._pull`` multiplies one-element blocks
         m_new = np.multiply(phases, merged)
@@ -289,7 +287,7 @@ def _pool_advance(pool: SamplePool):
     pool.values = m_new
     pool.generation += 1
     pool.resampled += resampled
-    return child_idx, draws.lengths[t], old
+    return child_idx, draws.lengths[t]
 
 
 def pool_step(pool: SamplePool) -> SamplePool:
@@ -327,12 +325,11 @@ def _auto_thin(z, K: int, L: float) -> int:
 def _sample(spec, dm, p, n, term, source, burn_in, pool_size, threads=1) -> list:
     """One sampling pass: (mean, stderr, count) of ``term`` per disorder model.
 
-    ``term(R, lengths, child)`` maps one block of near-end WT values, edge
-    lengths and first-child disk values (pool only, else None) to
-    per-sample terms.  "direct" gives one (n,) block per model, the root
-    edges of cut-seeded trees 0..n-1; "pool" gives G = ceil(n / P)
-    generations of one stacked pool, :func:`_auto_thin` apart after
-    ``burn_in``, each a (B, P) block.  The stderr is the spread of the G
+    ``term(R, lengths)`` maps one block of near-end WT values and edge
+    lengths to per-sample terms.  "direct" gives one (n,) block per
+    model, the root edges of cut-seeded trees 0..n-1; "pool" gives
+    G = ceil(n / P) generations of one stacked pool, :func:`_auto_thin`
+    apart after ``burn_in``, each a (B, P) block.  The stderr is the spread of the G
     generation means over sqrt(G), or for G = 1 that of the iid samples
     over sqrt(count).  ``threads`` splits the direct source's tree solves.
     Arguments are checked before any sampling.
@@ -345,7 +342,7 @@ def _sample(spec, dm, p, n, term, source, burn_in, pool_size, threads=1) -> list
         terms = np.empty((len(models), 1, n))
         for b, model in enumerate(models):
             R = solve_root_R_batch(spec, model, p.z, seed, replicas, threads=threads)
-            terms[b, 0] = term(R, _root_edge_lengths(spec, model, replicas), None)
+            terms[b, 0] = term(R, _root_edge_lengths(spec, model, replicas))
     elif source == "pool":
         if burn_in < 0:
             raise ValidationError(f"burn_in must be >= 0, got {burn_in}")
@@ -366,9 +363,8 @@ def _sample(spec, dm, p, n, term, source, burn_in, pool_size, threads=1) -> list
             if g:
                 for _ in range(thin - 1):
                     pool_step(pool)
-            child_idx, lengths, old = _pool_advance(pool)
-            child = old.ravel()[child_idx[..., 0]]
-            terms[:, g] = term(_disk_to_r(pool.values, w), lengths, child)
+            _, lengths = _pool_advance(pool)
+            terms[:, g] = term(_disk_to_r(pool.values, w), lengths)
     else:
         raise ValidationError(f"unknown source {source!r}; use 'pool' or 'direct'")
     stats = []
@@ -380,12 +376,6 @@ def _sample(spec, dm, p, n, term, source, burn_in, pool_size, threads=1) -> list
             stderr = flat.std(ddof=1) / math.sqrt(flat.size)
         stats.append((float(flat.mean()), float(stderr), flat.size))
     return stats
-
-
-def _estimates(dm, p, source: str, stats: list):
-    """One estimate for one disorder model, the list for a sequence."""
-    estimates = [LyapunovEstimate(g, se, count, p.z, source) for g, se, count in stats]
-    return estimates[0] if isinstance(dm, DisorderModel) else estimates
 
 
 def estimate_gamma(
@@ -439,47 +429,11 @@ def estimate_gamma(
     p = _sampling_point(z, n, "Lyapunov estimation requires eta > 0")
     w = sqrt_upper(p)
     stats = _sample(
-        spec, dm, p, n, lambda R, lengths, child: _gamma_terms(R, lengths, w, spec.K),
+        spec, dm, p, n, lambda R, lengths: _gamma_terms(R, lengths, w, spec.K),
         source, burn_in, pool_size, threads,
     )
-    return _estimates(dm, p, source, stats)
-
-
-def estimate_gamma_tilde(
-    spec: TreeSpec,
-    dm,
-    z,
-    n: int,
-    beta_v: float,
-    burn_in: int = 200,
-    pool_size: int = None,
-) -> LyapunovEstimate | list[LyapunovEstimate]:
-    """Lyapunov exponent of the rotated (tilde) system, pool source.
-
-    The rotated amplitude across one generation gains the factor
-    (cot(beta) + R_child) / (cot(beta) + R_parent) on top of the plain
-    edge ratio, so each sample pairs a parent edge with its first child.
-    For beta_v = 0 this is the pool source of :func:`estimate_gamma`,
-    read from the same sampling pass with the same standard error.
-    ``dm``, ``burn_in`` and ``pool_size`` are checked as there;
-    a sequence of models advances as the rows of one stacked pool, which
-    share burn-in, thinning, P and G, and gives the list of estimates.
-    """
-    p = _sampling_point(z, n, "Lyapunov estimation requires eta > 0")
-    if not 0.0 <= beta_v < math.pi:
-        raise ValidationError(f"beta_v must lie in [0, pi), got {beta_v}")
-    w = sqrt_upper(p)
-    K = spec.K
-    ct = 0.0 if beta_v == 0.0 else math.cos(beta_v) / math.sin(beta_v)
-
-    def term(R, lengths, child):
-        t = _gamma_terms(R, lengths, w, K)
-        if beta_v == 0.0:
-            return t
-        return t - np.log(np.abs(ct + _disk_to_r(child, w))) + np.log(np.abs(ct + R))
-
-    stats = _sample(spec, dm, p, n, term, "pool", burn_in, pool_size)
-    return _estimates(dm, p, "pool", stats)
+    estimates = [LyapunovEstimate(g, se, count, p.z, source) for g, se, count in stats]
+    return estimates[0] if isinstance(dm, DisorderModel) else estimates
 
 
 @dataclass(frozen=True)
@@ -559,13 +513,16 @@ def check_jensen(
     samples : array_like
         Positive iid draws of X.
     method : str
-        "resample" Monte Carlo with ``n_trials`` K-tuples; "enumerate"
-        averages over all n**K ordered tuples exactly (n**K capped).
+        "resample" Monte Carlo with ``n_trials`` K-tuples (default n,
+        else >= 2); "enumerate" averages over all n**K ordered tuples
+        exactly (n**K capped).
     """
     x = np.asarray(samples, dtype=float).ravel()
     n = x.size
     if K < 1:
         raise ValidationError(f"K must be >= 1, got {K}")
+    if n_trials is not None and n_trials < 2:
+        raise ValidationError(f"n_trials must be >= 2, got {n_trials}")
     if n < 2:
         raise InsufficientSamplesError("need at least 2 samples")
     if not np.all(np.isfinite(x)) or np.min(x) <= 0.0:
@@ -587,7 +544,7 @@ def check_jensen(
         lhs = float(lhs_vals.mean())
         se_lhs = 0.0
     elif method == "resample":
-        draws = n_trials or n
+        draws = n if n_trials is None else n_trials
         rng = np.random.default_rng(seed)
         idx = rng.integers(0, n, size=(draws, K))
         lhs_vals = np.log(x[idx].mean(axis=1))
@@ -670,7 +627,7 @@ def fluctuation_report(
     K = spec.K
     sample = {}
 
-    def term(R, lengths, child):
+    def term(R, lengths):
         sample["im_R"] = R.imag
         sample["ratio_sq"] = ratio_sq = np.abs(_edge_ratio(R, w, lengths)) ** 2
         return -0.5 * math.log(K) - 0.5 * np.log(ratio_sq)

@@ -79,9 +79,7 @@ def green_root(R_plus: complex, alpha: float) -> complex:
     """
     if not 0.0 <= alpha < math.pi:
         raise ValidationError(f"alpha must lie in [0, pi), got {alpha}")
-    if alpha == 0.0:
-        return 0j
-    return green_diag(R_plus, -math.cos(alpha) / math.sin(alpha))
+    return green_diag(R_plus, _root_R_minus(alpha))
 
 
 def reflection_coeff(R_plus: complex, R_minus: complex, z) -> complex:
@@ -114,11 +112,14 @@ def wt_bound(z, L_e: float) -> float:
     """Deterministic bound 2*sqrt|z| / (1 - exp(-2*L_e*Im sqrt(z))) on |R|.
 
     Holds for the near-end WT value of an edge of length L_e whatever
-    the subtree beyond it contributes (any far-end |m| <= 1).
+    the subtree beyond it contributes (any far-end |m| <= 1).  Requires
+    eta > 0 and 0 < L_e < inf.
     """
     p = as_point(z)
     if p.boundary_mode:
         raise ValidationError("the WT bound requires eta > 0")
+    if not 0.0 < L_e < math.inf:
+        raise ValidationError(f"edge length must be positive and finite, got {L_e}")
     w = sqrt_upper(p)
     return 2.0 * abs(w) / (1.0 - math.exp(-2.0 * L_e * w.imag))
 

@@ -82,6 +82,8 @@ def ac_bands(K: int, L: float, n_max: int) -> BandList:
     Endpoints are evaluated in extended precision and rounded once, so
     each float is the correctly rounded value of the exact expression.
     """
+    if K < 1:
+        raise ValidationError(f"branching number must be >= 1, got {K}")
     if L <= 0 or not math.isfinite(L):
         raise ValidationError(f"edge length must be positive, got {L}")
     if n_max < 0:

@@ -22,8 +22,6 @@ from wtree import (
     check_jensen,
     cut_seed_disk,
     edge_length,
-    estimate_gamma,
-    estimate_gamma_tilde,
     fixed_point_batch,
     fluctuation_report,
     gamma_clean,
@@ -274,16 +272,3 @@ def test_criterion_10_density_band_agreement():
         f"edge errors {abs(lo - a0):.4f}, {abs(hi - b0):.4f}",
     )
 
-
-def test_criterion_11_symmetric_bc_equivalence():
-    t0 = time.perf_counter()
-    spec = TreeSpec(K=2, L=1.0, depth=6)
-    dm = DisorderModel(lam=0.0)
-    z = complex(2.0, 1e-2)
-    plain = estimate_gamma(spec, dm, z, n=500, source="pool")
-    tilde = estimate_gamma_tilde(spec, dm, z, n=500, beta_v=math.pi / 4)
-    diff = abs(tilde.gamma_hat - plain.gamma_hat)
-    assert diff < 1e-8
-    elapsed = time.perf_counter() - t0
-    assert elapsed < 1.0
-    _report("11 symmetric-BC equivalence", elapsed, f"|dgamma| = {diff:.2e}")

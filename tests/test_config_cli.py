@@ -197,6 +197,8 @@ def test_lyapunov_points_validated_before_sampling(tmp_path, monkeypatch, capsys
         ("density", ["--n-points", "4", "--set", "density.replica=-1"]),
         ("density", ["--n-points", "4", "--set", "density.replica=18446744073709551616"]),
         ("recursion", ["--set", "L=1e999"]),
+        ("bands", ["--K", "0"]),
+        ("bands", ["--K", "-1"]),
     ],
     ids=["lyapunov-etas", "stability-etas", "stability-etas-nan", "stability-eps-nan",
          "stability-e-min-nan", "fluctuation-lambdas", "density-ladder-empty",
@@ -204,7 +206,7 @@ def test_lyapunov_points_validated_before_sampling(tmp_path, monkeypatch, capsys
          "recursion-n-negative", "recursion-eta-zero", "recursion-eta-negative",
          "fixed-point-n-points-zero", "fixed-point-n-points-negative",
          "density-n-points-zero", "density-n-points-negative", "density-replica-negative",
-         "density-replica-2**64", "recursion-L-inf"],
+         "density-replica-2**64", "recursion-L-inf", "bands-K-zero", "bands-K-negative"],
 )
 def test_empty_or_degenerate_grid_rejected(tmp_path, capsys, command, args):
     with warnings.catch_warnings():

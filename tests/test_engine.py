@@ -37,8 +37,6 @@ from wtree import (
     solve_root_R_batch,
     sqrt_upper,
     stationary_disk,
-    symmetric_tilde,
-    symmetric_tilde_inverse,
     vertex_merge_m,
     wt_bound,
 )
@@ -163,21 +161,6 @@ def test_edge_step_routes_agree(e, eta, le, rre, rim):
     r_near = r_from_m(edge_step_m(m_from_r(r_far, z), le, z), z)
     back = edge_step_R(r_near, le, z)
     assert abs(back - r_far) < 1e-9 * max(1.0, abs(r_far), abs(r_near))
-
-
-def test_symmetric_tilde():
-    r = complex(0.0, 1.0)
-    assert symmetric_tilde(r, 0.0) == r
-    assert abs(symmetric_tilde(r, math.pi / 2) - (-1.0 / r)) < 1e-15
-    assert abs(symmetric_tilde(r, math.pi / 4) - (-1.0 / (1.0 + r))) < 1e-15
-    for beta in [0.3, 1.0, 1.5]:
-        rt = symmetric_tilde(r, beta)
-        assert abs(symmetric_tilde_inverse(rt, beta) - r) < 1e-12
-    ct = math.cos(0.7) / math.sin(0.7)
-    with pytest.raises(SingularTransformError):
-        symmetric_tilde(complex(-ct, 0.0), 0.7)
-    with pytest.raises(ValidationError):
-        symmetric_tilde(r, -0.1)
 
 
 def test_solve_depth0_seed_is_exact():

@@ -15,7 +15,6 @@ from wtree import (
     ValidationError,
     check_jensen,
     estimate_gamma,
-    estimate_gamma_tilde,
     fluctuation_report,
     gamma_clean,
     pool_init,
@@ -238,7 +237,7 @@ def test_pool_draws_cross_block_boundaries(K):
 
     def step_and_check(gen):
         assert pool.generation == gen
-        child_idx, lengths, _ = ensemble._pool_advance(pool)
+        child_idx, lengths = ensemble._pool_advance(pool)
         ref_idx, ref_lengths = _single_generation_draws(pool, gen)
         np.testing.assert_array_equal(child_idx, ref_idx)
         assert lengths.tobytes() == ref_lengths.tobytes()
@@ -263,7 +262,7 @@ def test_pool_draws_cross_block_boundaries(K):
     gen = pool.generation = 3 * 10**6
     ref_idx, ref_lengths = _single_generation_draws(pool, gen)
     pool.values[ref_idx[0, 0]] = 1.0
-    child_idx, lengths, _ = ensemble._pool_advance(pool)
+    child_idx, lengths = ensemble._pool_advance(pool)
     hit = np.any(ref_idx == ref_idx[0, 0], axis=1)
     assert pool.resampled == hit.sum() > 0
     np.testing.assert_array_equal(child_idx[~hit], ref_idx[~hit])
@@ -288,8 +287,6 @@ def test_pool_counts_validated_before_sampling(monkeypatch, kwargs):
     dm = DisorderModel(lam=0.1, master_seed=1)
     with pytest.raises(ValidationError):
         estimate_gamma(SPEC6, dm, Z_MID, n=64, source="pool", **kwargs)
-    with pytest.raises(ValidationError):
-        estimate_gamma_tilde(SPEC6, dm, Z_MID, 64, 0.5, **kwargs)
     if set(kwargs) == {"burn_in"}:
         with pytest.raises(ValidationError):
             fluctuation_report(SPEC6, dm, Z_MID, 64, source="pool", **kwargs)
@@ -485,8 +482,6 @@ def test_estimate_gamma_sequence_equals_loop(monkeypatch):
     big_kw = dict(pool_size=1024, burn_in=10)
     stacked = estimate_gamma(spec, big, complex(2.0, 0.1), 8192, **big_kw)
     assert stacked == [estimate_gamma(spec, dm, complex(2.0, 0.1), 8192, **big_kw) for dm in big]
-    stacked = estimate_gamma_tilde(spec, tuple(models), z, 64, math.pi / 3, **pool_kw)
-    assert stacked == [estimate_gamma_tilde(spec, dm, z, 64, math.pi / 3, **pool_kw) for dm in models]
     one = estimate_gamma(spec, models[:1], z, 64, **pool_kw)
     assert isinstance(one, list) and len(one) == 1
 
@@ -519,27 +514,25 @@ def test_disorder_sequence_validated_before_sampling(monkeypatch, dm):
     for source in ("pool", "direct"):
         with pytest.raises(ValidationError):
             estimate_gamma(SPEC6, dm, Z_MID, n=64, source=source)
-    with pytest.raises(ValidationError):
-        estimate_gamma_tilde(SPEC6, dm, Z_MID, 64, 0.5)
     monkeypatch.undo()
     with pytest.raises(ValidationError):
         pool_init(SPEC6, dm, Z_MID, 8)
 
 
-def test_estimate_gamma_tilde_pinned():
-    # the rotated terms pair each new member with the previous generation;
-    # collections are _auto_thin(z, 2, 1.0) = 80 generations apart
+def test_estimate_gamma_pool_pinned():
+    # one model's thinned pool pass: G = 6 collections of P = 8 members,
+    # _auto_thin(z, 2, 1.0) = 80 generations apart
     expected = {
-        "uniform": ("0x1.2eb26eefb6fcep-7", "0x1.2d1b7f56635a7p-5"),
-        "two_point": ("0x1.d76778b58108dp-9", "0x1.08a55f308d58fp-4"),
+        "uniform": ("0x1.38856c62cf9e8p-4", "0x1.1b5766c638e87p-5"),
+        "two_point": ("0x1.99b1844421333p-4", "0x1.8b797287c58a7p-5"),
     }
     for dist, (g_hex, se_hex) in expected.items():
-        est = estimate_gamma_tilde(
+        est = estimate_gamma(
             TreeSpec(K=2, L=1.0, depth=4),
             DisorderModel(lam=0.2, dist=dist, master_seed=3),
             complex(2.0, 0.05),
             48,
-            math.pi / 3,
+            source="pool",
             burn_in=10,
             pool_size=8,
         )
@@ -597,28 +590,6 @@ def test_estimate_gamma_validation():
         estimate_gamma(SPEC6, CLEAN, complex(2.0, 0.0), n=100)
     with pytest.raises(ValidationError):
         estimate_gamma(SPEC6, CLEAN, Z_MID, n=100, source="bogus")
-
-
-def test_gamma_tilde_zero_beta_matches_plain():
-    t = estimate_gamma_tilde(SPEC6, CLEAN, Z_MID, n=500, beta_v=0.0)
-    p = estimate_gamma(SPEC6, CLEAN, Z_MID, n=500, source="pool")
-    assert t.gamma_hat == p.gamma_hat
-    assert t.stderr == p.stderr
-
-
-def test_gamma_tilde_clean_rotation_invariant():
-    # the rotated amplitude decays at the same rate: the boundary factor
-    # telescopes and vanishes in the stationary state
-    g0 = gamma_clean(Z_MID, 2, 1.0)
-    t = estimate_gamma_tilde(SPEC6, CLEAN, Z_MID, n=500, beta_v=math.pi / 4)
-    assert abs(t.gamma_hat - g0) < 1e-12
-
-
-def test_gamma_tilde_validation():
-    with pytest.raises(ValidationError):
-        estimate_gamma_tilde(SPEC6, CLEAN, Z_MID, n=100, beta_v=-0.1)
-    with pytest.raises(ValidationError):
-        estimate_gamma_tilde(SPEC6, CLEAN, Z_MID, n=100, beta_v=math.pi)
 
 
 def test_quantile_width_examples():
@@ -717,6 +688,15 @@ def test_jensen_budget_and_validation():
         check_jensen(x, K=2, a=0.25, method="bogus")
     with pytest.raises(ValidationError):
         check_jensen(np.array([1.0, -2.0]), K=2, a=0.25)
+
+
+@pytest.mark.parametrize("n_trials", [1, 0, -3])
+def test_jensen_trial_count_validated(n_trials):
+    x = np.exp(np.random.default_rng(2).standard_normal(30))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError):
+            check_jensen(x, K=2, a=0.25, n_trials=n_trials)
 
 
 def test_fluctuation_clean_widths_vanish():

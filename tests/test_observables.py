@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -111,6 +112,14 @@ def test_wt_bound():
     assert wt_bound(z, 1.0) > 0.0
     with pytest.raises(ValidationError):
         wt_bound(complex(2.0, 0.0), 1.0)
+
+
+@pytest.mark.parametrize("L_e", [0.0, -1.0, math.inf, math.nan])
+def test_wt_bound_edge_length_domain(L_e):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError):
+            wt_bound(complex(2.0, 0.1), L_e)
 
 
 def test_current_accessors():

@@ -85,6 +85,9 @@ def test_band_membership():
 def test_ac_bands_validation():
     with pytest.raises(ValidationError):
         ac_bands(2, 0.0, 1)
+    for K in (0, -1):
+        with pytest.raises(ValidationError):
+            ac_bands(K, 1.0, 1)
     with pytest.raises(ValidationError):
         ac_bands(2, 1.0, -1)
 
