@@ -414,9 +414,18 @@ _NONFINITE = "tree solve produced non-finite WT values"
 _LOWER = "tree solve left the upper half plane"
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is an int or a numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_count(name: str, value, lo: int) -> None:
+    if not _is_int(value) or value < lo:
+        raise ValidationError(f"{name} must be an integer >= {lo}, got {value!r}")
+
+
 def _check_threads(threads) -> None:
-    if not isinstance(threads, (int, np.integer)) or isinstance(threads, bool) or threads < 1:
-        raise ValidationError(f"threads must be an integer >= 1, got {threads!r}")
+    _check_count("threads", threads, 1)
 
 
 def _solve(spec, dm, z, seed_m, replicas, prefix, capture, visit_budget, chunk_elems, threads=1):
@@ -573,6 +582,7 @@ def solve_root_R_batch(
     visit_budget: int = VISIT_BUDGET,
     chunk_elems: int = _CHUNK_ELEMS,
     threads: int = 1,
+    addr: EdgeAddress = ROOT_EDGE,
 ):
     """Vectorized root solves across disorder replicas.
 
@@ -602,22 +612,30 @@ def solve_root_R_batch(
         Worker threads, >= 1: the rows are split into contiguous parts
         solved on a thread pool.  Values, captures and failed rows are
         the same at any thread count.
+    addr : EdgeAddress
+        Edge whose near end is evaluated, the root edge by default; the
+        batch form of :func:`solve_edge_R`, with the capture indexed by
+        generation below ``addr``.
 
     Returns
     -------
     np.ndarray or (np.ndarray, BatchCapture)
-        Root WT values, shape ``(len(replicas),)``.
+        WT values at the near end of ``addr``, shape ``(len(replicas),)``.
 
     Raises
     ------
     ValidationError
-        Before any solve, for invalid z, seeds, budget or ``threads``.
+        Before any solve, for invalid z, seeds, budget, ``threads`` or
+        ``addr``.
     RowDegeneracyError
         When some rows (a NaN seed row, say) come out non-finite or with
         Im R <= 0.  Its ``values`` hold every row, NaN where one failed,
         and its ``reasons`` the failure text per row, None where good.
     """
-    return _solve(spec, dm, z, seed_m, replicas, (), capture, visit_budget, chunk_elems, threads)
+    _check_address(spec, addr)
+    return _solve(
+        spec, dm, z, seed_m, replicas, addr.path, capture, visit_budget, chunk_elems, threads
+    )
 
 
 def solve_R_minus(

@@ -21,13 +21,16 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .engine import (
+    _check_count,
     _check_threads,
     _disk_to_r,
-    _edge_ratio,
+    _is_int,
     _lengths,
     _merge_sum,
     _merge_terms,
     _phase,
+    _pull,
+    _r_to_disk,
     as_point,
     solve_root_R_batch,
     sqrt_upper,
@@ -43,6 +46,7 @@ from .graphmodel import (
     DOMAIN_POOL_CHILD,
     DOMAIN_POOL_LENGTH,
     DOMAIN_SCAN_ENERGY,
+    ROOT_EDGE,
     DisorderModel,
     TreeSpec,
     hash_words,
@@ -75,10 +79,12 @@ def _root_edge_lengths(spec: TreeSpec, dm: DisorderModel, replicas: np.ndarray) 
 
 
 def _sampling_point(z, n: int, boundary_message: str):
-    """``z`` as a point, checked to have eta > 0 and n >= 2 samples."""
+    """``z`` as a point, checked to have eta > 0 and an integer n >= 2 samples."""
     p = as_point(z)
     if p.boundary_mode:
         raise ValidationError(boundary_message)
+    if not _is_int(n):
+        raise ValidationError(f"n must be an integer, got {n!r}")
     if n < 2:
         raise InsufficientSamplesError("need at least 2 samples")
     return p
@@ -307,8 +313,32 @@ class LyapunovEstimate:
     source: str
 
 
-def _gamma_terms(R: np.ndarray, lengths: np.ndarray, w: complex, K: int) -> np.ndarray:
-    return -0.5 * math.log(K) - np.log(np.abs(_edge_ratio(R, w, lengths)))
+def _log_edge_ratio(R, R_far, w: complex, lengths):
+    """log|psi(l)/psi(0)| across edges with near-end values R and far-end values R_far.
+
+    psi(x) is proportional to exp(iwx) (1 - m(x)) and 1 - m = 2iw / (R + iw),
+    so the ratio needs no cos(wl) or sin(wl) and cannot overflow.
+    """
+    return np.log(np.abs(R + 1j * w)) - np.log(np.abs(R_far + 1j * w)) - w.imag * lengths
+
+
+def _gamma_parts(R, R_kids, lengths, w: complex):
+    """Current-loss and Jensen-gap parts of 2*gamma, one pair per sample.
+
+    ``R`` holds the near-end WT values of edges of length ``lengths`` and
+    ``R_kids``, with one more axis of length K, the near-end values of
+    their children, whose sum is the far-end value R(l) (Kirchhoff).  The
+    current part is log(J(0)/J(l)) for the current J = |psi|^2 Im R, and
+    the Jensen part log mean_k Im R_k(0) - mean_k log Im R_k(0); each is
+    >= 0 sample by sample, and the Jensen part is 0 for K = 1.
+    """
+    R_far = R_kids.sum(axis=-1)
+    im_kids = R_kids.imag
+    current = (
+        np.log(R.imag) - 2.0 * _log_edge_ratio(R, R_far, w, lengths) - np.log(R_far.imag)
+    )
+    jensen = np.log(im_kids.mean(axis=-1)) - np.log(im_kids).mean(axis=-1)
+    return current, jensen
 
 
 def _auto_thin(z, K: int, L: float) -> int:
@@ -325,36 +355,53 @@ def _auto_thin(z, K: int, L: float) -> int:
 def _sample(spec, dm, p, n, term, source, burn_in, pool_size, threads=1) -> list:
     """One sampling pass: (mean, stderr, count) of ``term`` per disorder model.
 
-    ``term(R, lengths)`` maps one block of near-end WT values and edge
-    lengths to per-sample terms.  "direct" gives one (n,) block per
-    model, the root edges of cut-seeded trees 0..n-1; "pool" gives
-    G = ceil(n / P) generations of one stacked pool, :func:`_auto_thin`
-    apart after ``burn_in``, each a (B, P) block.  The stderr is the spread of the G
-    generation means over sqrt(G), or for G = 1 that of the iid samples
-    over sqrt(count).  ``threads`` splits the direct source's tree solves.
-    Arguments are checked before any sampling.
+    ``term(R, R_kids, lengths)`` maps one block of edges, their near-end
+    WT values, the near-end values of their K children (one more axis)
+    and their lengths, to per-sample terms.  "direct" gives one (n,)
+    block per model, the root edges of cut-seeded trees 0..n-1: the K
+    child subtrees of each are solved, merged and pulled across the root
+    edge.  "pool" gives G = ceil(n / P) generations of one stacked pool,
+    :func:`_auto_thin` apart after ``burn_in``, each a (B, P) block whose
+    children are the members each member drew.  The stderr is the spread
+    of the G generation means over sqrt(G), or for G = 1 that of the iid
+    samples over sqrt(count).  ``threads`` splits the direct source's
+    tree solves.  Arguments are checked before any sampling.
     """
     models = _as_models(dm)
     _check_threads(threads)
+    w = sqrt_upper(p)
     if source == "direct":
+        if spec.depth < 1:
+            raise ValidationError(
+                f"the direct source needs depth >= 1, so that root edges have children, "
+                f"got depth {spec.depth}"
+            )
         replicas = np.arange(n, dtype=np.uint64)
         seed = cut_seed_disk(p, spec.K, spec.L)
         terms = np.empty((len(models), 1, n))
         for b, model in enumerate(models):
-            R = solve_root_R_batch(spec, model, p.z, seed, replicas, threads=threads)
-            terms[b, 0] = term(R, _root_edge_lengths(spec, model, replicas))
+            kids = np.stack(
+                [
+                    solve_root_R_batch(
+                        spec, model, p.z, seed, replicas, threads=threads, addr=ROOT_EDGE.child(k)
+                    )
+                    for k in range(spec.K)
+                ],
+                axis=-1,
+            )
+            lengths = _root_edge_lengths(spec, model, replicas)
+            # the root step of the tree kernel: Kirchhoff merge, then pull
+            R = _disk_to_r(_pull(_r_to_disk(kids.sum(axis=-1), w), w, lengths), w)
+            terms[b, 0] = term(R, kids, lengths)
     elif source == "pool":
-        if burn_in < 0:
-            raise ValidationError(f"burn_in must be >= 0, got {burn_in}")
-        if pool_size is not None and pool_size < 1:
-            raise ValidationError(f"pool_size must be >= 1, got {pool_size}")
+        _check_count("burn_in", burn_in, 0)
         if pool_size is not None:
+            _check_count("pool_size", pool_size, 1)
             P = min(pool_size, n)
         else:
             P = min(4096, n // 8) if n >= 8 else n
         G = math.ceil(n / P)
         thin = _auto_thin(p, spec.K, spec.L) if G >= 2 else 1
-        w = sqrt_upper(p)
         pool = pool_init(spec, dm, p, P)
         for _ in range(burn_in):
             pool_step(pool)
@@ -363,8 +410,10 @@ def _sample(spec, dm, p, n, term, source, burn_in, pool_size, threads=1) -> list
             if g:
                 for _ in range(thin - 1):
                     pool_step(pool)
-            _, lengths = _pool_advance(pool)
-            terms[:, g] = term(_disk_to_r(pool.values, w), lengths)
+            old = pool.values
+            child_idx, lengths = _pool_advance(pool)
+            R_kids = _disk_to_r(old.ravel()[child_idx], w)
+            terms[:, g] = term(_disk_to_r(pool.values, w), R_kids, lengths)
     else:
         raise ValidationError(f"unknown source {source!r}; use 'pool' or 'direct'")
     stats = []
@@ -390,9 +439,16 @@ def estimate_gamma(
 ) -> LyapunovEstimate | list[LyapunovEstimate]:
     """Lyapunov exponent of the edge-to-edge amplitude decay.
 
-    Each sample pairs the WT value at the near end of an edge with that
-    edge's length l and contributes
-    -log(sqrt(K)) - log|cos(w*l) + R*sin(w*l)/w|.
+    Each sample is an edge of length l with near-end WT value R(0) and
+    children of near-end values R_k(0), k = 1..K, and contributes half of
+
+        log(J(0)/J(l)) + [log mean_k Im R_k(0) - mean_k log Im R_k(0)],
+
+    the current lost along the edge, J = |psi|^2 Im R, plus the Jensen
+    gap of Im R over the children.  Both parts are >= 0 sample by sample
+    and their expectations sum to 2*gamma (docs/derivations section 5);
+    log|psi(l)/psi(0)| is read in the disk picture, so no sample
+    overflows at large Im(w)*l.
 
     Parameters
     ----------
@@ -402,7 +458,7 @@ def estimate_gamma(
         one call per model.  The pool source then advances one stacked
         pool with a row per model.
     source : str
-        "direct" solves n independent trees of depth ``spec.depth``,
+        "direct" solves n independent trees of depth ``spec.depth`` >= 1,
         cut-seeded with the clean fixed point (exact at lam = 0), and
         samples their root edges (iid samples, exact standard error).
         "pool" collects whole generations of a burnt-in pool, spaced a
@@ -423,15 +479,20 @@ def estimate_gamma(
     ------
     ValidationError
         Before any sampling, if ``dm`` is neither a ``DisorderModel`` nor
-        a non-empty sequence of them, if ``threads < 1``, or, for the
-        pool source, if ``burn_in < 0`` or ``pool_size < 1``.
+        a non-empty sequence of them, if ``n`` or ``threads`` is not an
+        integer (a bool is not) or ``threads < 1``, for the direct
+        source if ``spec.depth < 1``, or for the pool source if
+        ``burn_in`` or ``pool_size`` is not an integer, ``burn_in < 0``
+        or ``pool_size < 1``.
     """
     p = _sampling_point(z, n, "Lyapunov estimation requires eta > 0")
     w = sqrt_upper(p)
-    stats = _sample(
-        spec, dm, p, n, lambda R, lengths: _gamma_terms(R, lengths, w, spec.K),
-        source, burn_in, pool_size, threads,
-    )
+
+    def term(R, R_kids, lengths):
+        current, jensen = _gamma_parts(R, R_kids, lengths, w)
+        return 0.5 * (current + jensen)
+
+    stats = _sample(spec, dm, p, n, term, source, burn_in, pool_size, threads)
     estimates = [LyapunovEstimate(g, se, count, p.z, source) for g, se, count in stats]
     return estimates[0] if isinstance(dm, DisorderModel) else estimates
 
@@ -577,7 +638,8 @@ class FluctuationReport:
     ``delta_im`` is the width of Im R, ``delta_mod`` the width of the
     squared edge-ratio modulus; their squares are checked against
     ``bound1`` = (8/a^2) gamma and ``bound2`` = 512 (K+1)^2 / a^2 gamma,
-    with gamma taken at gamma_hat + 3 stderr for slack.
+    with gamma taken at gamma_hat + 3 stderr for slack.  Every sample of
+    ``gamma_hat`` is >= 0, so neither bound is negative.
     """
 
     z: complex
@@ -606,18 +668,23 @@ def fluctuation_report(
 ) -> FluctuationReport:
     """Stationary fluctuation widths at z versus their Lyapunov bounds.
 
-    The default "direct" source solves n independent trees, giving iid
-    (R, length) pairs for the widths and an exact standard error on the
+    Each sample is an edge with near-end value R(0), length l and K
+    children: Im R(0) feeds ``delta_im``, |psi(l)/psi(0)|^2 feeds
+    ``delta_mod``, and half the current loss plus Jensen gap of
+    :func:`estimate_gamma` feeds ``gamma_hat``.  The default "direct"
+    source solves the children of n independent root edges, giving iid
+    samples for the widths and an exact standard error on the
     Lyapunov estimate.  The "pool" source takes one generation of a
     burnt-in pool of size n instead; its members share the population's
     stochastic drift, so its nominal standard error is optimistic.  Both
     are the one-generation case of the estimators' sampling pass, so
     ``gamma_hat`` and ``gamma_stderr`` are those of
     ``estimate_gamma(..., pool_size=n)`` up to rounding.  ``dm`` must be
-    one ``DisorderModel``, ``a`` must lie in (0, 1/2], ``threads`` (the
-    worker threads of the direct source's tree solve) >= 1 and, for the
-    pool source, ``burn_in`` >= 0; otherwise ``ValidationError`` is
-    raised before any sampling.
+    one ``DisorderModel``, ``a`` must lie in (0, 1/2], ``n`` an integer,
+    ``threads`` (the worker threads of the direct source's tree solves)
+    an integer >= 1, ``spec.depth`` >= 1 for the direct source and, for
+    the pool source, ``burn_in`` an integer >= 0; otherwise
+    ``ValidationError`` is raised before any sampling.
     """
     p = _sampling_point(z, n, "fluctuation widths require eta > 0")
     if not isinstance(dm, DisorderModel):
@@ -627,10 +694,12 @@ def fluctuation_report(
     K = spec.K
     sample = {}
 
-    def term(R, lengths):
+    def term(R, R_kids, lengths):
         sample["im_R"] = R.imag
-        sample["ratio_sq"] = ratio_sq = np.abs(_edge_ratio(R, w, lengths)) ** 2
-        return -0.5 * math.log(K) - 0.5 * np.log(ratio_sq)
+        log_ratio = _log_edge_ratio(R, R_kids.sum(axis=-1), w, lengths)
+        sample["ratio_sq"] = np.exp(2.0 * log_ratio)
+        current, jensen = _gamma_parts(R, R_kids, lengths, w)
+        return 0.5 * (current + jensen)
 
     ((gamma, gamma_se, _),) = _sample(spec, dm, p, n, term, source, burn_in, n, threads)
     d_im = quantile_width(sample["im_R"], a).delta

@@ -421,6 +421,20 @@ def test_fluctuation_command(tmp_path):
     assert vals[11] == "1" and vals[12] == "1"
 
 
+def test_fluctuation_pool_bounds_nonnegative(tmp_path):
+    # every sample of gamma_hat is >= 0, so a short, barely burnt-in pool
+    # reports unresolved bounds, never negative (violated-looking) ones
+    args = ["fluctuation", "--set", "fluctuation.source=pool", "--n", "64",
+            "--set", "fluctuation.burn_in=5", "--out", str(tmp_path)]
+    assert cli.main(args) == 0
+    with open(tmp_path / "fluctuation.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2
+    for row in rows:
+        for col in ("gamma_hat", "bound1", "bound2"):
+            assert float(row[col]) >= 0.0, (row["lam"], col, row[col])
+
+
 def test_stability_command_single_cell(tmp_path):
     rc = cli.main(
         [
@@ -566,19 +580,19 @@ _PINNED_CSVS = [
      "1cd5d5e5bf5fed2886eb74bf09c5ac3edd21b0cbc8cad4cfe20c8cf86c0187d3"),
     ("lyapunov", ["--set", "depth=4", "--n", "96", "--set", "lyapunov.burn_in=10",
                   "--set", "lyapunov.etas=[0.1]", "--set", "lyapunov.lambdas=[0,0.2]"],
-     "5f9b368b34ba311c0fb68ad49226c21182130155d22b2a8114ad374a0b08063b"),
+     "4374bbb67137d29c529b91d9c2bebbe182d8df57b520c18a5da3109a55929b09"),
     # 1024 members, 16 generations per block of pool draws, 291 generations
     ("lyapunov", ["--set", "depth=4", "--n", "8192", "--set", "lyapunov.burn_in=10",
                   "--set", "lyapunov.etas=[0.1]", "--set", "lyapunov.lambdas=[0,0.2]"],
-     "f81872dd1cf2d2998dcf5d7186c6baa6768f48d769549b323fbbc88510d87c27"),
+     "1535852df045d1c983e7e02b6891d2a22ffbac54fe4b758698f846fdb5b49a37"),
     ("lyapunov", ["--source", "direct", "--set", "depth=4", "--n", "64",
                   "--set", "lyapunov.etas=[0.1]", "--set", "lyapunov.lambdas=[0.2]"],
-     "46d804f7ef0c3ba909389905ea45062154a244ca6db37b960531bbd2d8ceea13"),
+     "3e5e3726d79e72a618e6a798b72905f20de66daadc581285c3738b7bc2b33f82"),
     ("fluctuation", ["--set", "depth=5", "--n", "64", "--set", "fluctuation.lambdas=[0.2]"],
-     "d6faaa0a04b69dc82df6e55f14e2224e6f8ea6d0403f403bb2b72c4d0c3f507f"),
+     "93d8346f03417eb7bdd5aae4850546615133939d8c329bb37909ca02f4ec9b60"),
     ("fluctuation", ["--set", "fluctuation.source=pool", "--set", "fluctuation.burn_in=20",
                      "--n", "64", "--set", "fluctuation.lambdas=[0.2]"],
-     "baa0590af31abd3cc37738523674dbacc872daf45fc9cf3b4cc3eff81fea0481"),
+     "2baef2c27a66885adcc66af08ac7fafc75e00b592513fb952aa18f636bd3ef5c"),
     ("stability", ["--set", "depth=4", "--n", "32", "--set", "stability.lambdas=[0.2,0.05]"],
      "069458686ab696e96bbb4909b2b6978e90f8167311165657c01f9a7fb921e92b"),
     ("recursion", ["--set", "depth=5", "--n", "32", "--set", "disorder.lambda=0.3"],
@@ -610,7 +624,7 @@ def test_csv_digest_pinned(tmp_path, command, args, digest):
 # SHA-256 of the SVG plot written by three of the pinned CSV runs
 _PINNED_SVGS = [
     (*_PINNED_CSVS[0][:2], "d4532c285937b423061c245af1bd72bde522c1dc304aa6cd655eac6f316ae5fb"),
-    (*_PINNED_CSVS[1][:2], "ceb74ec6019d20a45da861a3de64f2a5098db8616573a5874f7263b649583ead"),
+    (*_PINNED_CSVS[1][:2], "c7e9599e7ff2f0b260a830d798ebe0b85438b46f73d3f1dfe5a01270f245fc07"),
     (*_PINNED_CSVS[6][:2], "6da18224af0a60472fa1725309570ee32c993f5a0033e1ab65592bbf1e2a06bf"),
 ]
 

@@ -242,6 +242,12 @@ def test_solve_edge_R_deep_address_matches_oracle():
             path = tuple((j + 1) % K for j in range(g))
             got = solve_edge_R(spec, dm, z, EdgeAddress(path), seed, replica=7)
             assert _close(got, _half_plane_R(spec, dm, z, path, r_from_m(seed, z), 7))
+            # the batch form of the same edge, one row per replica
+            batch = solve_root_R_batch(spec, dm, z, seed, [7, 3], addr=EdgeAddress(path))
+            for i, rep in enumerate((7, 3)):
+                assert _close(batch[i], _half_plane_R(spec, dm, z, path, r_from_m(seed, z), rep))
+        with pytest.raises(ValidationError):
+            solve_root_R_batch(spec, dm, z, seed, [7], addr=EdgeAddress((0,) * (depth + 1)))
 
 
 def test_batch_per_replica_z_and_seed():

@@ -5,6 +5,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wtree.ensemble as ensemble
 from wtree import (
@@ -24,7 +26,7 @@ from wtree import (
     solve_root_R_batch,
     stationary_disk,
 )
-from wtree.engine import sqrt_upper
+from wtree.engine import as_point, cos_sin, edge_step_R, sqrt_upper
 from wtree.graphmodel import (
     DOMAIN_POOL_CHILD,
     DOMAIN_POOL_LENGTH,
@@ -33,7 +35,7 @@ from wtree.graphmodel import (
     omega_from_uniform,
     uniform01,
 )
-from wtree.regular import _cut_seed, fixed_point_batch
+from wtree.regular import _cut_seed, cut_seed_disk, fixed_point_batch
 
 Z_MID = complex(2.0, 0.01)
 SPEC6 = TreeSpec(K=2, L=1.0, depth=6)
@@ -523,8 +525,8 @@ def test_estimate_gamma_pool_pinned():
     # one model's thinned pool pass: G = 6 collections of P = 8 members,
     # _auto_thin(z, 2, 1.0) = 80 generations apart
     expected = {
-        "uniform": ("0x1.38856c62cf9e8p-4", "0x1.1b5766c638e87p-5"),
-        "two_point": ("0x1.99b1844421333p-4", "0x1.8b797287c58a7p-5"),
+        "uniform": ("0x1.4c847cc033475p-6", "0x1.36b12d3cc3e09p-10"),
+        "two_point": ("0x1.6e1e82560b2cfp-6", "0x1.8bc1a40ef27fcp-10"),
     }
     for dist, (g_hex, se_hex) in expected.items():
         est = estimate_gamma(
@@ -551,6 +553,109 @@ def test_estimate_gamma_clean_exact():
         assert est.stderr <= 1e-13
         assert est.source == source
         assert est.n >= 500
+
+
+@pytest.mark.parametrize("source", ["direct", "pool"])
+def test_estimate_gamma_clean_at_huge_eta(source):
+    # Im(w)*l is about 707 at eta 1e6, where cos(w*l) and sin(w*l) overflow;
+    # the disk-picture edge ratio does not
+    z = complex(2.0, 1e6)
+    g0 = gamma_clean(z, 2, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = estimate_gamma(SPEC6, CLEAN, z, n=64, source=source, burn_in=5)
+    assert abs(est.gamma_hat - g0) <= 1e-12 * g0
+    assert est.stderr == 0.0
+
+
+def _recorded_samples(spec, dm, z, n, source, burn_in=0, pool_size=None):
+    """What the sampling pass hands its term: R (S,), R_kids (S, K) and lengths (S,)."""
+    blocks = []
+
+    def term(R, R_kids, lengths):
+        blocks.append((R.ravel(), R_kids.reshape(-1, spec.K), lengths.ravel()))
+        return R.real
+
+    ensemble._sample(spec, dm, as_point(z), n, term, source, burn_in, pool_size)
+    return tuple(np.concatenate(parts) for parts in zip(*blocks))
+
+
+@pytest.mark.parametrize("K", [1, 2, 3])
+@pytest.mark.parametrize("source", ["direct", "pool"])
+def test_gamma_samples_match_half_plane_route(source, K):
+    # each sample's children are its far end (Kirchhoff), and its term is
+    # the current loss plus Jensen gap, here read through the half-plane
+    # edge ratio cos(wl) + R sin(wl)/w instead of the disk picture
+    spec = TreeSpec(K=K, L=1.0, depth=4)
+    dm = DisorderModel(lam=0.3, dist="uniform", master_seed=5)
+    z = complex(2.0, 0.05)
+    w = sqrt_upper(z)
+    kw = dict(burn_in=30, pool_size=16)
+    R, R_kids, lengths = _recorded_samples(spec, dm, z, 48, source, **kw)
+    assert R_kids.shape == (R.size, K)
+    terms = []
+    for r, kids, le in zip(R, R_kids, lengths):
+        far = edge_step_R(complex(r), float(le), z)
+        assert abs(far - kids.sum()) <= 1e-10 * abs(far)
+        c, s = cos_sin(w, float(le))
+        ratio = abs(c + r * s / w)
+        current = math.log(r.imag / (ratio**2 * kids.imag.sum()))
+        jensen = math.log(kids.imag.mean()) - float(np.mean(np.log(kids.imag)))
+        terms.append(0.5 * (current + jensen))
+    est = estimate_gamma(spec, dm, z, 48, source=source, **kw)
+    assert abs(est.gamma_hat - float(np.mean(terms))) <= 1e-12 * abs(est.gamma_hat)
+    if source == "direct":
+        # the root step reproduces the one-tree root solve
+        root = solve_root_R_batch(spec, dm, z, cut_seed_disk(z, K, 1.0), range(48))
+        np.testing.assert_allclose(R, root, rtol=1e-13, atol=0)
+        se = np.std(terms, ddof=1) / math.sqrt(48)
+    else:
+        # three generations of 16 members: the spread of generation means
+        se = np.reshape(terms, (3, 16)).mean(axis=1).std(ddof=1) / math.sqrt(3)
+    assert abs(est.stderr - se) <= 1e-12 * est.stderr
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    K=st.integers(1, 3),
+    lam=st.floats(0.0, 1.0),
+    dist=st.sampled_from(["uniform", "two_point", "truncated_normal"]),
+    e=st.floats(-5.0, 10.0),
+    log_eta=st.floats(-3.0, 3.0),
+    source=st.sampled_from(["direct", "pool"]),
+    master_seed=st.integers(0, 2**32),
+)
+def test_gamma_parts_nonnegative(K, lam, dist, e, log_eta, source, master_seed):
+    # Warnings are errors in the body only: hypothesis's failure report
+    # emits a DeprecationWarning that a filterwarnings mark would turn
+    # into an internal error of the whole session.
+    spec = TreeSpec(K=K, L=1.0, depth=3)
+    dm = DisorderModel(lam=lam, dist=dist, master_seed=master_seed)
+    z = complex(e, 10.0**log_eta)
+    w = sqrt_upper(z)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        R, R_kids, lengths = _recorded_samples(spec, dm, z, 16, source, burn_in=20, pool_size=8)
+        current, jensen = ensemble._gamma_parts(R, R_kids, lengths, w)
+    assert current.min() >= -1e-12
+    assert jensen.min() >= -1e-12
+    if K == 1:
+        assert np.all(jensen == 0.0)
+
+
+@pytest.mark.parametrize(
+    "source,z,lam,n",
+    [("direct", complex(2.0, 0.05), 0.1, 256), ("pool", complex(2.0, 0.1), 0.2, 800)],
+)
+def test_estimate_gamma_spread_matches_stderr(source, z, lam, n):
+    # the reported stderr is the seed-to-seed spread of the estimate
+    ests = [
+        estimate_gamma(SPEC6, DisorderModel(lam=lam, master_seed=s), z, n, source=source)
+        for s in range(1, 21)
+    ]
+    spread = np.std([e.gamma_hat for e in ests], ddof=1)
+    se = np.median([e.stderr for e in ests])
+    assert 0.5 * se <= spread <= 2.0 * se
 
 
 def test_estimate_gamma_positive_under_disorder():
@@ -780,6 +885,27 @@ def test_threads_validated_before_sampling(monkeypatch):
                 fluctuation_report(SPEC6, CLEAN, Z_MID, n=64, source=source, threads=threads)
         with pytest.raises(ValidationError):
             stability_scan(SPEC6, CLEAN, [0.1], [1e-2], 1.5, 2.5, 0.1, 8, threads=threads)
+    # sample counts follow the same rule: an int or numpy integer, not a bool
+    for n in (10.5, 64.0, True):
+        for source in ("direct", "pool"):
+            with pytest.raises(ValidationError):
+                estimate_gamma(SPEC6, CLEAN, Z_MID, n=n, source=source)
+            with pytest.raises(ValidationError):
+                fluctuation_report(SPEC6, CLEAN, Z_MID, n=n, source=source)
+    for kw in ({"burn_in": 2.5}, {"burn_in": True}, {"pool_size": 8.0}, {"pool_size": True}):
+        with pytest.raises(ValidationError):
+            estimate_gamma(SPEC6, CLEAN, Z_MID, n=64, source="pool", **kw)
+    with pytest.raises(ValidationError):
+        fluctuation_report(SPEC6, CLEAN, Z_MID, n=64, source="pool", burn_in=2.5)
+    # the direct source samples root edges with children
+    flat = TreeSpec(K=2, L=1.0, depth=0)
+    with pytest.raises(ValidationError):
+        estimate_gamma(flat, CLEAN, Z_MID, n=64, source="direct")
+    with pytest.raises(ValidationError):
+        fluctuation_report(flat, CLEAN, Z_MID, n=64, source="direct")
+    monkeypatch.undo()
+    est = estimate_gamma(SPEC6, CLEAN, Z_MID, n=np.int64(16), source="pool", burn_in=np.int32(2))
+    assert est.n == 16
 
 
 @pytest.mark.parametrize("source", ["direct", "pool"])
