@@ -313,32 +313,25 @@ class LyapunovEstimate:
     source: str
 
 
-def _log_edge_ratio(R, R_far, w: complex, lengths):
-    """log|psi(l)/psi(0)| across edges with near-end values R and far-end values R_far.
-
-    psi(x) is proportional to exp(iwx) (1 - m(x)) and 1 - m = 2iw / (R + iw),
-    so the ratio needs no cos(wl) or sin(wl) and cannot overflow.
-    """
-    return np.log(np.abs(R + 1j * w)) - np.log(np.abs(R_far + 1j * w)) - w.imag * lengths
-
-
 def _gamma_parts(R, R_kids, lengths, w: complex):
-    """Current-loss and Jensen-gap parts of 2*gamma, one pair per sample.
+    """Current-loss and Jensen-gap parts of 2*gamma and log|psi(l)/psi(0)|, per sample.
 
     ``R`` holds the near-end WT values of edges of length ``lengths`` and
     ``R_kids``, with one more axis of length K, the near-end values of
     their children, whose sum is the far-end value R(l) (Kirchhoff).  The
     current part is log(J(0)/J(l)) for the current J = |psi|^2 Im R, and
     the Jensen part log mean_k Im R_k(0) - mean_k log Im R_k(0); each is
-    >= 0 sample by sample, and the Jensen part is 0 for K = 1.
+    >= 0 sample by sample, and the Jensen part is 0 for K = 1.  The edge
+    ratio is read in the disk picture: psi(x) is proportional to
+    exp(iwx) (1 - m(x)) and 1 - m = 2iw / (R + iw), so it needs no
+    cos(wl) or sin(wl) and cannot overflow.
     """
     R_far = R_kids.sum(axis=-1)
     im_kids = R_kids.imag
-    current = (
-        np.log(R.imag) - 2.0 * _log_edge_ratio(R, R_far, w, lengths) - np.log(R_far.imag)
-    )
+    log_ratio = np.log(np.abs(R + 1j * w)) - np.log(np.abs(R_far + 1j * w)) - w.imag * lengths
+    current = np.log(R.imag) - 2.0 * log_ratio - np.log(R_far.imag)
     jensen = np.log(im_kids.mean(axis=-1)) - np.log(im_kids).mean(axis=-1)
-    return current, jensen
+    return current, jensen, log_ratio
 
 
 def _auto_thin(z, K: int, L: float) -> int:
@@ -461,6 +454,11 @@ def estimate_gamma(
         "direct" solves n independent trees of depth ``spec.depth`` >= 1,
         cut-seeded with the clean fixed point (exact at lam = 0), and
         samples their root edges (iid samples, exact standard error).
+        The root and its children sit at different depths, so the
+        estimate carries a truncation bias that the standard error
+        does not count; against a relaxed pool it was below one
+        standard error from depth 6 on and about seven at depth 4
+        (docs/derivations section 5).
         "pool" collects whole generations of a burnt-in pool, spaced a
         few relaxation times 1/(2*gamma0) of the clean contraction apart;
         members of one generation share the population's stochastic
@@ -489,7 +487,7 @@ def estimate_gamma(
     w = sqrt_upper(p)
 
     def term(R, R_kids, lengths):
-        current, jensen = _gamma_parts(R, R_kids, lengths, w)
+        current, jensen, _ = _gamma_parts(R, R_kids, lengths, w)
         return 0.5 * (current + jensen)
 
     stats = _sample(spec, dm, p, n, term, source, burn_in, pool_size, threads)
@@ -695,10 +693,9 @@ def fluctuation_report(
     sample = {}
 
     def term(R, R_kids, lengths):
+        current, jensen, log_ratio = _gamma_parts(R, R_kids, lengths, w)
         sample["im_R"] = R.imag
-        log_ratio = _log_edge_ratio(R, R_kids.sum(axis=-1), w, lengths)
         sample["ratio_sq"] = np.exp(2.0 * log_ratio)
-        current, jensen = _gamma_parts(R, R_kids, lengths, w)
         return 0.5 * (current + jensen)
 
     ((gamma, gamma_se, _),) = _sample(spec, dm, p, n, term, source, burn_in, n, threads)

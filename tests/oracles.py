@@ -1,11 +1,14 @@
 """Independent reference computations shared by the test modules."""
 
+import functools
 import math
 
 import numpy as np
 
-from wtree import ValidationError, band_theta
-from wtree.regular import EDGE_SHIFT
+import wtree.ensemble as ensemble
+from wtree import TreeSpec, ValidationError, band_theta
+from wtree.engine import sqrt_upper
+from wtree.regular import EDGE_SHIFT, gamma_clean
 
 
 def iterate_m_grid(
@@ -72,3 +75,33 @@ def shift_off_edge(E: float, K: int, L: float):
     if abs(E - E_edge) < EDGE_SHIFT:
         return (E_edge + EDGE_SHIFT if E >= E_edge else E_edge - EDGE_SHIFT), True
     return E, False
+
+
+@functools.lru_cache(maxsize=None)
+def relaxed_gamma(K: int, L: float, z: complex, dm, size: int = 2048, gens: int = 2400):
+    """Lyapunov exponent from the one-edge amplitude ratio of a relaxed pool.
+
+    A pool of ``size`` members is burnt in for five clean relaxation
+    times 1/(2*gamma0) and then read at each of ``gens`` consecutive
+    generations: every member's new edge, of length l and near-end value
+    R, contributes -log|cos(wl) + R sin(wl)/w| - log(K)/2.  That term
+    has no current or Jensen part; its stationary mean is gamma
+    (docs/derivations section 5).  Its per-sample spread is large, but
+    the log Im R swings behind it telescope over consecutive
+    generations, so the mean over many of them is tight.  Returns
+    ``(gamma, stderr)``, the stderr from the means of 20 batches of
+    consecutive generations.
+    """
+    w = complex(sqrt_upper(z))
+    pool = ensemble.pool_init(TreeSpec(K=K, L=L, depth=1), dm, z, size)
+    for _ in range(math.ceil(5.0 / (2.0 * gamma_clean(z, K, L)))):
+        ensemble.pool_step(pool)
+    means = np.empty(gens)
+    for g in range(gens):
+        _, lengths = ensemble._pool_advance(pool)
+        m = pool.values
+        R = 1j * w * (1.0 + m) / (1.0 - m)
+        ratio = np.cos(w * lengths) + R * np.sin(w * lengths) / w
+        means[g] = -np.log(np.abs(ratio)).mean() - 0.5 * math.log(K)
+    batches = means.reshape(20, -1).mean(axis=1)
+    return float(means.mean()), float(batches.std(ddof=1) / math.sqrt(20))
