@@ -360,10 +360,12 @@ def _joined(caps, axis):
 def _solve_subtree(spec, dm, prefix, w, seed, reps, chunk_elems, capture):
     """Near-end disk values of the edge ``prefix``, one per replica.
 
-    ``w``, ``seed`` and ``reps`` have shape ``(S,)``.  Blocks of replicas
-    are solved one generation at a time with at most ``chunk_elems``
-    leaves per block; a subtree with more leaves than that is split into
-    its K child subtrees, so memory stays linear in depth.  Returns
+    ``w``, ``seed`` and ``reps`` have shape ``(S,)``.  A subtree with more
+    than ``chunk_elems`` leaves is split into its K child subtrees, so
+    memory stays linear in depth.  Otherwise its replicas are solved in
+    blocks of at most ``chunk_elems`` rows x edges (at least one row):
+    one :func:`omega_for_generation` call draws every edge of a block,
+    and the block is then solved one generation at a time.  Returns
     ``(m, capture)``, the capture indexed by generation below ``prefix``.
     """
     K = spec.K
@@ -387,19 +389,25 @@ def _solve_subtree(spec, dm, prefix, w, seed, reps, chunk_elems, capture):
         return m[:, 0], cap
 
     S = reps.size
-    chunk = max(1, chunk_elems // leaves)
+    chunk = max(1, chunk_elems // replace(spec, depth=n).edge_count())
     out = np.empty(S, dtype=np.complex128)
     caps = []
     for lo in range(0, S, chunk):
         hi = min(lo + chunk, S)
         r = _one_tree(reps[lo:hi, None])
         wc = w[lo:hi, None]
+        # every edge length of the block, generation-major: generation j
+        # (below prefix) is the slice of K**j columns that ends at ``end``
+        omega = omega_for_generation(dm, K, range(g0, spec.depth + 1), r, prefix)
+        lengths = _lengths(omega, dm.lam, spec.L)
+        end = lengths.shape[1]
         m = np.broadcast_to(seed[lo:hi, None], (hi - lo, leaves)).copy()
         cap = BatchCapture([None] * (n + 1), [None] * (n + 1))
         for j in range(n, -1, -1):
             if j < n:
                 m = _merge_sum(_merge_terms(m).reshape(hi - lo, -1, K))
-            le = _lengths(omega_for_generation(dm, K, g0 + j, r, prefix), dm.lam, spec.L)
+            le = lengths[:, end - K**j : end]
+            end -= K**j
             m = _pull(m, wc, le)
             if capture:
                 cap.m_near[j] = m.copy()  # the next _merge_terms overwrites m
@@ -428,6 +436,32 @@ def _check_threads(threads) -> None:
     _check_count("threads", threads, 1)
 
 
+def _check_replica(value) -> None:
+    if not _is_int(value) or not 0 <= value < 2**64:
+        raise ValidationError(f"replica must be an integer in [0, 2**64), got {value!r}")
+
+
+def _replica_array(replicas) -> np.ndarray:
+    """Replica indices as a flat uint64 array, each checked to lie in [0, 2**64).
+
+    An array must have an integer dtype; any other sequence (or a single
+    value) must hold ints or numpy integers, bools excluded.
+    """
+    if isinstance(replicas, np.ndarray):
+        if replicas.dtype.kind not in "iu":
+            raise ValidationError(f"replicas must have an integer dtype, got {replicas.dtype}")
+        if replicas.dtype.kind == "i" and replicas.size:
+            _check_replica(replicas.min())
+        return replicas.astype(np.uint64, copy=False).ravel()
+    try:
+        values = list(replicas)
+    except TypeError:
+        values = [replicas]
+    for v in values:
+        _check_replica(v)
+    return np.array(values, dtype=np.uint64)
+
+
 def _solve(spec, dm, z, seed_m, replicas, prefix, capture, visit_budget, chunk_elems, threads=1):
     """Validate a solve of the subtree below ``prefix`` and run it.
 
@@ -437,9 +471,7 @@ def _solve(spec, dm, z, seed_m, replicas, prefix, capture, visit_budget, chunk_e
     their reasons do not depend on the thread count.
     """
     _check_threads(threads)
-    if replicas is None:
-        replicas = [0]
-    replicas = np.asarray(replicas, dtype=np.uint64).ravel()
+    replicas = _replica_array([0] if replicas is None else replicas)
     S = replicas.size
 
     if isinstance(z, np.ndarray):
@@ -606,8 +638,10 @@ def solve_root_R_batch(
     capture : bool
         Also return per-generation near-end values and lengths.
     chunk_elems : int
-        Target working-set size (array elements) used to chunk the batch;
-        trees with more leaves than this are solved subtree by subtree.
+        Target working-set size (array elements) used to chunk the batch:
+        a block of rows holds at most this many rows x edges of its
+        subtree, and at least one row.  Trees with more leaves than this
+        are solved subtree by subtree.
     threads : int
         Worker threads, >= 1: the rows are split into contiguous parts
         solved on a thread pool.  Values, captures and failed rows are
@@ -670,6 +704,7 @@ def solve_R_minus(
     if p.boundary_mode:
         raise ValidationError("direct recursion requires eta > 0; boundary values need extrapolation")
     _check_address(spec, target)
+    _check_replica(replica)
     alpha = spec.alpha
     if alpha == 0.0 and target.generation == 0 and position == 0.0:
         return WT_INFINITY

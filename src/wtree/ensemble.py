@@ -49,6 +49,7 @@ from .graphmodel import (
     ROOT_EDGE,
     DisorderModel,
     TreeSpec,
+    _expand_digits,
     hash_words,
     omega_from_uniform,
     uniform01,
@@ -202,7 +203,8 @@ def _pool_draws(pool: SamplePool, g0: int) -> _PoolDraws:
     Each row's words are those of a single generation of its own pool,
     (seed, domain, generation, member[, slot]), with the generation as an
     array word, so every row equals what hashing its generation alone
-    gives.  Rows with the same master seed share the hashed words.
+    gives; the slot word is a K-digit expansion of the member states.
+    Rows with the same master seed share the hashed words.
     """
     models = _as_models(pool.dm)
     B = len(models)
@@ -211,14 +213,13 @@ def _pool_draws(pool: SamplePool, g0: int) -> _PoolDraws:
     T = max(1, _POOL_BLOCK_WORDS // (pool.size * K))
     gens = np.arange(g0, g0 + T, dtype=np.uint64).reshape(T, 1)
     members = np.arange(P, dtype=np.uint64)
-    slots = np.arange(K, dtype=np.uint64)
     child_idx = np.empty((T, B, P, K), dtype=np.int64)
     lengths = np.empty((T, B, P))
     hashed = {}
     for b, dm in enumerate(models):
         seed = dm.master_seed
         if seed not in hashed:
-            h = hash_words(seed, DOMAIN_POOL_CHILD, gens[:, :, None], members[:, None], slots)
+            h = _expand_digits(hash_words(seed, DOMAIN_POOL_CHILD, gens, members), K)
             u = uniform01(hash_words(seed, DOMAIN_POOL_LENGTH, gens, members))
             hashed[seed] = ((h % np.uint64(P)).astype(np.int64), u)
         row_idx, u = hashed[seed]

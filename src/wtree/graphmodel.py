@@ -65,16 +65,34 @@ def _mix(x: int) -> int:
     return x
 
 
+# _mix_np's shifts and multipliers as uint64 scalars, made once
+_S30, _S27, _S31 = np.uint64(30), np.uint64(27), np.uint64(31)
+_M1, _M2 = np.uint64(_MIX1), np.uint64(_MIX2)
+
+
 def _mix_np(x: np.ndarray) -> np.ndarray:
     # splitmix64 finalizer, in place: callers pass a fresh XOR result;
     # the three shifts share one scratch array
-    tmp = np.right_shift(x, np.uint64(30))
+    tmp = np.right_shift(x, _S30)
     x ^= tmp
-    x *= np.uint64(_MIX1)
-    x ^= np.right_shift(x, np.uint64(27), out=tmp)
-    x *= np.uint64(_MIX2)
-    x ^= np.right_shift(x, np.uint64(31), out=tmp)
+    x *= _M1
+    x ^= np.right_shift(x, _S27, out=tmp)
+    x *= _M2
+    x ^= np.right_shift(x, _S31, out=tmp)
     return x
+
+
+def _expand_digits(h: np.ndarray, K: int) -> np.ndarray:
+    """The states ``mix(h ^ d)`` for d = 0..K-1, on a new last axis of length K.
+
+    This is the last step of :func:`hash_words` with the digits as a
+    trailing word, done as K strided column writes and one mix instead
+    of an XOR broadcast over an inner axis of length K.
+    """
+    out = np.empty(h.shape + (K,), dtype=np.uint64)
+    for d in range(K):
+        np.bitwise_xor(h, np.uint64(d), out=out[..., d])
+    return _mix_np(out)
 
 
 def hash_words(seed: int, *words) -> "int | np.ndarray":
@@ -83,6 +101,9 @@ def hash_words(seed: int, *words) -> "int | np.ndarray":
     Scalar ints chain in pure python; the first ``numpy`` array switches
     the chain to vectorized arithmetic, broadcasting across the remaining
     words.  The scalar and array paths produce bit-identical streams.
+    A last word ``np.arange(K)`` broadcast over a new inner axis gives
+    the same bits as :func:`_expand_digits` of the chain before it, which
+    is the faster way to hash K child slots or digits.
 
     Parameters
     ----------
@@ -122,22 +143,38 @@ def uniform01(h):
     return (h >> 11) * 2.0**-53
 
 
-def omega_from_uniform(dist: str, u):
-    """Transform uniform deviates into omega values of the named distribution."""
+def _omega_in_place(dist: str, u: np.ndarray) -> np.ndarray:
+    """:func:`omega_from_uniform` of a float64 array, overwriting and returning it."""
     if dist == "uniform":
-        out = 2.0 * u
-        out -= 1.0  # in place for arrays, which 2.0 * u just made
-        return out
-    if dist == "two_point":
-        if isinstance(u, np.ndarray):
-            return np.where(u < 0.5, -1.0, 1.0)
-        return -1.0 if u < 0.5 else 1.0
-    if dist == "truncated_normal":
+        u *= 2.0
+        u -= 1.0
+    elif dist == "two_point":
+        low = u < 0.5
+        u.fill(1.0)
+        np.copyto(u, -1.0, where=low)
+    elif dist == "truncated_normal":
         from scipy.special import ndtri  # loaded on first use: it dominates import time
 
-        p = _TN_LO + u * _TN_Z
-        out = ndtri(p)
-        return out if isinstance(u, np.ndarray) else float(out)
+        u *= _TN_Z
+        u += _TN_LO
+        ndtri(u, out=u)
+    else:
+        raise ValidationError(f"unknown omega distribution: {dist!r}")
+    return u
+
+
+def omega_from_uniform(dist: str, u):
+    """Transform uniform deviates into omega values of the named distribution."""
+    if isinstance(u, np.ndarray):
+        return _omega_in_place(dist, np.array(u, dtype=np.float64))
+    if dist == "uniform":
+        return 2.0 * u - 1.0
+    if dist == "two_point":
+        return -1.0 if u < 0.5 else 1.0
+    if dist == "truncated_normal":
+        from scipy.special import ndtri
+
+        return float(ndtri(_TN_LO + u * _TN_Z))
     raise ValidationError(f"unknown omega distribution: {dist!r}")
 
 
@@ -264,25 +301,35 @@ def resample_omega(dm: DisorderModel, addr: EdgeAddress, replica: int = 0) -> fl
     return float(omega_from_uniform(dm.dist, uniform01(h)))
 
 
-def omega_for_generation(dm: DisorderModel, K: int, g: int, replicas, prefix=()) -> np.ndarray:
-    """Vectorized omega draws for every edge of one generation of a subtree.
+def omega_for_generation(dm: DisorderModel, K: int, g, replicas, prefix=()) -> np.ndarray:
+    """Vectorized omega draws for every edge of some generations of a subtree.
 
     The subtree hangs from the edge with path ``prefix``; its edges of
     generation ``g`` are laid out in lexicographic order of their local
     digits, index ``i = sum(path[len(prefix) + j] * K**(n-1-j))`` with
-    ``n = g - len(prefix)``.  The result is bit-identical to calling
-    :func:`resample_omega` edge by edge.  The hash is expanded level by
-    level from the shared ``(seed, DOMAIN_EDGE, replica, g, *prefix)``
-    state, each child mixing its parent's state with one digit, so a
-    block costs about K/(K-1) mixes per edge.
+    ``n = g - len(prefix)``.  A range of generations is laid out
+    generation-major, so its columns are the one-generation draws laid
+    end to end.  The result is bit-identical to calling
+    :func:`resample_omega` edge by edge.
+
+    The states ``(seed, DOMAIN_EDGE, replica, g, *prefix)`` of every
+    generation are hashed as one chain, the generation being an array
+    word.  They are then expanded level by level, each child mixing its
+    parent's state with one digit: one K-digit expansion
+    (:func:`_expand_digits`) and one mix per level over all generations
+    still growing.  A generation is turned into omegas, in its slice of
+    the result, at its own level.  A call spanning ``G`` generations down
+    to local level ``n`` thus makes ``2 + len(prefix) + n`` mixes and
+    O(n + G) numpy calls, and costs about K/(K-1) mixed words per edge.
 
     Parameters
     ----------
     dm : DisorderModel
     K : int
         Branching number.
-    g : int
-        Generation (0 is the root edge), at least ``len(prefix)``.
+    g : int or range
+        Generation (0 is the root edge), at least ``len(prefix)``, or a
+        nonempty range of consecutive such generations (step 1).
     replicas : int or np.ndarray
         Scalar replica, or an integer column of shape ``(S, 1)``, one
         replica per row.
@@ -292,12 +339,20 @@ def omega_for_generation(dm: DisorderModel, K: int, g: int, replicas, prefix=())
     Returns
     -------
     np.ndarray
-        omega values, shape ``(K**n,)`` for a scalar replica and
-        ``(S, K**n)`` for a column.
+        omega values, shape ``(E,)`` for a scalar replica and ``(S, E)``
+        for a column, with ``E = sum(K**(h - len(prefix)) for h in gens)``
+        (``K**n`` for one generation).
     """
-    n = g - len(prefix)
-    if n < 0:
-        raise ValidationError(f"generation {g} lies above the subtree prefix {tuple(prefix)}")
+    if isinstance(g, range):
+        if len(g) == 0 or g.step != 1:
+            raise ValidationError(f"generations must be a nonempty range of step 1, got {g!r}")
+        gens = g
+    else:
+        gens = range(g, g + 1)
+    if gens.start < len(prefix):
+        raise ValidationError(
+            f"generation {gens.start} lies above the subtree prefix {tuple(prefix)}"
+        )
     if isinstance(replicas, np.ndarray):
         if replicas.ndim != 2 or replicas.shape[1] != 1 or replicas.dtype.kind not in "iu":
             raise ValidationError(
@@ -306,17 +361,24 @@ def omega_for_generation(dm: DisorderModel, K: int, g: int, replicas, prefix=())
         reps = replicas.astype(np.uint64, copy=False)
     else:
         reps = np.full((1, 1), int(replicas) & _MASK64, dtype=np.uint64)
-    h = hash_words(dm.master_seed, DOMAIN_EDGE, reps, g, *prefix)
-    digits = np.arange(K, dtype=np.uint64)
-    for _ in range(n):
-        h = _mix_np((h[:, :, None] ^ digits).reshape(h.shape[0], -1))
-    # uniform01 on words this function owns: shift and scale in place, and
-    # free the words once converted, so no shifted copy lives beside them
-    h >>= np.uint64(11)
-    u = h.astype(np.float64)
-    del h
-    u *= 2.0**-53
-    out = np.asarray(omega_from_uniform(dm.dist, u), dtype=np.float64)
+    gen_words = np.arange(gens.start, gens.stop, dtype=np.uint64)
+    h = hash_words(dm.master_seed, DOMAIN_EDGE, reps, gen_words, *prefix)
+    S = h.shape[0]
+    first, last = gens.start - len(prefix), gens.stop - 1 - len(prefix)
+    out = np.empty((S, sum(K**n for n in range(first, last + 1))), dtype=np.float64)
+    h = h[:, :, None]  # (rows, generations still growing, states at this level)
+    lo = 0
+    for level in range(last + 1):
+        if level:
+            h = _expand_digits(h, K).reshape(S, h.shape[1], -1)
+        if level >= first:
+            # the first generation still growing reaches its own level: its
+            # words become uniforms in its slice of out, then omegas
+            u = out[:, lo : lo + h.shape[2]]
+            lo += h.shape[2]
+            np.multiply(np.right_shift(h[:, 0], np.uint64(11), out=h[:, 0]), 2.0**-53, out=u)
+            _omega_in_place(dm.dist, u)
+            h = h[:, 1:]
     return out if isinstance(replicas, np.ndarray) else out[0]
 
 

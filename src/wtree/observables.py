@@ -17,6 +17,7 @@ import numpy as np
 
 from .engine import (
     WT_INFINITY,
+    _check_replica,
     _check_threads,
     _disk_to_r,
     _edge_ratio,
@@ -221,8 +222,7 @@ def spectral_density(
         raise ValidationError(f"spectral density sweeps require 0 < eta < inf, got {eta}")
     if not np.all(np.isfinite(energies)):
         raise ValidationError("spectral density energies must be finite")
-    if not 0 <= replica < 2**64:
-        raise ValidationError(f"replica must fit in an unsigned 64-bit integer, got {replica}")
+    _check_replica(replica)
     _check_threads(threads)  # here, since the solve's errors become point statuses
     seeds = _seed_array(spec, energies, eta, seed_mode)
     z_arr = energies + 1j * eta
@@ -325,7 +325,7 @@ def tree_profile(
         dm,
         p.z,
         seed_m,
-        np.asarray([replica], dtype=np.uint64),
+        [replica],
         capture=True,
     )
     R_near = [_disk_to_r(m[0], w) for m in cap.m_near]

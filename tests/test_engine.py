@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -422,6 +423,126 @@ def test_shared_replica_rows_equal_one_row_solves(K, depth, monkeypatch):
             # edge_length's scalar exp may differ from numpy's in the last bit
             expect = [edge_length(spec, dm, EdgeAddress(a), replica) for a in _addresses(K, g)]
             assert np.allclose(cap.lengths[g], expect, rtol=1e-15, atol=0.0)
+
+
+def _counted_omega(monkeypatch):
+    """The generations (int or range) of every omega draw the kernel makes."""
+    calls = []
+    omega = wtree.engine.omega_for_generation
+
+    def counting(dm, K, g, replicas, prefix=()):
+        calls.append(g)
+        return omega(dm, K, g, replicas, prefix)
+
+    monkeypatch.setattr(wtree.engine, "omega_for_generation", counting)
+    return calls
+
+
+def test_one_block_draws_every_edge_in_one_call(monkeypatch):
+    calls = _counted_omega(monkeypatch)
+    spec = TreeSpec(K=2, L=1.0, depth=8)
+    dm = DisorderModel(lam=0.1, master_seed=4)
+    z = complex(2.0, 0.01)
+    for capture in (False, True):
+        calls.clear()
+        solve_root_R_batch(spec, dm, z, 0j, range(4), capture=capture)
+        assert calls == [range(0, 9)]
+        calls.clear()
+        solve_root_R_batch(spec, dm, z, 0j, range(4), capture=capture, addr=EdgeAddress((1, 0)))
+        assert calls == [range(2, 9)]
+    calls.clear()
+    solve_edge_R(spec, dm, z, EdgeAddress((0, 1, 1)), replica=3)
+    assert calls == [range(3, 9)]
+    calls.clear()
+    solve_R_minus(spec, dm, z, EdgeAddress((0, 1, 1)), replica=3)
+    assert calls == [range(0, 9)]
+
+
+@pytest.mark.parametrize(
+    "K,depth,chunk_elems,split_edges,blocks",
+    [
+        # K=2: generations 0-2 split (1 + 2 + 4 edges); the 8 subtrees of
+        # depth 3 (15 edges) fit 10 elements only one row at a time
+        (2, 6, 10, 7, 8 * 5),
+        # K=4: the root splits; its 4 subtrees of depth 2 (16 leaves, 21
+        # edges) take 60 // 21 = 2 rows a block, so 5 rows make 3 blocks
+        (4, 3, 60, 1, 4 * 3),
+    ],
+)
+def test_split_draws_once_per_block_and_split_edge(
+    monkeypatch, K, depth, chunk_elems, split_edges, blocks
+):
+    calls = _counted_omega(monkeypatch)
+    spec = TreeSpec(K=K, L=1.0, depth=depth)
+    dm = DisorderModel(lam=0.1, master_seed=4)
+    for capture in (False, True):
+        calls.clear()
+        solve_root_R_batch(
+            spec, dm, complex(2.0, 0.01), 0j, range(5), capture=capture, chunk_elems=chunk_elems
+        )
+        assert sum(not isinstance(g, range) for g in calls) == split_edges
+        assert sum(isinstance(g, range) for g in calls) == blocks
+
+
+def test_batch_solve_peak_memory():
+    # a block holds at most chunk_elems rows x edges, its drawn omegas
+    # included, so this solve peaks near 27 MiB
+    z = complex(2.0, 0.01)
+    spec = TreeSpec(K=2, L=1.0, depth=12)
+    dm = DisorderModel(lam=0.1, master_seed=3)
+    args = (spec, dm, z, cut_seed_disk(z, 2, 1.0), np.arange(500, dtype=np.uint64))
+    solve_root_R_batch(*args, addr=ROOT_EDGE.child(0))
+    tracemalloc.start()
+    try:
+        solve_root_R_batch(*args, addr=ROOT_EDGE.child(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20
+
+
+_BAD_REPLICAS = [-1, 2**64, 1.5, True, np.float64(2.0), "3", None]
+
+
+@pytest.mark.parametrize("bad", _BAD_REPLICAS)
+def test_replica_validated(bad):
+    # anything but an integer in [0, 2**64) is rejected and named, never
+    # wrapped, truncated or raised as a bare OverflowError
+    spec = TreeSpec(K=2, L=1.0, depth=3)
+    dm = DisorderModel(lam=0.1, master_seed=4)
+    z = complex(2.0, 0.1)
+    calls = [
+        lambda: solve_edge_R(spec, dm, z, replica=bad),
+        lambda: solve_root_R(spec, dm, z, replica=bad),
+        lambda: solve_R_minus(spec, dm, z, EdgeAddress((1,)), replica=bad),
+        lambda: solve_R_minus(TreeSpec(K=2, L=1.0, depth=3, alpha=0.0), dm, z, replica=bad),
+    ]
+    if bad is not None:  # replicas=None is the default [0]
+        calls += [
+            lambda: solve_root_R_batch(spec, dm, z, replicas=[0, bad]),
+            lambda: solve_root_R_batch(spec, dm, z, replicas=bad),
+        ]
+    for call in calls:
+        with pytest.raises(ValidationError, match="replica") as info:
+            call()
+        assert repr(bad) in str(info.value)
+
+
+def test_replica_arrays_validated():
+    spec = TreeSpec(K=2, L=1.0, depth=3)
+    dm = DisorderModel(lam=0.1, master_seed=4)
+    z = complex(2.0, 0.1)
+    for bad in (np.array([1.5]), np.array([True]), np.array([0, -1]), np.array(["3"])):
+        with pytest.raises(ValidationError, match="replica"):
+            solve_root_R_batch(spec, dm, z, replicas=bad)
+    # the full uint64 range is valid, as python ints, numpy integers or arrays
+    top = 2**64 - 1
+    ref = solve_root_R_batch(spec, dm, z, replicas=np.array([top, 0, 7], dtype=np.uint64))
+    for reps in ([top, 0, 7], (np.uint64(top), np.int64(0), 7), np.array([7])):
+        got = solve_root_R_batch(spec, dm, z, replicas=reps)
+        assert got.tobytes() == ref[-got.size :].tobytes()
+    assert solve_edge_R(spec, dm, z, replica=top) == ref[0]
+    assert solve_root_R_batch(spec, dm, z, replicas=np.int64(7))[0] == ref[2]
 
 
 def _batch_outcome(*args, **kwargs):

@@ -19,6 +19,7 @@ from wtree.graphmodel import (
     _TN_Z,
     DISTS,
     DOMAIN_EDGE,
+    _expand_digits,
     hash_words,
     omega_for_generation,
     omega_from_uniform,
@@ -175,6 +176,53 @@ def test_omega_for_generation_sweep(K, dist):
                 addr = EdgeAddress(path)
                 assert float(scalar[i]) == float(column[0, i]) == resample_omega(dm, addr, 9)
                 assert float(column[1, i]) == resample_omega(dm, addr, 2**63 + 5)
+
+
+@pytest.mark.parametrize("K", [1, 2, 3])
+@pytest.mark.parametrize("dist", sorted(DISTS))
+def test_omega_for_generation_range_is_concatenation(K, dist):
+    # a range of generations draws, bit for bit, the one-generation draws
+    # laid end to end, whatever the prefix, replicas and first generation
+    dm = DisorderModel(lam=0.1, dist=dist, master_seed=31 + K)
+    column = np.array([[4], [2**64 - 1], [0]], dtype=np.uint64)
+    for p in range(3):
+        prefix = tuple((j + 1) % K for j in range(p))
+        for replicas in (6, column):
+            for start in range(p, p + 3):
+                for stop in range(start + 1, p + 6):
+                    block = omega_for_generation(dm, K, range(start, stop), replicas, prefix)
+                    one_by_one = np.concatenate(
+                        [
+                            omega_for_generation(dm, K, g, replicas, prefix)
+                            for g in range(start, stop)
+                        ],
+                        axis=-1,
+                    )
+                    assert block.shape == one_by_one.shape
+                    assert block.tobytes() == one_by_one.tobytes()
+
+
+def test_omega_for_generation_rejects_bad_ranges():
+    dm = DisorderModel(lam=0.2, dist="uniform", master_seed=7)
+    for g, prefix in [
+        (range(3, 3), ()),  # empty
+        (range(5, 2, -1), ()),  # empty, and a step other than 1
+        (range(1, 6, 2), ()),
+        (range(1, 4), (0, 1)),  # starts above the subtree's top edge
+    ]:
+        with pytest.raises(ValidationError):
+            omega_for_generation(dm, 2, g, 5, prefix)
+
+
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_expand_digits_matches_trailing_word(K):
+    gens = np.arange(5, 9, dtype=np.uint64).reshape(-1, 1)
+    members = np.arange(6, dtype=np.uint64)
+    h = hash_words(3, DOMAIN_EDGE, gens, members)
+    expanded = _expand_digits(h, K)
+    slots = np.arange(K, dtype=np.uint64)
+    trailing = hash_words(3, DOMAIN_EDGE, gens[:, :, None], members[:, None], slots)
+    assert expanded.shape == (4, 6, K) and expanded.tobytes() == trailing.tobytes()
 
 
 def test_omega_for_generation_rejects_replica_shapes():

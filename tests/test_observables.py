@@ -158,6 +158,10 @@ def test_tree_profile_shapes_and_root():
     assert [len(a) for a in prof.R_near] == [1, 3, 9, 27]
     assert prof.psi_near[0][0] == 1.0
     assert prof.R_far_cut == r_from_m(0j, z)
+    # the replica is validated, not wrapped or truncated to uint64
+    for replica in (-1, 2**64, 1.5, True):
+        with pytest.raises(ValidationError, match="replica"):
+            tree_profile(spec, dm, z, replica=replica)
 
 
 def test_recursion_inequality_per_sample():
@@ -242,7 +246,7 @@ def test_density_seed_modes_and_validation():
         spectral_density(spec, dm, E, eta=1e-2, seed_mode="bogus")
     with pytest.raises(ValidationError):
         spectral_density(spec, dm, E, eta=1e-2, threads=0)
-    for replica in (-1, 2**64):
+    for replica in (-1, 2**64, 1.5, True):
         with pytest.raises(ValidationError):
             spectral_density(spec, dm, E, eta=1e-2, replica=replica)
 
