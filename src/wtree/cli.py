@@ -313,13 +313,10 @@ def _cmd_fluctuation(cfg, out_dir, threads):
     spec = make_spec(cfg)
     dm = make_disorder(cfg)
     z = complex(sec["E"], sec["eta"])
-    reports = [
-        fluctuation_report(
-            spec, replace(dm, lam=lam), z, sec["n"], a=sec["a"], source=sec["source"],
-            burn_in=sec["burn_in"], threads=threads,
-        )
-        for lam in sec["lambdas"]
-    ]
+    reports = fluctuation_report(
+        spec, [replace(dm, lam=lam) for lam in sec["lambdas"]], z, sec["n"], a=sec["a"],
+        source=sec["source"], burn_in=sec["burn_in"], threads=threads,
+    )
     # the report's fields after z and lam are the last columns
     table = {
         "lam": sec["lambdas"],
@@ -360,7 +357,7 @@ def _cmd_recursion(cfg, out_dir, threads):
     replicas = np.arange(n, dtype=np.uint64)
     E = np.array([sec["E"]])
     seed = complex(observables._seed_array(spec, E, sec["eta"], sec["seed_mode"])[0])
-    lengths = _root_edge_lengths(spec, dm, replicas)
+    (lengths,) = _root_edge_lengths(spec, (dm,), replicas)
     try:
         R = solve_root_R_batch(spec, dm, z, seed, replicas, threads=threads)
         status = ["ok"] * n

@@ -27,6 +27,7 @@ from .engine import (
     _is_int,
     _lengths,
     _merge_sum,
+    _model_lengths,
     _merge_terms,
     _phase,
     _pull,
@@ -49,6 +50,8 @@ from .graphmodel import (
     ROOT_EDGE,
     DisorderModel,
     TreeSpec,
+    _as_models,
+    _check_model,
     _expand_digits,
     hash_words,
     omega_from_uniform,
@@ -73,10 +76,17 @@ __all__ = [
 ]
 
 
-def _root_edge_lengths(spec: TreeSpec, dm: DisorderModel, replicas: np.ndarray) -> np.ndarray:
-    """Root-edge lengths of the given replicas, hashed with the tree solver's words."""
-    u = uniform01(hash_words(dm.master_seed, DOMAIN_EDGE, replicas, 0))
-    return _lengths(omega_from_uniform(dm.dist, u), dm.lam, spec.L)
+def _root_edge_lengths(spec: TreeSpec, models, replicas: np.ndarray) -> np.ndarray:
+    """Root-edge lengths of the given replicas, shape (B, S) for B models.
+
+    They are hashed with the tree solver's words, once per distinct
+    ``(master_seed, dist)``.
+    """
+    def draw(dm):
+        u = uniform01(hash_words(dm.master_seed, DOMAIN_EDGE, replicas, 0))
+        return omega_from_uniform(dm.dist, u)
+
+    return _model_lengths(models, spec.L, draw)
 
 
 def _sampling_point(z, n: int, boundary_message: str):
@@ -92,21 +102,6 @@ def _sampling_point(z, n: int, boundary_message: str):
 
 
 log = logging.getLogger(__name__)
-
-
-def _as_models(dm) -> tuple:
-    """The disorder models of a pool's rows: ``(dm,)`` for one model, else the checked sequence."""
-    if isinstance(dm, DisorderModel):
-        return (dm,)
-    try:
-        models = tuple(dm)
-    except TypeError:
-        models = ()
-    if not models or not all(isinstance(m, DisorderModel) for m in models):
-        raise ValidationError(
-            f"expected a DisorderModel or a non-empty sequence of them, got {dm!r}"
-        )
-    return models
 
 
 @dataclass
@@ -147,16 +142,15 @@ def pool_init(spec: TreeSpec, dm, z, size: int) -> SamplePool:
 
     ``dm`` is one ``DisorderModel`` (``values`` of shape (size,)) or a
     non-empty sequence of B of them at this one z (a stacked pool,
-    ``values`` of shape (B, size)); anything else raises
-    ``ValidationError``.  Every member starts at the clean-tree
+    ``values`` of shape (B, size)); anything else, or a ``size`` that
+    is not an integer >= 1, raises ``ValidationError``.  Every member starts at the clean-tree
     stationary value, which is exact for lam = 0.
     """
     models = _as_models(dm)
     p = as_point(z)
     if p.boundary_mode:
         raise ValidationError("pools require eta > 0")
-    if size < 1:
-        raise ValidationError("pool size must be >= 1")
+    _check_count("pool size", size, 1)
     seed = stationary_disk(p, spec.K, spec.L)
     stacked = not isinstance(dm, DisorderModel)
     return SamplePool(
@@ -351,10 +345,12 @@ def _sample(spec, dm, p, n, term, source, burn_in, pool_size, threads=1) -> list
 
     ``term(R, R_kids, lengths)`` maps one block of edges, their near-end
     WT values, the near-end values of their K children (one more axis)
-    and their lengths, to per-sample terms.  "direct" gives one (n,)
-    block per model, the root edges of cut-seeded trees 0..n-1: the K
-    child subtrees of each are solved, merged and pulled across the root
-    edge.  "pool" gives G = ceil(n / P) generations of one stacked pool,
+    and their lengths, to per-sample terms.  "direct" gives one (B, n)
+    block, row b the root edges of model b's cut-seeded trees 0..n-1:
+    the K child subtrees of each are solved for all B models in one
+    kernel call per child (K calls in all), then merged and pulled
+    across the root edge, whose lengths are hashed once per distinct
+    ``(master_seed, dist)``.  "pool" gives G = ceil(n / P) generations of one stacked pool,
     :func:`_auto_thin` apart after ``burn_in``, each a (B, P) block whose
     children are the members each member drew.  The stderr is the spread
     of the G generation means over sqrt(G), or for G = 1 that of the iid
@@ -372,21 +368,19 @@ def _sample(spec, dm, p, n, term, source, burn_in, pool_size, threads=1) -> list
             )
         replicas = np.arange(n, dtype=np.uint64)
         seed = cut_seed_disk(p, spec.K, spec.L)
-        terms = np.empty((len(models), 1, n))
-        for b, model in enumerate(models):
-            kids = np.stack(
-                [
-                    solve_root_R_batch(
-                        spec, model, p.z, seed, replicas, threads=threads, addr=ROOT_EDGE.child(k)
-                    )
-                    for k in range(spec.K)
-                ],
-                axis=-1,
-            )
-            lengths = _root_edge_lengths(spec, model, replicas)
-            # the root step of the tree kernel: Kirchhoff merge, then pull
-            R = _disk_to_r(_pull(_r_to_disk(kids.sum(axis=-1), w), w, lengths), w)
-            terms[b, 0] = term(R, kids, lengths)
+        kids = np.stack(
+            [
+                solve_root_R_batch(
+                    spec, models, p.z, seed, replicas, threads=threads, addr=ROOT_EDGE.child(k)
+                )
+                for k in range(spec.K)
+            ],
+            axis=-1,
+        )
+        lengths = _root_edge_lengths(spec, models, replicas)
+        # the root step of the tree kernel: Kirchhoff merge, then pull
+        R = _disk_to_r(_pull(_r_to_disk(kids.sum(axis=-1), w), w, lengths), w)
+        terms = term(R, kids, lengths)[:, None]
     elif source == "pool":
         _check_count("burn_in", burn_in, 0)
         if pool_size is not None:
@@ -520,20 +514,43 @@ def _check_level(a: float) -> None:
         raise ValidationError(f"quantile level a must lie in (0, 1/2], got {a}")
 
 
-def quantile_width(samples, a: float) -> WidthStats:
-    """Width statistic delta(X, a) of a positive sample."""
+def _sorted_bracket(samples, a: float):
+    """The ascending sample and the lower index k of its bracket pair s[k], s[n-1-k]."""
     _check_level(a)
     x = np.sort(np.asarray(samples, dtype=float).ravel())
     n = x.size
     if n < 2:
         raise InsufficientSamplesError("width statistic needs at least 2 samples")
+    k = int(math.floor(a * n + 1e-9))
+    return x, min(k, n - 1 - k)
+
+
+def quantile_width(samples, a: float) -> WidthStats:
+    """Width statistic delta(X, a) of a positive sample."""
+    x, k = _sorted_bracket(samples, a)
     if not np.all(np.isfinite(x)) or x[0] <= 0.0:
         raise ValidationError("width statistic requires finite positive samples")
-    k = int(math.floor(a * n + 1e-9))
-    k = min(k, n - 1 - k)
     xi_minus = float(x[k])
-    xi_plus = float(x[n - 1 - k])
-    return WidthStats(a=a, n=n, xi_minus=xi_minus, xi_plus=xi_plus, delta=1.0 - xi_minus / xi_plus)
+    xi_plus = float(x[x.size - 1 - k])
+    return WidthStats(a=a, n=x.size, xi_minus=xi_minus, xi_plus=xi_plus, delta=1.0 - xi_minus / xi_plus)
+
+
+def _log_width(log_x, a: float) -> float:
+    """delta(X, a) of X = exp(log_x), from the order statistics of ``log_x``.
+
+    exp is increasing, so the bracket pair of X is the exp of that of
+    ``log_x``: exponentiating the two gives the bits that sorting X
+    gives.  Where one of them leaves the float range (|psi(l)/psi(0)|^2
+    underflows at large eta), the width is 1 - exp(lo - hi) instead.
+    """
+    lx, k = _sorted_bracket(log_x, a)
+    if not np.all(np.isfinite(lx)):
+        raise ValidationError("width statistic requires finite log samples")
+    pair = lx[[k, lx.size - 1 - k]]
+    lo, hi = np.exp(pair)
+    if lo > 0.0 and hi < math.inf:
+        return float(1.0 - lo / hi)
+    return float(-np.expm1(pair[0] - pair[1]))
 
 
 @dataclass(frozen=True)
@@ -579,10 +596,9 @@ def check_jensen(
     """
     x = np.asarray(samples, dtype=float).ravel()
     n = x.size
-    if K < 1:
-        raise ValidationError(f"K must be >= 1, got {K}")
-    if n_trials is not None and n_trials < 2:
-        raise ValidationError(f"n_trials must be >= 2, got {n_trials}")
+    _check_count("K", K, 1)
+    if n_trials is not None:
+        _check_count("n_trials", n_trials, 2)
     if n < 2:
         raise InsufficientSamplesError("need at least 2 samples")
     if not np.all(np.isfinite(x)) or np.min(x) <= 0.0:
@@ -657,37 +673,42 @@ class FluctuationReport:
 
 def fluctuation_report(
     spec: TreeSpec,
-    dm: DisorderModel,
+    dm,
     z,
     n: int,
     a: float = 0.25,
     source: str = "direct",
     burn_in: int = 200,
     threads: int = 1,
-) -> FluctuationReport:
+) -> FluctuationReport | list[FluctuationReport]:
     """Stationary fluctuation widths at z versus their Lyapunov bounds.
 
     Each sample is an edge with near-end value R(0), length l and K
     children: Im R(0) feeds ``delta_im``, |psi(l)/psi(0)|^2 feeds
-    ``delta_mod``, and half the current loss plus Jensen gap of
-    :func:`estimate_gamma` feeds ``gamma_hat``.  The default "direct"
-    source solves the children of n independent root edges, giving iid
-    samples for the widths and an exact standard error on the
-    Lyapunov estimate.  The "pool" source takes one generation of a
-    burnt-in pool of size n instead; its members share the population's
-    stochastic drift, so its nominal standard error is optimistic.  Both
-    are the one-generation case of the estimators' sampling pass, so
-    ``gamma_hat`` and ``gamma_stderr`` are those of
-    ``estimate_gamma(..., pool_size=n)`` up to rounding.  ``dm`` must be
-    one ``DisorderModel``, ``a`` must lie in (0, 1/2], ``n`` an integer,
-    ``threads`` (the worker threads of the direct source's tree solves)
-    an integer >= 1, ``spec.depth`` >= 1 for the direct source and, for
-    the pool source, ``burn_in`` an integer >= 0; otherwise
-    ``ValidationError`` is raised before any sampling.
+    ``delta_mod`` (read off the order statistics of log|psi(l)/psi(0)|,
+    so it stays defined where the square underflows), and half the
+    current loss plus Jensen gap of :func:`estimate_gamma` feeds
+    ``gamma_hat``.  The default "direct" source solves the children of n
+    independent root edges, giving iid samples for the widths and an
+    exact standard error on the Lyapunov estimate.  The "pool" source
+    takes one generation of a burnt-in pool of size n instead; its
+    members share the population's stochastic drift, so its nominal
+    standard error is optimistic.  Both are the one-generation case of
+    the estimators' sampling pass, so ``gamma_hat`` and ``gamma_stderr``
+    are those of ``estimate_gamma(..., pool_size=n)`` up to rounding.
+
+    ``dm`` is one ``DisorderModel``, giving one report, or a non-empty
+    sequence of them, giving the list of their reports at this z, equal
+    to one call per model; the direct source then solves each tree once
+    for all models, the pool source advances one stacked pool.  ``a``
+    must lie in (0, 1/2], ``n`` be an integer, ``threads`` (the worker
+    threads of the direct source's tree solves) an integer >= 1,
+    ``spec.depth`` >= 1 for the direct source and, for the pool source,
+    ``burn_in`` an integer >= 0; otherwise ``ValidationError`` is raised
+    before any sampling.
     """
     p = _sampling_point(z, n, "fluctuation widths require eta > 0")
-    if not isinstance(dm, DisorderModel):
-        raise ValidationError(f"expected a DisorderModel, got {dm!r}")
+    models = _as_models(dm)
     _check_level(a)
     w = sqrt_upper(p)
     K = spec.K
@@ -695,30 +716,35 @@ def fluctuation_report(
 
     def term(R, R_kids, lengths):
         current, jensen, log_ratio = _gamma_parts(R, R_kids, lengths, w)
-        sample["im_R"] = R.imag
-        sample["ratio_sq"] = np.exp(2.0 * log_ratio)
+        sample["im_R"] = R.imag.reshape(len(models), -1)
+        sample["log_ratio_sq"] = (2.0 * log_ratio).reshape(len(models), -1)
         return 0.5 * (current + jensen)
 
-    ((gamma, gamma_se, _),) = _sample(spec, dm, p, n, term, source, burn_in, n, threads)
-    d_im = quantile_width(sample["im_R"], a).delta
-    d_mod = quantile_width(sample["ratio_sq"], a).delta
-    gamma_hi = gamma + 3.0 * gamma_se
-    bound1 = (8.0 / (a * a)) * gamma_hi
-    bound2 = (512.0 * (K + 1) ** 2 / (a * a)) * gamma_hi
-    return FluctuationReport(
-        z=p.z,
-        lam=dm.lam,
-        a=a,
-        n=n,
-        gamma_hat=gamma,
-        gamma_stderr=gamma_se,
-        delta_im=d_im,
-        delta_mod=d_mod,
-        bound1=bound1,
-        bound2=bound2,
-        bound1_ok=d_im * d_im <= bound1,
-        bound2_ok=d_mod * d_mod <= bound2,
-    )
+    stats = _sample(spec, dm, p, n, term, source, burn_in, n, threads)
+    reports = []
+    for b, (model, (gamma, gamma_se, _)) in enumerate(zip(models, stats)):
+        d_im = quantile_width(sample["im_R"][b], a).delta
+        d_mod = _log_width(sample["log_ratio_sq"][b], a)
+        gamma_hi = gamma + 3.0 * gamma_se
+        bound1 = (8.0 / (a * a)) * gamma_hi
+        bound2 = (512.0 * (K + 1) ** 2 / (a * a)) * gamma_hi
+        reports.append(
+            FluctuationReport(
+                z=p.z,
+                lam=model.lam,
+                a=a,
+                n=n,
+                gamma_hat=gamma,
+                gamma_stderr=gamma_se,
+                delta_im=d_im,
+                delta_mod=d_mod,
+                bound1=bound1,
+                bound2=bound2,
+                bound1_ok=d_im * d_im <= bound1,
+                bound2_ok=d_mod * d_mod <= bound2,
+            )
+        )
+    return reports[0] if isinstance(dm, DisorderModel) else reports
 
 
 @dataclass(frozen=True)
@@ -755,13 +781,17 @@ def stability_scan(
 
     Returns one :class:`ScanCell` per (lam, eta) pair, lambdas outermost.
     ``threads`` worker threads split each cell's tree solve.  Every cell
-    is checked before the first solve: each lambda must be a valid
+    is checked before the first solve: ``dm`` must be one
+    ``DisorderModel``, ``n`` an integer >= 2, each lambda a valid
     disorder strength, each eta finite and > 0, ``e_min`` and ``e_max``
     finite with 0 < e_min < e_max, ``eps`` finite and > 0, and
     ``threads`` >= 1; otherwise ``ValidationError`` is raised.
     """
+    _check_model(dm)
     if not (math.isfinite(e_min) and math.isfinite(e_max) and 0 < e_min < e_max):
         raise ValidationError(f"need finite 0 < e_min < e_max, got {e_min}, {e_max}")
+    if not _is_int(n):
+        raise ValidationError(f"n must be an integer, got {n!r}")
     if n < 2:
         raise InsufficientSamplesError("need at least 2 samples per cell")
     if not (math.isfinite(eps) and eps > 0):

@@ -53,7 +53,8 @@ class RowDegeneracyError(NumericalDegeneracyError):
     """Some rows of a batch tree solve degenerated; the others are valid.
 
     ``values`` is the batch result with NaN in the failed rows;
-    ``reasons`` has one entry per row, None or the row's failure text.
+    ``reasons`` has one entry per row, None or the row's failure text
+    (for a stacked solve of B models, one such list per model).
     """
 
     def __init__(self, message, values, reasons):

@@ -249,6 +249,27 @@ class DisorderModel:
             raise ValidationError("master_seed must fit in 64 bits")
 
 
+def _check_model(dm) -> None:
+    """Reject anything but one ``DisorderModel`` (the one-model entry points)."""
+    if not isinstance(dm, DisorderModel):
+        raise ValidationError(f"expected a DisorderModel, got {dm!r}")
+
+
+def _as_models(dm) -> tuple:
+    """The disorder models of stacked rows: ``(dm,)`` for one model, else the checked sequence."""
+    if isinstance(dm, DisorderModel):
+        return (dm,)
+    try:
+        models = tuple(dm)
+    except TypeError:
+        models = ()
+    if not models or not all(isinstance(m, DisorderModel) for m in models):
+        raise ValidationError(
+            f"expected a DisorderModel or a non-empty sequence of them, got {dm!r}"
+        )
+    return models
+
+
 @dataclass(frozen=True)
 class EdgeAddress:
     """Path of child indices from the root edge; the root edge has an empty path."""

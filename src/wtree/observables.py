@@ -29,7 +29,7 @@ from .engine import (
     sqrt_upper,
 )
 from .errors import SingularTransformError, ValidationError, WtreeError
-from .graphmodel import DisorderModel, TreeSpec
+from .graphmodel import DisorderModel, TreeSpec, _check_model
 from .regular import _cut_seed, fixed_point_batch
 
 __all__ = [
@@ -217,6 +217,7 @@ def spectral_density(
     -------
     list of DensityPoint
     """
+    _check_model(dm)
     energies = np.asarray(energies, dtype=float).ravel()
     if not 0.0 < eta < math.inf:
         raise ValidationError(f"spectral density sweeps require 0 < eta < inf, got {eta}")
@@ -318,6 +319,7 @@ def tree_profile(
     The amplitude is normalized to psi = 1 at the root near end and
     extended by continuity across vertices.
     """
+    _check_model(dm)
     p = as_point(z)
     w = sqrt_upper(p)
     _, cap = solve_root_R_batch(

@@ -36,8 +36,10 @@ from wtree import (
     solve_edge_R,
     solve_root_R,
     solve_root_R_batch,
+    spectral_density,
     sqrt_upper,
     stationary_disk,
+    tree_profile,
     vertex_merge_m,
     wt_bound,
 )
@@ -484,6 +486,22 @@ def test_split_draws_once_per_block_and_split_edge(
         assert sum(isinstance(g, range) for g in calls) == blocks
 
 
+def test_one_replica_rows_draw_their_tree_once(monkeypatch):
+    # rows of one replica solve one tree, so however many blocks they
+    # take, its edges are drawn once
+    calls = _counted_omega(monkeypatch)
+    spec = TreeSpec(K=3, L=1.0, depth=4)
+    dm = DisorderModel(lam=0.1, master_seed=4)
+    zs = np.linspace(1.0, 3.0, 9) + 0.01j
+    for capture in (False, True):
+        calls.clear()
+        solve_root_R_batch(spec, dm, zs, 0j, [7] * 9, capture=capture, chunk_elems=250)
+        assert calls == [range(0, 5)]
+        calls.clear()
+        solve_root_R_batch(spec, dm, zs, 0j, [7] * 8 + [8], capture=capture, chunk_elems=250)
+        assert calls == [range(0, 5)] * 5
+
+
 def test_batch_solve_peak_memory():
     # a block holds at most chunk_elems rows x edges, its drawn omegas
     # included, so this solve peaks near 27 MiB
@@ -499,6 +517,133 @@ def test_batch_solve_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 32 * 2**20
+
+
+def test_batch_solve_peak_memory_cache_blocks():
+    # blocks of at most 2**18 rows x edges, solved in two reused scratch
+    # buffers: the solve above peaks near 11.0 MiB, and a stack of two
+    # models with one master seed near 18.0
+    z = complex(2.0, 0.01)
+    spec = TreeSpec(K=2, L=1.0, depth=12)
+    dm = DisorderModel(lam=0.1, master_seed=3)
+    reps = np.arange(500, dtype=np.uint64)
+    for dms, bound in ((dm, 14), ([dm, DisorderModel(lam=0.05, master_seed=3)], 22)):
+        args = (spec, dms, z, cut_seed_disk(z, 2, 1.0), reps)
+        solve_root_R_batch(*args, addr=ROOT_EDGE.child(0))
+        tracemalloc.start()
+        try:
+            solve_root_R_batch(*args, addr=ROOT_EDGE.child(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * 2**20
+
+
+def _stack_models(dist):
+    """Models sharing one tree, a lam = 0 row, another dist and another master seed."""
+    return [
+        DisorderModel(lam=0.3, dist=dist, master_seed=7),
+        DisorderModel(lam=0.0, dist=dist, master_seed=7),
+        DisorderModel(lam=0.1, dist=dist, master_seed=9),
+        DisorderModel(lam=0.3, dist="uniform" if dist != "uniform" else "two_point", master_seed=7),
+    ]
+
+
+@pytest.mark.parametrize("dist", ["uniform", "two_point", "truncated_normal"])
+@pytest.mark.parametrize("K,depth", [(1, 7), (2, 6), (3, 4)])
+def test_stacked_solve_equals_lone_solves(K, depth, dist):
+    # row b of a stacked solve is the solve of model b alone, bit for bit,
+    # its capture included, at any thread count and block split
+    spec = TreeSpec(K=K, L=1.0, depth=depth)
+    models = _stack_models(dist)
+    z = complex(2.0, 0.05)
+    seed = cut_seed_disk(z, K, 1.0)
+    # (rows, chunk_elems): one row; the default blocks; blocks of a few
+    # rows; splits down to one-row blocks
+    cases = [(1, 2**20), (500, 2**20), (40, 3 * spec.edge_count()), (7, 3)]
+    for S, chunk in cases:
+        reps = np.arange(S, dtype=np.uint64) * 3 + 1
+        for addr in (ROOT_EDGE, ROOT_EDGE.child(K - 1)):
+            kw = dict(chunk_elems=chunk, addr=addr)
+            lone = [solve_root_R_batch(spec, dm, z, seed, reps, capture=True, **kw) for dm in models]
+            for threads in (1, 2, 3) if S > 1 else (1,):
+                R, cap = solve_root_R_batch(
+                    spec, models, z, seed, reps, capture=True, threads=threads, **kw
+                )
+                assert R.shape == (len(models), S)
+                for b, (R_b, cap_b) in enumerate(lone):
+                    assert R[b].tobytes() == R_b.tobytes()
+                    for g in range(depth + 1 - addr.generation):
+                        assert cap.m_near[g][b].tobytes() == cap_b.m_near[g].tobytes()
+                        assert cap.lengths[g][b].tobytes() == cap_b.lengths[g].tobytes()
+                plain = solve_root_R_batch(spec, models, z, seed, reps, threads=threads, **kw)
+                assert plain.tobytes() == R.tobytes()
+
+
+def test_disk_to_r_bits_do_not_depend_on_batch_size():
+    # above 256 KiB numpy would reuse the temporary 1 + m as the output of
+    # the product with a scalar w, which rounds differently; a stacked row
+    # must get the bits of the row alone at any size
+    rng = np.random.default_rng(4)
+    m = 0.9 * np.exp(2j * np.pi * rng.random((2, 10000)))
+    for w in (complex(np.sqrt(2.0 + 0.01j)), np.sqrt(2.0 + 1j * rng.random(10000))):
+        both = wtree.engine._disk_to_r(m, w)
+        for b in range(2):
+            assert both[b].tobytes() == wtree.engine._disk_to_r(m[b], w).tobytes()
+            assert both[b, :3].tobytes() == wtree.engine._disk_to_r(m[b, :3], w[:3] if np.ndim(w) else w).tobytes()
+
+
+def test_stacked_solve_validates_models():
+    spec = TreeSpec(K=2, L=1.0, depth=3)
+    dm = DisorderModel(lam=0.1)
+    clean = DisorderModel(lam=0.0)
+    z = complex(2.0, 0.05)
+    for bad in ([], [dm, "uniform"], "uniform", None, 0.1):
+        with pytest.raises(ValidationError):
+            solve_root_R_batch(spec, bad, z, 0j, range(3))
+    # the one-model entry points take no sequence
+    for call in (
+        lambda: solve_edge_R(spec, [dm, clean], z),
+        lambda: solve_R_minus(spec, [dm, clean], z, EdgeAddress((0, 1)), 0.1),
+        lambda: spectral_density(spec, [dm, clean], [2.0], 0.05),
+        lambda: tree_profile(spec, [dm], z),
+    ):
+        with pytest.raises(ValidationError):
+            call()
+    # a degenerate row fails for every model, named per model
+    seeds = np.array([0j, complex(math.nan, 0.0), 0j])
+    with pytest.raises(RowDegeneracyError) as info:
+        solve_root_R_batch(spec, [dm, clean], complex(2.0, 0.05), seeds, range(3))
+    assert info.value.values.shape == (2, 3)
+    assert [[r is None for r in row] for row in info.value.reasons] == [[True, False, True]] * 2
+
+
+def test_stacked_solve_draws_one_tree_for_all_models(monkeypatch):
+    # omega does not depend on lam: two models of one master seed and
+    # dist draw the words of one lone solve, a second dist draws them again
+    words = []
+    omega = wtree.engine.omega_for_generation
+
+    def counting(dm, K, g, replicas, prefix=()):
+        out = omega(dm, K, g, replicas, prefix)
+        words.append(out.size)
+        return out
+
+    monkeypatch.setattr(wtree.engine, "omega_for_generation", counting)
+    spec = TreeSpec(K=2, L=1.0, depth=7)
+    z = complex(2.0, 0.01)
+    one, two = DisorderModel(lam=0.05, master_seed=5), DisorderModel(lam=0.1, master_seed=5)
+    for chunk in (2**20, 100):
+        words.clear()
+        solve_root_R_batch(spec, one, z, 0j, range(100), chunk_elems=chunk)
+        lone = sum(words)
+        words.clear()
+        solve_root_R_batch(spec, [one, two], z, 0j, range(100), chunk_elems=chunk)
+        assert sum(words) == lone
+        words.clear()
+        other = DisorderModel(lam=0.1, dist="two_point", master_seed=5)
+        solve_root_R_batch(spec, [one, two, other], z, 0j, range(100), chunk_elems=chunk)
+        assert sum(words) == 2 * lone
 
 
 _BAD_REPLICAS = [-1, 2**64, 1.5, True, np.float64(2.0), "3", None]

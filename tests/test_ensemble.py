@@ -883,7 +883,7 @@ def test_fluctuation_validates_up_front(monkeypatch):
         for a in (0.7, 0.0, -0.1, math.nan):
             with pytest.raises(ValidationError):
                 fluctuation_report(SPEC6, CLEAN, Z_MID, n=100, a=a, source=source)
-        for dm in ([CLEAN], (CLEAN, CLEAN), "uniform", None):
+        for dm in ("uniform", None, [], [CLEAN, "uniform"]):
             with pytest.raises(ValidationError):
                 fluctuation_report(SPEC6, dm, Z_MID, n=100, source=source)
 
@@ -936,6 +936,81 @@ def test_fluctuation_reads_estimator_samples(source):
     assert est.n == rep.n == n
     assert abs(rep.gamma_hat - est.gamma_hat) <= 1e-14
     assert abs(rep.gamma_stderr - est.stderr) <= 1e-14
+
+
+@pytest.mark.parametrize("source", ["direct", "pool"])
+def test_stacked_estimators_equal_lone_calls(source):
+    # a model list gives the list of lone results; the direct source
+    # solves each tree once for all models
+    spec = TreeSpec(K=3, L=1.0, depth=4)
+    z = complex(2.0, 0.05)
+    models = [
+        DisorderModel(lam=0.2, dist="truncated_normal", master_seed=3),
+        DisorderModel(lam=0.0, dist="truncated_normal", master_seed=3),
+        DisorderModel(lam=0.1, dist="uniform", master_seed=3),
+        DisorderModel(lam=0.1, dist="two_point", master_seed=8),
+    ]
+    kw = dict(source=source, burn_in=10)
+    reports = fluctuation_report(spec, models, z, 96, **kw)
+    assert reports == [fluctuation_report(spec, dm, z, 96, **kw) for dm in models]
+    assert [r.lam for r in reports] == [dm.lam for dm in models]
+    kw["pool_size"] = 16
+    estimates = estimate_gamma(spec, models, z, 64, **kw)
+    assert estimates == [estimate_gamma(spec, dm, z, 64, **kw) for dm in models]
+    # a stack of 2 x 10,000 samples passes numpy's 256 KiB threshold for
+    # reusing temporaries, where one row alone does not
+    big = TreeSpec(K=2, L=1.0, depth=1)
+    kw = dict(source=source, burn_in=10)
+    reports = fluctuation_report(big, models[:2], z, 10000, **kw)
+    assert reports == [fluctuation_report(big, dm, z, 10000, **kw) for dm in models[:2]]
+
+
+@pytest.mark.parametrize("source", ["direct", "pool"])
+def test_fluctuation_at_large_eta(source):
+    # |psi(l)/psi(0)|^2 underflows to 0 at eta 1e6; its width is read off
+    # the log ratios instead of failing on the zeros
+    spec = TreeSpec(K=2, L=1.0, depth=4)
+    dm = DisorderModel(lam=0.1, master_seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = fluctuation_report(spec, dm, complex(2.0, 1e6), 64, source=source, burn_in=5)
+    assert 0.0 <= rep.delta_im < 1.0
+    assert 0.0 <= rep.delta_mod <= 1.0
+    assert rep.gamma_hat >= 0.0 and rep.bound1_ok and rep.bound2_ok
+
+
+def test_log_width_matches_quantile_width():
+    # where the squares are representable, the log route gives their bits
+    rng = np.random.default_rng(5)
+    for n in (2, 3, 64, 1001):
+        logs = rng.normal(-3.0, 2.0, n)
+        for a in (0.5, 0.25, 0.1):
+            assert ensemble._log_width(logs, a) == quantile_width(np.exp(logs), a).delta
+    logs = np.array([-2000.0, -1500.0, -1400.0, -1000.0])
+    assert ensemble._log_width(logs, 0.25) == -math.expm1(-1500.0 + 1400.0)
+    with pytest.raises(ValidationError):
+        ensemble._log_width(np.array([0.0, math.nan]), 0.25)
+
+
+def test_stability_scan_validates_n():
+    for n in (2.5, True, "8"):
+        with pytest.raises(ValidationError):
+            stability_scan(SPEC6, CLEAN, [0.1], [1e-2], 1.5, 2.5, 0.1, n)
+    with pytest.raises(ValidationError):
+        stability_scan(SPEC6, [CLEAN], [0.1], [1e-2], 1.5, 2.5, 0.1, 8)
+
+
+def test_pool_init_validates_size():
+    for size in (2.5, True, np.float64(4.0), None):
+        with pytest.raises(ValidationError):
+            pool_init(SPEC6, CLEAN, Z_MID, size=size)
+
+
+def test_jensen_counts_validated():
+    x = np.exp(np.random.default_rng(2).standard_normal(30))
+    for kw in (dict(K=1.5), dict(K=True), dict(K=2, n_trials=2.5), dict(K=2, n_trials=True)):
+        with pytest.raises(ValidationError):
+            check_jensen(x, a=0.25, **kw)
 
 
 def test_stability_clean_row_is_zero():
