@@ -75,7 +75,7 @@ DiskValue = complex
 #: Distinguished value signalling an infinite WT function (a Dirichlet-type pole).
 WT_INFINITY = complex(math.inf, 0.0)
 
-#: Default cap on the number of edges a single tree solve may visit.
+#: Cap on the number of edges a single tree solve may visit.
 VISIT_BUDGET = 2**24
 
 #: Default eta ladder for boundary-value extrapolation.
@@ -346,7 +346,9 @@ def _disk_to_r(m, w):
 def _edge_ratio(R, w, le):
     """Amplitude ratio psi(le) / psi(0) = cos(w*le) + R*sin(w*le)/w across an edge."""
     wl = w * le
-    return np.cos(wl) + R * np.sin(wl) / w
+    # named, as in _disk_to_r, so numpy never takes the product in place
+    sin = np.sin(wl)
+    return np.cos(wl) + R * sin / w
 
 
 def _one_tree(reps):
@@ -528,7 +530,7 @@ def _replica_array(replicas) -> np.ndarray:
     return np.array(values, dtype=np.uint64)
 
 
-def _solve(spec, dm, z, seed_m, replicas, prefix, capture, visit_budget, chunk_elems, threads=1):
+def _solve(spec, dm, z, seed_m, replicas, prefix, capture, chunk_elems, threads=1):
     """Validate a solve of the subtree below ``prefix`` and run it.
 
     ``dm`` is one model, giving values of shape ``(S,)``, or a sequence
@@ -568,9 +570,9 @@ def _solve(spec, dm, z, seed_m, replicas, prefix, capture, visit_budget, chunk_e
         seed = np.full(S, _check_seed_m(seed_m), dtype=np.complex128)
 
     n_edges = replace(spec, depth=spec.depth - len(prefix)).edge_count()
-    if n_edges > visit_budget:
+    if n_edges > VISIT_BUDGET:
         raise BudgetExceededError(
-            f"tree solve would visit {n_edges} edges, budget is {visit_budget}"
+            f"tree solve would visit {n_edges} edges, budget is {VISIT_BUDGET}"
         )
 
     prefix, chunk_elems = tuple(prefix), int(chunk_elems)
@@ -629,7 +631,6 @@ def solve_edge_R(
     addr: EdgeAddress = ROOT_EDGE,
     seed_m: complex = 0j,
     replica: int = 0,
-    visit_budget: int = VISIT_BUDGET,
 ) -> complex:
     """WT value at the near end of the edge ``addr`` of a truncated tree.
 
@@ -638,7 +639,9 @@ def solve_edge_R(
     merge their children, and each edge applies the disk step with its
     own random length.  This is a one-replica view of the batch kernel
     behind :func:`solve_root_R_batch`, whose working memory is bounded
-    by its chunk size and grows linearly in depth.
+    by its chunk size and grows linearly in depth.  A subtree of more
+    than :data:`VISIT_BUDGET` edges raises ``BudgetExceededError``
+    before any solve.
 
     Parameters
     ----------
@@ -652,8 +655,6 @@ def solve_edge_R(
         Far-end disk seed at the cut generation, |m| <= 1, m != 1.
     replica : int
         Disorder replica index.
-    visit_budget : int
-        Hard cap on visited edges.
 
     Returns
     -------
@@ -662,7 +663,7 @@ def solve_edge_R(
     """
     _check_model(dm)
     _check_address(spec, addr)
-    R = _solve(spec, dm, z, seed_m, [replica], addr.path, False, visit_budget, _CHUNK_ELEMS)
+    R = _solve(spec, dm, z, seed_m, [replica], addr.path, False, _CHUNK_ELEMS)
     return complex(R[0])
 
 
@@ -672,10 +673,9 @@ def solve_root_R(
     z,
     seed_m: complex = 0j,
     replica: int = 0,
-    visit_budget: int = VISIT_BUDGET,
 ) -> complex:
     """WT value at the near end of the root edge; see :func:`solve_edge_R`."""
-    return solve_edge_R(spec, dm, z, ROOT_EDGE, seed_m, replica, visit_budget)
+    return solve_edge_R(spec, dm, z, ROOT_EDGE, seed_m, replica)
 
 
 def solve_root_R_batch(
@@ -685,7 +685,6 @@ def solve_root_R_batch(
     seed_m=0j,
     replicas=None,
     capture: bool = False,
-    visit_budget: int = VISIT_BUDGET,
     chunk_elems: int = _CHUNK_ELEMS,
     threads: int = 1,
     addr: EdgeAddress = ROOT_EDGE,
@@ -743,8 +742,9 @@ def solve_root_R_batch(
     Raises
     ------
     ValidationError
-        Before any solve, for invalid ``dm``, z, seeds, budget,
-        ``threads`` or ``addr``.
+        Before any solve, for invalid ``dm``, z, seeds, ``threads`` or
+        ``addr``; as ``BudgetExceededError`` for a subtree of more than
+        :data:`VISIT_BUDGET` edges.
     RowDegeneracyError
         When some rows (a NaN seed row, say) come out non-finite or with
         Im R <= 0.  Its ``values`` hold every row, NaN where one failed,
@@ -752,7 +752,7 @@ def solve_root_R_batch(
     """
     _check_address(spec, addr)
     return _solve(
-        spec, dm, z, seed_m, replicas, addr.path, capture, visit_budget, chunk_elems, threads
+        spec, dm, z, seed_m, replicas, addr.path, capture, chunk_elems, threads
     )
 
 
@@ -764,7 +764,6 @@ def solve_R_minus(
     position: float = 0.0,
     replica: int = 0,
     seed_m: complex = 0j,
-    visit_budget: int = VISIT_BUDGET,
 ) -> complex:
     """Backward WT function R^- at a point of the tree.
 
@@ -776,8 +775,8 @@ def solve_R_minus(
 
     Crossing a vertex into child f adds every sibling's forward WT value
     to psi'/psi.  Path lengths and sibling values are read from one
-    captured solve of the whole replica tree, so ``visit_budget`` caps
-    that tree's edge count and memory grows with it.
+    captured solve of the whole replica tree, so :data:`VISIT_BUDGET`
+    caps that tree's edge count and memory grows with it.
 
     Raises
     ------
@@ -796,7 +795,7 @@ def solve_R_minus(
 
     w = sqrt_upper(p)
     K = spec.K
-    _, cap = _solve(spec, dm, p, seed_m, [replica], (), True, visit_budget, _CHUNK_ELEMS)
+    _, cap = _solve(spec, dm, p, seed_m, [replica], (), True, _CHUNK_ELEMS)
 
     def _propagate(uv, upv, length):
         c, s = cos_sin(w, length)

@@ -89,15 +89,20 @@ def _root_edge_lengths(spec: TreeSpec, models, replicas: np.ndarray) -> np.ndarr
     return _model_lengths(models, spec.L, draw)
 
 
+def _check_samples(n) -> None:
+    """Check a sample count: an int or numpy integer (not a bool), at least 2."""
+    if not _is_int(n):
+        raise ValidationError(f"n must be an integer, got {n!r}")
+    if n < 2:
+        raise InsufficientSamplesError("need at least 2 samples")
+
+
 def _sampling_point(z, n: int, boundary_message: str):
     """``z`` as a point, checked to have eta > 0 and an integer n >= 2 samples."""
     p = as_point(z)
     if p.boundary_mode:
         raise ValidationError(boundary_message)
-    if not _is_int(n):
-        raise ValidationError(f"n must be an integer, got {n!r}")
-    if n < 2:
-        raise InsufficientSamplesError("need at least 2 samples")
+    _check_samples(n)
     return p
 
 
@@ -772,28 +777,27 @@ def stability_scan(
 ) -> list:
     """Fraction of solves that stray from the clean fixed point.
 
-    For each (lam, eta) cell, n energies are drawn uniformly from
-    [e_min, e_max] (counter RNG keyed by the cell index), one tree is
-    solved per energy at z = E + i*eta, cut-seeded with the clean fixed
-    point at that z, with disorder replica indices unique across the
-    scan, and the distance |R - Phi(E)| to the clean boundary fixed point
-    is thresholded at eps.
+    n energies are drawn uniformly from [e_min, e_max] (counter RNG keyed
+    by the master seed); at each eta, energy i is solved on replica i at
+    z = E + i*eta, cut-seeded with the clean fixed point at that z, and
+    |R - Phi(E)| to the clean boundary fixed point is thresholded at eps.
+    One stacked kernel call solves every (lam, eta) cell, so the cells
+    share energies, replicas and trees (common random numbers): each is
+    its lone scan bit for bit, and its binomial stderr holds, but cells
+    are correlated, so differences across lambdas carry less noise.
 
     Returns one :class:`ScanCell` per (lam, eta) pair, lambdas outermost.
-    ``threads`` worker threads split each cell's tree solve.  Every cell
-    is checked before the first solve: ``dm`` must be one
-    ``DisorderModel``, ``n`` an integer >= 2, each lambda a valid
-    disorder strength, each eta finite and > 0, ``e_min`` and ``e_max``
-    finite with 0 < e_min < e_max, ``eps`` finite and > 0, and
-    ``threads`` >= 1; otherwise ``ValidationError`` is raised.
+    ``threads`` worker threads split the tree solve.  Every cell is
+    checked before the solve: ``dm`` must be one ``DisorderModel``,
+    ``n`` an integer >= 2, each lambda a valid disorder strength, each
+    eta finite and > 0, ``e_min`` and ``e_max`` finite with
+    0 < e_min < e_max, ``eps`` finite and > 0, and ``threads`` >= 1;
+    otherwise ``ValidationError`` is raised.
     """
     _check_model(dm)
     if not (math.isfinite(e_min) and math.isfinite(e_max) and 0 < e_min < e_max):
         raise ValidationError(f"need finite 0 < e_min < e_max, got {e_min}, {e_max}")
-    if not _is_int(n):
-        raise ValidationError(f"n must be an integer, got {n!r}")
-    if n < 2:
-        raise InsufficientSamplesError("need at least 2 samples per cell")
+    _check_samples(n)
     if not (math.isfinite(eps) and eps > 0):
         raise ValidationError(f"eps must be finite and positive, got {eps}")
     _check_threads(threads)
@@ -801,30 +805,25 @@ def stability_scan(
     etas = [float(eta) for eta in etas]
     if not all(math.isfinite(eta) and eta > 0 for eta in etas):
         raise ValidationError(f"scan requires finite eta > 0 in every cell, got {etas}")
-    cells = []
-    cell_idx = 0
-    for dm_cell in models:
-        for eta in etas:
-            idx = np.arange(n, dtype=np.uint64)
-            u = uniform01(hash_words(dm.master_seed, DOMAIN_SCAN_ENERGY, cell_idx, idx))
-            energies = e_min + (e_max - e_min) * u
-            z_arr = energies + 1j * eta
-            seeds = _cut_seed(fixed_point_batch(energies, eta, spec.K, spec.L).m, spec.K)
-            phi_target = fixed_point_batch(energies, 0.0, spec.K, spec.L).phi
-            replicas = (cell_idx * n + idx.astype(np.int64)).astype(np.uint64)
-            R = solve_root_R_batch(spec, dm_cell, z_arr, seeds, replicas, threads=threads)
-            dev = np.abs(R - phi_target)
-            p_exc = float(np.mean(dev > eps))
-            se = math.sqrt(max(p_exc * (1.0 - p_exc), 1.0 / n) / n)
-            cells.append(
-                ScanCell(
-                    lam=dm_cell.lam,
-                    eta=eta,
-                    eps=eps,
-                    n=n,
-                    exceedance=p_exc,
-                    stderr=se,
-                )
-            )
-            cell_idx += 1
-    return cells
+    if not (models and etas):
+        return []
+    idx = np.arange(n, dtype=np.uint64)
+    # word 0 keyed the first cell's energies when each cell drew its own;
+    # keeping it keeps that cell's bits
+    u = uniform01(hash_words(dm.master_seed, DOMAIN_SCAN_ENERGY, 0, idx))
+    energies = e_min + (e_max - e_min) * u
+    # rows are eta-major: row k * n + i is energy i at eta k, on replica i
+    z = np.concatenate([energies + 1j * eta for eta in etas])
+    seeds = np.concatenate(
+        [_cut_seed(fixed_point_batch(energies, eta, spec.K, spec.L).m, spec.K) for eta in etas]
+    )
+    R = solve_root_R_batch(spec, models, z, seeds, np.tile(idx, len(etas)), threads=threads)
+    phi_target = fixed_point_batch(energies, 0.0, spec.K, spec.L).phi
+    exceed = np.abs(R.reshape(len(models), len(etas), n) - phi_target) > eps
+    p_exc = exceed.mean(axis=-1)
+    se = np.sqrt(np.maximum(p_exc * (1.0 - p_exc), 1.0 / n) / n)
+    return [
+        ScanCell(lam=m.lam, eta=eta, eps=eps, n=n, exceedance=float(p), stderr=float(s))
+        for m, ps, ss in zip(models, p_exc, se)
+        for eta, p, s in zip(etas, ps, ss)
+    ]

@@ -593,6 +593,18 @@ def test_disk_to_r_bits_do_not_depend_on_batch_size():
             assert both[b, :3].tobytes() == wtree.engine._disk_to_r(m[b, :3], w[:3] if np.ndim(w) else w).tobytes()
 
 
+def test_edge_ratio_bits_do_not_depend_on_batch_size():
+    # the same elision hazard: above 256 KiB numpy would take R * sin(w*le)
+    # in place in the sin temporary, with its operands swapped
+    rng = np.random.default_rng(5)
+    R = rng.standard_normal(20000) + 1j * rng.random(20000)
+    le = np.exp(0.2 * rng.standard_normal(20000))
+    for w in (complex(np.sqrt(2.0 + 0.01j)), np.sqrt(2.0 + 1j * rng.random(20000))):
+        full = wtree.engine._edge_ratio(R, w, le)
+        part = wtree.engine._edge_ratio(R[:100], w[:100] if np.ndim(w) else w, le[:100])
+        assert full[:100].tobytes() == part.tobytes()
+
+
 def test_stacked_solve_validates_models():
     spec = TreeSpec(K=2, L=1.0, depth=3)
     dm = DisorderModel(lam=0.1)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wtree.engine
 import wtree.ensemble as ensemble
 from wtree import (
     BudgetExceededError,
@@ -1081,6 +1082,57 @@ def test_stability_scan_seed_mode():
     # the seed matters at this depth: far ends at m = 0 stray differently
     R0 = solve_root_R_batch(spec, dm, energies + 0.01j, 0j, idx)
     assert cell.exceedance != float(np.mean(np.abs(R0 - phi) > 0.05))
+
+
+def test_stability_scan_cells_equal_lone_cells():
+    # cells share energies, replicas and trees: each is its lone scan, bit for bit
+    spec = TreeSpec(K=2, L=1.0, depth=6)
+    dm = DisorderModel(lam=0.0, master_seed=3)
+    kw = dict(e_min=1.5, e_max=2.5, eps=0.1, n=300)
+    lambdas, etas = [0.2, 0.05], [1e-2, 1e-3]
+    for threads in (1, 3):
+        cells = stability_scan(spec, dm, lambdas, etas, threads=threads, **kw)
+        lone = [stability_scan(spec, dm, [lam], [eta], **kw)[0] for lam in lambdas for eta in etas]
+        assert cells == lone
+
+
+def test_stability_scan_one_kernel_call(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve_root_R_batch(*args, **kwargs)
+
+    monkeypatch.setattr(ensemble, "solve_root_R_batch", counted)
+    spec = TreeSpec(K=2, L=1.0, depth=4)
+    cells = stability_scan(spec, CLEAN, [0.2, 0.1, 0.05], [1e-2, 1e-3], 1.5, 2.5, 0.1, 50)
+    assert len(cells) == 6
+    assert len(calls) == 1
+    # an empty grid has no cell and makes no call
+    assert stability_scan(spec, CLEAN, [], [1e-2], 1.5, 2.5, 0.1, 50) == []
+    assert stability_scan(spec, CLEAN, [0.1], [], 1.5, 2.5, 0.1, 50) == []
+    assert len(calls) == 1
+
+
+def test_stability_scan_draws_one_tree_for_all_lambdas(monkeypatch):
+    # omega does not depend on lam: a one-eta scan of three lambdas draws
+    # the omega words of one lone-lambda scan
+    words = []
+    omega = wtree.engine.omega_for_generation
+
+    def counting(dm, K, g, replicas, prefix=()):
+        out = omega(dm, K, g, replicas, prefix)
+        words.append(out.size)
+        return out
+
+    monkeypatch.setattr(wtree.engine, "omega_for_generation", counting)
+    spec = TreeSpec(K=2, L=1.0, depth=6)
+    dm = DisorderModel(lam=0.0, master_seed=2)
+    stability_scan(spec, dm, [0.1], [1e-3], 1.5, 2.5, 0.1, 200)
+    lone = sum(words)
+    words.clear()
+    stability_scan(spec, dm, [0.2, 0.1, 0.05], [1e-3], 1.5, 2.5, 0.1, 200)
+    assert sum(words) == lone == 200 * spec.edge_count()
 
 
 def test_stability_scan_validation(monkeypatch):
