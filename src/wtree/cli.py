@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from . import observables
 from .config import DEFAULTS, _set_leaf, apply_override, load_config, make_disorder, make_spec
-from .engine import _check_threads, _eta_intercept, _eta_ladder, _failed_rows, solve_root_R_batch
+from .engine import _eta_intercept, _eta_ladder, _failed_rows, solve_root_R_batch
 from .ensemble import (
     FluctuationReport,
     ScanCell,
@@ -38,6 +38,7 @@ from .ensemble import (
     stability_scan,
 )
 from .errors import NumericalDegeneracyError, ValidationError, WtreeError
+from .graphmodel import _check_count
 from .observables import spectral_density, wt_bound
 from .regular import _gamma0, ac_bands, fixed_point_batch, gamma_clean
 
@@ -395,7 +396,7 @@ def run(command: str, cfg: dict, out_dir: str = ".", threads: int = 1):
     """Execute one subcommand; returns the list of files written."""
     if command not in _COMMANDS:
         raise ValidationError(f"unknown command {command!r}")
-    _check_threads(threads)
+    _check_count("threads", threads, 1)
     os.makedirs(out_dir, exist_ok=True)
     t0 = time.perf_counter()
     outputs = _COMMANDS[command](cfg, out_dir, threads)

@@ -43,7 +43,9 @@ from .graphmodel import (
     TreeSpec,
     _as_models,
     _check_address,
+    _check_count,
     _check_model,
+    _check_word,
     omega_for_generation,
 )
 
@@ -388,44 +390,45 @@ def _joined(caps, axis):
     )
 
 
-#: Row-block budget of the tree kernel, in replica rows x subtree edges.
-#: A block's arrays, (B, rows, edges) for B models, are swept once per
-#: generation, so they should stay close to the cache.  Medians of 6
-#: in-process rounds on a 2-vCPU VM (2 MB L2 per core, numpy 2.4), for
-#: budgets 2**20, 2**19, 2**18, 2**17 and 2**16: the two stacked child
-#: solves of a ``direct-fluct`` iteration (K=2, depth 12, 500 replicas,
-#: two lambdas) took 0.85, 0.79, 0.74, 0.72 and 0.73 s; a one-tree K=3
-#: depth-8 sweep of 400 points on 2 threads took 0.17, 0.19, 0.17, 0.17
-#: and 0.19 s.
+#: Memory budget of the tree kernel, in elements of a block's (B, rows,
+#: edges) arrays for B models; see :func:`_solve_subtree`.  Blocks are
+#: swept once per generation, so they should stay close to the cache.
+#: Medians of 6 in-process rounds on a 2-vCPU VM (2 MB L2 per core,
+#: numpy 2.4), at 2**20, 2**19, 2**18, 2**17 and 2**16 elements per
+#: model: the two stacked child solves of a ``direct-fluct`` iteration
+#: (K=2, depth 12, 500 replicas, two lambdas, so 2**17 per model here)
+#: took 0.85, 0.79, 0.74, 0.72 and 0.73 s; a one-tree K=3 depth-8 sweep
+#: of 400 points on 2 threads took 0.17, 0.19, 0.17, 0.17 and 0.19 s.
 _BLOCK_ELEMS = 2**18
 
 
-def _solve_subtree(spec, models, prefix, w, seed, reps, chunk_elems, capture):
+def _solve_subtree(spec, models, prefix, w, seed, reps, capture):
     """Near-end disk values of the edge ``prefix``, one per model and replica.
 
     ``w``, ``seed`` and ``reps`` have shape ``(S,)``, and the values shape
-    ``(B, S)`` for the B disorder ``models``.  A subtree with more than
-    ``chunk_elems`` leaves is split into its K child subtrees, so memory
-    stays linear in depth.  Otherwise its replicas are solved in blocks
-    of at most ``min(chunk_elems, _BLOCK_ELEMS)`` rows x edges (at least
-    one row), each block for all B models at once: one
+    ``(B, S)`` for the B disorder ``models``.  A subtree of more than one
+    leaf whose leaves, times B, exceed :data:`_BLOCK_ELEMS` is split into
+    its K child subtrees, so memory stays bounded at any depth (a chain,
+    K = 1, has one leaf and never splits).  Otherwise its replicas are
+    solved in blocks of ``_BLOCK_ELEMS // (B * edges)`` rows (at least
+    one), each block for all B models at once: one
     :func:`omega_for_generation` call per distinct ``(master_seed,
     dist)`` draws every edge of the block (of the whole call, when all
     rows carry one replica), each model sizes its edges from those
     omegas, and the ``(B, rows, edges)`` block is then solved one
-    generation at a time.  One model is the B = 1 case, and every
-    model's values are the bits it gets alone.  Returns ``(m,
-    capture)``, the capture indexed by generation below ``prefix``, each
-    entry of shape ``(B, S, K**j)``.
+    generation at a time.  One model is the B = 1 case.  Neither splits
+    nor block sizes change a bit, so every model's values are the bits
+    it gets alone.  Returns ``(m, capture)``, the capture indexed by
+    generation below ``prefix``, each entry of shape ``(B, S, K**j)``.
     """
     K = spec.K
     B = len(models)
     g0 = len(prefix)
     n = spec.depth - g0
     leaves = K**n
-    if n > 0 and leaves > chunk_elems:
+    if leaves > 1 and B * leaves > _BLOCK_ELEMS:
         kids = [
-            _solve_subtree(spec, models, prefix + (d,), w, seed, reps, chunk_elems, capture)
+            _solve_subtree(spec, models, prefix + (d,), w, seed, reps, capture)
             for d in range(K)
         ]
         h = _merge_terms(np.stack([m_d for m_d, _ in kids], axis=-1))
@@ -440,7 +443,7 @@ def _solve_subtree(spec, models, prefix, w, seed, reps, chunk_elems, capture):
         return m[..., 0], cap
 
     S = reps.size
-    chunk = max(1, min(chunk_elems, _BLOCK_ELEMS) // replace(spec, depth=n).edge_count())
+    chunk = max(1, _BLOCK_ELEMS // (B * replace(spec, depth=n).edge_count()))
     gens = range(g0, spec.depth + 1)
     out = np.empty((B, S), dtype=np.complex128)
     caps = []
@@ -490,25 +493,6 @@ _NONFINITE = "tree solve produced non-finite WT values"
 _LOWER = "tree solve left the upper half plane"
 
 
-def _is_int(value) -> bool:
-    """Whether ``value`` is an int or a numpy integer, and not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _check_count(name: str, value, lo: int) -> None:
-    if not _is_int(value) or value < lo:
-        raise ValidationError(f"{name} must be an integer >= {lo}, got {value!r}")
-
-
-def _check_threads(threads) -> None:
-    _check_count("threads", threads, 1)
-
-
-def _check_replica(value) -> None:
-    if not _is_int(value) or not 0 <= value < 2**64:
-        raise ValidationError(f"replica must be an integer in [0, 2**64), got {value!r}")
-
-
 def _replica_array(replicas) -> np.ndarray:
     """Replica indices as a flat uint64 array, each checked to lie in [0, 2**64).
 
@@ -519,18 +503,18 @@ def _replica_array(replicas) -> np.ndarray:
         if replicas.dtype.kind not in "iu":
             raise ValidationError(f"replicas must have an integer dtype, got {replicas.dtype}")
         if replicas.dtype.kind == "i" and replicas.size:
-            _check_replica(replicas.min())
+            _check_word("replica", replicas.min())
         return replicas.astype(np.uint64, copy=False).ravel()
     try:
         values = list(replicas)
     except TypeError:
         values = [replicas]
     for v in values:
-        _check_replica(v)
+        _check_word("replica", v)
     return np.array(values, dtype=np.uint64)
 
 
-def _solve(spec, dm, z, seed_m, replicas, prefix, capture, chunk_elems, threads=1):
+def _solve(spec, dm, z, seed_m, replicas, prefix, capture, threads=1):
     """Validate a solve of the subtree below ``prefix`` and run it.
 
     ``dm`` is one model, giving values of shape ``(S,)``, or a sequence
@@ -541,7 +525,7 @@ def _solve(spec, dm, z, seed_m, replicas, prefix, capture, chunk_elems, threads=
     thread count.
     """
     models = _as_models(dm)
-    _check_threads(threads)
+    _check_count("threads", threads, 1)
     replicas = _replica_array([0] if replicas is None else replicas)
     S = replicas.size
 
@@ -575,7 +559,7 @@ def _solve(spec, dm, z, seed_m, replicas, prefix, capture, chunk_elems, threads=
             f"tree solve would visit {n_edges} edges, budget is {VISIT_BUDGET}"
         )
 
-    prefix, chunk_elems = tuple(prefix), int(chunk_elems)
+    prefix = tuple(prefix)
 
     def part(lo, hi):
         # Degenerate rows (a NaN seed row, a singular merge) are found and
@@ -583,7 +567,7 @@ def _solve(spec, dm, z, seed_m, replicas, prefix, capture, chunk_elems, threads=
         # numpy's error state is per thread, so each part sets its own.
         with np.errstate(all="ignore"):
             return _solve_subtree(
-                spec, models, prefix, w[lo:hi], seed[lo:hi], replicas[lo:hi], chunk_elems, capture
+                spec, models, prefix, w[lo:hi], seed[lo:hi], replicas[lo:hi], capture
             )
 
     cuts = np.linspace(0, S, min(threads, S) + 1).astype(int)
@@ -621,9 +605,6 @@ def _failed_rows(exc: WtreeError, n: int):
     return np.full(n, complex(math.nan, math.nan)), [f"{type(exc).__name__}: {exc}"] * n
 
 
-_CHUNK_ELEMS = 2**20
-
-
 def solve_edge_R(
     spec: TreeSpec,
     dm: DisorderModel,
@@ -638,10 +619,10 @@ def solve_edge_R(
     ``spec.depth`` is seeded with ``seed_m`` at its far end, deeper ends
     merge their children, and each edge applies the disk step with its
     own random length.  This is a one-replica view of the batch kernel
-    behind :func:`solve_root_R_batch`, whose working memory is bounded
-    by its chunk size and grows linearly in depth.  A subtree of more
-    than :data:`VISIT_BUDGET` edges raises ``BudgetExceededError``
-    before any solve.
+    behind :func:`solve_root_R_batch`, whose working memory stays within
+    one element budget at any depth.  A subtree of more than
+    :data:`VISIT_BUDGET` edges raises ``BudgetExceededError`` before any
+    solve.
 
     Parameters
     ----------
@@ -663,7 +644,7 @@ def solve_edge_R(
     """
     _check_model(dm)
     _check_address(spec, addr)
-    R = _solve(spec, dm, z, seed_m, [replica], addr.path, False, _CHUNK_ELEMS)
+    R = _solve(spec, dm, z, seed_m, [replica], addr.path, False)
     return complex(R[0])
 
 
@@ -685,7 +666,6 @@ def solve_root_R_batch(
     seed_m=0j,
     replicas=None,
     capture: bool = False,
-    chunk_elems: int = _CHUNK_ELEMS,
     threads: int = 1,
     addr: EdgeAddress = ROOT_EDGE,
 ):
@@ -697,6 +677,14 @@ def solve_root_R_batch(
     Rows may share a replica (one tree at many z, say): a block whose
     rows all carry one replica hashes and sizes that tree's edges once
     per generation, and each row gets the bits it would get alone.
+
+    Working memory has one budget per thread, ``_BLOCK_ELEMS`` elements
+    of a block's ``(B, rows, edges)`` arrays for B models, at any depth
+    and any B: a subtree whose one row holds more leaves than that for
+    all models is solved child subtree by child subtree, and the rest in
+    row blocks of that many elements (at least one row).  Splits and
+    block sizes change no value.  A capture holds every edge, outside
+    the budget.
 
     Parameters
     ----------
@@ -717,13 +705,6 @@ def solve_root_R_batch(
     capture : bool
         Also return per-generation near-end values and lengths, with a
         leading model axis for a sequence ``dm``.
-    chunk_elems : int
-        Memory cap and split rule (array elements): a subtree with more
-        leaves than this is solved child subtree by child subtree, and a
-        block of rows holds at most this many rows x edges of its
-        subtree (at least one row).  Blocks are further capped at
-        ``_BLOCK_ELEMS`` rows x edges, near cache size; the cap changes
-        no value.
     threads : int
         Worker threads, >= 1: the replicas are split into contiguous
         parts solved on a thread pool.  Values, captures and failed
@@ -751,9 +732,7 @@ def solve_root_R_batch(
         and its ``reasons`` the failure text per row, None where good.
     """
     _check_address(spec, addr)
-    return _solve(
-        spec, dm, z, seed_m, replicas, addr.path, capture, chunk_elems, threads
-    )
+    return _solve(spec, dm, z, seed_m, replicas, addr.path, capture, threads)
 
 
 def solve_R_minus(
@@ -788,14 +767,14 @@ def solve_R_minus(
         raise ValidationError("direct recursion requires eta > 0; boundary values need extrapolation")
     _check_model(dm)
     _check_address(spec, target)
-    _check_replica(replica)
+    _check_word("replica", replica)
     alpha = spec.alpha
     if alpha == 0.0 and target.generation == 0 and position == 0.0:
         return WT_INFINITY
 
     w = sqrt_upper(p)
     K = spec.K
-    _, cap = _solve(spec, dm, p, seed_m, [replica], (), True, _CHUNK_ELEMS)
+    _, cap = _solve(spec, dm, p, seed_m, [replica], (), True)
 
     def _propagate(uv, upv, length):
         c, s = cos_sin(w, length)

@@ -21,10 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .engine import (
-    _check_count,
-    _check_threads,
     _disk_to_r,
-    _is_int,
     _lengths,
     _merge_sum,
     _model_lengths,
@@ -51,8 +48,10 @@ from .graphmodel import (
     DisorderModel,
     TreeSpec,
     _as_models,
+    _check_count,
     _check_model,
     _expand_digits,
+    _is_int,
     hash_words,
     omega_from_uniform,
     uniform01,
@@ -363,7 +362,7 @@ def _sample(spec, dm, p, n, term, source, burn_in, pool_size, threads=1) -> list
     tree solves.  Arguments are checked before any sampling.
     """
     models = _as_models(dm)
-    _check_threads(threads)
+    _check_count("threads", threads, 1)
     w = sqrt_upper(p)
     if source == "direct":
         if spec.depth < 1:
@@ -800,7 +799,7 @@ def stability_scan(
     _check_samples(n)
     if not (math.isfinite(eps) and eps > 0):
         raise ValidationError(f"eps must be finite and positive, got {eps}")
-    _check_threads(threads)
+    _check_count("threads", threads, 1)
     models = [replace(dm, lam=float(lam)) for lam in lambdas]
     etas = [float(eta) for eta in etas]
     if not all(math.isfinite(eta) and eta > 0 for eta in etas):

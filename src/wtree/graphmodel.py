@@ -54,6 +54,22 @@ _TN_Z = _TN_HI - _TN_LO
 DISTS = ("uniform", "two_point", "truncated_normal")
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is an int or a numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_count(name: str, value, lo: int) -> None:
+    if not _is_int(value) or value < lo:
+        raise ValidationError(f"{name} must be an integer >= {lo}, got {value!r}")
+
+
+def _check_word(name: str, value) -> None:
+    """Check a 64-bit hash word (a seed or a replica): an integer in [0, 2**64)."""
+    if not _is_int(value) or not 0 <= value < 2**64:
+        raise ValidationError(f"{name} must be an integer in [0, 2**64), got {value!r}")
+
+
 def _mix(x: int) -> int:
     # splitmix64 finalizer on python ints
     x &= _MASK64
@@ -205,14 +221,15 @@ class TreeSpec:
     alpha: float = math.pi / 2
 
     def __post_init__(self):
-        if not isinstance(self.K, int) or self.K < 1:
-            raise ValidationError(f"K must be an integer >= 1, got {self.K!r}")
+        _check_count("K", self.K, 1)
         if not 0.0 < self.L < math.inf:
             raise ValidationError(f"L must be positive and finite, got {self.L!r}")
-        if not isinstance(self.depth, int) or self.depth < 0:
-            raise ValidationError(f"depth must be an integer >= 0, got {self.depth!r}")
+        _check_count("depth", self.depth, 0)
         if not 0.0 <= self.alpha < math.pi:
             raise ValidationError(f"alpha must lie in [0, pi), got {self.alpha!r}")
+        # python ints, so that K**n and edge_count() cannot wrap
+        object.__setattr__(self, "K", int(self.K))
+        object.__setattr__(self, "depth", int(self.depth))
 
     def edge_count(self) -> int:
         """Number of edges in the truncated tree."""
@@ -245,8 +262,8 @@ class DisorderModel:
             raise ValidationError(f"disorder strength must lie in [0, 1], got {self.lam!r}")
         if self.dist not in DISTS:
             raise ValidationError(f"disorder dist must be one of {sorted(DISTS)}, got {self.dist!r}")
-        if not 0 <= int(self.master_seed) <= _MASK64:
-            raise ValidationError("master_seed must fit in 64 bits")
+        _check_word("master_seed", self.master_seed)
+        object.__setattr__(self, "master_seed", int(self.master_seed))
 
 
 def _check_model(dm) -> None:

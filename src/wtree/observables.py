@@ -17,8 +17,6 @@ import numpy as np
 
 from .engine import (
     WT_INFINITY,
-    _check_replica,
-    _check_threads,
     _disk_to_r,
     _edge_ratio,
     _failed_rows,
@@ -29,7 +27,7 @@ from .engine import (
     sqrt_upper,
 )
 from .errors import SingularTransformError, ValidationError, WtreeError
-from .graphmodel import DisorderModel, TreeSpec, _check_model
+from .graphmodel import DisorderModel, TreeSpec, _check_count, _check_model, _check_word
 from .regular import _cut_seed, fixed_point_batch
 
 __all__ = [
@@ -223,8 +221,8 @@ def spectral_density(
         raise ValidationError(f"spectral density sweeps require 0 < eta < inf, got {eta}")
     if not np.all(np.isfinite(energies)):
         raise ValidationError("spectral density energies must be finite")
-    _check_replica(replica)
-    _check_threads(threads)  # here, since the solve's errors become point statuses
+    _check_word("replica", replica)
+    _check_count("threads", threads, 1)  # here, since the solve's errors become point statuses
     seeds = _seed_array(spec, energies, eta, seed_mode)
     z_arr = energies + 1j * eta
     reps = np.full(energies.size, replica, dtype=np.uint64)

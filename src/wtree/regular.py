@@ -26,6 +26,7 @@ from .engine import (
     vertex_merge_m,
 )
 from .errors import BoundaryPointError, ValidationError
+from .graphmodel import _check_count
 
 __all__ = [
     "BandList",
@@ -48,8 +49,7 @@ EDGE_SHIFT = 1e-9
 
 def band_theta(K: int) -> float:
     """Band offset angle arctan((sqrt(K) - 1/sqrt(K)) / 2)."""
-    if K < 1:
-        raise ValidationError(f"branching number must be >= 1, got {K}")
+    _check_count("K", K, 1)
     rk = math.sqrt(K)
     return math.atan((rk - 1.0 / rk) / 2.0)
 
@@ -82,8 +82,7 @@ def ac_bands(K: int, L: float, n_max: int) -> BandList:
     Endpoints are evaluated in extended precision and rounded once, so
     each float is the correctly rounded value of the exact expression.
     """
-    if K < 1:
-        raise ValidationError(f"branching number must be >= 1, got {K}")
+    _check_count("K", K, 1)
     if L <= 0 or not math.isfinite(L):
         raise ValidationError(f"edge length must be positive, got {L}")
     if n_max < 0:
@@ -190,8 +189,7 @@ def fixed_point_batch(E, eta: float, K: int, L: float) -> FixedPointBatch:
     Non-finite energies, eta < 0 and non-finite eta raise
     ``ValidationError`` before any arithmetic.
     """
-    if K < 1:
-        raise ValidationError(f"branching number must be >= 1, got {K}")
+    _check_count("K", K, 1)
     if L <= 0 or not math.isfinite(L):
         raise ValidationError(f"edge length must be positive, got {L}")
     E = np.asarray(E, dtype=float).ravel()

@@ -270,25 +270,25 @@ def test_batch_per_replica_z_and_seed():
             solve_root_R_batch(spec, dm, np.array([complex(2.0, 0.1), bad_z]), replicas=range(2))
 
 
-def test_subtree_split_matches_default():
-    # chunk_elems below the leaf count forces the kernel to solve child
-    # subtrees and merge them; results and captures must not change
+def test_subtree_split_matches_default(monkeypatch):
+    # a budget below the leaf count forces the kernel to solve child
+    # subtrees and merge them; results and captures keep their bits
     z = complex(2.2, 0.03)
     for K, depth in ORACLE_TREES:
         spec = TreeSpec(K=K, L=1.0, depth=depth)
         dm = DisorderModel(lam=0.15, master_seed=3)
         seed = cut_seed_disk(z, K, 1.0)
         full, cap = solve_root_R_batch(spec, dm, z, seed, range(5), capture=True)
-        for chunk in (1, K + 1, K**2):
-            split, cap_s = solve_root_R_batch(
-                spec, dm, z, seed, range(5), capture=True, chunk_elems=chunk
-            )
-            assert np.allclose(split, full, rtol=1e-13, atol=0.0)
+        for budget in (1, K + 1, K**2):
+            monkeypatch.setattr(wtree.engine, "_BLOCK_ELEMS", budget)
+            split, cap_s = solve_root_R_batch(spec, dm, z, seed, range(5), capture=True)
+            assert split.tobytes() == full.tobytes()
             for g in range(depth + 1):
-                assert np.array_equal(cap_s.lengths[g], cap.lengths[g])
-                assert np.allclose(cap_s.m_near[g], cap.m_near[g], rtol=0.0, atol=1e-13)
-        expect = _half_plane_R(spec, dm, z, (), r_from_m(seed, z), 2)
-        assert _close(solve_root_R_batch(spec, dm, z, seed, [2], chunk_elems=1)[0], expect)
+                assert cap_s.lengths[g].tobytes() == cap.lengths[g].tobytes()
+                assert cap_s.m_near[g].tobytes() == cap.m_near[g].tobytes()
+            expect = _half_plane_R(spec, dm, z, (), r_from_m(seed, z), 2)
+            assert _close(solve_root_R_batch(spec, dm, z, seed, [2])[0], expect)
+        monkeypatch.undo()
 
 
 # One-replica root values, pinned to the bit: the top block of a one-replica
@@ -407,15 +407,14 @@ def test_shared_replica_rows_equal_one_row_solves(K, depth, monkeypatch):
     replica = 5
     reps = np.full(zs.size, replica)
     leaves = K**depth
-    # one block, blocks of 4 and 2 rows, and subtree splits
-    for chunk in (2**20, 4 * leaves, 2 * leaves, K + 1, 1):
+    # one block, blocks of a few rows, and subtree splits
+    for budget in (wtree.engine._BLOCK_ELEMS, 4 * leaves, 2 * leaves, K + 1, 1):
+        monkeypatch.setattr(wtree.engine, "_BLOCK_ELEMS", budget)
         drawn_rows.clear()
-        R, cap = solve_root_R_batch(spec, dm, zs, seeds, reps, capture=True, chunk_elems=chunk)
+        R, cap = solve_root_R_batch(spec, dm, zs, seeds, reps, capture=True)
         assert drawn_rows == {1}
         for i in range(zs.size):
-            one, cap_1 = solve_root_R_batch(
-                spec, dm, zs[i], seeds[i], [replica], capture=True, chunk_elems=chunk
-            )
+            one, cap_1 = solve_root_R_batch(spec, dm, zs[i], seeds[i], [replica], capture=True)
             assert R[i] == one[0] == solve_root_R(spec, dm, complex(zs[i]), seeds[i], replica)
             for g in range(depth + 1):
                 assert cap.m_near[g][i].tobytes() == cap_1.m_near[g][0].tobytes()
@@ -461,27 +460,36 @@ def test_one_block_draws_every_edge_in_one_call(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "K,depth,chunk_elems,split_edges,blocks",
+    "K,depth,B,budget,split_edges,blocks",
     [
         # K=2: generations 0-2 split (1 + 2 + 4 edges); the 8 subtrees of
-        # depth 3 (15 edges) fit 10 elements only one row at a time
-        (2, 6, 10, 7, 8 * 5),
+        # depth 3 (8 leaves, 15 edges) fit 10 elements only one row at a time
+        (2, 6, 1, 10, 7, 8 * 5),
         # K=4: the root splits; its 4 subtrees of depth 2 (16 leaves, 21
         # edges) take 60 // 21 = 2 rows a block, so 5 rows make 3 blocks
-        (4, 3, 60, 1, 4 * 3),
+        (4, 3, 1, 60, 1, 4 * 3),
+        # two models hold twice the elements per row: 60 // 42 = 1 row a
+        # block, and 120 // 42 = 2 rows as for one model at 60
+        (4, 3, 2, 60, 1, 4 * 5),
+        (4, 3, 2, 120, 1, 4 * 3),
+        # 64 leaves fit 64 elements for one model, not for two
+        (4, 3, 1, 64, 0, 5),
+        (4, 3, 2, 64, 1, 4 * 5),
+        # a chain has one leaf and never splits, whatever the budget
+        (1, 7, 3, 1, 0, 5),
     ],
 )
 def test_split_draws_once_per_block_and_split_edge(
-    monkeypatch, K, depth, chunk_elems, split_edges, blocks
+    monkeypatch, K, depth, B, budget, split_edges, blocks
 ):
     calls = _counted_omega(monkeypatch)
+    monkeypatch.setattr(wtree.engine, "_BLOCK_ELEMS", budget)
     spec = TreeSpec(K=K, L=1.0, depth=depth)
-    dm = DisorderModel(lam=0.1, master_seed=4)
+    # models of one master seed and dist draw each edge once for all
+    models = [DisorderModel(lam=0.1 * (b + 1), master_seed=4) for b in range(B)]
     for capture in (False, True):
         calls.clear()
-        solve_root_R_batch(
-            spec, dm, complex(2.0, 0.01), 0j, range(5), capture=capture, chunk_elems=chunk_elems
-        )
+        solve_root_R_batch(spec, models, complex(2.0, 0.01), 0j, range(5), capture=capture)
         assert sum(not isinstance(g, range) for g in calls) == split_edges
         assert sum(isinstance(g, range) for g in calls) == blocks
 
@@ -490,53 +498,71 @@ def test_one_replica_rows_draw_their_tree_once(monkeypatch):
     # rows of one replica solve one tree, so however many blocks they
     # take, its edges are drawn once
     calls = _counted_omega(monkeypatch)
+    # 250 // 121 edges = 2 rows a block, so 9 rows make 5 blocks
+    monkeypatch.setattr(wtree.engine, "_BLOCK_ELEMS", 250)
     spec = TreeSpec(K=3, L=1.0, depth=4)
     dm = DisorderModel(lam=0.1, master_seed=4)
     zs = np.linspace(1.0, 3.0, 9) + 0.01j
     for capture in (False, True):
         calls.clear()
-        solve_root_R_batch(spec, dm, zs, 0j, [7] * 9, capture=capture, chunk_elems=250)
+        solve_root_R_batch(spec, dm, zs, 0j, [7] * 9, capture=capture)
         assert calls == [range(0, 5)]
         calls.clear()
-        solve_root_R_batch(spec, dm, zs, 0j, [7] * 8 + [8], capture=capture, chunk_elems=250)
+        solve_root_R_batch(spec, dm, zs, 0j, [7] * 8 + [8], capture=capture)
         assert calls == [range(0, 5)] * 5
 
 
+def _peak_mib(solve):
+    """Traced peak of ``solve()``, in MiB, after one untraced warm-up call."""
+    solve()
+    tracemalloc.start()
+    try:
+        solve()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def test_batch_solve_peak_memory():
-    # a block holds at most chunk_elems rows x edges, its drawn omegas
-    # included, so this solve peaks near 27 MiB
+    # a block holds at most _BLOCK_ELEMS elements of its (B, rows, edges)
+    # arrays (at least one row), its drawn omegas included, so this solve
+    # peaks near 11 MiB
     z = complex(2.0, 0.01)
     spec = TreeSpec(K=2, L=1.0, depth=12)
     dm = DisorderModel(lam=0.1, master_seed=3)
     args = (spec, dm, z, cut_seed_disk(z, 2, 1.0), np.arange(500, dtype=np.uint64))
-    solve_root_R_batch(*args, addr=ROOT_EDGE.child(0))
-    tracemalloc.start()
-    try:
-        solve_root_R_batch(*args, addr=ROOT_EDGE.child(0))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 32 * 2**20
+    assert _peak_mib(lambda: solve_root_R_batch(*args, addr=ROOT_EDGE.child(0))) <= 32
 
 
 def test_batch_solve_peak_memory_cache_blocks():
-    # blocks of at most 2**18 rows x edges, solved in two reused scratch
-    # buffers: the solve above peaks near 11.0 MiB, and a stack of two
-    # models with one master seed near 18.0
+    # blocks of at most 2**18 elements for all their models, solved in two
+    # reused scratch buffers: the solve above peaks near 11.0 MiB, and a
+    # stack of two models with one master seed, at half the rows a block,
+    # near 9.0
     z = complex(2.0, 0.01)
     spec = TreeSpec(K=2, L=1.0, depth=12)
     dm = DisorderModel(lam=0.1, master_seed=3)
     reps = np.arange(500, dtype=np.uint64)
-    for dms, bound in ((dm, 14), ([dm, DisorderModel(lam=0.05, master_seed=3)], 22)):
+    for dms, bound in ((dm, 14), ([dm, DisorderModel(lam=0.05, master_seed=3)], 12)):
         args = (spec, dms, z, cut_seed_disk(z, 2, 1.0), reps)
-        solve_root_R_batch(*args, addr=ROOT_EDGE.child(0))
-        tracemalloc.start()
-        try:
-            solve_root_R_batch(*args, addr=ROOT_EDGE.child(0))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= bound * 2**20
+        assert _peak_mib(lambda: solve_root_R_batch(*args, addr=ROOT_EDGE.child(0))) <= bound
+
+
+def test_batch_solve_peak_memory_any_depth_and_models():
+    # one budget counts every model of a block: a depth-20 stack of two
+    # models splits down to 2**17-leaf subtrees and peaks near 18 MiB; a
+    # four-model stack at the default stability shape (depth 12, per-row
+    # z and seeds) takes 8-row blocks and peaks near 8.5 MiB at any row
+    # count past one block
+    z = complex(2.0, 0.01)
+    seed = cut_seed_disk(z, 2, 1.0)
+    models = [DisorderModel(lam=lam, master_seed=3) for lam in (0.2, 0.1, 0.05, 0.02)]
+    deep = TreeSpec(K=2, L=1.0, depth=20)
+    assert _peak_mib(lambda: solve_root_R_batch(deep, models[:2], z, seed, range(2))) <= 32
+    spec = TreeSpec(K=2, L=1.0, depth=12)
+    zs = np.linspace(0.5, 9.0, 64) + 1e-3j
+    seeds = np.full(zs.size, seed)
+    assert _peak_mib(lambda: solve_root_R_batch(spec, models, zs, seeds, range(zs.size))) <= 12
 
 
 def _stack_models(dist):
@@ -551,20 +577,26 @@ def _stack_models(dist):
 
 @pytest.mark.parametrize("dist", ["uniform", "two_point", "truncated_normal"])
 @pytest.mark.parametrize("K,depth", [(1, 7), (2, 6), (3, 4)])
-def test_stacked_solve_equals_lone_solves(K, depth, dist):
+def test_stacked_solve_equals_lone_solves(K, depth, dist, monkeypatch):
     # row b of a stacked solve is the solve of model b alone, bit for bit,
-    # its capture included, at any thread count and block split
+    # its capture included, at any thread count, block size and split
     spec = TreeSpec(K=K, L=1.0, depth=depth)
     models = _stack_models(dist)
     z = complex(2.0, 0.05)
     seed = cut_seed_disk(z, K, 1.0)
-    # (rows, chunk_elems): one row; the default blocks; blocks of a few
-    # rows; splits down to one-row blocks
-    cases = [(1, 2**20), (500, 2**20), (40, 3 * spec.edge_count()), (7, 3)]
-    for S, chunk in cases:
+    default = wtree.engine._BLOCK_ELEMS
+    B = len(models)
+    # (rows, budget): one row; the default blocks; blocks of 3 stacked
+    # rows (12 lone ones); a stack that splits where its lone rows do not
+    # (a lone row holds at most 81 leaves, a row of four models at least
+    # 4 * 27 at either address); splits down to one-row blocks, of
+    # subtrees of at most 2 leaves stacked and 8 lone
+    cases = [(1, default), (500, default), (40, 3 * B * spec.edge_count()), (9, 100), (7, 2 * B)]
+    for S, budget in cases:
+        monkeypatch.setattr(wtree.engine, "_BLOCK_ELEMS", budget)
         reps = np.arange(S, dtype=np.uint64) * 3 + 1
         for addr in (ROOT_EDGE, ROOT_EDGE.child(K - 1)):
-            kw = dict(chunk_elems=chunk, addr=addr)
+            kw = dict(addr=addr)
             lone = [solve_root_R_batch(spec, dm, z, seed, reps, capture=True, **kw) for dm in models]
             for threads in (1, 2, 3) if S > 1 else (1,):
                 R, cap = solve_root_R_batch(
@@ -645,16 +677,20 @@ def test_stacked_solve_draws_one_tree_for_all_models(monkeypatch):
     spec = TreeSpec(K=2, L=1.0, depth=7)
     z = complex(2.0, 0.01)
     one, two = DisorderModel(lam=0.05, master_seed=5), DisorderModel(lam=0.1, master_seed=5)
-    for chunk in (2**20, 100):
+    # the default blocks, and splits that differ between the lone solve
+    # (64-leaf subtrees) and the stacks (32 leaves): each edge of each row
+    # is still drawn once
+    for budget in (wtree.engine._BLOCK_ELEMS, 100):
+        monkeypatch.setattr(wtree.engine, "_BLOCK_ELEMS", budget)
         words.clear()
-        solve_root_R_batch(spec, one, z, 0j, range(100), chunk_elems=chunk)
+        solve_root_R_batch(spec, one, z, 0j, range(100))
         lone = sum(words)
         words.clear()
-        solve_root_R_batch(spec, [one, two], z, 0j, range(100), chunk_elems=chunk)
+        solve_root_R_batch(spec, [one, two], z, 0j, range(100))
         assert sum(words) == lone
         words.clear()
         other = DisorderModel(lam=0.1, dist="two_point", master_seed=5)
-        solve_root_R_batch(spec, [one, two, other], z, 0j, range(100), chunk_elems=chunk)
+        solve_root_R_batch(spec, [one, two, other], z, 0j, range(100))
         assert sum(words) == 2 * lone
 
 

@@ -338,6 +338,25 @@ def test_tree_spec_validation():
         TreeSpec(K=2, L=1.0, depth=2, alpha=math.pi)
 
 
+@pytest.mark.parametrize(
+    "K,depth",
+    [(True, 2), (2, True), (True, True), (2.0, 2), (2, 3.0), (np.float64(2), 2), ("2", 2)],
+)
+def test_tree_spec_rejects_non_integers(K, depth):
+    # a bool once built a one-edge half line, and a float an odd tree
+    with pytest.raises(ValidationError, match="K|depth"):
+        TreeSpec(K=K, L=1.0, depth=depth)
+
+
+def test_tree_spec_stores_numpy_integers_as_int():
+    # numpy integers are valid and stored as python ints, so K**n and
+    # edge_count() cannot wrap in int64
+    spec = TreeSpec(K=np.int64(2), L=1.0, depth=np.uint8(70))
+    assert type(spec.K) is int and type(spec.depth) is int
+    assert spec == TreeSpec(K=2, L=1.0, depth=70)
+    assert spec.edge_count() == 2**71 - 1
+
+
 def test_tree_spec_edge_count():
     assert TreeSpec(K=2, L=1.0, depth=3).edge_count() == 15
     assert TreeSpec(K=1, L=1.0, depth=5).edge_count() == 6
@@ -353,4 +372,19 @@ def test_disorder_validation():
         DisorderModel(dist="gauss")
     with pytest.raises(ValidationError):
         DisorderModel(master_seed=2**64)
+
+
+@pytest.mark.parametrize("bad", [2.7, 2.0, True, False, -1, 2**64, np.float64(3.0), "3", None])
+def test_master_seed_is_a_64_bit_integer(bad):
+    # 2.7 was once stored as 2.7 and hashed as seed 2
+    with pytest.raises(ValidationError, match="master_seed") as info:
+        DisorderModel(master_seed=bad)
+    assert repr(bad) in str(info.value)
+
+
+def test_master_seed_stored_as_int():
+    for seed in (np.uint64(2**64 - 1), np.int64(7), 0, 2**64 - 1):
+        dm = DisorderModel(lam=0.2, master_seed=seed)
+        assert type(dm.master_seed) is int and dm.master_seed == int(seed)
+        assert dm == DisorderModel(lam=0.2, master_seed=int(seed))
 

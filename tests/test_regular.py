@@ -317,6 +317,29 @@ def test_fixed_point_validation():
         fixed_point_R(complex(-1.0, 0.0), 2, 1.0)
 
 
+@pytest.mark.parametrize("bad", [2.5, 1.5, 2.0, True, np.float64(2.0)])
+def test_clean_tree_rejects_non_integer_K(bad):
+    # no tree has K = 2.5 or K = True, so no band, fixed point or gamma0 is returned
+    for call in (
+        lambda: band_theta(bad),
+        lambda: ac_bands(bad, 1.0, 2),
+        lambda: fixed_point_batch([2.0], 0.1, bad, 1.0),
+        lambda: fixed_point_R(complex(2.0, 0.1), bad, 1.0),
+        lambda: gamma_clean(complex(2.0, 0.1), bad, 1.0),
+    ):
+        with pytest.raises(ValidationError, match="K"):
+            call()
+
+
+def test_clean_tree_takes_numpy_integer_K():
+    K = np.int64(3)
+    assert band_theta(K) == band_theta(3)
+    assert ac_bands(K, 1.0, 2).intervals == ac_bands(3, 1.0, 2).intervals
+    fp, fp_3 = fixed_point_batch([2.0], 0.1, K, 1.0), fixed_point_batch([2.0], 0.1, 3, 1.0)
+    assert fp.m.tobytes() == fp_3.m.tobytes() and fp.phi.tobytes() == fp_3.phi.tobytes()
+    assert gamma_clean(complex(2.0, 0.1), K, 1.0) == gamma_clean(complex(2.0, 0.1), 3, 1.0)
+
+
 def test_fixed_point_rejects_non_finite_points():
     # rejected before any arithmetic, so no RuntimeWarning escapes; the
     # filter is set in the body (see test_batch_rows_are_herglotz_or_named)
