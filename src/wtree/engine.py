@@ -407,7 +407,7 @@ def _solve_subtree(spec, models, prefix, w, seed, reps, capture):
 
     ``w``, ``seed`` and ``reps`` have shape ``(S,)``, and the values shape
     ``(B, S)`` for the B disorder ``models``.  A subtree of more than one
-    leaf whose leaves, times B, exceed :data:`_BLOCK_ELEMS` is split into
+    leaf whose edges, times B, exceed :data:`_BLOCK_ELEMS` is split into
     its K child subtrees, so memory stays bounded at any depth (a chain,
     K = 1, has one leaf and never splits).  Otherwise its replicas are
     solved in blocks of ``_BLOCK_ELEMS // (B * edges)`` rows (at least
@@ -426,7 +426,8 @@ def _solve_subtree(spec, models, prefix, w, seed, reps, capture):
     g0 = len(prefix)
     n = spec.depth - g0
     leaves = K**n
-    if leaves > 1 and B * leaves > _BLOCK_ELEMS:
+    edges = replace(spec, depth=n).edge_count()
+    if leaves > 1 and B * edges > _BLOCK_ELEMS:
         kids = [
             _solve_subtree(spec, models, prefix + (d,), w, seed, reps, capture)
             for d in range(K)
@@ -443,7 +444,7 @@ def _solve_subtree(spec, models, prefix, w, seed, reps, capture):
         return m[..., 0], cap
 
     S = reps.size
-    chunk = max(1, _BLOCK_ELEMS // (B * replace(spec, depth=n).edge_count()))
+    chunk = max(1, _BLOCK_ELEMS // (B * edges))
     gens = range(g0, spec.depth + 1)
     out = np.empty((B, S), dtype=np.complex128)
     caps = []
@@ -680,7 +681,7 @@ def solve_root_R_batch(
 
     Working memory has one budget per thread, ``_BLOCK_ELEMS`` elements
     of a block's ``(B, rows, edges)`` arrays for B models, at any depth
-    and any B: a subtree whose one row holds more leaves than that for
+    and any B: a subtree whose one row holds more edges than that for
     all models is solved child subtree by child subtree, and the rest in
     row blocks of that many elements (at least one row).  Splits and
     block sizes change no value.  A capture holds every edge, outside

@@ -53,6 +53,7 @@ from .graphmodel import (
     _expand_digits,
     _is_int,
     hash_words,
+    omega_for_generation,
     omega_from_uniform,
     uniform01,
 )
@@ -86,6 +87,78 @@ def _root_edge_lengths(spec: TreeSpec, models, replicas: np.ndarray) -> np.ndarr
         return omega_from_uniform(dm.dist, u)
 
     return _model_lengths(models, spec.L, draw)
+
+
+def _root_controls(spec: TreeSpec, models, replicas: np.ndarray) -> list:
+    """Omegas of the given replicas' root edges and of their K children, per model.
+
+    Row 0 of each (K + 1, S) array is the root edge, rows 1..K its
+    children in address order.  They are drawn with the tree solver's
+    words, once per distinct ``(master_seed, dist)``, so models that
+    share those share one array.
+    """
+    drawn = {}
+    for dm in models:
+        key = (dm.master_seed, dm.dist)
+        if key not in drawn:
+            omegas = omega_for_generation(dm, spec.K, range(0, 2), replicas[:, None])
+            drawn[key] = np.ascontiguousarray(omegas.T)
+    return [drawn[dm.master_seed, dm.dist] for dm in models]
+
+
+#: a control whose variance left after the kept controls is at most this
+#: share of its own is collinear with them and is dropped from the fit
+_COLLINEAR = 1e-9
+
+
+def _control_fit(y: np.ndarray, x: np.ndarray) -> tuple:
+    """(estimate, stderr) of the mean of ``y`` by linear control variates ``x``.
+
+    ``y`` holds n iid samples and ``x``, shape (p, n), p controls of
+    known mean 0 drawn with them.  With sample means y_bar and x_bar and
+    beta the least-squares slope of the centred samples on the centred
+    controls, the estimate is y_bar - beta . x_bar and the stderr
+    sqrt(RSS / (n - q - 1)) / sqrt(n) for the q controls kept.  The
+    moments are ``.mean()`` reductions and the normal equations are
+    eliminated in Python floats, in control order, so the bits depend
+    on neither the BLAS nor the thread count.  A control whose pivot is
+    at most :data:`_COLLINEAR` times its variance (a constant column, or
+    one collinear with earlier ones) gets beta = 0 and frees its degree
+    of freedom.
+    """
+    n = y.size
+    p = len(x)
+    y_bar = float(y.mean())
+    x_bar = [float(xj.mean()) for xj in x]
+    yc = y - y_bar
+    xc = [xj - mj for xj, mj in zip(x, x_bar)]
+    # the augmented normal equations [S | c] of the centred fit
+    a = [[float((u * v).mean()) for v in xc] + [float((u * yc).mean())] for u in xc]
+    var = [a[j][j] for j in range(p)]
+    kept = []
+    for j in range(p):
+        if not a[j][j] > _COLLINEAR * var[j]:
+            continue
+        kept.append(j)
+        for i in range(j + 1, p):
+            f = a[i][j] / a[j][j]
+            for k in range(j, p + 1):
+                a[i][k] -= f * a[j][k]
+    # back substitution in a fixed order (the builtin sum of floats rounds
+    # differently from Python 3.12 on); a dropped control's beta stays 0
+    beta = [0.0] * p
+    for j in reversed(kept):
+        acc = a[j][p]
+        for k in range(j + 1, p):
+            acc -= a[j][k] * beta[k]
+        beta[j] = acc / a[j][j]
+    estimate = y_bar
+    resid = yc
+    for j in kept:
+        estimate -= beta[j] * x_bar[j]
+        resid = resid - beta[j] * xc[j]
+    stderr = math.sqrt(float((resid * resid).mean()) / (n - len(kept) - 1))
+    return estimate, stderr
 
 
 def _check_samples(n) -> None:
@@ -202,17 +275,22 @@ def _pool_draws(pool: SamplePool, g0: int) -> _PoolDraws:
     (seed, domain, generation, member[, slot]), with the generation as an
     array word, so every row equals what hashing its generation alone
     gives; the slot word is a K-digit expansion of the member states.
-    Rows with the same master seed share the hashed words.
+    Rows with the same master seed share the hashed words.  Every length
+    of a lam = 0 row is exactly L (0 * omega is +-0 and exp(+-0) = 1), so
+    such a row takes L and the one phase exp(2i*w*L) without drawing.
     """
     models = _as_models(pool.dm)
     B = len(models)
     P = pool.values.shape[-1]
     K = pool.spec.K
+    L = pool.spec.L
+    w = sqrt_upper(as_point(pool.z))
     T = max(1, _POOL_BLOCK_WORDS // (pool.size * K))
     gens = np.arange(g0, g0 + T, dtype=np.uint64).reshape(T, 1)
     members = np.arange(P, dtype=np.uint64)
     child_idx = np.empty((T, B, P, K), dtype=np.int64)
     lengths = np.empty((T, B, P))
+    phases = np.empty((T, B, P), dtype=np.complex128)
     hashed = {}
     for b, dm in enumerate(models):
         seed = dm.master_seed
@@ -222,11 +300,16 @@ def _pool_draws(pool: SamplePool, g0: int) -> _PoolDraws:
             hashed[seed] = ((h % np.uint64(P)).astype(np.int64), u)
         row_idx, u = hashed[seed]
         np.add(row_idx, b * P, out=child_idx[:, b])
-        lengths[:, b] = _lengths(omega_from_uniform(dm.dist, u), dm.lam, pool.spec.L)
+        if dm.lam == 0.0:
+            lengths[:, b] = L
+            phases[:, b] = _phase(w, lengths[0, b, :1])
+        else:
+            _lengths(omega_from_uniform(dm.dist, u), dm.lam, L, out=lengths[:, b])
+            _phase(w, lengths[:, b], out=phases[:, b])
     shape = (T,) + pool.values.shape
     child_idx = child_idx.reshape(shape + (K,))
     lengths = lengths.reshape(shape)
-    phases = _phase(sqrt_upper(as_point(pool.z)), lengths)
+    phases = phases.reshape(shape)
     # rows are handed out as views, so the cache is read-only
     for a in (child_idx, lengths, phases):
         a.flags.writeable = False
@@ -345,7 +428,7 @@ def _auto_thin(z, K: int, L: float) -> int:
 
 
 def _sample(spec, dm, p, n, term, source, burn_in, pool_size, threads=1) -> list:
-    """One sampling pass: (mean, stderr, count) of ``term`` per disorder model.
+    """One sampling pass: (estimate, stderr, count) of ``term`` per disorder model.
 
     ``term(R, R_kids, lengths)`` maps one block of edges, their near-end
     WT values, the near-end values of their K children (one more axis)
@@ -356,10 +439,18 @@ def _sample(spec, dm, p, n, term, source, burn_in, pool_size, threads=1) -> list
     across the root edge, whose lengths are hashed once per distinct
     ``(master_seed, dist)``.  "pool" gives G = ceil(n / P) generations of one stacked pool,
     :func:`_auto_thin` apart after ``burn_in``, each a (B, P) block whose
-    children are the members each member drew.  The stderr is the spread
-    of the G generation means over sqrt(G), or for G = 1 that of the iid
-    samples over sqrt(count).  ``threads`` splits the direct source's
-    tree solves.  Arguments are checked before any sampling.
+    children are the members each member drew.
+
+    The stderr rule has a direct case and a pool case.  A direct row is
+    reported as the :func:`_control_fit` of its n iid terms on K + 1
+    controls of mean 0, the omegas of each root edge and of its K
+    children (:func:`_root_controls`), which carry the terms' first-order
+    response to the disorder; so the direct source needs n >= K + 3.  A
+    pool row is the plain mean, with the spread of the G generation means
+    over sqrt(G) as stderr, or for G = 1 that of the samples over
+    sqrt(count); controls on member edges would not shrink the spread of
+    generation means.  ``threads`` splits the direct source's tree
+    solves.  Arguments are checked before any sampling.
     """
     models = _as_models(dm)
     _check_count("threads", threads, 1)
@@ -369,6 +460,11 @@ def _sample(spec, dm, p, n, term, source, burn_in, pool_size, threads=1) -> list
             raise ValidationError(
                 f"the direct source needs depth >= 1, so that root edges have children, "
                 f"got depth {spec.depth}"
+            )
+        if n < spec.K + 3:
+            raise InsufficientSamplesError(
+                f"the direct source needs n >= K + 3 = {spec.K + 3} samples, so that its "
+                f"control-variate fit keeps a residual degree of freedom, got {n}"
             )
         replicas = np.arange(n, dtype=np.uint64)
         seed = cut_seed_disk(p, spec.K, spec.L)
@@ -384,7 +480,8 @@ def _sample(spec, dm, p, n, term, source, burn_in, pool_size, threads=1) -> list
         lengths = _root_edge_lengths(spec, models, replicas)
         # the root step of the tree kernel: Kirchhoff merge, then pull
         R = _disk_to_r(_pull(_r_to_disk(kids.sum(axis=-1), w), w, lengths), w)
-        terms = term(R, kids, lengths)[:, None]
+        controls = _root_controls(spec, models, replicas)
+        return [(*_control_fit(y, x), n) for y, x in zip(term(R, kids, lengths), controls)]
     elif source == "pool":
         _check_count("burn_in", burn_in, 0)
         if pool_size is not None:
@@ -452,7 +549,12 @@ def estimate_gamma(
     source : str
         "direct" solves n independent trees of depth ``spec.depth`` >= 1,
         cut-seeded with the clean fixed point (exact at lam = 0), and
-        samples their root edges (iid samples, exact standard error).
+        samples their root edges (iid samples).  It reports the
+        control-variate fit of the samples on the omegas of each root
+        edge and of its K children, which have mean 0 and carry the
+        samples' first-order response to the disorder: the intercept as
+        the estimate and the fit's residual spread as the standard error
+        (docs/derivations section 5), so it needs n >= K + 3.
         The root and its children sit at different depths, so the
         estimate carries a truncation bias that the standard error
         does not count; against a relaxed pool it was below one
@@ -474,6 +576,9 @@ def estimate_gamma(
 
     Raises
     ------
+    InsufficientSamplesError
+        Before any sampling, if ``n < 2``, or ``n < K + 3`` for the
+        direct source.
     ValidationError
         Before any sampling, if ``dm`` is neither a ``DisorderModel`` nor
         a non-empty sequence of them, if ``n`` or ``threads`` is not an
@@ -693,13 +798,16 @@ def fluctuation_report(
     so it stays defined where the square underflows), and half the
     current loss plus Jensen gap of :func:`estimate_gamma` feeds
     ``gamma_hat``.  The default "direct" source solves the children of n
-    independent root edges, giving iid samples for the widths and an
-    exact standard error on the Lyapunov estimate.  The "pool" source
-    takes one generation of a burnt-in pool of size n instead; its
-    members share the population's stochastic drift, so its nominal
-    standard error is optimistic.  Both are the one-generation case of
-    the estimators' sampling pass, so ``gamma_hat`` and ``gamma_stderr``
-    are those of ``estimate_gamma(..., pool_size=n)`` up to rounding.
+    >= K + 3 independent root edges, giving iid samples for the widths,
+    and reports the Lyapunov estimate as the control-variate fit of
+    :func:`estimate_gamma` on the omegas of each root edge and its K
+    children, with the fit's residual spread as its standard error.  The
+    "pool" source takes one generation of a burnt-in pool of size n
+    instead and reports the plain mean; its members share the
+    population's stochastic drift, so its nominal standard error is
+    optimistic.  Both are the one-generation case of the estimators'
+    sampling pass, so ``gamma_hat`` and ``gamma_stderr`` are those of
+    ``estimate_gamma(..., pool_size=n)`` up to rounding.
 
     ``dm`` is one ``DisorderModel``, giving one report, or a non-empty
     sequence of them, giving the list of their reports at this z, equal
@@ -709,7 +817,8 @@ def fluctuation_report(
     threads of the direct source's tree solves) an integer >= 1,
     ``spec.depth`` >= 1 for the direct source and, for the pool source,
     ``burn_in`` an integer >= 0; otherwise ``ValidationError`` is raised
-    before any sampling.
+    before any sampling, and ``InsufficientSamplesError`` (a
+    ``ValidationError``) for n < 2, or n < K + 3 with the direct source.
     """
     p = _sampling_point(z, n, "fluctuation widths require eta > 0")
     models = _as_models(dm)

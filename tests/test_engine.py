@@ -463,8 +463,8 @@ def test_one_block_draws_every_edge_in_one_call(monkeypatch):
     "K,depth,B,budget,split_edges,blocks",
     [
         # K=2: generations 0-2 split (1 + 2 + 4 edges); the 8 subtrees of
-        # depth 3 (8 leaves, 15 edges) fit 10 elements only one row at a time
-        (2, 6, 1, 10, 7, 8 * 5),
+        # depth 3 (15 edges) fit 20 elements only one row at a time
+        (2, 6, 1, 20, 7, 8 * 5),
         # K=4: the root splits; its 4 subtrees of depth 2 (16 leaves, 21
         # edges) take 60 // 21 = 2 rows a block, so 5 rows make 3 blocks
         (4, 3, 1, 60, 1, 4 * 3),
@@ -472,9 +472,12 @@ def test_one_block_draws_every_edge_in_one_call(monkeypatch):
         # block, and 120 // 42 = 2 rows as for one model at 60
         (4, 3, 2, 60, 1, 4 * 5),
         (4, 3, 2, 120, 1, 4 * 3),
-        # 64 leaves fit 64 elements for one model, not for two
-        (4, 3, 1, 64, 0, 5),
-        (4, 3, 2, 64, 1, 4 * 5),
+        # 85 edges fit 85 elements for one model, not for two: 85 // 42
+        # = 2 rows a block, so 5 rows make 3 blocks
+        (4, 3, 1, 85, 0, 5),
+        (4, 3, 2, 85, 1, 4 * 3),
+        # 64 leaves, but 85 edges: a row of this tree splits at 64
+        (4, 3, 1, 64, 1, 4 * 2),
         # a chain has one leaf and never splits, whatever the budget
         (1, 7, 3, 1, 0, 5),
     ],
@@ -523,22 +526,12 @@ def _peak_mib(solve):
         tracemalloc.stop()
 
 
-def test_batch_solve_peak_memory():
-    # a block holds at most _BLOCK_ELEMS elements of its (B, rows, edges)
-    # arrays (at least one row), its drawn omegas included, so this solve
-    # peaks near 11 MiB
-    z = complex(2.0, 0.01)
-    spec = TreeSpec(K=2, L=1.0, depth=12)
-    dm = DisorderModel(lam=0.1, master_seed=3)
-    args = (spec, dm, z, cut_seed_disk(z, 2, 1.0), np.arange(500, dtype=np.uint64))
-    assert _peak_mib(lambda: solve_root_R_batch(*args, addr=ROOT_EDGE.child(0))) <= 32
-
-
 def test_batch_solve_peak_memory_cache_blocks():
-    # blocks of at most 2**18 elements for all their models, solved in two
-    # reused scratch buffers: the solve above peaks near 11.0 MiB, and a
-    # stack of two models with one master seed, at half the rows a block,
-    # near 9.0
+    # a block holds at most _BLOCK_ELEMS = 2**18 elements of its (B, rows,
+    # edges) arrays for all its models (at least one row), its drawn
+    # omegas included, solved in two reused scratch buffers: one model's
+    # child solve peaks near 11.0 MiB, and a stack of two models with one
+    # master seed, at half the rows a block, near 9.0
     z = complex(2.0, 0.01)
     spec = TreeSpec(K=2, L=1.0, depth=12)
     dm = DisorderModel(lam=0.1, master_seed=3)
@@ -549,8 +542,10 @@ def test_batch_solve_peak_memory_cache_blocks():
 
 
 def test_batch_solve_peak_memory_any_depth_and_models():
-    # one budget counts every model of a block: a depth-20 stack of two
-    # models splits down to 2**17-leaf subtrees and peaks near 18 MiB; a
+    # one budget counts every edge of every model of a block: a depth-20
+    # solve splits down to subtrees of at most 2**18 edges for all models,
+    # so one model peaks near 11 MiB and a stack of two near 9 (counting
+    # leaves, about half the edges, they peaked near 22 and 18); a
     # four-model stack at the default stability shape (depth 12, per-row
     # z and seeds) takes 8-row blocks and peaks near 8.5 MiB at any row
     # count past one block
@@ -558,6 +553,7 @@ def test_batch_solve_peak_memory_any_depth_and_models():
     seed = cut_seed_disk(z, 2, 1.0)
     models = [DisorderModel(lam=lam, master_seed=3) for lam in (0.2, 0.1, 0.05, 0.02)]
     deep = TreeSpec(K=2, L=1.0, depth=20)
+    assert _peak_mib(lambda: solve_root_R_batch(deep, models[0], z, seed, range(2))) <= 12
     assert _peak_mib(lambda: solve_root_R_batch(deep, models[:2], z, seed, range(2))) <= 32
     spec = TreeSpec(K=2, L=1.0, depth=12)
     zs = np.linspace(0.5, 9.0, 64) + 1e-3j

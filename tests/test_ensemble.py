@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wtree.cli as cli
 import wtree.engine
 import wtree.ensemble as ensemble
 from wtree import (
     BudgetExceededError,
     DisorderModel,
+    EdgeAddress,
     InsufficientSamplesError,
     TreeSpec,
     ValidationError,
@@ -23,6 +25,7 @@ from wtree import (
     pool_init,
     pool_step,
     quantile_width,
+    resample_omega,
     stability_scan,
     solve_root_R_batch,
     stationary_disk,
@@ -384,6 +387,45 @@ def test_stacked_pool_equals_one_point_pools(K, dist):
         _assert_rows_equal(stack, pools)
 
 
+def test_clean_pool_rows_take_one_phase(monkeypatch):
+    # every length of a lam = 0 row is exactly L, so a block of draws
+    # computes its phase exp(2i*w*L) once: each of that row's phases is the
+    # bits of the phase of an array of lengths L, and the stack still
+    # equals its lone pools
+    K, P, L = 2, 16, 1.3
+    z = complex(2.0, 0.05)
+    models = [
+        DisorderModel(lam=0.2, master_seed=3),
+        DisorderModel(lam=0.0, master_seed=3),
+        DisorderModel(lam=0.0, dist="truncated_normal", master_seed=4),
+    ]
+    phased = []
+    phase = ensemble._phase
+
+    def counting(w, le, out=None):
+        phased.append(np.size(le))
+        return phase(w, le, out)
+
+    monkeypatch.setattr(ensemble, "_phase", counting)
+    stack = pool_init(TreeSpec(K=K, L=L, depth=6), models, z, P)
+    for b in range(3):
+        stack.values[b] = np.roll(np.resize(_POOL_START, P), b)
+    pools = _row_pools(stack)
+    for _ in range(30):
+        pool_step(stack)
+        for pool in pools:
+            pool_step(pool)
+        _assert_rows_equal(stack, pools)
+    T = stack._draws.lengths.shape[0]
+    assert T == 2**15 // (3 * P * K)
+    # the block of the stack, then the first blocks of the lone pools
+    assert phased == [T * P, 1, 1, 2**15 // (P * K) * P, 1, 1]
+    every = wtree.engine._phase(sqrt_upper(z), np.full((T, P), L))
+    for b in (1, 2):
+        assert np.all(stack._draws.lengths[:, b] == L)
+        assert stack._draws.phases[:, b].tobytes() == every.tobytes()
+
+
 def _gather_then_merge_step(stack):
     """The stack's next generation by the direct route, row by row: gather
     the children's disk values, map each to its merge term, sum siblings
@@ -605,16 +647,141 @@ def test_gamma_samples_match_half_plane_route(source, K):
         jensen = math.log(kids.imag.mean()) - float(np.mean(np.log(kids.imag)))
         terms.append(0.5 * (current + jensen))
     est = estimate_gamma(spec, dm, z, 48, source=source, **kw)
-    assert abs(est.gamma_hat - float(np.mean(terms))) <= 1e-12 * abs(est.gamma_hat)
     if source == "direct":
         # the root step reproduces the one-tree root solve
         root = solve_root_R_batch(spec, dm, z, cut_seed_disk(z, K, 1.0), range(48))
         np.testing.assert_allclose(R, root, rtol=1e-13, atol=0)
-        se = np.std(terms, ddof=1) / math.sqrt(48)
+        # the control-variate fit on the root and child omegas
+        gamma, se = _lstsq_fit(terms, _scalar_controls(dm, K, 48))
     else:
+        gamma = float(np.mean(terms))
         # three generations of 16 members: the spread of generation means
         se = np.reshape(terms, (3, 16)).mean(axis=1).std(ddof=1) / math.sqrt(3)
+    assert abs(est.gamma_hat - gamma) <= 1e-12 * abs(est.gamma_hat)
     assert abs(est.stderr - se) <= 1e-12 * est.stderr
+
+
+def _scalar_controls(dm, K, n):
+    """The omegas of replicas 0..n-1's root edges and their K children, (n, K + 1), edge by edge."""
+    paths = [()] + [(d,) for d in range(K)]
+    return np.array([[resample_omega(dm, EdgeAddress(a), r) for a in paths] for r in range(n)])
+
+
+def _lstsq_fit(y, x):
+    """Intercept of the least-squares fit of y on [1, x] and its stderr sqrt(RSS / (n - q - 1) / n)."""
+    y = np.asarray(y)
+    n, q = x.shape
+    design = np.column_stack([np.ones(n), x])
+    coef = np.linalg.lstsq(design, y, rcond=None)[0]
+    rss = float(np.sum((y - design @ coef) ** 2))
+    return float(coef[0]), math.sqrt(rss / (n - q - 1) / n)
+
+
+def _assert_same_fit(est, gamma, se):
+    """``est`` matches a fit to 1e-12 relative; a stderr also within 1e-15 * gamma.
+
+    Where the controls explain the samples exactly (a K = 1 chain with
+    two_point omegas), the residuals are rounding errors of the samples,
+    and both stderrs lie below that floor.
+    """
+    assert abs(est.gamma_hat - gamma) <= 1e-12 * abs(gamma)
+    assert abs(est.stderr - se) <= 1e-12 * se + 1e-15 * abs(gamma)
+
+
+def _recorded_fits(monkeypatch):
+    """The (samples, controls) of every control-variate fit the estimators make."""
+    fits = []
+    fit = ensemble._control_fit
+
+    def recording(y, x):
+        fits.append((y.copy(), np.array(x)))
+        return fit(y, x)
+
+    monkeypatch.setattr(ensemble, "_control_fit", recording)
+    return fits
+
+
+@pytest.mark.parametrize("dist", ["uniform", "two_point", "truncated_normal"])
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_direct_estimate_is_control_variate_fit(monkeypatch, K, dist):
+    # the direct estimate is the intercept of the least-squares fit of its
+    # samples on the omegas of each root edge and its K children, and its
+    # stderr that fit's residual spread, here by LAPACK on controls drawn
+    # edge by edge
+    spec = TreeSpec(K=K, L=1.0, depth=4)
+    z = complex(2.0, 0.05)
+    models = [DisorderModel(lam=0.3, dist=dist, master_seed=5), DisorderModel(lam=0.1, master_seed=6)]
+    fits = _recorded_fits(monkeypatch)
+    ests = estimate_gamma(spec, models, z, 64, source="direct")
+    assert len(fits) == len(models)
+    for dm, est, (y, x) in zip(models, ests, fits):
+        controls = _scalar_controls(dm, K, 64)
+        assert x.T.tobytes() == controls.tobytes()
+        _assert_same_fit(est, *_lstsq_fit(y, controls))
+
+
+def test_direct_stderr_honest_at_weak_disorder(monkeypatch):
+    # at lam = 0.05 the controls take out most of the samples' spread: the
+    # reported stderr is still the seed-to-seed spread of the estimate,
+    # and well below the plain mean's stderr on the same samples
+    spec = TreeSpec(K=2, L=1.0, depth=8)
+    n = 500
+    fits = _recorded_fits(monkeypatch)
+    ests = [
+        estimate_gamma(spec, DisorderModel(lam=0.05, master_seed=s), Z_MID, n, source="direct")
+        for s in range(1, 21)
+    ]
+    spread = np.std([e.gamma_hat for e in ests], ddof=1)
+    se = np.median([e.stderr for e in ests])
+    plain = np.median([np.std(y, ddof=1) / math.sqrt(n) for y, _ in fits])
+    assert 0.5 * se <= spread <= 2.0 * se
+    assert se <= 0.6 * plain
+
+
+def test_direct_source_needs_k_plus_3_samples(monkeypatch, tmp_path, capsys):
+    # the fit on K + 1 controls keeps a residual degree of freedom only
+    # from n = K + 3 on; fewer samples fail before any tree is solved
+    def no_solve(*args, **kw):
+        raise AssertionError("a tree was solved")
+
+    monkeypatch.setattr(ensemble, "solve_root_R_batch", no_solve)
+    for K in (1, 2, 3):
+        spec = TreeSpec(K=K, L=1.0, depth=3)
+        with pytest.raises(InsufficientSamplesError):
+            estimate_gamma(spec, CLEAN, Z_MID, n=K + 2, source="direct")
+        with pytest.raises(InsufficientSamplesError):
+            fluctuation_report(spec, [CLEAN], Z_MID, n=K + 2)
+    assert cli.main(["fluctuation", "--n", "4", "--set", "depth=4", "--out", str(tmp_path)]) == 1
+    assert "wtree: error:" in capsys.readouterr().err
+    assert not (tmp_path / "fluctuation.csv").exists()
+
+
+@pytest.mark.parametrize("K,seeds", [(1, (8, 20)), (2, (16, 12)), (3, (6, 12))])
+def test_direct_fit_drops_collinear_controls(monkeypatch, K, seeds):
+    # at n = K + 3, two_point controls (every column +-1) are often
+    # collinear: the first seed of each pair gives a column that repeats
+    # or mirrors others, the second a constant one.  Each such control is
+    # dropped, in control order, and frees its degree of freedom, quietly.
+    spec = TreeSpec(K=K, L=1.0, depth=3)
+    n = K + 3
+    fits = _recorded_fits(monkeypatch)
+    for seed in seeds:
+        dm = DisorderModel(lam=0.2, dist="two_point", master_seed=seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = estimate_gamma(spec, dm, Z_MID, n, source="direct")
+            rep = fluctuation_report(spec, dm, Z_MID, n)
+        assert math.isfinite(est.gamma_hat) and math.isfinite(est.stderr)
+        assert (rep.gamma_hat, rep.gamma_stderr) == (est.gamma_hat, est.stderr)
+        y, _ = fits[-1]
+        controls = _scalar_controls(dm, K, n)
+        centred = controls - controls.mean(axis=0)
+        kept = []
+        for j in range(K + 1):
+            if np.linalg.matrix_rank(centred[:, kept + [j]]) > len(kept):
+                kept.append(j)
+        assert len(kept) < K + 1
+        _assert_same_fit(est, *_lstsq_fit(y, controls[:, kept]))
 
 
 @settings(max_examples=40, deadline=None)
