@@ -526,6 +526,17 @@ def _peak_mib(solve):
         tracemalloc.stop()
 
 
+def test_batch_solve_peak_memory():
+    # a block holds at most _BLOCK_ELEMS elements of its (B, rows, edges)
+    # arrays (at least one row), its drawn omegas included, so this solve
+    # peaks near 11 MiB
+    z = complex(2.0, 0.01)
+    spec = TreeSpec(K=2, L=1.0, depth=12)
+    dm = DisorderModel(lam=0.1, master_seed=3)
+    args = (spec, dm, z, cut_seed_disk(z, 2, 1.0), np.arange(500, dtype=np.uint64))
+    assert _peak_mib(lambda: solve_root_R_batch(*args, addr=ROOT_EDGE.child(0))) <= 32
+
+
 def test_batch_solve_peak_memory_cache_blocks():
     # a block holds at most _BLOCK_ELEMS = 2**18 elements of its (B, rows,
     # edges) arrays for all its models (at least one row), its drawn
