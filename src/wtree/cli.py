@@ -358,7 +358,7 @@ def _cmd_recursion(cfg, out_dir, threads):
     replicas = np.arange(n, dtype=np.uint64)
     E = np.array([sec["E"]])
     seed = complex(observables._seed_array(spec, E, sec["eta"], sec["seed_mode"])[0])
-    (lengths,) = _root_edge_lengths(spec, (dm,), replicas)
+    (lengths,), _ = _root_edge_lengths(spec, (dm,), replicas)
     try:
         R = solve_root_R_batch(spec, dm, z, seed, replicas, threads=threads)
         status = ["ok"] * n

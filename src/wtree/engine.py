@@ -262,9 +262,9 @@ def _merge_terms(m: np.ndarray, den=None) -> np.ndarray:
 
 
 def _pairwise_sum(v: np.ndarray, lo: int, n: int, out=None) -> np.ndarray:
-    """Row sums of ``v[:, lo:lo + n]`` in numpy's pairwise order, into ``out`` if given.
+    """Last-axis sums of ``v[..., lo:lo + n]`` in numpy's pairwise order, into ``out`` if given.
 
-    ``v.sum(axis=1)`` over a short contiguous axis adds sequentially
+    ``v.sum(axis=-1)`` over a short contiguous axis adds sequentially
     below 4 values, in 4 lanes joined as (l0 + l1) + (l2 + l3) plus a
     sequential tail up to 64, and above that splits the run at a multiple
     of 4 values and recurses.  Adding column slices in that order gives
@@ -273,19 +273,19 @@ def _pairwise_sum(v: np.ndarray, lo: int, n: int, out=None) -> np.ndarray:
     part into +0.0; the one-value run keeps that, longer runs skip it.)
     """
     if n < 4:
-        s = np.add(v[:, lo], v[:, lo + 1] if n > 1 else 0.0, out=out)
+        s = np.add(v[..., lo], v[..., lo + 1] if n > 1 else 0.0, out=out)
         for k in range(lo + 2, lo + n):
-            s += v[:, k]
+            s += v[..., k]
         return s
     if n <= 64:
         m = n - n % 4
-        lanes = v[:, lo : lo + m].reshape(-1, m // 4, 4)
-        acc = lanes[:, 0] + lanes[:, 1] if m > 4 else lanes[:, 0]
+        lanes = v[..., lo : lo + m].reshape(v.shape[:-1] + (m // 4, 4))
+        acc = lanes[..., 0, :] + lanes[..., 1, :] if m > 4 else lanes[..., 0, :]
         for i in range(2, m // 4):
-            acc += lanes[:, i]
-        s = np.add(acc[:, 0] + acc[:, 1], acc[:, 2] + acc[:, 3], out=out)
+            acc += lanes[..., i, :]
+        s = np.add(acc[..., 0] + acc[..., 1], acc[..., 2] + acc[..., 3], out=out)
         for k in range(lo + m, lo + n):
-            s += v[:, k]
+            s += v[..., k]
         return s
     n2 = (n - n % 8) // 2
     return np.add(_pairwise_sum(v, lo, n2), _pairwise_sum(v, lo + n2, n - n2), out=out)
@@ -382,6 +382,29 @@ def _model_lengths(models, L: float, draw):
     return out
 
 
+def _generation_sums(omega: np.ndarray, K: int, n: int) -> np.ndarray:
+    """Row sums of every generation of a subtree's omegas, shape (rows, n + 1).
+
+    ``omega``, shape (rows, edges), holds the subtree's generations 0..n
+    below its top edge laid out generation-major, as
+    :func:`omega_for_generation` draws them.  Siblings are added K at a
+    time in :func:`_pairwise_sum`'s order, from the deepest digit up: the
+    columns past the first, K at a time, are again a generation-major
+    layout one level shallower, whose first column is the next
+    generation's sum.  A sum therefore has the same bits whether the
+    subtree is reduced whole or as its K child subtrees (see
+    :func:`_solve_subtree`).
+    """
+    rows = omega.shape[0]
+    out = np.empty((rows, n + 1))
+    out[:, 0] = omega[:, 0]
+    v = omega
+    for j in range(1, n + 1):
+        v = _pairwise_sum(v[:, 1:].reshape(rows, -1, K), 0, K)
+        out[:, j] = v[:, 0]
+    return out
+
+
 def _joined(caps, axis):
     """One capture from the captures of row blocks (axis -2) or of sibling subtrees (axis -1)."""
     return BatchCapture(
@@ -402,7 +425,7 @@ def _joined(caps, axis):
 _BLOCK_ELEMS = 2**18
 
 
-def _solve_subtree(spec, models, prefix, w, seed, reps, capture):
+def _solve_subtree(spec, models, prefix, w, seed, reps, capture, sums=False):
     """Near-end disk values of the edge ``prefix``, one per model and replica.
 
     ``w``, ``seed`` and ``reps`` have shape ``(S,)``, and the values shape
@@ -418,8 +441,12 @@ def _solve_subtree(spec, models, prefix, w, seed, reps, capture):
     omegas, and the ``(B, rows, edges)`` block is then solved one
     generation at a time.  One model is the B = 1 case.  Neither splits
     nor block sizes change a bit, so every model's values are the bits
-    it gets alone.  Returns ``(m, capture)``, the capture indexed by
-    generation below ``prefix``, each entry of shape ``(B, S, K**j)``.
+    it gets alone.  Returns ``(m, capture, gen)``, the capture indexed by
+    generation below ``prefix``, each entry of shape ``(B, S, K**j)``,
+    and with ``sums`` ``gen`` the :func:`_generation_sums` of the
+    omegas each block drew, shape ``(B, S, n + 1)`` (else None): a split
+    subtree adds its children's sums K at a time, which is the last step
+    of that reduction, so splits change no bit of them either.
     """
     K = spec.K
     B = len(models)
@@ -429,24 +456,37 @@ def _solve_subtree(spec, models, prefix, w, seed, reps, capture):
     edges = replace(spec, depth=n).edge_count()
     if leaves > 1 and B * edges > _BLOCK_ELEMS:
         kids = [
-            _solve_subtree(spec, models, prefix + (d,), w, seed, reps, capture)
+            _solve_subtree(spec, models, prefix + (d,), w, seed, reps, capture, sums)
             for d in range(K)
         ]
-        h = _merge_terms(np.stack([m_d for m_d, _ in kids], axis=-1))
+        h = _merge_terms(np.stack([m_d for m_d, _, _ in kids], axis=-1))
         merged = _merge_sum(h[..., None, :])
         r = _one_tree(reps[:, None])
-        le = _model_lengths(models, spec.L, lambda dm: omega_for_generation(dm, K, g0, r, prefix))
+        top = {}
+
+        def draw(dm):
+            top[dm.master_seed, dm.dist] = omega_for_generation(dm, K, g0, r, prefix)
+            return top[dm.master_seed, dm.dist]
+
+        le = _model_lengths(models, spec.L, draw)
         m = _pull(merged, w[:, None], le)
         cap = None
         if capture:
-            below = _joined([c for _, c in kids], -1)
+            below = _joined([c for _, c, _ in kids], -1)
             cap = BatchCapture([m] + below.m_near, [np.broadcast_to(le, m.shape)] + below.lengths)
-        return m[..., 0], cap
+        gen = None
+        if sums:
+            # the last step of _generation_sums: the K children's sums, in digit order
+            gen = np.empty((B, reps.size, n + 1))
+            gen[..., 0] = np.stack([top[dm.master_seed, dm.dist][:, 0] for dm in models])
+            _pairwise_sum(np.stack([s_d for _, _, s_d in kids], axis=-1), 0, K, out=gen[..., 1:])
+        return m[..., 0], cap, gen
 
     S = reps.size
     chunk = max(1, _BLOCK_ELEMS // (B * edges))
     gens = range(g0, spec.depth + 1)
     out = np.empty((B, S), dtype=np.complex128)
+    gen = np.empty((B, S, n + 1)) if sums else None
     caps = []
     # Two scratch buffers serve every block and generation, so the solve
     # touches fresh memory once instead of once per block: generation j's
@@ -455,10 +495,21 @@ def _solve_subtree(spec, models, prefix, w, seed, reps, capture):
 
     def block_lengths(r):
         # every edge length of the rows ``r``, generation-major: generation
-        # j (below prefix) is the slice of K**j columns that ends at ``end``
-        return _model_lengths(
-            models, spec.L, lambda dm: omega_for_generation(dm, K, gens, r, prefix)
-        )
+        # j (below prefix) is the slice of K**j columns that ends at ``end``;
+        # and, with ``sums``, the rows' generation sums per model, reduced
+        # as soon as their omegas are drawn, while those are in cache
+        reduced = {}
+
+        def draw(dm):
+            omega = omega_for_generation(dm, K, gens, r, prefix)
+            if sums:
+                reduced[dm.master_seed, dm.dist] = _generation_sums(omega, K, n)
+            return omega
+
+        lengths = _model_lengths(models, spec.L, draw)
+        if not sums:
+            return lengths, None
+        return lengths, np.stack([reduced[dm.master_seed, dm.dist] for dm in models])
 
     # rows that all carry one replica solve one tree: it is drawn once for every block
     one = _one_tree(reps[:, None])
@@ -467,7 +518,9 @@ def _solve_subtree(spec, models, prefix, w, seed, reps, capture):
         hi = min(lo + chunk, S)
         r = _one_tree(reps[lo:hi, None])
         wc = w[lo:hi, None]
-        lengths = block_lengths(r) if tree is None else tree
+        lengths, block_sums = block_lengths(r) if tree is None else tree
+        if sums:
+            gen[:, lo:hi] = block_sums
         end = lengths.shape[-1]
         rows = B * (hi - lo)
         m = b[: rows * leaves].reshape(B, hi - lo, leaves)
@@ -487,7 +540,7 @@ def _solve_subtree(spec, models, prefix, w, seed, reps, capture):
                 cap.lengths[j] = np.broadcast_to(le, m.shape) if r.shape[0] < hi - lo else le
         caps.append(cap)
         out[:, lo:hi] = m[..., 0]
-    return out, _joined(caps, -2) if capture else None
+    return out, _joined(caps, -2) if capture else None, gen
 
 
 _NONFINITE = "tree solve produced non-finite WT values"
@@ -515,7 +568,7 @@ def _replica_array(replicas) -> np.ndarray:
     return np.array(values, dtype=np.uint64)
 
 
-def _solve(spec, dm, z, seed_m, replicas, prefix, capture, threads=1):
+def _solve(spec, dm, z, seed_m, replicas, prefix, capture, threads=1, omega_means=False):
     """Validate a solve of the subtree below ``prefix`` and run it.
 
     ``dm`` is one model, giving values of shape ``(S,)``, or a sequence
@@ -523,7 +576,9 @@ def _solve(spec, dm, z, seed_m, replicas, prefix, capture, threads=1):
     are split into that many contiguous parts (at least one each),
     solved on a thread pool and joined before the one degeneracy check,
     so values, failed rows and their reasons do not depend on the
-    thread count.
+    thread count.  Returns the values, then the capture if ``capture``,
+    then the generation means of the omegas if ``omega_means``, as a
+    tuple when there is more than one.
     """
     models = _as_models(dm)
     _check_count("threads", threads, 1)
@@ -568,21 +623,28 @@ def _solve(spec, dm, z, seed_m, replicas, prefix, capture, threads=1):
         # numpy's error state is per thread, so each part sets its own.
         with np.errstate(all="ignore"):
             return _solve_subtree(
-                spec, models, prefix, w[lo:hi], seed[lo:hi], replicas[lo:hi], capture
+                spec, models, prefix, w[lo:hi], seed[lo:hi], replicas[lo:hi], capture,
+                omega_means,
             )
 
     cuts = np.linspace(0, S, min(threads, S) + 1).astype(int)
     if cuts.size <= 2:
-        m, cap = part(0, S)
+        m, cap, sums = part(0, S)
     else:
         with ThreadPoolExecutor(max_workers=cuts.size - 1) as ex:
             parts = list(ex.map(part, cuts[:-1], cuts[1:]))
-        m = np.concatenate([m_p for m_p, _ in parts], axis=-1)
-        cap = _joined([c for _, c in parts], -2) if capture else None
+        m = np.concatenate([m_p for m_p, _, _ in parts], axis=-1)
+        cap = _joined([c for _, c, _ in parts], -2) if capture else None
+        sums = np.concatenate([s_p for _, _, s_p in parts], axis=-2) if omega_means else None
+    if omega_means:
+        # generation j below prefix has K**j edges
+        sums /= float(spec.K) ** np.arange(sums.shape[-1])
     if isinstance(dm, DisorderModel):
         m = m[0]
         if capture:
             cap = BatchCapture([a[0] for a in cap.m_near], [a[0] for a in cap.lengths])
+        if omega_means:
+            sums = sums[0]
     with np.errstate(all="ignore"):
         out = _disk_to_r(m, w)
     finite = np.isfinite(out)
@@ -591,7 +653,8 @@ def _solve(spec, dm, z, seed_m, replicas, prefix, capture, threads=1):
         reasons = np.where(finite, np.where(bad, _LOWER, None), _NONFINITE).tolist()
         out[bad] = complex(math.nan, math.nan)
         raise RowDegeneracyError(_LOWER if finite.all() else _NONFINITE, out, reasons)
-    return (out, cap) if capture else out
+    extra = ((cap,) if capture else ()) + ((sums,) if omega_means else ())
+    return (out,) + extra if extra else out
 
 
 def _failed_rows(exc: WtreeError, n: int):
@@ -669,6 +732,7 @@ def solve_root_R_batch(
     capture: bool = False,
     threads: int = 1,
     addr: EdgeAddress = ROOT_EDGE,
+    omega_means: bool = False,
 ):
     """Vectorized root solves across disorder replicas.
 
@@ -714,12 +778,22 @@ def solve_root_R_batch(
         Edge whose near end is evaluated, the root edge by default; the
         batch form of :func:`solve_edge_R`, with the capture indexed by
         generation below ``addr``.
+    omega_means : bool
+        Also return, per replica, the mean omega of every generation of
+        the solved subtree, ``addr``'s own edge first.  They are reduced
+        from the omegas the solve draws anyway, siblings K at a time from
+        the deepest digit up, so they do not depend on thread count,
+        block size, subtree splits or the number of stacked models.
+        Without it the solve does no work for them.
 
     Returns
     -------
-    np.ndarray or (np.ndarray, BatchCapture)
+    np.ndarray, or a tuple that starts with it
         WT values at the near end of ``addr``, shape ``(len(replicas),)``,
-        or ``(B, len(replicas))`` for B models.
+        or ``(B, len(replicas))`` for B models; then the capture if
+        ``capture``; then the omega means if ``omega_means``, shape
+        ``(len(replicas), G)``, or ``(B, len(replicas), G)`` for B models,
+        with G = ``spec.depth - addr.generation + 1`` generations.
 
     Raises
     ------
@@ -733,7 +807,9 @@ def solve_root_R_batch(
         and its ``reasons`` the failure text per row, None where good.
     """
     _check_address(spec, addr)
-    return _solve(spec, dm, z, seed_m, replicas, addr.path, capture, threads)
+    return _solve(
+        spec, dm, z, seed_m, replicas, addr.path, capture, threads, omega_means=omega_means
+    )
 
 
 def solve_R_minus(

@@ -44,6 +44,7 @@ from .graphmodel import (
     DOMAIN_POOL_CHILD,
     DOMAIN_POOL_LENGTH,
     DOMAIN_SCAN_ENERGY,
+    OMEGA_VARIANCE,
     ROOT_EDGE,
     DisorderModel,
     TreeSpec,
@@ -53,11 +54,17 @@ from .graphmodel import (
     _expand_digits,
     _is_int,
     hash_words,
-    omega_for_generation,
     omega_from_uniform,
     uniform01,
 )
-from .regular import _cut_seed, cut_seed_disk, fixed_point_batch, gamma_clean, stationary_disk
+from .regular import (
+    _cut_seed,
+    cut_seed_disk,
+    fixed_point_batch,
+    gamma_clean,
+    linear_response,
+    stationary_disk,
+)
 
 __all__ = [
     "SamplePool",
@@ -76,34 +83,54 @@ __all__ = [
 ]
 
 
-def _root_edge_lengths(spec: TreeSpec, models, replicas: np.ndarray) -> np.ndarray:
-    """Root-edge lengths of the given replicas, shape (B, S) for B models.
+def _root_edge_lengths(spec: TreeSpec, models, replicas: np.ndarray) -> tuple:
+    """Root-edge lengths of the given replicas, shape (B, S) for B models, and their omegas.
 
     They are hashed with the tree solver's words, once per distinct
-    ``(master_seed, dist)``.
+    ``(master_seed, dist)``; the omegas come as one (S,) array per model,
+    shared by models of one pair.
     """
+    omegas = {}
+
     def draw(dm):
         u = uniform01(hash_words(dm.master_seed, DOMAIN_EDGE, replicas, 0))
-        return omega_from_uniform(dm.dist, u)
+        omegas[dm.master_seed, dm.dist] = omega_from_uniform(dm.dist, u)
+        return omegas[dm.master_seed, dm.dist]
 
-    return _model_lengths(models, spec.L, draw)
+    lengths = _model_lengths(models, spec.L, draw)
+    return lengths, [omegas[dm.master_seed, dm.dist] for dm in models]
 
 
-def _root_controls(spec: TreeSpec, models, replicas: np.ndarray) -> list:
-    """Omegas of the given replicas' root edges and of their K children, per model.
+def _direct_controls(spec: TreeSpec, models, z, root_omegas, means) -> list:
+    """The depth + 2 mean-zero controls of each model's direct samples, a (depth + 2, n) array each.
 
-    Row 0 of each (K + 1, S) array is the root edge, rows 1..K its
-    children in address order.  They are drawn with the tree solver's
-    words, once per distinct ``(master_seed, dist)``, so models that
-    share those share one array.
+    ``root_omegas`` holds each model's (n,) root-edge omegas and
+    ``means``, shape (B, n, K, depth), the generation means xbar_{k,g} of
+    every child k's subtree, g = 1..depth.  The rows are the root omega,
+    sum_k xbar_{k,g} for each g, and Q - E Q with Q a quarter of the
+    population variance over k of l_k = lam * sum_g c_g * xbar_{k,g} and
+    E Q = lam**2 * C_J, from :func:`linear_response`.  Q is the Jensen
+    part's second-order response to the disorder; at lam = 0 or K = 1
+    its row is 0 and the fit drops it.
     """
-    drawn = {}
-    for dm in models:
-        key = (dm.master_seed, dm.dist)
-        if key not in drawn:
-            omegas = omega_for_generation(dm, spec.K, range(0, 2), replicas[:, None])
-            drawn[key] = np.ascontiguousarray(omegas.T)
-    return [drawn[dm.master_seed, dm.dist] for dm in models]
+    response = {}
+    out = []
+    for dm, root, x in zip(models, root_omegas, means):
+        if dm.dist not in response:
+            response[dm.dist] = linear_response(
+                z, spec.K, spec.L, spec.depth, OMEGA_VARIANCE[dm.dist]
+            )
+        c, c_j = response[dm.dist]
+        ell = c[0] * x[..., 0]
+        for g in range(1, spec.depth):
+            ell += c[g] * x[..., g]
+        ell *= dm.lam
+        controls = np.empty((spec.depth + 2, root.size))
+        controls[0] = root
+        controls[1:-1] = x.sum(axis=1).T
+        controls[-1] = 0.25 * ell.var(axis=-1) - dm.lam**2 * c_j
+        out.append(controls)
+    return out
 
 
 #: a control whose variance left after the kept controls is at most this
@@ -442,10 +469,13 @@ def _sample(spec, dm, p, n, term, source, burn_in, pool_size, threads=1) -> list
     children are the members each member drew.
 
     The stderr rule has a direct case and a pool case.  A direct row is
-    reported as the :func:`_control_fit` of its n iid terms on K + 1
-    controls of mean 0, the omegas of each root edge and of its K
-    children (:func:`_root_controls`), which carry the terms' first-order
-    response to the disorder; so the direct source needs n >= K + 3.  A
+    reported as the :func:`_control_fit` of its n iid terms on depth + 2
+    controls of mean 0 (:func:`_direct_controls`): the omega of each root
+    edge, the sum over its K children of their subtrees' omega means of
+    each generation, which carry the terms' first-order response to the
+    disorder, and the centred quadratic Jensen term; so the direct source
+    needs n >= depth + 4.  The child solves hand the generation means
+    over from the omegas they draw.  A
     pool row is the plain mean, with the spread of the G generation means
     over sqrt(G) as stderr, or for G = 1 that of the samples over
     sqrt(count); controls on member edges would not shrink the spread of
@@ -461,26 +491,27 @@ def _sample(spec, dm, p, n, term, source, burn_in, pool_size, threads=1) -> list
                 f"the direct source needs depth >= 1, so that root edges have children, "
                 f"got depth {spec.depth}"
             )
-        if n < spec.K + 3:
+        if n < spec.depth + 4:
             raise InsufficientSamplesError(
-                f"the direct source needs n >= K + 3 = {spec.K + 3} samples, so that its "
-                f"control-variate fit keeps a residual degree of freedom, got {n}"
+                f"the direct source needs n >= depth + 4 = {spec.depth + 4} samples, so that "
+                f"its control-variate fit on depth + 2 controls keeps a residual degree of "
+                f"freedom, got {n}"
             )
         replicas = np.arange(n, dtype=np.uint64)
         seed = cut_seed_disk(p, spec.K, spec.L)
-        kids = np.stack(
-            [
-                solve_root_R_batch(
-                    spec, models, p.z, seed, replicas, threads=threads, addr=ROOT_EDGE.child(k)
-                )
-                for k in range(spec.K)
-            ],
-            axis=-1,
-        )
-        lengths = _root_edge_lengths(spec, models, replicas)
+        solves = [
+            solve_root_R_batch(
+                spec, models, p.z, seed, replicas, threads=threads, addr=ROOT_EDGE.child(k),
+                omega_means=True,
+            )
+            for k in range(spec.K)
+        ]
+        kids = np.stack([values for values, _ in solves], axis=-1)
+        lengths, root_omegas = _root_edge_lengths(spec, models, replicas)
         # the root step of the tree kernel: Kirchhoff merge, then pull
         R = _disk_to_r(_pull(_r_to_disk(kids.sum(axis=-1), w), w, lengths), w)
-        controls = _root_controls(spec, models, replicas)
+        means = np.stack([gen for _, gen in solves], axis=-2)
+        controls = _direct_controls(spec, models, p, root_omegas, means)
         return [(*_control_fit(y, x), n) for y, x in zip(term(R, kids, lengths), controls)]
     elif source == "pool":
         _check_count("burn_in", burn_in, 0)
@@ -550,16 +581,18 @@ def estimate_gamma(
         "direct" solves n independent trees of depth ``spec.depth`` >= 1,
         cut-seeded with the clean fixed point (exact at lam = 0), and
         samples their root edges (iid samples).  It reports the
-        control-variate fit of the samples on the omegas of each root
-        edge and of its K children, which have mean 0 and carry the
-        samples' first-order response to the disorder: the intercept as
-        the estimate and the fit's residual spread as the standard error
-        (docs/derivations section 5), so it needs n >= K + 3.
+        control-variate fit of the samples on depth + 2 controls of
+        mean 0: the omega of each root edge, the K children's subtree
+        omega means of each generation summed over the children, which
+        carry the samples' first-order response to the disorder, and
+        the centred quadratic Jensen term.  The intercept is the
+        estimate and the fit's residual spread the standard error
+        (docs/derivations section 5), so it needs n >= depth + 4.
         The root and its children sit at different depths, so the
         estimate carries a truncation bias that the standard error
-        does not count; against a relaxed pool it was below one
-        standard error from depth 6 on and about seven at depth 4
-        (docs/derivations section 5).
+        does not count; against a relaxed pool it was within about
+        three combined standard errors from depth 6 on and about twenty
+        below at depth 4 (docs/derivations section 5).
         "pool" collects whole generations of a burnt-in pool, spaced a
         few relaxation times 1/(2*gamma0) of the clean contraction apart;
         members of one generation share the population's stochastic
@@ -577,7 +610,7 @@ def estimate_gamma(
     Raises
     ------
     InsufficientSamplesError
-        Before any sampling, if ``n < 2``, or ``n < K + 3`` for the
+        Before any sampling, if ``n < 2``, or ``n < depth + 4`` for the
         direct source.
     ValidationError
         Before any sampling, if ``dm`` is neither a ``DisorderModel`` nor
@@ -798,10 +831,11 @@ def fluctuation_report(
     so it stays defined where the square underflows), and half the
     current loss plus Jensen gap of :func:`estimate_gamma` feeds
     ``gamma_hat``.  The default "direct" source solves the children of n
-    >= K + 3 independent root edges, giving iid samples for the widths,
-    and reports the Lyapunov estimate as the control-variate fit of
-    :func:`estimate_gamma` on the omegas of each root edge and its K
-    children, with the fit's residual spread as its standard error.  The
+    >= depth + 4 independent root edges, giving iid samples for the
+    widths, and reports the Lyapunov estimate as the control-variate fit
+    of :func:`estimate_gamma` on the root omegas, the children's
+    generation means and the centred Jensen term, with the fit's
+    residual spread as its standard error.  The
     "pool" source takes one generation of a burnt-in pool of size n
     instead and reports the plain mean; its members share the
     population's stochastic drift, so its nominal standard error is
@@ -818,7 +852,7 @@ def fluctuation_report(
     ``spec.depth`` >= 1 for the direct source and, for the pool source,
     ``burn_in`` an integer >= 0; otherwise ``ValidationError`` is raised
     before any sampling, and ``InsufficientSamplesError`` (a
-    ``ValidationError``) for n < 2, or n < K + 3 with the direct source.
+    ``ValidationError``) for n < 2, or n < depth + 4 with the direct source.
     """
     p = _sampling_point(z, n, "fluctuation widths require eta > 0")
     models = _as_models(dm)

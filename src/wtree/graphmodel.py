@@ -24,6 +24,7 @@ __all__ = [
     "EdgeAddress",
     "ROOT_EDGE",
     "DISTS",
+    "OMEGA_VARIANCE",
     "edge_length",
     "resample_omega",
     "omega_for_generation",
@@ -43,7 +44,8 @@ DOMAIN_POOL_CHILD = 0x8CB92BA72F3D8DD7
 DOMAIN_POOL_LENGTH = 0xEB44ACCAB455D165
 DOMAIN_SCAN_ENERGY = 0x2545F4914F6CDD1D
 
-# Truncated standard normal clipped to [-1, 1]: Phi(-1) and Phi(1) through
+# Standard normal truncated to [-1, 1], drawn by inverting its CDF on
+# [Phi(-1), Phi(1)], so no mass sits at +-1: Phi(-1) and Phi(1) through
 # math.erfc, equal bit for bit to scipy.special.ndtr(-1.0) and ndtr(1.0)
 # (a test pins both), so importing wtree does not load scipy.special.
 _TN_LO = 0.5 * math.erfc(1 / math.sqrt(2))
@@ -52,6 +54,14 @@ _TN_Z = _TN_HI - _TN_LO
 
 #: names of the supported omega distributions
 DISTS = ("uniform", "two_point", "truncated_normal")
+
+#: Var omega of each distribution (all have mean 0): 1/3 on [-1, 1], 1
+#: for +-1, and 1 - 2*phi(1)/(Phi(1) - Phi(-1)) for the truncated normal
+OMEGA_VARIANCE = {
+    "uniform": 1.0 / 3.0,
+    "two_point": 1.0,
+    "truncated_normal": 1.0 - 2.0 * math.exp(-0.5) / math.sqrt(2.0 * math.pi) / _TN_Z,
+}
 
 
 def _is_int(value) -> bool:
@@ -248,7 +258,8 @@ class DisorderModel:
         Disorder strength in [0, 1]; ``0`` switches disorder off exactly.
     dist : str
         One of ``uniform`` (on [-1, 1]), ``two_point`` (symmetric +-1),
-        ``truncated_normal`` (standard normal clipped to [-1, 1]).
+        ``truncated_normal`` (standard normal truncated to [-1, 1], by
+        inverting its CDF, so with no mass at +-1).
     master_seed : int
         64-bit seed addressing the whole iid family.
     """

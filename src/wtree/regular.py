@@ -11,6 +11,7 @@ theta = arctan((sqrt(K) - 1/sqrt(K)) / 2).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -39,6 +40,7 @@ __all__ = [
     "stationary_disk",
     "cut_seed_disk",
     "iterate_m_map",
+    "linear_response",
     "band_theta",
     "EDGE_SHIFT",
 ]
@@ -292,6 +294,47 @@ def _cut_seed(m, K: int):
     """
     children = np.repeat(np.asarray(m, dtype=np.complex128)[..., None], K, axis=-1)
     return _merge_sum(_merge_terms(children))
+
+
+def linear_response(z, K: int, L: float, depth: int, omega_var: float):
+    """First-order response of a cut-seeded clean subtree to its generation means, and C_J.
+
+    Give every edge of generation g of a clean subtree (its top edge is
+    g = 1) the length L * exp(lam * omega).  To first order in lam, log
+    Im R at the top's near end moves by lam * sum_g c_g * xbar_g, xbar_g
+    the mean omega of generation g, g = 1..``depth``, for a subtree
+    seeded at its cut with :func:`cut_seed_disk`.  The disk map
+    linearizes in closed form at the stationary value m (near end) and
+    its merge m_f (far end): a pull exp(2i*w*le) * m_f moves by 2i*w *
+    exp(2i*w*L) * m_f = 2i*w*m per unit of le / L; a merge moves by
+    ((1 + h) / (K*h + 1))**2 per child, with h = (1 + m) / (1 - m) the
+    child's :func:`_merge_terms`, so a generation whose K**(g-1) edges
+    all move passes lam_d**(g-1) of it up, lam_d = K * exp(2i*w*L) *
+    ((1 + h) / (K*h + 1))**2 the multiplier of the disk map; and log Im
+    R, R = i*w*h, moves by Im(i*w * (1 + h)**2 / 2 * dm) / Im R.
+
+    The Jensen part of a direct sample is, to second order, a quarter of
+    the population variance over the K children of their lam * sum_g
+    c_g * xbar_g; with iid omegas of variance ``omega_var`` its mean is
+    lam**2 * C_J, C_J = 1/4 * (K-1)/K * omega_var * sum_g c_g**2 *
+    K**-(g-1) (docs/derivations section 5).  C_J is 0 for K = 1.
+
+    Returns
+    -------
+    (np.ndarray, float)
+        c_1..c_depth, and C_J.
+    """
+    _check_count("K", K, 1)
+    _check_count("depth", depth, 0)
+    p = as_point(z)
+    w = sqrt_upper(p)
+    m = fixed_point_R(p, K, L).m
+    h = complex(_merge_terms(np.array([m]))[0])
+    step = K * cmath.exp(2j * w * L) * ((1.0 + h) / (K * h + 1.0)) ** 2
+    top = 1j * w * (1.0 + h) ** 2 / 2.0 * (2j * w * L * m) / (1j * w * h).imag
+    c = np.array([(top * step**j).imag for j in range(depth)])
+    c_j = 0.25 * (K - 1) / K * omega_var * float(np.sum(c * c / float(K) ** np.arange(depth)))
+    return c, c_j
 
 
 def iterate_m_map(z, K: int, L: float, m0: complex = 0j, n_steps: int = 100) -> complex:

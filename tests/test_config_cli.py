@@ -587,9 +587,9 @@ _PINNED_CSVS = [
      "1535852df045d1c983e7e02b6891d2a22ffbac54fe4b758698f846fdb5b49a37"),
     ("lyapunov", ["--source", "direct", "--set", "depth=4", "--n", "64",
                   "--set", "lyapunov.etas=[0.1]", "--set", "lyapunov.lambdas=[0.2]"],
-     "a096a91ec9ae066815c581b7ccd011ab90ca4171402425f1a117f6eb75aa044f"),
+     "5eb8ff65e9622debd2c7a14741d796ea80d00aea561109544336de617e401cea"),
     ("fluctuation", ["--set", "depth=5", "--n", "64", "--set", "fluctuation.lambdas=[0.2]"],
-     "4888f96d9d6c49b73a45e400911cf5c567116936aa2e57f751d904903da5ad09"),
+     "a4c95561c2325a4d3eb2fe75f06c951266eaa40178b250c6cf7bce97f68d3d0f"),
     ("fluctuation", ["--set", "fluctuation.source=pool", "--set", "fluctuation.burn_in=20",
                      "--n", "64", "--set", "fluctuation.lambdas=[0.2]"],
      "2baef2c27a66885adcc66af08ac7fafc75e00b592513fb952aa18f636bd3ef5c"),

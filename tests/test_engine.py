@@ -46,6 +46,7 @@ from wtree import (
 import wtree.engine
 from wtree.engine import _eta_intercept, _merge_sum, _merge_terms, _pairwise_sum, cos_sin
 from wtree.errors import NumericalDegeneracyError
+from wtree.graphmodel import omega_for_generation
 
 
 def test_sqrt_upper_interior():
@@ -1003,3 +1004,68 @@ def test_merge_sum_matches_numpy_sum():
     h = m.copy()
     assert _merge_terms(h) is h
     assert h.tobytes() == ((1.0 + m) / (1.0 - m)).tobytes()
+
+
+@pytest.mark.parametrize("K,depth", [(1, 6), (2, 5), (3, 3)])
+def test_omega_means_match_redraws_and_every_split(K, depth, monkeypatch):
+    # the kernel's generation means are those of the omegas the solve
+    # draws, redrawn here per generation; their bits do not depend on
+    # thread count, block size, subtree splits, the stacked models or
+    # rows that share one replica, and asking for them changes no value
+    spec = TreeSpec(K=K, L=1.0, depth=depth)
+    models = _stack_models("uniform")
+    z = complex(2.0, 0.05)
+    seed = cut_seed_disk(z, K, 1.0)
+    reps = np.arange(9, dtype=np.uint64) * 3 + 1
+    for addr in (ROOT_EDGE, ROOT_EDGE.child(K - 1)):
+        G = depth - addr.generation + 1
+        R, means = solve_root_R_batch(spec, models, z, seed, reps, addr=addr, omega_means=True)
+        assert means.shape == (len(models), reps.size, G)
+        assert R.tobytes() == solve_root_R_batch(spec, models, z, seed, reps, addr=addr).tobytes()
+        for b, dm in enumerate(models):
+            redrawn = [
+                omega_for_generation(dm, K, addr.generation + j, reps[:, None], addr.path).mean(axis=1)
+                for j in range(G)
+            ]
+            np.testing.assert_allclose(means[b], np.stack(redrawn, axis=-1), rtol=1e-13, atol=1e-16)
+            lone = solve_root_R_batch(spec, dm, z, seed, reps, addr=addr, omega_means=True)[1]
+            assert lone.tobytes() == means[b].tobytes()
+        # smaller budgets split the stack's subtrees at several levels,
+        # down to single leaves at 2 * B, into blocks of few rows
+        for budget in (spec.edge_count(), 2 * len(models), 100):
+            monkeypatch.setattr(wtree.engine, "_BLOCK_ELEMS", budget)
+            for threads in (1, 2):
+                got = solve_root_R_batch(
+                    spec, models, z, seed, reps, addr=addr, threads=threads, omega_means=True
+                )
+                assert got[1].tobytes() == means.tobytes()
+                assert got[0].tobytes() == R.tobytes()
+            # with a capture, the means come last
+            _, cap, got = solve_root_R_batch(
+                spec, models, z, seed, reps, addr=addr, capture=True, omega_means=True
+            )
+            assert got.tobytes() == means.tobytes() and len(cap.m_near) == G
+            monkeypatch.setattr(wtree.engine, "_BLOCK_ELEMS", 2**18)
+        # rows of one replica draw one tree; their means are its means
+        _, one = solve_root_R_batch(spec, models[0], z, seed, [reps[4]] * 3, addr=addr, omega_means=True)
+        assert one.tobytes() == np.repeat(means[0, 4:5], 3, axis=0).tobytes()
+
+
+def test_omega_means_off_do_no_work(monkeypatch):
+    # without omega_means the kernel never reduces the omegas it draws
+    calls = []
+    reduce = wtree.engine._generation_sums
+
+    def counting(*args):
+        calls.append(args)
+        return reduce(*args)
+
+    monkeypatch.setattr(wtree.engine, "_generation_sums", counting)
+    spec = TreeSpec(K=2, L=1.0, depth=6)
+    dm = DisorderModel(lam=0.1, master_seed=3)
+    solve_root_R_batch(spec, dm, complex(2.0, 0.05), 0j, range(20), addr=ROOT_EDGE.child(0))
+    assert calls == []
+    solve_root_R_batch(
+        spec, dm, complex(2.0, 0.05), 0j, range(20), addr=ROOT_EDGE.child(0), omega_means=True
+    )
+    assert calls

@@ -1,5 +1,7 @@
 import hashlib
+import itertools
 import math
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -35,11 +37,13 @@ from wtree.graphmodel import (
     DOMAIN_POOL_CHILD,
     DOMAIN_POOL_LENGTH,
     DOMAIN_SCAN_ENERGY,
+    OMEGA_VARIANCE,
     hash_words,
+    omega_for_generation,
     omega_from_uniform,
     uniform01,
 )
-from wtree.regular import _cut_seed, cut_seed_disk, fixed_point_batch
+from wtree.regular import _cut_seed, cut_seed_disk, fixed_point_batch, linear_response
 from oracles import relaxed_gamma
 
 Z_MID = complex(2.0, 0.01)
@@ -589,7 +593,7 @@ def test_estimate_gamma_pool_pinned():
         )
 
 
-def test_estimate_gamma_clean_exact():
+def test_estimate_gamma_clean_exact(monkeypatch):
     g0 = gamma_clean(Z_MID, 2, 1.0)
     for source in ("pool", "direct"):
         est = estimate_gamma(SPEC6, CLEAN, Z_MID, n=500, source=source)
@@ -597,6 +601,18 @@ def test_estimate_gamma_clean_exact():
         assert est.stderr <= 1e-13
         assert est.source == source
         assert est.n >= 500
+    # beside a disordered row, a clean direct row's samples are all
+    # gamma0 and its Jensen control is 0 (dropped by the fit), for any K
+    fits = _recorded_fits(monkeypatch)
+    for K in (1, 2, 3):
+        spec = TreeSpec(K=K, L=1.0, depth=4)
+        clean, _ = estimate_gamma(
+            spec, [CLEAN, DisorderModel(lam=0.1, master_seed=2)], Z_MID, 16, source="direct"
+        )
+        assert abs(clean.gamma_hat - gamma_clean(Z_MID, K, 1.0)) < 1e-12
+        assert clean.stderr == 0.0
+        y, x = fits[-2]
+        assert np.all(y == y[0]) and np.all(x[-1] == 0.0)
 
 
 @pytest.mark.parametrize("source", ["direct", "pool"])
@@ -651,8 +667,9 @@ def test_gamma_samples_match_half_plane_route(source, K):
         # the root step reproduces the one-tree root solve
         root = solve_root_R_batch(spec, dm, z, cut_seed_disk(z, K, 1.0), range(48))
         np.testing.assert_allclose(R, root, rtol=1e-13, atol=0)
-        # the control-variate fit on the root and child omegas
-        gamma, se = _lstsq_fit(terms, _scalar_controls(dm, K, 48))
+        # the control-variate fit on the root omegas, the children's
+        # generation means and the Jensen control
+        gamma, se = _lstsq_fit(terms, _kept(_scalar_controls(spec, dm, z, 48)))
     else:
         gamma = float(np.mean(terms))
         # three generations of 16 members: the spread of generation means
@@ -661,10 +678,42 @@ def test_gamma_samples_match_half_plane_route(source, K):
     assert abs(est.stderr - se) <= 1e-12 * est.stderr
 
 
-def _scalar_controls(dm, K, n):
-    """The omegas of replicas 0..n-1's root edges and their K children, (n, K + 1), edge by edge."""
-    paths = [()] + [(d,) for d in range(K)]
-    return np.array([[resample_omega(dm, EdgeAddress(a), r) for a in paths] for r in range(n)])
+def _scalar_controls(spec, dm, z, n):
+    """The direct fit's depth + 2 controls of replicas 0..n-1, (n, depth + 2), from omegas drawn edge by edge.
+
+    The root omega; per generation g = 1..depth, the sum over the K
+    children of the mean omega of generation g of their subtrees; and
+    Q - E Q, Q a quarter of the population variance over the children
+    of lam * sum_g c_g * xbar_{k,g}.
+    """
+    K, depth = spec.K, spec.depth
+    c, c_j = linear_response(z, K, spec.L, depth, OMEGA_VARIANCE[dm.dist])
+    rows = []
+    for r in range(n):
+        xbar = np.array([
+            [
+                np.mean([
+                    resample_omega(dm, EdgeAddress((k,) + tail), r)
+                    for tail in itertools.product(range(K), repeat=g - 1)
+                ])
+                for g in range(1, depth + 1)
+            ]
+            for k in range(K)
+        ])
+        ell = dm.lam * (xbar @ c)
+        q = 0.25 * np.var(ell) - dm.lam**2 * c_j
+        rows.append([resample_omega(dm, EdgeAddress(), r), *xbar.sum(axis=0), q])
+    return np.array(rows)
+
+
+def _kept(controls):
+    """The controls whose centred columns each raise the rank of those kept before them."""
+    centred = controls - controls.mean(axis=0)
+    kept = []
+    for j in range(controls.shape[1]):
+        if np.linalg.matrix_rank(centred[:, kept + [j]]) > len(kept):
+            kept.append(j)
+    return controls[:, kept]
 
 
 def _lstsq_fit(y, x):
@@ -705,9 +754,11 @@ def _recorded_fits(monkeypatch):
 @pytest.mark.parametrize("K", [1, 2, 3])
 def test_direct_estimate_is_control_variate_fit(monkeypatch, K, dist):
     # the direct estimate is the intercept of the least-squares fit of its
-    # samples on the omegas of each root edge and its K children, and its
-    # stderr that fit's residual spread, here by LAPACK on controls drawn
-    # edge by edge
+    # samples on the root omegas, the children's generation means and the
+    # Jensen control, and its stderr that fit's residual spread, here by
+    # LAPACK on controls drawn edge by edge (the root omegas bit for bit;
+    # the means sum in another order).  For K = 1 the Jensen control is 0
+    # and is dropped.
     spec = TreeSpec(K=K, L=1.0, depth=4)
     z = complex(2.0, 0.05)
     models = [DisorderModel(lam=0.3, dist=dist, master_seed=5), DisorderModel(lam=0.1, master_seed=6)]
@@ -715,55 +766,113 @@ def test_direct_estimate_is_control_variate_fit(monkeypatch, K, dist):
     ests = estimate_gamma(spec, models, z, 64, source="direct")
     assert len(fits) == len(models)
     for dm, est, (y, x) in zip(models, ests, fits):
-        controls = _scalar_controls(dm, K, 64)
-        assert x.T.tobytes() == controls.tobytes()
-        _assert_same_fit(est, *_lstsq_fit(y, controls))
+        controls = _scalar_controls(spec, dm, z, 64)
+        assert x.shape == (spec.depth + 2, 64)
+        assert x[0].tobytes() == controls[:, 0].tobytes()
+        np.testing.assert_allclose(x.T, controls, rtol=1e-13, atol=1e-16)
+        assert _kept(controls).shape[1] == spec.depth + 2 - (K == 1)
+        _assert_same_fit(est, *_lstsq_fit(y, _kept(controls)))
+
+
+@pytest.mark.parametrize(
+    "K,dist", [(2, "uniform"), (2, "two_point"), (2, "truncated_normal"), (3, "uniform")]
+)
+def test_jensen_control_has_mean_zero(K, dist):
+    # Q - E Q, the direct fit's quadratic control, has mean 0: E Q =
+    # lam**2 * C_J is the mean of a quarter of the population variance
+    # over the children of lam * sum_g c_g * xbar_{k,g}, for iid omegas of
+    # the dist's variance.  Generation means are redrawn per generation.
+    spec = TreeSpec(K=K, L=1.0, depth=5)
+    n = 4000
+    dm = DisorderModel(lam=0.1, dist=dist, master_seed=3)
+    reps = np.arange(n, dtype=np.uint64)[:, None]
+    means = np.stack([
+        np.stack([
+            omega_for_generation(dm, K, g, reps, (k,)).mean(axis=1) for g in range(1, spec.depth + 1)
+        ], axis=-1)
+        for k in range(K)
+    ], axis=1)
+    (controls,) = ensemble._direct_controls(spec, [dm], Z_MID, [np.zeros(n)], means[None])
+    q = controls[-1]
+    se = q.std(ddof=1) / math.sqrt(n)
+    e_q = dm.lam**2 * linear_response(Z_MID, K, 1.0, spec.depth, OMEGA_VARIANCE[dist])[1]
+    assert abs(q.mean()) <= 3.0 * se
+    # Q is far from 0 on average, so a wrong E Q would show
+    assert e_q >= 10.0 * se
+
+
+def test_direct_pass_peak_memory():
+    # the direct pass adds the generation means to the kernel's block
+    # budget: two models at depth 10 and 500 trees peak near 10 MiB, of
+    # which the reduction of each block's omegas takes about 1
+    spec = TreeSpec(K=2, L=1.0, depth=10)
+    models = [DisorderModel(lam=lam, master_seed=1) for lam in (0.05, 0.1)]
+
+    def run():
+        fluctuation_report(spec, models, Z_MID, 500)
+
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12
 
 
 def test_direct_stderr_honest_at_weak_disorder(monkeypatch):
-    # at lam = 0.05 the controls take out most of the samples' spread: the
-    # reported stderr is still the seed-to-seed spread of the estimate,
-    # and well below the plain mean's stderr on the same samples
+    # at lam = 0.05 and 0.1 the controls take out most of the samples'
+    # spread (a variance ratio near 0.004 and 0.04): the reported stderr
+    # is still the seed-to-seed spread of the estimate, and well below
+    # the plain mean's stderr on the same samples
     spec = TreeSpec(K=2, L=1.0, depth=8)
     n = 500
+    lams = (0.05, 0.1)
     fits = _recorded_fits(monkeypatch)
     ests = [
-        estimate_gamma(spec, DisorderModel(lam=0.05, master_seed=s), Z_MID, n, source="direct")
+        estimate_gamma(spec, [DisorderModel(lam=lam, master_seed=s) for lam in lams], Z_MID, n,
+                       source="direct")
         for s in range(1, 21)
     ]
-    spread = np.std([e.gamma_hat for e in ests], ddof=1)
-    se = np.median([e.stderr for e in ests])
-    plain = np.median([np.std(y, ddof=1) / math.sqrt(n) for y, _ in fits])
-    assert 0.5 * se <= spread <= 2.0 * se
-    assert se <= 0.6 * plain
+    for i, bound in enumerate((0.6, 0.35)):
+        spread = np.std([e[i].gamma_hat for e in ests], ddof=1)
+        se = np.median([e[i].stderr for e in ests])
+        plain = np.median([np.std(y, ddof=1) / math.sqrt(n) for y, _ in fits[i :: len(lams)]])
+        assert 0.5 * se <= spread <= 2.0 * se
+        assert se <= bound * plain
 
 
 def test_direct_source_needs_k_plus_3_samples(monkeypatch, tmp_path, capsys):
-    # the fit on K + 1 controls keeps a residual degree of freedom only
-    # from n = K + 3 on; fewer samples fail before any tree is solved
+    # the fit on depth + 2 controls keeps a residual degree of freedom
+    # only from n = depth + 4 on; fewer samples fail before any tree is
+    # solved
     def no_solve(*args, **kw):
         raise AssertionError("a tree was solved")
 
     monkeypatch.setattr(ensemble, "solve_root_R_batch", no_solve)
     for K in (1, 2, 3):
-        spec = TreeSpec(K=K, L=1.0, depth=3)
-        with pytest.raises(InsufficientSamplesError):
-            estimate_gamma(spec, CLEAN, Z_MID, n=K + 2, source="direct")
-        with pytest.raises(InsufficientSamplesError):
-            fluctuation_report(spec, [CLEAN], Z_MID, n=K + 2)
-    assert cli.main(["fluctuation", "--n", "4", "--set", "depth=4", "--out", str(tmp_path)]) == 1
-    assert "wtree: error:" in capsys.readouterr().err
-    assert not (tmp_path / "fluctuation.csv").exists()
+        for depth in (1, 3, 6):
+            spec = TreeSpec(K=K, L=1.0, depth=depth)
+            with pytest.raises(InsufficientSamplesError):
+                estimate_gamma(spec, CLEAN, Z_MID, n=depth + 3, source="direct")
+            with pytest.raises(InsufficientSamplesError):
+                fluctuation_report(spec, [CLEAN], Z_MID, n=depth + 3)
+    for n in ("4", "7"):
+        assert cli.main(["fluctuation", "--n", n, "--set", "depth=4", "--out", str(tmp_path)]) == 1
+        assert "wtree: error:" in capsys.readouterr().err
+        assert not (tmp_path / "fluctuation.csv").exists()
 
 
-@pytest.mark.parametrize("K,seeds", [(1, (8, 20)), (2, (16, 12)), (3, (6, 12))])
+@pytest.mark.parametrize("K,seeds", [(1, (13, 22)), (2, (23, 47)), (3, (333, 255))])
 def test_direct_fit_drops_collinear_controls(monkeypatch, K, seeds):
-    # at n = K + 3, two_point controls (every column +-1) are often
-    # collinear: the first seed of each pair gives a column that repeats
-    # or mirrors others, the second a constant one.  Each such control is
-    # dropped, in control order, and frees its degree of freedom, quietly.
+    # at n = depth + 4, two_point controls (sums of +-1) are sometimes
+    # collinear: the first seed of each pair gives a column in the span
+    # of earlier ones, the second a constant one (and for K = 1 the
+    # Jensen control is always 0).  Each such control is dropped, in
+    # control order, and frees its degree of freedom, quietly.
     spec = TreeSpec(K=K, L=1.0, depth=3)
-    n = K + 3
+    n = spec.depth + 4
     fits = _recorded_fits(monkeypatch)
     for seed in seeds:
         dm = DisorderModel(lam=0.2, dist="two_point", master_seed=seed)
@@ -774,14 +883,11 @@ def test_direct_fit_drops_collinear_controls(monkeypatch, K, seeds):
         assert math.isfinite(est.gamma_hat) and math.isfinite(est.stderr)
         assert (rep.gamma_hat, rep.gamma_stderr) == (est.gamma_hat, est.stderr)
         y, _ = fits[-1]
-        controls = _scalar_controls(dm, K, n)
-        centred = controls - controls.mean(axis=0)
-        kept = []
-        for j in range(K + 1):
-            if np.linalg.matrix_rank(centred[:, kept + [j]]) > len(kept):
-                kept.append(j)
-        assert len(kept) < K + 1
-        _assert_same_fit(est, *_lstsq_fit(y, controls[:, kept]))
+        controls = _scalar_controls(spec, dm, Z_MID, n)
+        kept = _kept(controls)
+        # a control other than the Jensen one is dropped
+        assert kept.shape[1] < spec.depth + 1 + (K > 1)
+        _assert_same_fit(est, *_lstsq_fit(y, kept))
 
 
 @settings(max_examples=40, deadline=None)

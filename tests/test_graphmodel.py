@@ -19,6 +19,7 @@ from wtree.graphmodel import (
     _TN_Z,
     DISTS,
     DOMAIN_EDGE,
+    OMEGA_VARIANCE,
     _expand_digits,
     hash_words,
     omega_for_generation,
@@ -77,6 +78,9 @@ def test_omega_moments(dist):
     # the empirical variance carries an O(1/n) bias from the squared
     # sample mean, which dominates when the fourth cumulant vanishes
     assert abs(om.var() - var) < 5 * se_var + 10.0 / n
+    # the library's table, which centres the direct fit's Jensen control
+    assert set(OMEGA_VARIANCE) == set(DISTS)
+    assert abs(om.var() - OMEGA_VARIANCE[dist]) < 5 * se_var + 10.0 / n
 
 
 def test_two_point_support():
@@ -387,4 +391,5 @@ def test_master_seed_stored_as_int():
         dm = DisorderModel(lam=0.2, master_seed=seed)
         assert type(dm.master_seed) is int and dm.master_seed == int(seed)
         assert dm == DisorderModel(lam=0.2, master_seed=int(seed))
+
 

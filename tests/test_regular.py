@@ -22,6 +22,7 @@ from wtree import (
     stationary_disk,
     vertex_merge_m,
 )
+from wtree.regular import linear_response
 from oracles import iterate_m_grid, shift_off_edge
 
 BAND0_A = 0.11548912502732907
@@ -356,3 +357,44 @@ def test_fixed_point_rejects_non_finite_points():
         for E, eta in cases:
             with pytest.raises(ValidationError):
                 fixed_point_batch(E, eta, 2, 1.0)
+
+
+def _fd_response(z, K, L, depth, h=1e-6):
+    """d log Im R / d xbar_g of a cut-seeded clean subtree, g = 1..depth, by central differences.
+
+    The scalar chain of edge_step_m and vertex_merge_m; every edge of
+    generation g takes the length L * exp(+-h), so that its mean omega
+    is +-h at lam = 1 and the tree stays symmetric.
+    """
+    w = sqrt_upper(z)
+    seed = cut_seed_disk(z, K, L)
+
+    def log_im_r(g, eps):
+        m = seed
+        for level in range(depth, 0, -1):
+            if level < depth:
+                m = vertex_merge_m([m] * K, z)
+            m = edge_step_m(m, L * math.exp(eps if level == g else 0.0), z)
+        return math.log((1j * w * (1 + m) / (1 - m)).imag)
+
+    return np.array([(log_im_r(g, h) - log_im_r(g, -h)) / (2 * h) for g in range(1, depth + 1)])
+
+
+@pytest.mark.parametrize(
+    "z,K,L,depth",
+    [(complex(2.0, 0.01), 2, 1.0, 12), (complex(5.0, 0.1), 3, 0.7, 6), (complex(1.0, 0.05), 1, 1.0, 4)],
+)
+def test_linear_response_matches_finite_differences(z, K, L, depth):
+    # the closed-form linearization against the scalar disk maps
+    var = 1.0 / 3.0
+    c, c_j = linear_response(z, K, L, depth, var)
+    fd = _fd_response(z, K, L, depth)
+    np.testing.assert_allclose(c, fd, rtol=0, atol=1e-7)
+    expect = 0.25 * (K - 1) / K * var * sum(fd[g] ** 2 / K**g for g in range(depth))
+    assert c_j == pytest.approx(expect, rel=1e-6, abs=1e-15)
+    if K == 1:
+        assert c_j == 0.0
+    if (z, K, depth) == (complex(2.0, 0.01), 2, 12):
+        # the response swings in sign and barely decays at this eta
+        assert c[:3] == pytest.approx([-0.107, 0.425, -0.693], abs=5e-4)
+        assert c_j == pytest.approx(0.017552, abs=5e-7)
