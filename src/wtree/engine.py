@@ -345,12 +345,17 @@ def _disk_to_r(m, w):
     return 1j * w * num / (1.0 - m)
 
 
-def _edge_ratio(R, w, le):
-    """Amplitude ratio psi(le) / psi(0) = cos(w*le) + R*sin(w*le)/w across an edge."""
-    wl = w * le
-    # named, as in _disk_to_r, so numpy never takes the product in place
-    sin = np.sin(wl)
-    return np.cos(wl) + R * sin / w
+def _edge_ratio(R, R_far, w, le):
+    """Amplitude ratio psi(le) / psi(0) across an edge with near- and far-end WT values R, R_far.
+
+    psi(x) is proportional to exp(i*w*x) (1 - m(x)) and 1 - m = 2i*w /
+    (R + i*w), so the ratio is exp(i*w*le) (R + i*w) / (R_far + i*w), the
+    factors whose logs ``ensemble._gamma_parts`` takes.  Unlike cos(w*le)
+    + R*sin(w*le)/w it neither cancels nor overflows at large Im(w)*le.
+    """
+    iw = 1j * w
+    # ufunc calls, so numpy never takes a product in place (see _disk_to_r)
+    return np.divide(np.multiply(np.exp(np.multiply(iw, le)), np.add(R, iw)), np.add(R_far, iw))
 
 
 def _one_tree(reps):
@@ -364,11 +369,12 @@ def _one_tree(reps):
 
 
 def _model_lengths(models, L: float, draw):
-    """Edge lengths of each of the B ``models``, stacked on a new leading axis.
+    """Edge lengths of each of the B ``models``, stacked on a new leading axis, and their omegas.
 
     ``draw(dm)`` gives the omegas of some edges; omega depends on the
     model only through ``(master_seed, dist)``, so it is drawn once per
     distinct pair, and model b takes L * exp(lam_b * omega) from it.
+    Returns ``(lengths, omegas)``, the drawn omegas keyed by that pair.
     """
     omegas = {}
     out = None
@@ -379,7 +385,7 @@ def _model_lengths(models, L: float, draw):
         if out is None:
             out = np.empty((len(models),) + omegas[key].shape)
         _lengths(omegas[key], dm.lam, L, out=out[b])
-    return out
+    return out, omegas
 
 
 def _generation_sums(omega: np.ndarray, K: int, n: int) -> np.ndarray:
@@ -428,25 +434,27 @@ _BLOCK_ELEMS = 2**18
 def _solve_subtree(spec, models, prefix, w, seed, reps, capture, sums=False):
     """Near-end disk values of the edge ``prefix``, one per model and replica.
 
-    ``w``, ``seed`` and ``reps`` have shape ``(S,)``, and the values shape
-    ``(B, S)`` for the B disorder ``models``.  A subtree of more than one
-    leaf whose edges, times B, exceed :data:`_BLOCK_ELEMS` is split into
-    its K child subtrees, so memory stays bounded at any depth (a chain,
-    K = 1, has one leaf and never splits).  Otherwise its replicas are
-    solved in blocks of ``_BLOCK_ELEMS // (B * edges)`` rows (at least
-    one), each block for all B models at once: one
-    :func:`omega_for_generation` call per distinct ``(master_seed,
+    ``w`` and ``reps`` have shape ``(S,)``, the far-end seeds at
+    generation ``spec.depth`` ``(S,)`` or ``(B, S)``, and the values
+    ``(B, S)`` for the B disorder ``models``.  A subtree of more than
+    one leaf whose edges, times B, exceed :data:`_BLOCK_ELEMS` is split:
+    its K child subtrees are solved and merged, and its top edge is
+    solved as a one-edge subtree seeded with that merge, so memory stays
+    bounded at any depth (a chain, K = 1, has one leaf and never splits).
+    Otherwise its replicas are solved in blocks of ``_BLOCK_ELEMS // (B
+    * edges)`` rows (at least one), each block for all B models at once:
+    one :func:`omega_for_generation` call per distinct ``(master_seed,
     dist)`` draws every edge of the block (of the whole call, when all
     rows carry one replica), each model sizes its edges from those
     omegas, and the ``(B, rows, edges)`` block is then solved one
-    generation at a time.  One model is the B = 1 case.  Neither splits
-    nor block sizes change a bit, so every model's values are the bits
-    it gets alone.  Returns ``(m, capture, gen)``, the capture indexed by
-    generation below ``prefix``, each entry of shape ``(B, S, K**j)``,
-    and with ``sums`` ``gen`` the :func:`_generation_sums` of the
-    omegas each block drew, shape ``(B, S, n + 1)`` (else None): a split
-    subtree adds its children's sums K at a time, which is the last step
-    of that reduction, so splits change no bit of them either.
+    generation at a time.  Neither splits nor block sizes change a bit,
+    so every model's values are the bits it gets alone.  Returns ``(m,
+    capture, gen)``, the capture indexed by generation below ``prefix``,
+    each entry of shape ``(B, S, K**j)``, and with ``sums`` ``gen`` the
+    :func:`_generation_sums` of the omegas each block drew, shape ``(B,
+    S, n + 1)`` (else None): a split subtree adds its children's sums K
+    at a time, the last step of that reduction, so splits change no bit
+    of them either.
     """
     K = spec.K
     B = len(models)
@@ -460,27 +468,16 @@ def _solve_subtree(spec, models, prefix, w, seed, reps, capture, sums=False):
             for d in range(K)
         ]
         h = _merge_terms(np.stack([m_d for m_d, _, _ in kids], axis=-1))
-        merged = _merge_sum(h[..., None, :])
-        r = _one_tree(reps[:, None])
-        top = {}
-
-        def draw(dm):
-            top[dm.master_seed, dm.dist] = omega_for_generation(dm, K, g0, r, prefix)
-            return top[dm.master_seed, dm.dist]
-
-        le = _model_lengths(models, spec.L, draw)
-        m = _pull(merged, w[:, None], le)
-        cap = None
+        top = replace(spec, depth=g0)
+        m, cap, gen = _solve_subtree(top, models, prefix, w, _merge_sum(h), reps, capture, sums)
         if capture:
             below = _joined([c for _, c, _ in kids], -1)
-            cap = BatchCapture([m] + below.m_near, [np.broadcast_to(le, m.shape)] + below.lengths)
-        gen = None
+            cap = BatchCapture(cap.m_near + below.m_near, cap.lengths + below.lengths)
         if sums:
             # the last step of _generation_sums: the K children's sums, in digit order
-            gen = np.empty((B, reps.size, n + 1))
-            gen[..., 0] = np.stack([top[dm.master_seed, dm.dist][:, 0] for dm in models])
-            _pairwise_sum(np.stack([s_d for _, _, s_d in kids], axis=-1), 0, K, out=gen[..., 1:])
-        return m[..., 0], cap, gen
+            deeper = _pairwise_sum(np.stack([s_d for _, _, s_d in kids], axis=-1), 0, K)
+            gen = np.concatenate([gen, deeper], axis=-1)
+        return m, cap, gen
 
     S = reps.size
     chunk = max(1, _BLOCK_ELEMS // (B * edges))
@@ -497,18 +494,13 @@ def _solve_subtree(spec, models, prefix, w, seed, reps, capture, sums=False):
         # every edge length of the rows ``r``, generation-major: generation
         # j (below prefix) is the slice of K**j columns that ends at ``end``;
         # and, with ``sums``, the rows' generation sums per model, reduced
-        # as soon as their omegas are drawn, while those are in cache
-        reduced = {}
-
-        def draw(dm):
-            omega = omega_for_generation(dm, K, gens, r, prefix)
-            if sums:
-                reduced[dm.master_seed, dm.dist] = _generation_sums(omega, K, n)
-            return omega
-
-        lengths = _model_lengths(models, spec.L, draw)
+        # once per distinct (master_seed, dist)
+        lengths, omegas = _model_lengths(
+            models, spec.L, lambda dm: omega_for_generation(dm, K, gens, r, prefix)
+        )
         if not sums:
             return lengths, None
+        reduced = {key: _generation_sums(omega, K, n) for key, omega in omegas.items()}
         return lengths, np.stack([reduced[dm.master_seed, dm.dist] for dm in models])
 
     # rows that all carry one replica solve one tree: it is drawn once for every block
@@ -524,7 +516,7 @@ def _solve_subtree(spec, models, prefix, w, seed, reps, capture, sums=False):
         end = lengths.shape[-1]
         rows = B * (hi - lo)
         m = b[: rows * leaves].reshape(B, hi - lo, leaves)
-        m[...] = seed[lo:hi, None]
+        m[...] = seed[..., lo:hi, None]
         cap = BatchCapture([None] * (n + 1), [None] * (n + 1))
         for j in range(n, -1, -1):
             cells = rows * K**j

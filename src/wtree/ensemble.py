@@ -90,14 +90,12 @@ def _root_edge_lengths(spec: TreeSpec, models, replicas: np.ndarray) -> tuple:
     ``(master_seed, dist)``; the omegas come as one (S,) array per model,
     shared by models of one pair.
     """
-    omegas = {}
 
     def draw(dm):
         u = uniform01(hash_words(dm.master_seed, DOMAIN_EDGE, replicas, 0))
-        omegas[dm.master_seed, dm.dist] = omega_from_uniform(dm.dist, u)
-        return omegas[dm.master_seed, dm.dist]
+        return omega_from_uniform(dm.dist, u)
 
-    lengths = _model_lengths(models, spec.L, draw)
+    lengths, omegas = _model_lengths(models, spec.L, draw)
     return lengths, [omegas[dm.master_seed, dm.dist] for dm in models]
 
 
@@ -454,33 +452,24 @@ def _auto_thin(z, K: int, L: float) -> int:
     return min(2000, max(1, math.ceil(1.5 / g0)))
 
 
-def _sample(spec, dm, p, n, term, source, burn_in, pool_size, threads=1) -> list:
-    """One sampling pass: (estimate, stderr, count) of ``term`` per disorder model.
+def _sample(spec, dm, p, n, source, burn_in, pool_size, threads=1) -> tuple:
+    """One sampling pass: ``(R, R_kids, lengths, controls)`` of every disorder model.
 
-    ``term(R, R_kids, lengths)`` maps one block of edges, their near-end
-    WT values, the near-end values of their K children (one more axis)
-    and their lengths, to per-sample terms.  "direct" gives one (B, n)
-    block, row b the root edges of model b's cut-seeded trees 0..n-1:
-    the K child subtrees of each are solved for all B models in one
-    kernel call per child (K calls in all), then merged and pulled
+    ``R`` holds the near-end WT values of the sampled edges, ``R_kids``
+    (one more axis, of length K) the near-end values of their children
+    and ``lengths`` their lengths, each with a leading model axis.
+    "direct" samples (B, n) edges, row b the root edges of model b's
+    cut-seeded trees 0..n-1: the K child subtrees of each are solved for
+    all B models in one kernel call per child, then merged and pulled
     across the root edge, whose lengths are hashed once per distinct
-    ``(master_seed, dist)``.  "pool" gives G = ceil(n / P) generations of one stacked pool,
-    :func:`_auto_thin` apart after ``burn_in``, each a (B, P) block whose
-    children are the members each member drew.
-
-    The stderr rule has a direct case and a pool case.  A direct row is
-    reported as the :func:`_control_fit` of its n iid terms on depth + 2
-    controls of mean 0 (:func:`_direct_controls`): the omega of each root
-    edge, the sum over its K children of their subtrees' omega means of
-    each generation, which carry the terms' first-order response to the
-    disorder, and the centred quadratic Jensen term; so the direct source
-    needs n >= depth + 4.  The child solves hand the generation means
-    over from the omegas they draw.  A
-    pool row is the plain mean, with the spread of the G generation means
-    over sqrt(G) as stderr, or for G = 1 that of the samples over
-    sqrt(count); controls on member edges would not shrink the spread of
-    generation means.  ``threads`` splits the direct source's tree
-    solves.  Arguments are checked before any sampling.
+    ``(master_seed, dist)``.  Its ``controls`` are each model's depth + 2
+    rows of :func:`_direct_controls`, from the root omegas and the
+    generation means the child solves hand over, so it needs n >= depth
+    + 4.  "pool" samples (B, G, P) edges, G = ceil(n / P) generations of
+    one stacked pool, :func:`_auto_thin` apart after ``burn_in``, whose
+    children are the members each member drew; its ``controls`` are
+    None.  ``threads`` splits the direct source's tree solves.
+    Arguments are checked before any sampling.
     """
     models = _as_models(dm)
     _check_count("threads", threads, 1)
@@ -511,33 +500,48 @@ def _sample(spec, dm, p, n, term, source, burn_in, pool_size, threads=1) -> list
         # the root step of the tree kernel: Kirchhoff merge, then pull
         R = _disk_to_r(_pull(_r_to_disk(kids.sum(axis=-1), w), w, lengths), w)
         means = np.stack([gen for _, gen in solves], axis=-2)
-        controls = _direct_controls(spec, models, p, root_omegas, means)
-        return [(*_control_fit(y, x), n) for y, x in zip(term(R, kids, lengths), controls)]
-    elif source == "pool":
-        _check_count("burn_in", burn_in, 0)
-        if pool_size is not None:
-            _check_count("pool_size", pool_size, 1)
-            P = min(pool_size, n)
-        else:
-            P = min(4096, n // 8) if n >= 8 else n
-        G = math.ceil(n / P)
-        thin = _auto_thin(p, spec.K, spec.L) if G >= 2 else 1
-        pool = pool_init(spec, dm, p, P)
-        for _ in range(burn_in):
-            pool_step(pool)
-        terms = np.empty((len(models), G, P))
-        for g in range(G):
-            if g:
-                for _ in range(thin - 1):
-                    pool_step(pool)
-            old = pool.values
-            child_idx, lengths = _pool_advance(pool)
-            R_kids = _disk_to_r(old.ravel()[child_idx], w)
-            terms[:, g] = term(_disk_to_r(pool.values, w), R_kids, lengths)
-    else:
+        return R, kids, lengths, _direct_controls(spec, models, p, root_omegas, means)
+    if source != "pool":
         raise ValidationError(f"unknown source {source!r}; use 'pool' or 'direct'")
+    _check_count("burn_in", burn_in, 0)
+    if pool_size is not None:
+        _check_count("pool_size", pool_size, 1)
+        P = min(pool_size, n)
+    else:
+        P = min(4096, n // 8) if n >= 8 else n
+    G = math.ceil(n / P)
+    thin = _auto_thin(p, spec.K, spec.L) if G >= 2 else 1
+    pool = pool_init(spec, dm, p, P)
+    for _ in range(burn_in):
+        pool_step(pool)
+    m = np.empty((len(models), G, P), dtype=np.complex128)
+    m_kids = np.empty(m.shape + (spec.K,), dtype=np.complex128)
+    lengths = np.empty(m.shape)
+    for g in range(G):
+        if g:
+            for _ in range(thin - 1):
+                pool_step(pool)
+        old = pool.values
+        child_idx, lengths[:, g] = _pool_advance(pool)
+        m[:, g] = pool.values
+        m_kids[:, g] = old.ravel()[child_idx]
+    return _disk_to_r(m, w), _disk_to_r(m_kids, w), lengths, None
+
+
+def _stats(y, controls) -> list:
+    """(estimate, stderr, count) of the mean of each model's samples ``y[b]``.
+
+    A direct row, with its ``controls`` from :func:`_sample`, is the
+    :func:`_control_fit` of its n iid samples on them.  A pool row, shape
+    (G, P), is the plain mean, with the spread of the G generation means
+    over sqrt(G) as stderr, or for G = 1 that of the samples over
+    sqrt(count); controls on member edges would not shrink the spread of
+    generation means.
+    """
+    if controls is not None:
+        return [(*_control_fit(y_b, x_b), y_b.size) for y_b, x_b in zip(y, controls)]
     stats = []
-    for row in terms:
+    for row in y:
         flat = row.ravel()
         if len(row) >= 2:
             stderr = row.mean(axis=-1).std(ddof=1) / math.sqrt(len(row))
@@ -621,13 +625,9 @@ def estimate_gamma(
         or ``pool_size < 1``.
     """
     p = _sampling_point(z, n, "Lyapunov estimation requires eta > 0")
-    w = sqrt_upper(p)
-
-    def term(R, R_kids, lengths):
-        current, jensen, _ = _gamma_parts(R, R_kids, lengths, w)
-        return 0.5 * (current + jensen)
-
-    stats = _sample(spec, dm, p, n, term, source, burn_in, pool_size, threads)
+    R, R_kids, lengths, controls = _sample(spec, dm, p, n, source, burn_in, pool_size, threads)
+    current, jensen, _ = _gamma_parts(R, R_kids, lengths, sqrt_upper(p))
+    stats = _stats(0.5 * (current + jensen), controls)
     estimates = [LyapunovEstimate(g, se, count, p.z, source) for g, se, count in stats]
     return estimates[0] if isinstance(dm, DisorderModel) else estimates
 
@@ -841,7 +841,7 @@ def fluctuation_report(
     population's stochastic drift, so its nominal standard error is
     optimistic.  Both are the one-generation case of the estimators'
     sampling pass, so ``gamma_hat`` and ``gamma_stderr`` are those of
-    ``estimate_gamma(..., pool_size=n)`` up to rounding.
+    ``estimate_gamma(..., pool_size=n)`` bit for bit.
 
     ``dm`` is one ``DisorderModel``, giving one report, or a non-empty
     sequence of them, giving the list of their reports at this z, equal
@@ -857,21 +857,14 @@ def fluctuation_report(
     p = _sampling_point(z, n, "fluctuation widths require eta > 0")
     models = _as_models(dm)
     _check_level(a)
-    w = sqrt_upper(p)
     K = spec.K
-    sample = {}
-
-    def term(R, R_kids, lengths):
-        current, jensen, log_ratio = _gamma_parts(R, R_kids, lengths, w)
-        sample["im_R"] = R.imag.reshape(len(models), -1)
-        sample["log_ratio_sq"] = (2.0 * log_ratio).reshape(len(models), -1)
-        return 0.5 * (current + jensen)
-
-    stats = _sample(spec, dm, p, n, term, source, burn_in, n, threads)
+    R, R_kids, lengths, controls = _sample(spec, dm, p, n, source, burn_in, n, threads)
+    current, jensen, log_ratio = _gamma_parts(R, R_kids, lengths, sqrt_upper(p))
+    stats = _stats(0.5 * (current + jensen), controls)
     reports = []
     for b, (model, (gamma, gamma_se, _)) in enumerate(zip(models, stats)):
-        d_im = quantile_width(sample["im_R"][b], a).delta
-        d_mod = _log_width(sample["log_ratio_sq"][b], a)
+        d_im = quantile_width(R[b].imag, a).delta
+        d_mod = _log_width(2.0 * log_ratio[b], a)
         gamma_hi = gamma + 3.0 * gamma_se
         bound1 = (8.0 / (a * a)) * gamma_hi
         bound2 = (512.0 * (K + 1) ** 2 / (a * a)) * gamma_hi

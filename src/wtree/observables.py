@@ -332,7 +332,9 @@ def tree_profile(
     lengths = [le[0] for le in cap.lengths]
     psi_near = [np.ones(1, dtype=np.complex128)]
     for g in range(spec.depth):
-        psi_end = psi_near[g] * _edge_ratio(R_near[g], w, lengths[g])
+        # the far end of an edge is the Kirchhoff sum of its children's near ends
+        R_far = R_near[g + 1].reshape(-1, spec.K).sum(axis=1)
+        psi_end = psi_near[g] * _edge_ratio(R_near[g], R_far, w, lengths[g])
         psi_near.append(np.repeat(psi_end, spec.K))
     return TreeProfile(
         z=p.z,
@@ -350,24 +352,23 @@ def vertex_current_mismatch(profile: TreeProfile) -> float:
 
     At each vertex the far-end current of the parent edge must equal the
     sum over children of their near-end currents; returns
-    max |J_parent - sum J_children| / J_parent.
+    max |J_parent - sum J_children| / J_parent, NaN if any term is NaN.
     """
     w = sqrt_upper(profile.z)
     worst = 0.0
     K = profile.K
     for g in range(profile.depth):
         R0 = profile.R_near[g]
-        psi0 = profile.psi_near[g]
         le = profile.lengths[g]
-        psi_end = psi0 * _edge_ratio(R0, w, le)
         # Far-end value from the parent's own disk variable, so the check
         # exercises the merge identity instead of restating it.
         m_far = _r_to_disk(R0, w) * np.exp(-2j * w * le)
         R_end = _disk_to_r(m_far, w)
+        psi_end = profile.psi_near[g] * _edge_ratio(R0, R_end, w, le)
         J_parent = np.abs(psi_end) ** 2 * R_end.imag
         J_children = (
             np.abs(profile.psi_near[g + 1]) ** 2 * profile.R_near[g + 1].imag
         ).reshape(-1, K).sum(axis=1)
         rel = np.max(np.abs(J_parent - J_children) / np.abs(J_parent))
-        worst = max(worst, float(rel))
+        worst = float(np.max([worst, rel]))  # the builtin max would drop a NaN
     return worst

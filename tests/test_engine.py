@@ -428,7 +428,7 @@ def test_shared_replica_rows_equal_one_row_solves(K, depth, monkeypatch):
 
 
 def _counted_omega(monkeypatch):
-    """The generations (int or range) of every omega draw the kernel makes."""
+    """The generation range of every omega draw the kernel makes."""
     calls = []
     omega = wtree.engine.omega_for_generation
 
@@ -494,8 +494,10 @@ def test_split_draws_once_per_block_and_split_edge(
     for capture in (False, True):
         calls.clear()
         solve_root_R_batch(spec, models, complex(2.0, 0.01), 0j, range(5), capture=capture)
-        assert sum(not isinstance(g, range) for g in calls) == split_edges
-        assert sum(isinstance(g, range) for g in calls) == blocks
+        # a split edge is solved as a one-edge subtree: a range of one
+        # generation that stops above the leaves
+        assert sum(g.stop <= depth for g in calls) == split_edges
+        assert sum(g.stop == depth + 1 for g in calls) == blocks
 
 
 def test_one_replica_rows_draw_their_tree_once(monkeypatch):
@@ -525,17 +527,6 @@ def _peak_mib(solve):
         return tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
-
-
-def test_batch_solve_peak_memory():
-    # a block holds at most _BLOCK_ELEMS elements of its (B, rows, edges)
-    # arrays (at least one row), its drawn omegas included, so this solve
-    # peaks near 11 MiB
-    z = complex(2.0, 0.01)
-    spec = TreeSpec(K=2, L=1.0, depth=12)
-    dm = DisorderModel(lam=0.1, master_seed=3)
-    args = (spec, dm, z, cut_seed_disk(z, 2, 1.0), np.arange(500, dtype=np.uint64))
-    assert _peak_mib(lambda: solve_root_R_batch(*args, addr=ROOT_EDGE.child(0))) <= 32
 
 
 def test_batch_solve_peak_memory_cache_blocks():
@@ -634,14 +625,17 @@ def test_disk_to_r_bits_do_not_depend_on_batch_size():
 
 
 def test_edge_ratio_bits_do_not_depend_on_batch_size():
-    # the same elision hazard: above 256 KiB numpy would take R * sin(w*le)
-    # in place in the sin temporary, with its operands swapped
+    # the same elision hazard: above 256 KiB numpy would take the
+    # products and the quotient in place in their temporaries
     rng = np.random.default_rng(5)
     R = rng.standard_normal(20000) + 1j * rng.random(20000)
+    R_far = rng.standard_normal(20000) + 1j * rng.random(20000)
     le = np.exp(0.2 * rng.standard_normal(20000))
     for w in (complex(np.sqrt(2.0 + 0.01j)), np.sqrt(2.0 + 1j * rng.random(20000))):
-        full = wtree.engine._edge_ratio(R, w, le)
-        part = wtree.engine._edge_ratio(R[:100], w[:100] if np.ndim(w) else w, le[:100])
+        full = wtree.engine._edge_ratio(R, R_far, w, le)
+        part = wtree.engine._edge_ratio(
+            R[:100], R_far[:100], w[:100] if np.ndim(w) else w, le[:100]
+        )
         assert full[:100].tobytes() == part.tobytes()
 
 

@@ -1,6 +1,8 @@
+import dataclasses
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -148,6 +150,58 @@ def test_vertex_current_conservation():
     dm = DisorderModel(lam=0.1, dist="uniform", master_seed=17)
     prof = tree_profile(spec, dm, z, seed_m=cut_seed_disk(z, 2, 1.0))
     assert vertex_current_mismatch(prof) < 1e-12
+
+
+def _psi_high_precision(prof):
+    """|psi| at every near end of ``prof``'s edges, solved again in 150-digit arithmetic.
+
+    The R values come from the disk recursion on the profile's own
+    lengths and cut seed; psi is then continued with cos(w*l) +
+    R*sin(w*l)/w, whose cancellation the extra digits absorb.
+    """
+    K = prof.K
+    with mpmath.workdps(150):
+        w = mpmath.sqrt(mpmath.mpc(prof.z))
+        iw = 1j * w
+        R_far = [mpmath.mpc(prof.R_far_cut)] * K**prof.depth
+        R = [None] * (prof.depth + 1)
+        for g in range(prof.depth, -1, -1):
+            phases = [mpmath.exp(2j * w * mpmath.mpf(float(l))) for l in prof.lengths[g]]
+            m_near = [ph * (r - iw) / (r + iw) for ph, r in zip(phases, R_far)]
+            R[g] = [iw * (1 + mn) / (1 - mn) for mn in m_near]
+            R_far = [sum(R[g][j * K : (j + 1) * K]) for j in range(len(R[g]) // K)]
+        psi = [[mpmath.mpf(1)]]
+        for g in range(prof.depth):
+            wl = [w * mpmath.mpf(float(l)) for l in prof.lengths[g]]
+            ends = [p * (mpmath.cos(x) + r * mpmath.sin(x) / w) for p, x, r in zip(psi[g], wl, R[g])]
+            psi.append([e for e in ends for _ in range(K)])
+        return [np.array([float(abs(p)) for p in row]) for row in psi]
+
+
+@pytest.mark.parametrize("eta", [1e3, 1e4])
+def test_tree_profile_psi_at_large_eta(eta):
+    # Im(w)*l is about 22 at eta 1e3 and 70 at eta 1e4, where cos(w*l) +
+    # R*sin(w*l)/w cancels to nothing in doubles; the disk-picture ratio
+    # keeps psi to rounding
+    z = complex(2.0, eta)
+    spec = TreeSpec(K=2, L=1.0, depth=3)
+    dm = DisorderModel(lam=0.1, master_seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        prof = tree_profile(spec, dm, z)
+    ref = _psi_high_precision(prof)
+    for got, want in zip(prof.psi_near, ref):
+        np.testing.assert_allclose(np.abs(got), want, rtol=1e-12, atol=0)
+
+
+def test_vertex_current_mismatch_propagates_nan():
+    z = complex(2.0, 0.05)
+    spec = TreeSpec(K=2, L=1.0, depth=3)
+    prof = tree_profile(spec, DisorderModel(lam=0.1, master_seed=1), z)
+    assert vertex_current_mismatch(prof) < 1e-12
+    psi = [a.copy() for a in prof.psi_near]
+    psi[-1][0] = math.nan
+    assert math.isnan(vertex_current_mismatch(dataclasses.replace(prof, psi_near=psi)))
 
 
 def test_tree_profile_shapes_and_root():
