@@ -103,7 +103,8 @@ def _coerce(dotted: str, default, val):
         if not isinstance(val, bool):
             raise ValidationError(f"configuration key {dotted!r} must be a boolean")
         return val
-    if isinstance(default, float) and isinstance(val, int):
+    # a JSON number, not a bool, which isinstance would count as an int
+    if isinstance(default, float) and type(val) in (int, float):
         return float(val)
     if isinstance(default, int) and isinstance(val, float) and val.is_integer():
         return int(val)
@@ -113,10 +114,9 @@ def _coerce(dotted: str, default, val):
         if not val:
             # every list is a grid of points, and an empty grid has no output
             raise ValidationError(f"configuration key {dotted!r} must list at least one number")
-        try:
-            return [float(v) for v in val]
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"configuration key {dotted!r} must list numbers") from exc
+        if not all(type(v) in (int, float) for v in val):
+            raise ValidationError(f"configuration key {dotted!r} must list numbers")
+        return [float(v) for v in val]
     if type(default) is not type(val):
         raise ValidationError(
             f"configuration key {dotted!r} expects {type(default).__name__}, "

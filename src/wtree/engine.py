@@ -46,6 +46,7 @@ from .graphmodel import (
     _check_count,
     _check_model,
     _check_word,
+    _lengths,
     omega_for_generation,
 )
 
@@ -68,11 +69,6 @@ __all__ = [
     "VISIT_BUDGET",
     "DEFAULT_ETA_LADDER",
 ]
-
-#: WT values live in the closed upper half plane (units 1/length).
-WtValue = complex
-#: Disk transforms satisfy |m| <= 1.
-DiskValue = complex
 
 #: Distinguished value signalling an infinite WT function (a Dirichlet-type pole).
 WT_INFINITY = complex(math.inf, 0.0)
@@ -143,8 +139,10 @@ def sqrt_upper(z) -> complex:
 
 
 def m_from_r(R: complex, z) -> complex:
-    """Unit-disk transform m = (R - i*w) / (R + i*w), w = sqrt_upper(z)."""
+    """Unit-disk transform m = (R - i*w) / (R + i*w), w = sqrt_upper(z); WT_INFINITY maps to 1."""
     w = sqrt_upper(z)
+    if R == WT_INFINITY:
+        return complex(1.0, 0.0)
     if R + 1j * w == 0:
         raise SingularTransformError("m transform evaluated at its pole R = -i*sqrt(z)")
     return _r_to_disk(R, w)
@@ -306,14 +304,6 @@ def _merge_sum(h: np.ndarray, out=None, den=None) -> np.ndarray:
     zeta -= 1.0
     zeta /= den
     return zeta.reshape(h.shape[:-1])
-
-
-def _lengths(omega, lam: float, L: float, out=None):
-    """Edge lengths L * exp(lam * omega), written to ``out``, by default in place in ``omega``."""
-    out = np.multiply(omega, lam, out=omega if out is None else out)
-    np.exp(out, out=out)
-    out *= L
-    return out
 
 
 def _phase(w, le, out=None):

@@ -22,7 +22,6 @@ import numpy as np
 
 from .engine import (
     _disk_to_r,
-    _lengths,
     _merge_sum,
     _model_lengths,
     _merge_terms,
@@ -53,6 +52,7 @@ from .graphmodel import (
     _check_model,
     _expand_digits,
     _is_int,
+    _lengths,
     hash_words,
     omega_from_uniform,
     uniform01,
@@ -434,11 +434,14 @@ def _gamma_parts(R, R_kids, lengths, w: complex):
     cos(wl) or sin(wl) and cannot overflow.
     """
     R_far = R_kids.sum(axis=-1)
-    im_kids = R_kids.imag
     log_ratio = np.log(np.abs(R + 1j * w)) - np.log(np.abs(R_far + 1j * w)) - w.imag * lengths
     current = np.log(R.imag) - 2.0 * log_ratio - np.log(R_far.imag)
-    jensen = np.log(im_kids.mean(axis=-1)) - np.log(im_kids).mean(axis=-1)
-    return current, jensen, log_ratio
+    return current, _jensen_gap(R_kids.imag), log_ratio
+
+
+def _jensen_gap(x):
+    """Jensen gap log mean - mean log of positive ``x`` over its last axis, >= 0 up to rounding."""
+    return np.log(x.mean(axis=-1)) - np.log(x).mean(axis=-1)
 
 
 def _auto_thin(z, K: int, L: float) -> int:
@@ -717,61 +720,51 @@ class JensenReport:
     passed: bool
 
 
-def check_jensen(
-    samples,
-    K: int,
-    a: float,
-    method: str = "resample",
-    n_trials: int = None,
-    seed: int = 0,
-) -> JensenReport:
+def check_jensen(samples, K: int, a: float, method: str = "paired") -> JensenReport:
     """Test E log(K-mean of X) >= E log X + (a^2/4) delta(X, a)^2.
 
     Parameters
     ----------
     samples : array_like
-        Positive iid draws of X.
+        Positive iid draws of X, in draw order ("paired" groups
+        neighbours, so a sorted input would pair near-equal draws).
     method : str
-        "resample" Monte Carlo with ``n_trials`` K-tuples (default n,
-        else >= 2); "enumerate" averages over all n**K ordered tuples
-        exactly (n**K capped).
+        "paired" takes the Jensen gap of :func:`_gamma_parts` on each of
+        t = n // K >= 2 disjoint K-tuples, in order; ``e_log`` is the mean
+        log of the t*K samples used, ``lhs`` that plus the mean gap, and
+        the stderr that of the gaps.  "enumerate" averages over all n**K
+        ordered tuples exactly (n**K capped).
     """
     x = np.asarray(samples, dtype=float).ravel()
     n = x.size
     _check_count("K", K, 1)
-    if n_trials is not None:
-        _check_count("n_trials", n_trials, 2)
-    if n < 2:
-        raise InsufficientSamplesError("need at least 2 samples")
+    if method not in ("paired", "enumerate"):
+        raise ValidationError(f"unknown method {method!r}; use 'paired' or 'enumerate'")
+    need = 2 * K if method == "paired" else 2
+    if n < need:
+        raise InsufficientSamplesError(f"the {method} method needs {need} samples, got {n}")
     if not np.all(np.isfinite(x)) or np.min(x) <= 0.0:
         raise ValidationError("samples must be finite and positive")
 
-    logs = np.log(x)
-    e_log = float(logs.mean())
-    se_elog = float(logs.std(ddof=1) / math.sqrt(n))
     width = quantile_width(x, a)
     width_term = (a * a / 4.0) * width.delta * width.delta
-
-    if method == "enumerate":
+    if method == "paired":
+        used = x[: n // K * K]
+        gaps = _jensen_gap(used.reshape(-1, K))
+        e_log = float(np.log(used).mean())
+        lhs = e_log + float(gaps.mean())
+        stderr = float(gaps.std(ddof=1) / math.sqrt(gaps.size))
+    else:
         if n**K > 2**24:
             raise BudgetExceededError(f"enumeration over {n}**{K} tuples exceeds the cap")
         acc = x.copy()
         for _ in range(K - 1):
             acc = acc[..., None] + x
-        lhs_vals = np.log(acc / K).ravel()
-        lhs = float(lhs_vals.mean())
-        se_lhs = 0.0
-    elif method == "resample":
-        draws = n if n_trials is None else n_trials
-        rng = np.random.default_rng(seed)
-        idx = rng.integers(0, n, size=(draws, K))
-        lhs_vals = np.log(x[idx].mean(axis=1))
-        lhs = float(lhs_vals.mean())
-        se_lhs = float(lhs_vals.std(ddof=1) / math.sqrt(draws))
-    else:
-        raise ValidationError(f"unknown method {method!r}; use 'resample' or 'enumerate'")
+        logs = np.log(x)
+        e_log = float(logs.mean())
+        lhs = float(np.log(acc / K).mean())
+        stderr = float(logs.std(ddof=1) / math.sqrt(n))
 
-    stderr = math.sqrt(se_lhs * se_lhs + se_elog * se_elog)
     rhs = e_log + width_term
     slack = lhs - rhs
     return JensenReport(

@@ -277,6 +277,14 @@ class DisorderModel:
         object.__setattr__(self, "master_seed", int(self.master_seed))
 
 
+def _lengths(omega, lam: float, L: float, out=None):
+    """Edge lengths L * exp(lam * omega), written to ``out``, by default in place in ``omega``."""
+    out = np.multiply(omega, lam, out=omega if out is None else out)
+    np.exp(out, out=out)
+    out *= L
+    return out
+
+
 def _check_model(dm) -> None:
     """Reject anything but one ``DisorderModel`` (the one-model entry points)."""
     if not isinstance(dm, DisorderModel):
@@ -432,7 +440,7 @@ def omega_for_generation(dm: DisorderModel, K: int, g, replicas, prefix=()) -> n
 
 
 def edge_length(spec: TreeSpec, dm: DisorderModel, addr: EdgeAddress, replica: int = 0) -> float:
-    """Random length of one edge, L * exp(lam * omega(addr, replica)).
+    """Random length L * exp(lam * omega(addr, replica)) of one edge, with the tree kernel's bits.
 
     Repeated calls with identical inputs return bit-identical values;
     ``lam = 0`` returns ``L`` exactly.
@@ -453,4 +461,4 @@ def edge_length(spec: TreeSpec, dm: DisorderModel, addr: EdgeAddress, replica: i
     """
     _check_address(spec, addr)
     omega = resample_omega(dm, addr, replica)
-    return spec.L * math.exp(dm.lam * omega)
+    return float(_lengths(np.array([omega]), dm.lam, spec.L)[0])

@@ -72,6 +72,11 @@ def test_config_rejections(tmp_path):
         {"K": "two"},
         {"depth": True},
         {"density": {"extrapolate": 1}},
+        # only JSON numbers size a float leaf or a list entry
+        {"L": True},
+        {"disorder": {"lambda": True}},
+        {"lyapunov": {"etas": [True]}},
+        {"lyapunov": {"etas": ["0.1"]}},
     ):
         p = tmp_path / "r.json"
         p.write_text(json.dumps(payload))

@@ -89,6 +89,9 @@ def test_disk_transform_poles():
         m_from_r(-1j * w, z)
     with pytest.raises(SingularTransformError):
         r_from_m(complex(1.0, 0.0), z)
+    # the Dirichlet pole R = infinity is the disk point m = 1
+    for zz in (z, complex(-1.0, 3.0), HalfPlanePoint(E=2.0)):
+        assert m_from_r(WT_INFINITY, zz) == complex(1.0, 0.0)
 
 
 def test_edge_step_m_contraction_and_semigroup():
@@ -334,7 +337,7 @@ def test_batch_capture_consistent_with_addresses():
         for i in range(2**g):
             path = [(i >> (g - 1 - j)) & 1 for j in range(g)]
             le = edge_length(spec, dm, EdgeAddress(path), replica=3)
-            assert abs(cap.lengths[g][0, i] - le) < 1e-15
+            assert cap.lengths[g][0, i] == le
     root_r = r_from_m(complex(cap.m_near[0][0, 0]), z)
     assert abs(root_r - R[0]) < 1e-12
 
@@ -387,6 +390,21 @@ def _addresses(K, g):
     return [a + (d,) for a in _addresses(K, g - 1) for d in range(K)]
 
 
+def test_edge_length_is_the_kernel_length():
+    # edge_length sizes an edge through the kernel's own length map, so it
+    # describes the tree the kernel solves to the last bit
+    spec = TreeSpec(K=3, L=1.3, depth=5)
+    z = complex(2.0, 0.1)
+    for dist in ("uniform", "two_point", "truncated_normal"):
+        for lam in (0.1, 0.3, 1.0):
+            dm = DisorderModel(lam=lam, dist=dist, master_seed=4)
+            _, cap = solve_root_R_batch(spec, dm, z, replicas=[0, 7], capture=True)
+            for g in range(spec.depth + 1):
+                for row, replica in enumerate((0, 7)):
+                    expect = [edge_length(spec, dm, EdgeAddress(a), replica) for a in _addresses(K=3, g=g)]
+                    assert cap.lengths[g][row].tolist() == expect
+
+
 @pytest.mark.parametrize("K,depth", ORACLE_TREES)
 def test_shared_replica_rows_equal_one_row_solves(K, depth, monkeypatch):
     # rows that share one replica draw that tree once per generation; each
@@ -422,9 +440,8 @@ def test_shared_replica_rows_equal_one_row_solves(K, depth, monkeypatch):
                 assert cap.lengths[g][i].tobytes() == cap_1.lengths[g][0].tobytes()
         for g in range(depth + 1):
             assert cap.lengths[g].shape == cap.m_near[g].shape == (zs.size, K**g)
-            # edge_length's scalar exp may differ from numpy's in the last bit
             expect = [edge_length(spec, dm, EdgeAddress(a), replica) for a in _addresses(K, g)]
-            assert np.allclose(cap.lengths[g], expect, rtol=1e-15, atol=0.0)
+            assert np.array_equal(cap.lengths[g], np.broadcast_to(expect, cap.lengths[g].shape))
 
 
 def _counted_omega(monkeypatch):

@@ -1023,7 +1023,7 @@ def test_quantile_width_validation():
 
 def test_jensen_constant_equality():
     x = np.full(50, 2.5)
-    for method in ("resample", "enumerate"):
+    for method in ("paired", "enumerate"):
         rep = check_jensen(x, K=2, a=0.25, method=method)
         assert abs(rep.lhs - rep.e_log) < 1e-12
         assert rep.width_term == 0.0
@@ -1053,7 +1053,7 @@ def test_jensen_lognormal_resample():
     x = np.exp(0.5 * rng.standard_normal(100_000))
     for K in (2, 3):
         for a in (0.125, 0.25, 0.5):
-            rep = check_jensen(x, K=K, a=a, method="resample", n_trials=100_000, seed=11)
+            rep = check_jensen(x, K=K, a=a, method="paired")
             assert rep.passed
             assert rep.slack >= -3.0 * rep.stderr
 
@@ -1062,9 +1062,25 @@ def test_jensen_methods_agree():
     rng = np.random.default_rng(21)
     x = np.exp(0.4 * rng.standard_normal(300))
     en = check_jensen(x, K=2, a=0.25, method="enumerate")
-    re = check_jensen(x, K=2, a=0.25, method="resample", n_trials=200_000, seed=5)
-    assert abs(en.lhs - re.lhs) <= 4.0 * re.stderr
-    assert en.width_term == re.width_term
+    pa = check_jensen(x, K=2, a=0.25, method="paired")
+    assert abs((en.lhs - en.e_log) - (pa.lhs - pa.e_log)) <= 4.0 * pa.stderr
+    assert en.width_term == pa.width_term
+
+
+@pytest.mark.parametrize("K", [2, 3])
+def test_jensen_paired_reads_the_estimator_gap(K):
+    # each root edge's K children are one tuple, so lhs is e_log plus the
+    # mean Jensen part of the Lyapunov samples, bit for bit
+    spec = TreeSpec(K=K, L=1.0, depth=4)
+    models = [DisorderModel(lam=lam, master_seed=3) for lam in (0.1, 0.5)]
+    p = as_point(complex(2.0, 0.05))
+    R, R_kids, lengths, _ = ensemble._sample(spec, models, p, 64, "direct", 0, None)
+    _, jensen, _ = ensemble._gamma_parts(R, R_kids, lengths, sqrt_upper(p))
+    for b in range(len(models)):
+        rep = check_jensen(R_kids[b].imag.ravel(), K, 0.25)
+        gap = float(jensen[b].mean())
+        assert gap > 0.0
+        assert rep.lhs == rep.e_log + gap
 
 
 def test_jensen_budget_and_validation():
@@ -1080,13 +1096,17 @@ def test_jensen_budget_and_validation():
         check_jensen(np.array([1.0, -2.0]), K=2, a=0.25)
 
 
-@pytest.mark.parametrize("n_trials", [1, 0, -3])
-def test_jensen_trial_count_validated(n_trials):
-    x = np.exp(np.random.default_rng(2).standard_normal(30))
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_jensen_paired_needs_two_tuples(K):
+    x = np.exp(np.random.default_rng(2).standard_normal(2 * K))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValidationError):
-            check_jensen(x, K=2, a=0.25, n_trials=n_trials)
+        with pytest.raises(InsufficientSamplesError):
+            check_jensen(x[: 2 * K - 1], K=K, a=0.25)
+        rep = check_jensen(x, K=K, a=0.25)
+    # the two tuples are x[:K] and x[K:], taken in order
+    gaps = [math.log(y.mean()) - float(np.log(y).mean()) for y in (x[:K], x[K:])]
+    assert math.isclose(rep.lhs - rep.e_log, sum(gaps) / 2, rel_tol=1e-12, abs_tol=1e-15)
 
 
 def test_fluctuation_clean_widths_vanish():
@@ -1276,7 +1296,7 @@ def test_pool_init_validates_size():
 
 def test_jensen_counts_validated():
     x = np.exp(np.random.default_rng(2).standard_normal(30))
-    for kw in (dict(K=1.5), dict(K=True), dict(K=2, n_trials=2.5), dict(K=2, n_trials=True)):
+    for kw in (dict(K=1.5), dict(K=True)):
         with pytest.raises(ValidationError):
             check_jensen(x, a=0.25, **kw)
 
