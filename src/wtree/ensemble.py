@@ -42,6 +42,7 @@ from .graphmodel import (
     DOMAIN_EDGE,
     DOMAIN_POOL_CHILD,
     DOMAIN_POOL_LENGTH,
+    DOMAIN_POOL_REPLICA,
     DOMAIN_SCAN_ENERGY,
     OMEGA_VARIANCE,
     ROOT_EDGE,
@@ -297,12 +298,13 @@ def _pool_draws(pool: SamplePool, g0: int) -> _PoolDraws:
     """Hash the pool's draws for the block of generations starting at ``g0``.
 
     Each row's words are those of a single generation of its own pool,
-    (seed, domain, generation, member[, slot]), with the generation as an
-    array word, so every row equals what hashing its generation alone
-    gives; the slot word is a K-digit expansion of the member states.
-    Rows with the same master seed share the hashed words.  Every length
-    of a lam = 0 row is exactly L (0 * omega is +-0 and exp(+-0) = 1), so
-    such a row takes L and the one phase exp(2i*w*L) without drawing.
+    (seed, domain, generation, member[, slot]), hashed for every distinct
+    seed in one chain with the seeds and generations as array words, so
+    every row equals what hashing its generation alone gives; the slot
+    word is a K-digit expansion of the member states.  Each distribution
+    sizes and phases all its rows at once, with a column of their lams.
+    Every length of a lam = 0 row is exactly L (0 * omega is +-0 and
+    exp(+-0) = 1), so those rows take L and one phase exp(2i*w*L).
     """
     models = _as_models(pool.dm)
     B = len(models)
@@ -311,26 +313,34 @@ def _pool_draws(pool: SamplePool, g0: int) -> _PoolDraws:
     L = pool.spec.L
     w = sqrt_upper(as_point(pool.z))
     T = max(1, _POOL_BLOCK_WORDS // (pool.size * K))
-    gens = np.arange(g0, g0 + T, dtype=np.uint64).reshape(T, 1)
+    column = {}
+    of_row = [column.setdefault(dm.master_seed, len(column)) for dm in models]
+    seeds = np.array(list(column), dtype=np.uint64).reshape(1, -1, 1)
+    gens = np.arange(g0, g0 + T, dtype=np.uint64).reshape(T, 1, 1)
     members = np.arange(P, dtype=np.uint64)
-    child_idx = np.empty((T, B, P, K), dtype=np.int64)
+    slots = _expand_digits(hash_words(seeds, DOMAIN_POOL_CHILD, gens, members), K)
+    # slots % P, through numpy's much faster division by a scalar
+    slots -= slots // np.uint64(P) * np.uint64(P)
+    child_idx = slots.view(np.int64)
+    u = uniform01(hash_words(seeds, DOMAIN_POOL_LENGTH, gens, members))
+    if len(column) < B:
+        child_idx, u = child_idx[:, of_row], u[:, of_row]
+    # row b's slots are offset by b*P into values.ravel()
+    child_idx += (np.arange(B) * P).reshape(B, 1, 1)
     lengths = np.empty((T, B, P))
     phases = np.empty((T, B, P), dtype=np.complex128)
-    hashed = {}
+    by_dist = {}
     for b, dm in enumerate(models):
-        seed = dm.master_seed
-        if seed not in hashed:
-            h = _expand_digits(hash_words(seed, DOMAIN_POOL_CHILD, gens, members), K)
-            u = uniform01(hash_words(seed, DOMAIN_POOL_LENGTH, gens, members))
-            hashed[seed] = ((h % np.uint64(P)).astype(np.int64), u)
-        row_idx, u = hashed[seed]
-        np.add(row_idx, b * P, out=child_idx[:, b])
-        if dm.lam == 0.0:
-            lengths[:, b] = L
-            phases[:, b] = _phase(w, lengths[0, b, :1])
+        by_dist.setdefault(dm.dist if dm.lam else None, []).append(b)
+    for dist, rows in by_dist.items():
+        sel = rows if len(rows) < B else slice(None)
+        if dist is None:
+            lengths[:, sel] = L
+            phases[:, sel] = _phase(w, lengths[0, rows[0], :1])
         else:
-            _lengths(omega_from_uniform(dm.dist, u), dm.lam, L, out=lengths[:, b])
-            _phase(w, lengths[:, b], out=phases[:, b])
+            lam = np.array([models[b].lam for b in rows]).reshape(-1, 1)
+            lengths[:, sel] = _lengths(omega_from_uniform(dist, u[:, sel]), lam, L)
+            phases[:, sel] = _phase(w, lengths[:, sel])
     shape = (T,) + pool.values.shape
     child_idx = child_idx.reshape(shape + (K,))
     lengths = lengths.reshape(shape)
@@ -444,12 +454,12 @@ def _jensen_gap(x):
     return np.log(x.mean(axis=-1)) - np.log(x).mean(axis=-1)
 
 
-def _auto_thin(z, K: int, L: float) -> int:
-    """Generations between pool collections: a few relaxation times.
+def _auto_burn_in(z, K: int, L: float) -> int:
+    """The fewest generations a pool steps before it is collected.
 
     The pooled recursion forgets its state at the clean rate 2*gamma0
-    per generation, so generation means decorrelate only beyond
-    ~1/(2*gamma0) steps.
+    per generation: 1.5/gamma0 generations are three relaxation times
+    1/(2*gamma0), capped at 2000 (1.5 of them at E 2, eta 1e-3).
     """
     g0 = max(gamma_clean(as_point(z).z, K, L), 1e-4)
     return min(2000, max(1, math.ceil(1.5 / g0)))
@@ -468,11 +478,15 @@ def _sample(spec, dm, p, n, source, burn_in, pool_size, threads=1) -> tuple:
     ``(master_seed, dist)``.  Its ``controls`` are each model's depth + 2
     rows of :func:`_direct_controls`, from the root omegas and the
     generation means the child solves hand over, so it needs n >= depth
-    + 4.  "pool" samples (B, G, P) edges, G = ceil(n / P) generations of
-    one stacked pool, :func:`_auto_thin` apart after ``burn_in``, whose
-    children are the members each member drew; its ``controls`` are
-    None.  ``threads`` splits the direct source's tree solves.
-    Arguments are checked before any sampling.
+    + 4.  "pool" samples (B, R, P) edges: R = ceil(n / P) >= 2 independent
+    pools per model, rows of one stacked pool, pool 0 the model's own and
+    pool r its replica of master seed hash_words(master_seed,
+    DOMAIN_POOL_REPLICA, r), step max(burn_in, :func:`_auto_burn_in`)
+    generations and collect the next, with the members each member drew
+    as children.  A lam = 0 row is the clean stationary value at every
+    member and child, length L, unsampled.  Pool ``controls`` are None.
+    ``threads`` splits the direct source's tree solves.  Arguments are
+    checked before any sampling.
     """
     models = _as_models(dm)
     _check_count("threads", threads, 1)
@@ -507,27 +521,31 @@ def _sample(spec, dm, p, n, source, burn_in, pool_size, threads=1) -> tuple:
     if source != "pool":
         raise ValidationError(f"unknown source {source!r}; use 'pool' or 'direct'")
     _check_count("burn_in", burn_in, 0)
-    if pool_size is not None:
-        _check_count("pool_size", pool_size, 1)
-        P = min(pool_size, n)
-    else:
-        P = min(4096, n // 8) if n >= 8 else n
-    G = math.ceil(n / P)
-    thin = _auto_thin(p, spec.K, spec.L) if G >= 2 else 1
-    pool = pool_init(spec, dm, p, P)
-    for _ in range(burn_in):
-        pool_step(pool)
-    m = np.empty((len(models), G, P), dtype=np.complex128)
-    m_kids = np.empty(m.shape + (spec.K,), dtype=np.complex128)
-    lengths = np.empty(m.shape)
-    for g in range(G):
-        if g:
-            for _ in range(thin - 1):
-                pool_step(pool)
+    if pool_size is None:
+        pool_size = min(4096, n // 8) or n
+    _check_count("pool_size", pool_size, 1)
+    P = min(pool_size, n // 2)
+    pools = math.ceil(n / P)
+    K, L = spec.K, spec.L
+    m = np.full((len(models), pools, P), stationary_disk(p, K, L), dtype=np.complex128)
+    m_kids = np.repeat(m[..., None], K, axis=-1)
+    lengths = np.full(m.shape, L)
+    rows = [b for b, dm in enumerate(models) if dm.lam != 0.0]
+    if rows:
+        seeds = np.array([models[b].master_seed for b in rows], dtype=np.uint64)
+        replica = np.arange(1, pools, dtype=np.uint64)
+        more = hash_words(seeds[:, None], DOMAIN_POOL_REPLICA, replica)
+        replicas = []
+        for b, row in zip(rows, more):
+            replicas += [models[b], *(replace(models[b], master_seed=int(s)) for s in row)]
+        pool = pool_init(spec, replicas, p, P)
+        for _ in range(max(burn_in, _auto_burn_in(p, K, L))):
+            pool_step(pool)
         old = pool.values
-        child_idx, lengths[:, g] = _pool_advance(pool)
-        m[:, g] = pool.values
-        m_kids[:, g] = old.ravel()[child_idx]
+        child_idx, le = _pool_advance(pool)
+        m[rows] = pool.values.reshape(-1, pools, P)
+        m_kids[rows] = old.ravel()[child_idx].reshape(-1, pools, P, K)
+        lengths[rows] = le.reshape(-1, pools, P)
     return _disk_to_r(m, w), _disk_to_r(m_kids, w), lengths, None
 
 
@@ -536,21 +554,17 @@ def _stats(y, controls) -> list:
 
     A direct row, with its ``controls`` from :func:`_sample`, is the
     :func:`_control_fit` of its n iid samples on them.  A pool row, shape
-    (G, P), is the plain mean, with the spread of the G generation means
-    over sqrt(G) as stderr, or for G = 1 that of the samples over
-    sqrt(count); controls on member edges would not shrink the spread of
-    generation means.
+    (R, P), is the plain mean, with the spread of its R independent pool
+    means over sqrt(R) as stderr; they are taken about the first, so
+    equal means (a lam = 0 row) give exactly 0.
     """
     if controls is not None:
         return [(*_control_fit(y_b, x_b), y_b.size) for y_b, x_b in zip(y, controls)]
     stats = []
     for row in y:
-        flat = row.ravel()
-        if len(row) >= 2:
-            stderr = row.mean(axis=-1).std(ddof=1) / math.sqrt(len(row))
-        else:
-            stderr = flat.std(ddof=1) / math.sqrt(flat.size)
-        stats.append((float(flat.mean()), float(stderr), flat.size))
+        means = row.mean(axis=-1)
+        stderr = (means - means[0]).std(ddof=1) / math.sqrt(len(row))
+        stats.append((float(row.ravel().mean()), float(stderr), row.size))
     return stats
 
 
@@ -600,16 +614,20 @@ def estimate_gamma(
         does not count; against a relaxed pool it was within about
         three combined standard errors from depth 6 on and about twenty
         below at depth 4 (docs/derivations section 5).
-        "pool" collects whole generations of a burnt-in pool, spaced a
-        few relaxation times 1/(2*gamma0) of the clean contraction apart;
-        members of one generation share the population's stochastic
-        drift, so the standard error comes from the spread of the
-        per-generation means, not the member spread.
+        "pool" collects one generation of R = ceil(n / P) independent
+        burnt-in pools of P members; members of one pool share its
+        stochastic drift, so the standard error is the spread of the R
+        pool means over sqrt(R), not the member spread.  A lam = 0 model
+        is not sampled: its estimate is gamma0 to rounding, with
+        stderr 0.
     burn_in : int
         Pool generations discarded before collecting (pool source), >= 0.
+        It is a floor: the pools step at least three relaxation times
+        1/(2*gamma0) of the clean contraction, capped at 2000
+        generations.
     pool_size : int
-        Pool population, >= 1; defaults to about n/8, capped at 4096, so
-        that several generations contribute.
+        Pool population P, >= 1; defaults to about n/8, capped at 4096.
+        P is at most n // 2, so that at least two pools contribute.
     threads : int
         Worker threads of the direct source's tree solves, >= 1; the
         estimate is the same at any thread count.
@@ -828,13 +846,14 @@ def fluctuation_report(
     widths, and reports the Lyapunov estimate as the control-variate fit
     of :func:`estimate_gamma` on the root omegas, the children's
     generation means and the centred Jensen term, with the fit's
-    residual spread as its standard error.  The
-    "pool" source takes one generation of a burnt-in pool of size n
-    instead and reports the plain mean; its members share the
-    population's stochastic drift, so its nominal standard error is
-    optimistic.  Both are the one-generation case of the estimators'
-    sampling pass, so ``gamma_hat`` and ``gamma_stderr`` are those of
-    ``estimate_gamma(..., pool_size=n)`` bit for bit.
+    residual spread as its standard error.  The "pool" source takes one
+    generation of independent burnt-in pools instead, with the pool size
+    rule of :func:`estimate_gamma` (P <= n // 2, so at least two pools,
+    and ``burn_in`` a floor under a few relaxation times), and reports
+    the plain mean with the spread of the pool means as its standard
+    error.  Both run the estimators' sampling pass, so ``gamma_hat`` and
+    ``gamma_stderr`` are those of ``estimate_gamma`` at the default
+    ``pool_size`` bit for bit.
 
     ``dm`` is one ``DisorderModel``, giving one report, or a non-empty
     sequence of them, giving the list of their reports at this z, equal
@@ -851,7 +870,7 @@ def fluctuation_report(
     models = _as_models(dm)
     _check_level(a)
     K = spec.K
-    R, R_kids, lengths, controls = _sample(spec, dm, p, n, source, burn_in, n, threads)
+    R, R_kids, lengths, controls = _sample(spec, dm, p, n, source, burn_in, None, threads)
     current, jensen, log_ratio = _gamma_parts(R, R_kids, lengths, sqrt_upper(p))
     stats = _stats(0.5 * (current + jensen), controls)
     reports = []

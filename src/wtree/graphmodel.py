@@ -42,6 +42,7 @@ _MIX2 = 0x94D049BB133111EB
 DOMAIN_EDGE = 0xD1B54A32D192ED03
 DOMAIN_POOL_CHILD = 0x8CB92BA72F3D8DD7
 DOMAIN_POOL_LENGTH = 0xEB44ACCAB455D165
+DOMAIN_POOL_REPLICA = 0xA0761D6478BD642F
 DOMAIN_SCAN_ENERGY = 0x2545F4914F6CDD1D
 
 # Standard normal truncated to [-1, 1], drawn by inverting its CDF on
@@ -121,7 +122,7 @@ def _expand_digits(h: np.ndarray, K: int) -> np.ndarray:
     return _mix_np(out)
 
 
-def hash_words(seed: int, *words) -> "int | np.ndarray":
+def hash_words(seed: "int | np.ndarray", *words) -> "int | np.ndarray":
     """Chained counter hash of 64-bit words.
 
     Scalar ints chain in pure python; the first ``numpy`` array switches
@@ -133,8 +134,9 @@ def hash_words(seed: int, *words) -> "int | np.ndarray":
 
     Parameters
     ----------
-    seed : int
-        Master seed, any 64-bit integer.
+    seed : int or np.ndarray of uint64
+        Master seed, any 64-bit integer; an array of them starts the
+        vectorized chain and broadcasts like the words.
     *words : int or np.ndarray of uint64
         Stream coordinates (domain tag, replica, address digits, ...).
 
@@ -143,7 +145,11 @@ def hash_words(seed: int, *words) -> "int | np.ndarray":
     int or np.ndarray
         Uniformly mixed 64-bit state, one value per broadcast element.
     """
-    h = _mix((int(seed) ^ _GOLD) & _MASK64)
+    if isinstance(seed, np.ndarray):
+        # mix(_GOLD ^ seed) is the chain's first state, so the seeds enter as a word
+        h, words = _GOLD, (seed, *words)
+    else:
+        h = _mix((int(seed) ^ _GOLD) & _MASK64)
     i = 0
     n = len(words)
     while i < n and not isinstance(words[i], np.ndarray):

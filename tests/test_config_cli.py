@@ -585,11 +585,11 @@ _PINNED_CSVS = [
      "1cd5d5e5bf5fed2886eb74bf09c5ac3edd21b0cbc8cad4cfe20c8cf86c0187d3"),
     ("lyapunov", ["--set", "depth=4", "--n", "96", "--set", "lyapunov.burn_in=10",
                   "--set", "lyapunov.etas=[0.1]", "--set", "lyapunov.lambdas=[0,0.2]"],
-     "4374bbb67137d29c529b91d9c2bebbe182d8df57b520c18a5da3109a55929b09"),
-    # 1024 members, 16 generations per block of pool draws, 291 generations
+     "c8334cdeaa76fb6869ff1be24d5f397a0b0895d66be3192f0f15df7d12ca40fb"),
+    # 8 pools of 1024 members, 2 generations per block of pool draws
     ("lyapunov", ["--set", "depth=4", "--n", "8192", "--set", "lyapunov.burn_in=10",
                   "--set", "lyapunov.etas=[0.1]", "--set", "lyapunov.lambdas=[0,0.2]"],
-     "1535852df045d1c983e7e02b6891d2a22ffbac54fe4b758698f846fdb5b49a37"),
+     "321ac889944ad61ca34706b638322792c6c0ca96857e7851c8a9ddafcec5135d"),
     ("lyapunov", ["--source", "direct", "--set", "depth=4", "--n", "64",
                   "--set", "lyapunov.etas=[0.1]", "--set", "lyapunov.lambdas=[0.2]"],
      "5eb8ff65e9622debd2c7a14741d796ea80d00aea561109544336de617e401cea"),
@@ -597,7 +597,7 @@ _PINNED_CSVS = [
      "a4c95561c2325a4d3eb2fe75f06c951266eaa40178b250c6cf7bce97f68d3d0f"),
     ("fluctuation", ["--set", "fluctuation.source=pool", "--set", "fluctuation.burn_in=20",
                      "--n", "64", "--set", "fluctuation.lambdas=[0.2]"],
-     "2baef2c27a66885adcc66af08ac7fafc75e00b592513fb952aa18f636bd3ef5c"),
+     "85faa64794f1f6e003b599828deec58004fc15362473f09aeb1a6443170d5cb6"),
     ("stability", ["--set", "depth=4", "--n", "32", "--set", "stability.lambdas=[0.2,0.05]"],
      "069458686ab696e96bbb4909b2b6978e90f8167311165657c01f9a7fb921e92b"),
     ("recursion", ["--set", "depth=5", "--n", "32", "--set", "disorder.lambda=0.3"],
@@ -629,7 +629,7 @@ def test_csv_digest_pinned(tmp_path, command, args, digest):
 # SHA-256 of the SVG plot written by three of the pinned CSV runs
 _PINNED_SVGS = [
     (*_PINNED_CSVS[0][:2], "d4532c285937b423061c245af1bd72bde522c1dc304aa6cd655eac6f316ae5fb"),
-    (*_PINNED_CSVS[1][:2], "c7e9599e7ff2f0b260a830d798ebe0b85438b46f73d3f1dfe5a01270f245fc07"),
+    (*_PINNED_CSVS[1][:2], "0bcaff2f7631e5f79ba625bd3386241929526f2c9213336a761b13b71743a40a"),
     (*_PINNED_CSVS[6][:2], "6da18224af0a60472fa1725309570ee32c993f5a0033e1ab65592bbf1e2a06bf"),
 ]
 

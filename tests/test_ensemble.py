@@ -3,6 +3,7 @@ import itertools
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -36,6 +37,7 @@ from wtree.engine import as_point, cos_sin, edge_step_R, sqrt_upper
 from wtree.graphmodel import (
     DOMAIN_POOL_CHILD,
     DOMAIN_POOL_LENGTH,
+    DOMAIN_POOL_REPLICA,
     DOMAIN_SCAN_ENERGY,
     OMEGA_VARIANCE,
     hash_words,
@@ -304,23 +306,28 @@ def test_pool_counts_validated_before_sampling(monkeypatch, kwargs):
 
 
 def test_pool_collection_counts_resamples(monkeypatch):
-    # Collected generations are pool steps too: their singular merges
-    # must reach the pool's resample count.
-    pools = []
+    # The collected generation is a pool step too: its singular merges
+    # must reach the pool's resample count.  Every step leaves member 0
+    # of the first pool at m = 1, so the collection starts poisoned.
+    seen = []
+    step = ensemble.pool_step
 
-    def poisoned_init(*args, **kwargs):
-        pool = pool_init(*args, **kwargs)
-        pool.values[0] = 1.0
-        pools.append(pool)
+    def poisoning_step(pool):
+        step(pool)
+        pool.values[0, 0] = 1.0
+        seen.append((pool, pool.resampled))
         return pool
 
-    monkeypatch.setattr(ensemble, "pool_init", poisoned_init)
+    monkeypatch.setattr(ensemble, "pool_step", poisoning_step)
     dm = DisorderModel(lam=0.1, master_seed=1)
     est = estimate_gamma(SPEC6, dm, Z_MID, n=64, source="pool", burn_in=0, pool_size=16)
     assert math.isfinite(est.gamma_hat)
-    # G = 64 / 16 = 4 collections, thinned apart
-    assert pools[0].generation == 1 + 3 * ensemble._auto_thin(Z_MID, 2, 1.0)
-    assert pools[0].resampled >= 1
+    # burn_in 0 is a floor: R = 64 / 16 = 4 pools step _auto_burn_in generations
+    pool, before = seen[-1]
+    assert pool.values.shape == (4, 16)
+    assert len(seen) == ensemble._auto_burn_in(Z_MID, 2, 1.0)
+    assert pool.generation == len(seen) + 1
+    assert pool.resampled > before
 
 
 def _row_pools(stack):
@@ -393,7 +400,7 @@ def test_stacked_pool_equals_one_point_pools(K, dist):
 
 def test_clean_pool_rows_take_one_phase(monkeypatch):
     # every length of a lam = 0 row is exactly L, so a block of draws
-    # computes its phase exp(2i*w*L) once: each of that row's phases is the
+    # computes their phase exp(2i*w*L) once: each of those rows' phases is the
     # bits of the phase of an array of lengths L, and the stack still
     # equals its lone pools
     K, P, L = 2, 16, 1.3
@@ -422,8 +429,9 @@ def test_clean_pool_rows_take_one_phase(monkeypatch):
         _assert_rows_equal(stack, pools)
     T = stack._draws.lengths.shape[0]
     assert T == 2**15 // (3 * P * K)
-    # the block of the stack, then the first blocks of the lone pools
-    assert phased == [T * P, 1, 1, 2**15 // (P * K) * P, 1, 1]
+    # the block of the stack (one call for the lam = 0.2 row, one for both
+    # clean rows), then the first blocks of the lone pools
+    assert phased == [T * P, 1, 2**15 // (P * K) * P, 1, 1]
     every = wtree.engine._phase(sqrt_upper(z), np.full((T, P), L))
     for b in (1, 2):
         assert np.all(stack._draws.lengths[:, b] == L)
@@ -535,7 +543,7 @@ def test_estimate_gamma_sequence_equals_loop(monkeypatch):
     one = estimate_gamma(spec, models[:1], z, 64, **pool_kw)
     assert isinstance(one, list) and len(one) == 1
 
-    # one step per non-collecting generation of the stack, not per row
+    # one step per burn-in generation of the stack, not per row or pool
     steps = []
     real_step = ensemble.pool_step
 
@@ -545,9 +553,10 @@ def test_estimate_gamma_sequence_equals_loop(monkeypatch):
 
     monkeypatch.setattr(ensemble, "pool_step", counted)
     estimate_gamma(spec, models, z, 64, **pool_kw)
-    # G = 64 / 16 = 4 collections: burn-in plus (G - 1) gaps of thin - 1
-    thin = ensemble._auto_thin(z, 2, 1.0)
-    assert steps == [(3, 16)] * (10 + 3 * (thin - 1))
+    # R = 64 / 16 = 4 pools of each disordered model, two of them, step
+    # max(burn_in, _auto_burn_in) generations; the lam = 0 row is not stepped
+    burn = max(10, ensemble._auto_burn_in(z, 2, 1.0))
+    assert steps == [(8, 16)] * burn
 
 
 @pytest.mark.parametrize(
@@ -570,11 +579,11 @@ def test_disorder_sequence_validated_before_sampling(monkeypatch, dm):
 
 
 def test_estimate_gamma_pool_pinned():
-    # one model's thinned pool pass: G = 6 collections of P = 8 members,
-    # _auto_thin(z, 2, 1.0) = 80 generations apart
+    # one model's pool pass: R = 6 pools of P = 8 members, burnt in for
+    # _auto_burn_in(z, 2, 1.0) = 80 generations
     expected = {
-        "uniform": ("0x1.4c847cc033475p-6", "0x1.36b12d3cc3e09p-10"),
-        "two_point": ("0x1.6e1e82560b2cfp-6", "0x1.8bc1a40ef27fcp-10"),
+        "uniform": ("0x1.2c4fa216b551ep-6", "0x1.7addb2c595452p-11"),
+        "two_point": ("0x1.3c9477b7ff1b1p-6", "0x1.6129f5d452399p-10"),
     }
     for dist, (g_hex, se_hex) in expected.items():
         est = estimate_gamma(
@@ -591,6 +600,46 @@ def test_estimate_gamma_pool_pinned():
             float.fromhex(se_hex),
             48,
         )
+
+
+def test_pool_sample_rows_are_lone_pools():
+    # pool r of a disordered model is the lone pool of the model itself
+    # (r = 0) or of its replica seed, stepped max(burn_in, _auto_burn_in)
+    # generations and read on the next; a lam = 0 row is the clean
+    # stationary sample and is not stepped
+    spec = TreeSpec(K=2, L=1.0, depth=4)
+    z = complex(2.0, 0.05)
+    w = sqrt_upper(z)
+    models = [
+        DisorderModel(lam=0.2, master_seed=3),
+        DisorderModel(lam=0.0, master_seed=3),
+        DisorderModel(lam=0.1, dist="two_point", master_seed=4),
+    ]
+    # P = 16 members, R = ceil(48 / 16) = 3 pools per model
+    R, R_kids, lengths, _ = ensemble._sample(spec, models, as_point(z), 48, "pool", 10, 16)
+    assert R.shape == lengths.shape == (3, 3, 16) and R_kids.shape == (3, 3, 16, 2)
+    steps = max(10, ensemble._auto_burn_in(z, 2, 1.0))
+    for b in (0, 2):
+        for r in range(3):
+            seed = models[b].master_seed
+            if r:
+                seed = hash_words(seed, DOMAIN_POOL_REPLICA, r)
+            pool = pool_init(spec, replace(models[b], master_seed=seed), z, 16)
+            for _ in range(steps):
+                pool_step(pool)
+            old = pool.values
+            child_idx, le = ensemble._pool_advance(pool)
+            assert R[b, r].tobytes() == wtree.engine._disk_to_r(pool.values, w).tobytes()
+            assert R_kids[b, r].tobytes() == wtree.engine._disk_to_r(old[child_idx], w).tobytes()
+            assert lengths[b, r].tobytes() == le.tobytes()
+    seed = stationary_disk(z, 2, 1.0)
+    assert np.all(R[1] == wtree.engine._disk_to_r(seed, w))
+    assert np.all(R_kids[1] == R[1][..., None]) and np.all(lengths[1] == 1.0)
+    # three equal pool means: the spread is exactly 0, where numpy's std of
+    # three equal values need not be
+    clean = estimate_gamma(spec, models, z, 48, burn_in=10, pool_size=16)[1]
+    assert clean.stderr == 0.0
+    assert abs(clean.gamma_hat - gamma_clean(z, 2, 1.0)) <= 1e-12 * clean.gamma_hat
 
 
 def test_estimate_gamma_clean_exact(monkeypatch):
@@ -914,7 +963,11 @@ def test_gamma_parts_nonnegative(K, lam, dist, e, log_eta, source, master_seed):
 
 @pytest.mark.parametrize(
     "source,z,lam,n",
-    [("direct", complex(2.0, 0.05), 0.1, 256), ("pool", complex(2.0, 0.1), 0.2, 800)],
+    [
+        ("direct", complex(2.0, 0.05), 0.1, 256),
+        ("pool", complex(2.0, 0.1), 0.2, 800),
+        ("pool", complex(2.0, 0.01), 0.1, 800),
+    ],
 )
 def test_estimate_gamma_spread_matches_stderr(source, z, lam, n):
     # the reported stderr is the seed-to-seed spread of the estimate
@@ -940,6 +993,17 @@ def test_direct_estimate_matches_relaxed_reference(lam):
     spec = TreeSpec(K=2, L=1.0, depth=12)
     est = estimate_gamma(spec, DisorderModel(lam=lam, master_seed=1), z, n=1000, source="direct")
     ref, ref_se = relaxed_gamma(2, 1.0, z, DisorderModel(lam=lam, master_seed=101))
+    assert abs(est.gamma_hat - ref) <= 4.0 * math.hypot(est.stderr, ref_se)
+
+
+def test_pool_estimate_matches_relaxed_reference():
+    # independent pools burnt in for max(burn_in, _auto_burn_in) = 400
+    # generations, three relaxation times at this z, against a pool relaxed
+    # for five and read over 2,400 consecutive generations
+    z = complex(2.0, 0.01)
+    spec = TreeSpec(K=2, L=1.0, depth=4)
+    est = estimate_gamma(spec, DisorderModel(lam=0.1, master_seed=1), z, n=10_000, source="pool")
+    ref, ref_se = relaxed_gamma(2, 1.0, z, DisorderModel(lam=0.1, master_seed=101))
     assert abs(est.gamma_hat - ref) <= 4.0 * math.hypot(est.stderr, ref_se)
 
 
@@ -1215,12 +1279,12 @@ def test_threads_validated_before_sampling(monkeypatch):
 
 @pytest.mark.parametrize("source", ["direct", "pool"])
 def test_fluctuation_reads_estimator_samples(source):
-    # one generation of the estimators' sampling pass, P = n
+    # the estimators' sampling pass, at the default pool size
     spec = TreeSpec(K=2, L=1.0, depth=6)
     dm = DisorderModel(lam=0.1, master_seed=2)
     n = 400
     rep = fluctuation_report(spec, dm, Z_MID, n, source=source, burn_in=20)
-    est = estimate_gamma(spec, dm, Z_MID, n, source=source, burn_in=20, pool_size=n)
+    est = estimate_gamma(spec, dm, Z_MID, n, source=source, burn_in=20)
     assert est.n == rep.n == n
     assert rep.gamma_hat == est.gamma_hat
     assert rep.gamma_stderr == est.stderr

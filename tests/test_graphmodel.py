@@ -51,6 +51,23 @@ def test_hash_words_scalar_vs_array_bit_identical():
         assert int(arr[i]) == hash_words(9, DOMAIN_EDGE, i, 3, 1)
 
 
+def test_hash_words_seed_array_equals_scalar_chains():
+    # an array of seeds broadcasts like the words; each element is the
+    # scalar chain of its own seed, at both ends of the 64-bit range
+    seeds = np.array([0, 1, 9, 2**63, 2**64 - 1], dtype=np.uint64)
+    before = seeds.copy()
+    alone = hash_words(seeds)
+    words = hash_words(seeds, DOMAIN_EDGE, 3, 1)
+    grid = hash_words(seeds[:, None], DOMAIN_EDGE, np.arange(3, dtype=np.uint64), 7)
+    assert np.array_equal(seeds, before)
+    assert grid.shape == (5, 3) and grid.dtype == np.uint64
+    for k, s in enumerate(int(s) for s in seeds):
+        assert int(alone[k]) == hash_words(s)
+        assert int(words[k]) == hash_words(s, DOMAIN_EDGE, 3, 1)
+        for i in range(3):
+            assert int(grid[k, i]) == hash_words(s, DOMAIN_EDGE, i, 7)
+
+
 def test_uniform01_range():
     h = hash_words(5, np.arange(10_000, dtype=np.uint64))
     u = uniform01(h)
