@@ -46,6 +46,7 @@ from .graphmodel import (
     _check_count,
     _check_model,
     _check_word,
+    _edge_count,
     _lengths,
     omega_for_generation,
 )
@@ -110,9 +111,15 @@ class HalfPlanePoint:
 
 
 def as_point(z) -> HalfPlanePoint:
-    """Coerce a complex number or HalfPlanePoint into a HalfPlanePoint."""
+    """Coerce a complex number or HalfPlanePoint into a HalfPlanePoint.
+
+    An array of points raises ``ValidationError``: the scalar entry points
+    take one point, and only the batch solver takes one per replica.
+    """
     if isinstance(z, HalfPlanePoint):
         return z
+    if isinstance(z, np.ndarray) and z.ndim:
+        raise ValidationError(f"expected one spectral point, got an array of shape {z.shape}")
     zc = complex(z)
     return HalfPlanePoint(zc.real, zc.imag)
 
@@ -314,7 +321,11 @@ def _phase(w, le, out=None):
 
 def _pull(m, w, le, out=None):
     """Pull far-end disk values to the near ends, exp(2i*w*le) * m, into ``out`` if given."""
-    phase = _phase(w, le, out)
+    return _times_phase(_phase(w, le, out), m)
+
+
+def _times_phase(phase, m):
+    """The pulled values ``phase * m``, in place in ``phase`` unless it has one element."""
     # numpy rounds an in-place complex product of a single element
     # differently from an out-of-place one; one-element blocks multiply
     # out of place so that every block gets the out-of-place rounding
@@ -402,7 +413,12 @@ def _generation_sums(omega: np.ndarray, K: int, n: int) -> np.ndarray:
 
 
 def _joined(caps, axis):
-    """One capture from the captures of row blocks (axis -2) or of sibling subtrees (axis -1)."""
+    """One capture from the captures of row blocks (axis -2) or of sibling subtrees (axis -1).
+
+    A lone capture is returned as it is, without copies.
+    """
+    if len(caps) == 1:
+        return caps[0]
     return BatchCapture(
         m_near=[np.concatenate(g, axis=axis) for g in zip(*(c.m_near for c in caps))],
         lengths=[np.concatenate(g, axis=axis) for g in zip(*(c.lengths for c in caps))],
@@ -419,6 +435,13 @@ def _joined(caps, axis):
 #: took 0.85, 0.79, 0.74, 0.72 and 0.73 s; a one-tree K=3 depth-8 sweep
 #: of 400 points on 2 threads took 0.17, 0.19, 0.17, 0.17 and 0.19 s.
 _BLOCK_ELEMS = 2**18
+
+#: A one-row block of at most this many edges (a single-edge view of a
+#: small subtree) takes the phases of all its edges in one exp call, into
+#: a buffer of its own of at most 64 KiB, instead of two numpy calls per
+#: generation, which are most of a small generation's cost.  Larger
+#: blocks compute each generation's phases in their scratch buffers.
+_ONE_CALL_PHASES = 2**12
 
 
 def _solve_subtree(spec, models, prefix, w, seed, reps, capture, sums=False):
@@ -437,7 +460,9 @@ def _solve_subtree(spec, models, prefix, w, seed, reps, capture, sums=False):
     dist)`` draws every edge of the block (of the whole call, when all
     rows carry one replica), each model sizes its edges from those
     omegas, and the ``(B, rows, edges)`` block is then solved one
-    generation at a time.  Neither splits nor block sizes change a bit,
+    generation at a time (a one-row block of at most
+    :data:`_ONE_CALL_PHASES` edges takes every edge's phase in one call
+    first).  Neither splits nor block sizes change a bit,
     so every model's values are the bits it gets alone.  Returns ``(m,
     capture, gen)``, the capture indexed by generation below ``prefix``,
     each entry of shape ``(B, S, K**j)``, and with ``sums`` ``gen`` the
@@ -451,7 +476,7 @@ def _solve_subtree(spec, models, prefix, w, seed, reps, capture, sums=False):
     g0 = len(prefix)
     n = spec.depth - g0
     leaves = K**n
-    edges = replace(spec, depth=n).edge_count()
+    edges = _edge_count(K, n)
     if leaves > 1 and B * edges > _BLOCK_ELEMS:
         kids = [
             _solve_subtree(spec, models, prefix + (d,), w, seed, reps, capture, sums)
@@ -496,17 +521,20 @@ def _solve_subtree(spec, models, prefix, w, seed, reps, capture, sums=False):
     # rows that all carry one replica solve one tree: it is drawn once for every block
     one = _one_tree(reps[:, None])
     tree = block_lengths(one) if one.shape[0] == 1 else None
+    w2 = 2j * w[:, None]  # each row's phases are exp(w2 * le)
     for lo in range(0, S, chunk):
         hi = min(lo + chunk, S)
-        r = _one_tree(reps[lo:hi, None])
-        wc = w[lo:hi, None]
-        lengths, block_sums = block_lengths(r) if tree is None else tree
+        lengths, block_sums = block_lengths(_one_tree(reps[lo:hi, None])) if tree is None else tree
         if sums:
             gen[:, lo:hi] = block_sums
         end = lengths.shape[-1]
         rows = B * (hi - lo)
         m = b[: rows * leaves].reshape(B, hi - lo, leaves)
         m[...] = seed[..., lo:hi, None]
+        one_call = rows == 1 and edges <= _ONE_CALL_PHASES
+        if one_call:
+            phases = np.multiply(w2[lo:hi], lengths)
+            np.exp(phases, out=phases)
         cap = BatchCapture([None] * (n + 1), [None] * (n + 1))
         for j in range(n, -1, -1):
             cells = rows * K**j
@@ -515,11 +543,17 @@ def _solve_subtree(spec, models, prefix, w, seed, reps, capture, sums=False):
                 m = _merge_sum(h.reshape(B, hi - lo, -1, K), out=b[:cells], den=a[:cells])
             le = lengths[..., end - K**j : end]
             end -= K**j
-            m = _pull(m, wc, le, out=a[:cells].reshape(B, hi - lo, -1))
+            if one_call:
+                phase = phases[..., end : end + K**j]
+            else:
+                # _pull, with 2i*w taken once per call
+                phase = np.multiply(w2[lo:hi], le, out=a[:cells].reshape(B, hi - lo, -1))
+                np.exp(phase, out=phase)
+            m = _times_phase(phase, m)
             if capture:
                 cap.m_near[j] = m.copy()  # the next _merge_terms overwrites m
                 # a block of one replica drew its lengths once, for every row
-                cap.lengths[j] = np.broadcast_to(le, m.shape) if r.shape[0] < hi - lo else le
+                cap.lengths[j] = np.broadcast_to(le, m.shape) if le.shape != m.shape else le
         caps.append(cap)
         out[:, lo:hi] = m[..., 0]
     return out, _joined(caps, -2) if capture else None, gen
@@ -591,7 +625,7 @@ def _solve(spec, dm, z, seed_m, replicas, prefix, capture, threads=1, omega_mean
     else:
         seed = np.full(S, _check_seed_m(seed_m), dtype=np.complex128)
 
-    n_edges = replace(spec, depth=spec.depth - len(prefix)).edge_count()
+    n_edges = _edge_count(spec.K, spec.depth - len(prefix))
     if n_edges > VISIT_BUDGET:
         raise BudgetExceededError(
             f"tree solve would visit {n_edges} edges, budget is {VISIT_BUDGET}"
@@ -600,35 +634,37 @@ def _solve(spec, dm, z, seed_m, replicas, prefix, capture, threads=1, omega_mean
     prefix = tuple(prefix)
 
     def part(lo, hi):
-        # Degenerate rows (a NaN seed row, a singular merge) are found and
-        # named below, so the arithmetic that produces them stays quiet;
-        # numpy's error state is per thread, so each part sets its own.
-        with np.errstate(all="ignore"):
-            return _solve_subtree(
-                spec, models, prefix, w[lo:hi], seed[lo:hi], replicas[lo:hi], capture,
-                omega_means,
-            )
+        return _solve_subtree(
+            spec, models, prefix, w[lo:hi], seed[lo:hi], replicas[lo:hi], capture, omega_means
+        )
 
-    cuts = np.linspace(0, S, min(threads, S) + 1).astype(int)
-    if cuts.size <= 2:
-        m, cap, sums = part(0, S)
-    else:
-        with ThreadPoolExecutor(max_workers=cuts.size - 1) as ex:
-            parts = list(ex.map(part, cuts[:-1], cuts[1:]))
-        m = np.concatenate([m_p for m_p, _, _ in parts], axis=-1)
-        cap = _joined([c for _, c, _ in parts], -2) if capture else None
-        sums = np.concatenate([s_p for _, _, s_p in parts], axis=-2) if omega_means else None
+    def quiet_part(lo, hi):
+        # numpy's error state is per thread, so each worker sets its own
+        with np.errstate(all="ignore"):
+            return part(lo, hi)
+
+    # Degenerate rows (a NaN seed row, a singular merge) are found and
+    # named below, so the arithmetic that produces them stays quiet.
+    with np.errstate(all="ignore"):
+        n_parts = min(threads, S)
+        if n_parts <= 1:
+            m, cap, sums = part(0, S)
+        else:
+            cuts = [S * k // n_parts for k in range(n_parts + 1)]
+            with ThreadPoolExecutor(max_workers=n_parts) as ex:
+                parts = list(ex.map(quiet_part, cuts[:-1], cuts[1:]))
+            m = np.concatenate([m_p for m_p, _, _ in parts], axis=-1)
+            cap = _joined([c for _, c, _ in parts], -2) if capture else None
+            sums = np.concatenate([s_p for _, _, s_p in parts], axis=-2) if omega_means else None
+        out = _disk_to_r(m[0] if isinstance(dm, DisorderModel) else m, w)
     if omega_means:
         # generation j below prefix has K**j edges
         sums /= float(spec.K) ** np.arange(sums.shape[-1])
     if isinstance(dm, DisorderModel):
-        m = m[0]
         if capture:
             cap = BatchCapture([a[0] for a in cap.m_near], [a[0] for a in cap.lengths])
         if omega_means:
             sums = sums[0]
-    with np.errstate(all="ignore"):
-        out = _disk_to_r(m, w)
     finite = np.isfinite(out)
     bad = ~(finite & (out.imag > 0.0))
     if bad.any():
@@ -812,14 +848,18 @@ def solve_R_minus(
     at the root near end itself that case returns :data:`WT_INFINITY`.
 
     Crossing a vertex into child f adds every sibling's forward WT value
-    to psi'/psi.  Path lengths and sibling values are read from one
-    captured solve of the whole replica tree, so :data:`VISIT_BUDGET`
-    caps that tree's edge count and memory grows with it.
+    to psi'/psi.  Path lengths and the siblings' near-end disk values are
+    read from one captured one-replica solve of the whole tree, whose
+    capture is not copied; each sibling's value is the inverse disk
+    transform of its disk value at that solve's sqrt(z).  So
+    :data:`VISIT_BUDGET` caps that tree's edge count and memory grows
+    with it.
 
     Raises
     ------
     ValidationError
-        For boundary-mode z or out-of-range targets or positions.
+        For boundary-mode or array z, or out-of-range targets or
+        positions.
     """
     p = as_point(z)
     if p.boundary_mode:
@@ -844,8 +884,8 @@ def solve_R_minus(
     i = 0  # index of the current edge within its generation
     for g, d in enumerate(target.path):
         u, up = _propagate(u, up, float(cap.lengths[g][0, i]))
-        kids = cap.m_near[g + 1][0, i * K : (i + 1) * K]
-        sib_sum = sum(r_from_m(complex(kids[j]), p) for j in range(K) if j != d)
+        kids = cap.m_near[g + 1][0, i * K : (i + 1) * K].tolist()
+        sib_sum = sum(_disk_to_r(m, w) for j, m in enumerate(kids) if j != d)
         up = up - sib_sum * u
         i = i * K + d
 

@@ -527,9 +527,6 @@ def _sample(spec, dm, p, n, source, burn_in, pool_size, threads=1) -> tuple:
     P = min(pool_size, n // 2)
     pools = math.ceil(n / P)
     K, L = spec.K, spec.L
-    m = np.full((len(models), pools, P), stationary_disk(p, K, L), dtype=np.complex128)
-    m_kids = np.repeat(m[..., None], K, axis=-1)
-    lengths = np.full(m.shape, L)
     rows = [b for b, dm in enumerate(models) if dm.lam != 0.0]
     if rows:
         seeds = np.array([models[b].master_seed for b in rows], dtype=np.uint64)
@@ -539,6 +536,13 @@ def _sample(spec, dm, p, n, source, burn_in, pool_size, threads=1) -> tuple:
         for b, row in zip(rows, more):
             replicas += [models[b], *(replace(models[b], master_seed=int(s)) for s in row)]
         pool = pool_init(spec, replicas, p, P)
+        m_star = pool.values[0, 0]  # the stationary value every member starts at
+    else:
+        m_star = stationary_disk(p, K, L)
+    m = np.full((len(models), pools, P), m_star, dtype=np.complex128)
+    m_kids = np.repeat(m[..., None], K, axis=-1)
+    lengths = np.full(m.shape, L)
+    if rows:
         for _ in range(max(burn_in, _auto_burn_in(p, K, L))):
             pool_step(pool)
         old = pool.values

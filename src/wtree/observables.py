@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -315,7 +316,10 @@ def tree_profile(
     """Solve one replica and reconstruct the forward solution everywhere.
 
     The amplitude is normalized to psi = 1 at the root near end and
-    extended by continuity across vertices.
+    extended by continuity across vertices.  Every edge's WT value and
+    amplitude ratio is taken from the captured solve in one array pass;
+    only the products of the ratios run generation by generation.  An
+    array z raises ``ValidationError``.
     """
     _check_model(dm)
     p = as_point(z)
@@ -328,14 +332,20 @@ def tree_profile(
         [replica],
         capture=True,
     )
-    R_near = [_disk_to_r(m[0], w) for m in cap.m_near]
-    lengths = [le[0] for le in cap.lengths]
+    K = spec.K
+    # every edge at once, generation-major: generation g is edges starts[g]:starts[g + 1]
+    starts = list(accumulate((K**g for g in range(spec.depth + 1)), initial=0))
+    R = _disk_to_r(np.concatenate([m[0] for m in cap.m_near]), w)
+    le = np.concatenate([x[0] for x in cap.lengths])
+    R_near = [R[lo:hi] for lo, hi in zip(starts, starts[1:])]
+    lengths = [le[lo:hi] for lo, hi in zip(starts, starts[1:])]
+    # the far end of an edge is the Kirchhoff sum of its children's near ends
+    inner = starts[-2]
+    ratio = _edge_ratio(R[:inner], R[1:].reshape(-1, K).sum(axis=1), w, le[:inner])
     psi_near = [np.ones(1, dtype=np.complex128)]
     for g in range(spec.depth):
-        # the far end of an edge is the Kirchhoff sum of its children's near ends
-        R_far = R_near[g + 1].reshape(-1, spec.K).sum(axis=1)
-        psi_end = psi_near[g] * _edge_ratio(R_near[g], R_far, w, lengths[g])
-        psi_near.append(np.repeat(psi_end, spec.K))
+        psi_end = psi_near[g] * ratio[starts[g] : starts[g + 1]]
+        psi_near.append(np.repeat(psi_end, K))
     return TreeProfile(
         z=p.z,
         K=spec.K,

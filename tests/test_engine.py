@@ -327,6 +327,52 @@ def test_single_replica_root_pinned(K, depth, z, replica, re_hex, im_hex):
     assert R == complex(float.fromhex(re_hex), float.fromhex(im_hex))
 
 
+# The single-edge views at the probe configuration (K=2, depth 8, lam 0.1,
+# uniform, master seed 1, z = 2 + 0.01i, the pinned cut seed above): R+ and
+# R- on the generation-4 edge (1, 0, 1, 1), then tree_profile's near-end R
+# and psi on leaf 200.  Each is (re, im) hex.  One-replica solves multiply
+# one-element blocks, where numpy's in-place and out-of-place complex
+# products round apart, so these pin the small-call path's rounding.
+_PROBE_ADDR = (1, 0, 1, 1)
+_PINNED_PROBES = {
+    0: (
+        ("0x1.c4904c440c8cap-7", "0x1.d2c8d6f024d19p-1"),
+        ("-0x1.cd55306100b09p-2", "0x1.df59c003e7c2cp+0"),
+        ("-0x1.dd94d409d7696p-7", "0x1.fe62f729dc445p-1"),
+        ("0x1.507700905dafap-6", "-0x1.dd7386229cd66p-5"),
+    ),
+    7: (
+        ("-0x1.f05e358f60cb6p-6", "0x1.e1d667d415bc5p-1"),
+        ("-0x1.290eecb0a7e14p-1", "0x1.eb034e43a669ep+0"),
+        ("-0x1.00f321ebf34bap-6", "0x1.fe65e0299c202p-1"),
+        ("0x1.758a19b7dd408p-6", "-0x1.dec4d55a4f8e0p-5"),
+    ),
+    2**63 + 5: (
+        ("0x1.87fa01c27b952p-6", "0x1.f568ba0f1107cp-1"),
+        ("-0x1.3ff3f4060d67dp-2", "0x1.c00e34f600fd8p+0"),
+        ("-0x1.221bbb0c9a182p-4", "0x1.0045ca33a58e2p+0"),
+        ("0x1.500a2da1452dfp-6", "-0x1.dc7e2c2680950p-5"),
+    ),
+}
+
+
+@pytest.mark.parametrize("replica", sorted(_PINNED_PROBES))
+def test_single_edge_views_pinned(replica):
+    spec = TreeSpec(K=2, L=1.0, depth=8)
+    dm = DisorderModel(lam=0.1, dist="uniform", master_seed=1)
+    z = complex(2, 0.01)
+    seed = complex(*map(float.fromhex, _PINNED_SEEDS[2, z]))
+    addr = EdgeAddress(_PROBE_ADDR)
+    R_plus, R_minus, R_leaf, psi_leaf = (
+        complex(*map(float.fromhex, pair)) for pair in _PINNED_PROBES[replica]
+    )
+    assert solve_edge_R(spec, dm, z, addr, seed, replica) == R_plus
+    assert solve_R_minus(spec, dm, z, addr, 0.0, replica, seed) == R_minus
+    profile = tree_profile(spec, dm, z, replica, seed)
+    assert profile.R_near[8][200] == R_leaf
+    assert profile.psi_near[8][200] == psi_leaf
+
+
 def test_batch_capture_consistent_with_addresses():
     spec = TreeSpec(K=2, L=1.0, depth=2)
     dm = DisorderModel(lam=0.2, master_seed=5)
@@ -960,6 +1006,20 @@ def test_solve_R_minus_rejects_missing_edges():
     for path in [(5,), (0, 2), (-1,), (0, 0, 0, 0)]:
         with pytest.raises(ValidationError):
             solve_R_minus(spec, dm, z, target=EdgeAddress(path))
+
+
+def test_single_point_views_reject_arrays():
+    # one spectral point: an array is rejected up front, not by numpy's
+    # scalar conversion
+    spec = TreeSpec(K=2, L=1.0, depth=3)
+    dm = DisorderModel(lam=0.1, master_seed=2)
+    for z in (np.array([complex(2, 0.01)]), np.array([[complex(2, 0.01)]]), np.full(3, 2 + 0.1j)):
+        with pytest.raises(ValidationError, match="one spectral point"):
+            solve_R_minus(spec, dm, z, EdgeAddress((1,)))
+        with pytest.raises(ValidationError, match="one spectral point"):
+            tree_profile(spec, dm, z)
+    # a 0-d array is one point
+    assert tree_profile(spec, dm, np.array(complex(2, 0.01))).z == complex(2, 0.01)
 
 
 def test_solve_R_minus_position_validation():

@@ -642,6 +642,27 @@ def test_pool_sample_rows_are_lone_pools():
     assert abs(clean.gamma_hat - gamma_clean(z, 2, 1.0)) <= 1e-12 * clean.gamma_hat
 
 
+def test_pool_sample_solves_stationary_value_once(monkeypatch):
+    # the lam = 0 rows' fill and the pools' start are one stationary solve
+    calls = []
+    stationary = ensemble.stationary_disk
+
+    def counting(*args):
+        calls.append(args)
+        return stationary(*args)
+
+    monkeypatch.setattr(ensemble, "stationary_disk", counting)
+    spec = TreeSpec(K=2, L=1.0, depth=4)
+    z = as_point(complex(2.0, 0.05))
+    for lams in ([0.0, 0.1, 0.2], [0.1], [0.0]):
+        calls.clear()
+        models = [DisorderModel(lam=lam, master_seed=3) for lam in lams]
+        R, _, _, _ = ensemble._sample(spec, models, z, 48, "pool", 10, 16)
+        assert len(calls) == 1
+        if lams[0] == 0.0:
+            assert np.all(R[0] == wtree.engine._disk_to_r(stationary(z, 2, 1.0), sqrt_upper(z)))
+
+
 def test_estimate_gamma_clean_exact(monkeypatch):
     g0 = gamma_clean(Z_MID, 2, 1.0)
     for source in ("pool", "direct"):

@@ -20,6 +20,7 @@ from wtree.graphmodel import (
     DISTS,
     DOMAIN_EDGE,
     OMEGA_VARIANCE,
+    _BROADCAST_STATES,
     _expand_digits,
     hash_words,
     omega_for_generation,
@@ -244,6 +245,18 @@ def test_expand_digits_matches_trailing_word(K):
     slots = np.arange(K, dtype=np.uint64)
     trailing = hash_words(3, DOMAIN_EDGE, gens[:, :, None], members[:, None], slots)
     assert expanded.shape == (4, 6, K) and expanded.tobytes() == trailing.tobytes()
+
+
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_expand_digits_paths_agree(K):
+    # small arrays take one broadcast XOR, large ones K column writes: the
+    # states on either side of the switch are the trailing-word hash
+    for members in (_BROADCAST_STATES - 1, _BROADCAST_STATES, _BROADCAST_STATES + 1, 700):
+        h = hash_words(5, DOMAIN_EDGE, np.arange(members, dtype=np.uint64))
+        trailing = hash_words(
+            5, DOMAIN_EDGE, np.arange(members, dtype=np.uint64)[:, None], np.arange(K, dtype=np.uint64)
+        )
+        assert _expand_digits(h, K).tobytes() == trailing.tobytes()
 
 
 def test_omega_for_generation_rejects_replica_shapes():
