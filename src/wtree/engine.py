@@ -1,19 +1,18 @@
 """Core recursion engine for WT functions on rooted metric trees.
 
 The forward WT function R = psi'/psi of the square-integrable solution on
-the subtree beyond a point is propagated in two equivalent pictures:
+the subtree beyond a point is propagated in the unit-disk picture
+m = (R - i*sqrt(z)) / (R + i*sqrt(z)), where an edge of length l
+multiplies m by its phase q = exp(2i*sqrt(z)*l) and therefore contracts
+the disk whenever Im sqrt(z) > 0, and a vertex merge adds the children's
+half-plane values.
 
-* the half-plane picture, where an edge acts by a Moebius map and a
-  vertex merge is plain addition of the child values, and
-* the unit-disk picture m = (R - i*sqrt(z)) / (R + i*sqrt(z)), where an
-  edge of length l multiplies m by exp(2i*sqrt(z)*l) and therefore
-  contracts the disk whenever Im sqrt(z) > 0.
-
-Tree solves run in the disk picture, which never overflows, through one
-vectorized kernel: it solves the subtree below an edge address one
-generation at a time over a batch of replicas.  The single-edge solvers
-and R^- are views of that kernel; the half-plane edge step is retained
-as an independent cross-check route.
+Tree solves run through one vectorized kernel: it solves the subtree
+below an edge address one generation at a time over a batch of
+replicas.  The single-edge solvers and R^- are views of that kernel;
+R^- carries its solution pair across each edge by the transfer matrix
+scaled by exp(i*sqrt(z)*l), whose entries are built from the same
+phase q.
 """
 
 from __future__ import annotations
@@ -22,13 +21,13 @@ import cmath
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 
 from .errors import (
     BoundaryPointError,
     BudgetExceededError,
-    MoebiusPoleError,
     NumericalDegeneracyError,
     RowDegeneracyError,
     SingularMergeError,
@@ -59,8 +58,6 @@ __all__ = [
     "r_from_m",
     "edge_step_m",
     "vertex_merge_m",
-    "edge_step_R",
-    "cos_sin",
     "solve_root_R",
     "solve_edge_R",
     "solve_root_R_batch",
@@ -79,8 +76,6 @@ VISIT_BUDGET = 2**24
 
 #: Default eta ladder for boundary-value extrapolation.
 DEFAULT_ETA_LADDER = (1e-1, 1e-2, 1e-3, 1e-4)
-
-_OVERFLOW_IM = 340.0
 
 
 @dataclass(frozen=True)
@@ -194,40 +189,6 @@ def vertex_merge_m(children, z) -> complex:
     if den == 0:
         raise SingularMergeError("vertex merge hit the singular total zeta = -1")
     return (zeta - 1.0) / den
-
-
-def cos_sin(w: complex, l: float) -> tuple[complex, complex]:
-    """cos(w*l) and sin(w*l) with an explicit overflow guard."""
-    x = w * l
-    if abs(x.imag) > _OVERFLOW_IM:
-        raise NumericalDegeneracyError(
-            f"trigonometric edge factors overflow at Im(w*l) = {x.imag:.3g}"
-        )
-    return cmath.cos(x), cmath.sin(x)
-
-
-def edge_step_R(R0: complex, l: float, z) -> complex:
-    """Forward Moebius evolution of R along an edge of length l.
-
-    R(l) = (R0*cos(w*l) - w*sin(w*l)) / (cos(w*l) + R0*sin(w*l)/w).
-    Retained as a cross-check of the disk route; valid while
-    Im(sqrt(z))*l stays moderate.
-
-    Raises
-    ------
-    MoebiusPoleError
-        If the denominator vanishes (excluded for eta > 0; signals a
-        numerically degenerate evaluation).
-    """
-    w = sqrt_upper(z)
-    c, s = cos_sin(w, l)
-    den = c + R0 * s / w
-    if den == 0:
-        raise MoebiusPoleError("edge propagation denominator vanished")
-    out = (R0 * c - w * s) / den
-    if not (math.isfinite(out.real) and math.isfinite(out.imag)):
-        raise MoebiusPoleError("edge propagation produced a non-finite value")
-    return out
 
 
 def _check_seed_m(seed_m: complex) -> complex:
@@ -357,6 +318,19 @@ def _edge_ratio(R, R_far, w, le):
     iw = 1j * w
     # ufunc calls, so numpy never takes a product in place (see _disk_to_r)
     return np.divide(np.multiply(np.exp(np.multiply(iw, le)), np.add(R, iw)), np.add(R_far, iw))
+
+
+def _transfer(u, up, w, q):
+    """(psi, psi') carried across an edge of phase q = exp(2i*w*l), times exp(i*w*l).
+
+    The transfer matrix rows (cos, sin/w), (-w sin, cos) at w*l grow like
+    exp(Im(w) l); times exp(i*w*l) they are ((1 + q)/2, (q - 1)/(2i*w))
+    and (-w(q - 1)/(2i), (1 + q)/2), bounded for |q| <= 1.  For scalars
+    or arrays.
+    """
+    c = 0.5 * (1.0 + q)
+    s = (q - 1.0) / 2j  # exp(i*w*l) sin(w*l)
+    return c * u + s * up / w, c * up - w * s * u
 
 
 def _one_tree(reps):
@@ -710,7 +684,8 @@ def solve_edge_R(
     ----------
     spec, dm : TreeSpec, DisorderModel
     z : HalfPlanePoint or complex
-        Spectral parameter with eta > 0.
+        Spectral parameter with eta > 0; an array raises
+        ``ValidationError``.
     addr : EdgeAddress
         Edge whose near end is evaluated; the recursion covers the
         subtree hanging from it (truncated at the global depth).
@@ -726,7 +701,7 @@ def solve_edge_R(
     """
     _check_model(dm)
     _check_address(spec, addr)
-    R = _solve(spec, dm, z, seed_m, [replica], addr.path, False)
+    R = _solve(spec, dm, as_point(z), seed_m, [replica], addr.path, False)
     return complex(R[0])
 
 
@@ -847,19 +822,24 @@ def solve_R_minus(
     Dirichlet root value (alpha = 0, R^- infinite) is handled exactly;
     at the root near end itself that case returns :data:`WT_INFINITY`.
 
-    Crossing a vertex into child f adds every sibling's forward WT value
-    to psi'/psi.  Path lengths and the siblings' near-end disk values are
-    read from one captured one-replica solve of the whole tree, whose
-    capture is not copied; each sibling's value is the inverse disk
-    transform of its disk value at that solve's sqrt(z).  So
-    :data:`VISIT_BUDGET` caps that tree's edge count and memory grows
-    with it.
+    Each edge carries the pair by the transfer matrix scaled by
+    exp(i*sqrt(z)*l) (:func:`_transfer`), and each generation rescales
+    it by a power of two, which is exact, so the walk stays finite at any
+    eta (at large eta R^- tends to i*sqrt(z)).  Crossing a vertex into
+    child f adds every sibling's forward WT value to psi'/psi.  Path
+    lengths and the siblings' near-end disk values are read from one
+    captured one-replica solve of the whole tree, whose capture is not
+    copied; each sibling's value is the inverse disk transform of its
+    disk value at that solve's sqrt(z).  So :data:`VISIT_BUDGET` caps
+    that tree's edge count and memory grows with it.
 
     Raises
     ------
     ValidationError
         For boundary-mode or array z, or out-of-range targets or
         positions.
+    NumericalDegeneracyError
+        If the pair degenerates, which eta > 0 excludes.
     """
     p = as_point(z)
     if p.boundary_mode:
@@ -874,33 +854,29 @@ def solve_R_minus(
     w = sqrt_upper(p)
     K = spec.K
     _, cap = _solve(spec, dm, p, seed_m, [replica], (), True)
-
-    def _propagate(uv, upv, length):
-        c, s = cos_sin(w, length)
-        return uv * c + upv * s / w, -uv * w * s + upv * c
+    # index of the path's edge within each generation, the target's last
+    idx = list(accumulate(target.path, lambda i, d: i * K + d, initial=0))
+    lengths = [float(cap.lengths[g][0, i]) for g, i in enumerate(idx)]
+    if not 0.0 <= position <= lengths[-1]:
+        raise ValidationError(
+            f"position {position} outside the target edge of length {lengths[-1]}"
+        )
+    lengths[-1] = position
+    q = _phase(w, np.array(lengths)).tolist()
 
     u = complex(math.sin(alpha))
     up = complex(math.cos(alpha))
-    i = 0  # index of the current edge within its generation
     for g, d in enumerate(target.path):
-        u, up = _propagate(u, up, float(cap.lengths[g][0, i]))
-        kids = cap.m_near[g + 1][0, i * K : (i + 1) * K].tolist()
-        sib_sum = sum(_disk_to_r(m, w) for j, m in enumerate(kids) if j != d)
-        up = up - sib_sum * u
-        i = i * K + d
-
-    le_target = float(cap.lengths[target.generation][0, i])
-    if not 0.0 <= position <= le_target:
-        raise ValidationError(
-            f"position {position} outside the target edge of length {le_target}"
-        )
-    u, up = _propagate(u, up, position)
-    if u == 0 or not (cmath.isfinite(u) and cmath.isfinite(up)):
-        raise NumericalDegeneracyError("backward solution degenerated while propagating")
-    out = -up / u
-    if not cmath.isfinite(out):
+        u, up = _transfer(u, up, w, q[g])
+        kids = cap.m_near[g + 1][0, idx[g] * K : (idx[g] + 1) * K].tolist()
+        up -= sum(_disk_to_r(m, w) for j, m in enumerate(kids) if j != d) * u
+        # exact: a power of two (a degenerate pair keeps its 0, inf or NaN)
+        scale = math.ldexp(1.0, -math.frexp(max(abs(u), abs(up)))[1])
+        u, up = u * scale, up * scale
+    u, up = _transfer(u, up, w, q[-1])
+    if u == 0 or not cmath.isfinite(-up / u):
         raise NumericalDegeneracyError("backward WT value is non-finite")
-    return out
+    return -up / u
 
 
 def _eta_intercept(etas, values):

@@ -45,10 +45,6 @@ class SingularTransformError(NumericalDegeneracyError):
     """A disk/half-plane transform was evaluated at its pole."""
 
 
-class MoebiusPoleError(NumericalDegeneracyError):
-    """An edge propagation in the R-representation hit a vanishing denominator."""
-
-
 class RowDegeneracyError(NumericalDegeneracyError):
     """Some rows of a batch tree solve degenerated; the others are valid.
 

@@ -21,13 +21,13 @@ from .engine import (
     _disk_to_r,
     _edge_ratio,
     _failed_rows,
-    _r_to_disk,
+    _phase,
+    _transfer,
     as_point,
-    cos_sin,
     solve_root_R_batch,
     sqrt_upper,
 )
-from .errors import SingularTransformError, ValidationError, WtreeError
+from .errors import NumericalDegeneracyError, SingularTransformError, ValidationError, WtreeError
 from .graphmodel import DisorderModel, TreeSpec, _check_count, _check_model, _check_word
 from .regular import _cut_seed, fixed_point_batch
 
@@ -98,14 +98,36 @@ def reflection_coeff(R_plus: complex, R_minus: complex, z) -> complex:
     return (1j * w - S) / den
 
 
+def _edge_solution(R0: complex, psi0: complex, t: np.ndarray, z):
+    """psi and the current Im(conj(psi) psi') at the positions ``t`` along an edge.
+
+    Each position is one phase-scaled transfer step from the near-end
+    data (psi0, R0 * psi0), times exp(-i*w*t) to undo the scaling.  A
+    value beyond the float range (psi grows like exp(Im(w) t) away from
+    R0 = i*w) raises ``NumericalDegeneracyError``.
+    """
+    w = sqrt_upper(z)
+    with np.errstate(all="ignore"):
+        u, up = _transfer(psi0, R0 * psi0, w, _phase(w, t))
+        unscale = np.exp(np.multiply(-1j * w, t))
+        psi = u * unscale
+        J = (psi.conjugate() * (up * unscale)).imag
+    if not (np.isfinite(psi).all() and np.isfinite(J).all()):
+        raise NumericalDegeneracyError(
+            f"edge solution beyond the float range at Im(w)*t = {w.imag * t.max():.3g}"
+        )
+    return psi, J
+
+
 def edge_psi_ratio(R0: complex, l: float, z) -> complex:
     """Amplitude ratio psi(l) / psi(0) = cos(w*l) + R0 * sin(w*l) / w.
 
-    R0 is the WT value at the near end of the edge.
+    R0 is the WT value at the near end of the edge.  One phase-scaled
+    transfer step (docs/derivations.md section 7); where the ratio or its
+    current leaves the float range (for R0 away from i*w, from Im(w)*l of
+    about 350 on) it raises ``NumericalDegeneracyError``.
     """
-    w = sqrt_upper(z)
-    c, s = cos_sin(w, l)
-    return c + R0 * s / w
+    return complex(_edge_solution(R0, 1.0, np.array([float(l)]), z)[0][0])
 
 
 def wt_bound(z, L_e: float) -> float:
@@ -140,21 +162,16 @@ def current(R: complex, psi_ratio_sq: float, position: float = 0.0) -> Current:
 def current_profile(R0: complex, psi0: complex, l: float, z, n_pts: int = 10):
     """Current samples along one edge, from its near end to its far end.
 
-    The forward solution is evolved by the transfer matrix from the
-    near-end data (psi0, R0 * psi0); for eta > 0 the samples are
-    non-increasing in position.
+    The forward solution is evolved from the near-end data (psi0,
+    R0 * psi0) by the phase-scaled transfer matrix (docs/derivations.md
+    section 7); for eta > 0 the samples are non-increasing in position.
+    A current beyond the float range raises ``NumericalDegeneracyError``.
     """
     if n_pts < 2:
         raise ValidationError("current profile needs at least 2 sample points")
-    w = sqrt_upper(z)
-    out = []
-    for k in range(n_pts):
-        t = l * k / (n_pts - 1)
-        c, s = cos_sin(w, t)
-        psi = psi0 * (c + R0 * s / w)
-        dpsi = psi0 * (-w * s + R0 * c)
-        out.append(Current(J=(psi.conjugate() * dpsi).imag, position=t))
-    return out
+    t = l * np.arange(n_pts) / (n_pts - 1)
+    _, J = _edge_solution(R0, psi0, t, z)
+    return [Current(J=float(j), position=float(x)) for j, x in zip(J, t)]
 
 
 @dataclass(frozen=True)
@@ -291,16 +308,18 @@ def band_support(points, threshold_frac: float = 0.01, threshold: float = None):
 class TreeProfile:
     """Forward solution on one sampled tree.
 
-    Per generation g: ``R_near[g]``, ``psi_near[g]``, ``lengths[g]`` are
-    arrays of length K**g with the WT value, amplitude, and length of
-    every edge (near end), in address order.  ``R_far_cut`` is the seed
-    WT value applied beyond the cut generation.
+    Per generation g: ``R_near[g]``, ``m_near[g]``, ``psi_near[g]``,
+    ``lengths[g]`` are arrays of length K**g with the WT value, disk
+    value, amplitude, and length of every edge (near end), in address
+    order.  ``R_far_cut`` is the seed WT value applied beyond the cut
+    generation.
     """
 
     z: complex
     K: int
     depth: int
     R_near: list
+    m_near: list
     psi_near: list
     lengths: list
     R_far_cut: complex
@@ -324,21 +343,15 @@ def tree_profile(
     _check_model(dm)
     p = as_point(z)
     w = sqrt_upper(p)
-    _, cap = solve_root_R_batch(
-        spec,
-        dm,
-        p.z,
-        seed_m,
-        [replica],
-        capture=True,
-    )
+    _, cap = solve_root_R_batch(spec, dm, p.z, seed_m, [replica], capture=True)
     K = spec.K
     # every edge at once, generation-major: generation g is edges starts[g]:starts[g + 1]
     starts = list(accumulate((K**g for g in range(spec.depth + 1)), initial=0))
-    R = _disk_to_r(np.concatenate([m[0] for m in cap.m_near]), w)
+    m = np.concatenate([x[0] for x in cap.m_near])
+    R = _disk_to_r(m, w)
     le = np.concatenate([x[0] for x in cap.lengths])
-    R_near = [R[lo:hi] for lo, hi in zip(starts, starts[1:])]
-    lengths = [le[lo:hi] for lo, hi in zip(starts, starts[1:])]
+    gens = list(zip(starts, starts[1:]))
+    R_near, m_near, lengths = ([a[lo:hi] for lo, hi in gens] for a in (R, m, le))
     # the far end of an edge is the Kirchhoff sum of its children's near ends
     inner = starts[-2]
     ratio = _edge_ratio(R[:inner], R[1:].reshape(-1, K).sum(axis=1), w, le[:inner])
@@ -351,6 +364,7 @@ def tree_profile(
         K=spec.K,
         depth=spec.depth,
         R_near=R_near,
+        m_near=m_near,
         psi_near=psi_near,
         lengths=lengths,
         R_far_cut=_disk_to_r(complex(seed_m), w),
@@ -363,22 +377,31 @@ def vertex_current_mismatch(profile: TreeProfile) -> float:
     At each vertex the far-end current of the parent edge must equal the
     sum over children of their near-end currents; returns
     max |J_parent - sum J_children| / J_parent, NaN if any term is NaN.
+    The parent's far-end disk value is m_near / q, its own near-end value
+    over its phase, so the check exercises the merge identity instead of
+    restating it; both currents are divided by |psi|^2 at the vertex.
+
+    A vertex whose parent phase q or a child amplitude lies below the
+    normal float range (deep in a tree at large eta) contributes 0: its
+    digits test nothing.  From eta of about 2.5e5 at unit length on, no
+    q is normal (from about 2.8e5 q = 0 and m_near = 0 whatever the far
+    end holds), so the result is 0.  See docs/derivations.md section 7.
     """
     w = sqrt_upper(profile.z)
-    worst = 0.0
+    tiny = np.finfo(float).tiny
     K = profile.K
-    for g in range(profile.depth):
-        R0 = profile.R_near[g]
-        le = profile.lengths[g]
-        # Far-end value from the parent's own disk variable, so the check
-        # exercises the merge identity instead of restating it.
-        m_far = _r_to_disk(R0, w) * np.exp(-2j * w * le)
-        R_end = _disk_to_r(m_far, w)
-        psi_end = profile.psi_near[g] * _edge_ratio(R0, R_end, w, le)
-        J_parent = np.abs(psi_end) ** 2 * R_end.imag
-        J_children = (
-            np.abs(profile.psi_near[g + 1]) ** 2 * profile.R_near[g + 1].imag
-        ).reshape(-1, K).sum(axis=1)
-        rel = np.max(np.abs(J_parent - J_children) / np.abs(J_parent))
-        worst = float(np.max([worst, rel]))  # the builtin max would drop a NaN
-    return worst
+    # every generation at once: the children of edge k are row k of [1:].reshape(-1, K)
+    R, m, psi, le = map(
+        np.concatenate, (profile.R_near, profile.m_near, profile.psi_near, profile.lengths)
+    )
+    n = R.size - K**profile.depth  # the edges with children
+    q = _phase(w, le[:n])
+    psi_kids, R_kids = psi[1:].reshape(-1, K), R[1:].reshape(-1, K)
+    # NaN compares False, so a NaN vertex stays checked
+    live = ~((np.abs(q) < tiny) | (np.abs(psi_kids) < tiny).any(axis=1))
+    R, m, psi, le, q = (a[:n][live] for a in (R, m, psi, le, q))
+    R_end = _disk_to_r(m / q, w)
+    psi_end = psi * _edge_ratio(R, R_end, w, le)
+    J_kids = (np.abs(psi_kids[live] / psi_end[:, None]) ** 2 * R_kids[live].imag).sum(axis=1)
+    rel = np.abs(R_end.imag - J_kids) / np.abs(R_end.imag)
+    return float(rel.max(initial=0.0))

@@ -1,14 +1,52 @@
 """Independent reference computations shared by the test modules."""
 
+import cmath
 import functools
 import math
 
 import numpy as np
 
 import wtree.ensemble as ensemble
-from wtree import TreeSpec, ValidationError, band_theta
+from wtree import NumericalDegeneracyError, TreeSpec, ValidationError, band_theta
 from wtree.engine import sqrt_upper
 from wtree.regular import EDGE_SHIFT, gamma_clean
+
+#: Largest |Im(w*l)| the half-plane edge factors take before they overflow.
+_OVERFLOW_IM = 340.0
+
+
+def cos_sin(w: complex, l: float) -> tuple[complex, complex]:
+    """cos(w*l) and sin(w*l) with an explicit overflow guard."""
+    x = w * l
+    if abs(x.imag) > _OVERFLOW_IM:
+        raise NumericalDegeneracyError(
+            f"trigonometric edge factors overflow at Im(w*l) = {x.imag:.3g}"
+        )
+    return cmath.cos(x), cmath.sin(x)
+
+
+def edge_step_R(R0: complex, l: float, z) -> complex:
+    """Forward Moebius evolution of R along an edge of length l, the half-plane route.
+
+    R(l) = (R0*cos(w*l) - w*sin(w*l)) / (cos(w*l) + R0*sin(w*l)/w).
+    An independent reference for the disk picture, valid while
+    Im(sqrt(z))*l stays moderate.
+
+    Raises
+    ------
+    NumericalDegeneracyError
+        If the denominator vanishes (excluded for eta > 0; signals a
+        numerically degenerate evaluation) or the result is not finite.
+    """
+    w = sqrt_upper(z)
+    c, s = cos_sin(w, l)
+    den = c + R0 * s / w
+    if den == 0:
+        raise NumericalDegeneracyError("edge propagation denominator vanished")
+    out = (R0 * c - w * s) / den
+    if not (math.isfinite(out.real) and math.isfinite(out.imag)):
+        raise NumericalDegeneracyError("edge propagation produced a non-finite value")
+    return out
 
 
 def iterate_m_grid(

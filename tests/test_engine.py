@@ -3,6 +3,7 @@ import math
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,6 @@ from wtree import (
     DisorderModel,
     EdgeAddress,
     HalfPlanePoint,
-    MoebiusPoleError,
     ROOT_EDGE,
     RowDegeneracyError,
     SingularMergeError,
@@ -26,7 +26,6 @@ from wtree import (
     boundary_extrapolate,
     cut_seed_disk,
     edge_length,
-    edge_step_R,
     edge_step_m,
     fixed_point_R,
     gamma_clean,
@@ -44,9 +43,10 @@ from wtree import (
     wt_bound,
 )
 import wtree.engine
-from wtree.engine import _eta_intercept, _merge_sum, _merge_terms, _pairwise_sum, cos_sin
+from wtree.engine import _eta_intercept, _merge_sum, _merge_terms, _pairwise_sum
 from wtree.errors import NumericalDegeneracyError
 from wtree.graphmodel import omega_for_generation
+from oracles import edge_step_R
 
 
 def test_sqrt_upper_interior():
@@ -122,34 +122,6 @@ def test_vertex_merge_matches_additive_R():
 def test_vertex_merge_singular():
     with pytest.raises(SingularMergeError):
         vertex_merge_m([complex(1.0, 0.0), 0j], complex(2.0, 0.1))
-
-
-def test_cos_sin_overflow_guard():
-    with pytest.raises(NumericalDegeneracyError):
-        cos_sin(complex(0.0, 400.0), 1.0)
-
-
-def test_edge_step_R_basics():
-    z = complex(2.0, 0.5)
-    w = sqrt_upper(z)
-    r0 = complex(0.7, 1.1)
-    assert edge_step_R(r0, 0.0, z) == r0
-    # iw is the fixed point of the flow
-    assert abs(edge_step_R(1j * w, 2.3, z) - 1j * w) < 1e-12
-    # semigroup property
-    a = edge_step_R(edge_step_R(r0, 0.4, z), 0.9, z)
-    b = edge_step_R(r0, 1.3, z)
-    assert abs(a - b) < 1e-10
-
-
-def test_edge_step_R_pole():
-    z = complex(2.0, 0.0)  # boundary keeps the trig factors real
-    with pytest.raises(MoebiusPoleError):
-        # R0 = -w*cot(w*l) makes the denominator c + R0*s/w vanish at l
-        w = sqrt_upper(z)
-        l = 0.8
-        c, s_ = cmath.cos(w * l), cmath.sin(w * l)
-        edge_step_R(-w * c / s_, l, z)
 
 
 @settings(max_examples=60, deadline=None)
@@ -337,19 +309,19 @@ _PROBE_ADDR = (1, 0, 1, 1)
 _PINNED_PROBES = {
     0: (
         ("0x1.c4904c440c8cap-7", "0x1.d2c8d6f024d19p-1"),
-        ("-0x1.cd55306100b09p-2", "0x1.df59c003e7c2cp+0"),
+        ("-0x1.cd55306100b0dp-2", "0x1.df59c003e7c2cp+0"),
         ("-0x1.dd94d409d7696p-7", "0x1.fe62f729dc445p-1"),
         ("0x1.507700905dafap-6", "-0x1.dd7386229cd66p-5"),
     ),
     7: (
         ("-0x1.f05e358f60cb6p-6", "0x1.e1d667d415bc5p-1"),
-        ("-0x1.290eecb0a7e14p-1", "0x1.eb034e43a669ep+0"),
+        ("-0x1.290eecb0a7e13p-1", "0x1.eb034e43a669dp+0"),
         ("-0x1.00f321ebf34bap-6", "0x1.fe65e0299c202p-1"),
         ("0x1.758a19b7dd408p-6", "-0x1.dec4d55a4f8e0p-5"),
     ),
     2**63 + 5: (
         ("0x1.87fa01c27b952p-6", "0x1.f568ba0f1107cp-1"),
-        ("-0x1.3ff3f4060d67dp-2", "0x1.c00e34f600fd8p+0"),
+        ("-0x1.3ff3f4060d67bp-2", "0x1.c00e34f600fd7p+0"),
         ("-0x1.221bbb0c9a182p-4", "0x1.0045ca33a58e2p+0"),
         ("0x1.500a2da1452dfp-6", "-0x1.dc7e2c2680950p-5"),
     ),
@@ -999,6 +971,53 @@ def test_solve_R_minus_herglotz_sum():
         assert (rp_at + rm).imag > 0.0
 
 
+def _R_minus_150(spec, dm, z, target, position):
+    """R^- walked with the plain transfer matrix in 150-digit arithmetic.
+
+    The path lengths and the siblings' forward values are the doubles of
+    the captured solve that :func:`solve_R_minus` reads; the pair starts
+    at (sin(alpha), cos(alpha)) and crosses each edge by cos(w*l) and
+    sin(w*l), which the extra digits carry at any eta.
+    """
+    K = spec.K
+    _, cap = solve_root_R_batch(spec, dm, z, replicas=[0], capture=True)
+    with mpmath.workdps(150):
+        w = mpmath.sqrt(mpmath.mpc(z))
+
+        def step(u, up, l):
+            c, s = mpmath.cos(w * l), mpmath.sin(w * l)
+            return u * c + up * s / w, -u * w * s + up * c
+
+        u, up = mpmath.sin(mpmath.mpf(spec.alpha)), mpmath.cos(mpmath.mpf(spec.alpha))
+        i = 0
+        for g, d in enumerate(target.path):
+            u, up = step(u, up, mpmath.mpf(float(cap.lengths[g][0, i])))
+            kids = cap.m_near[g + 1][0, i * K : (i + 1) * K]
+            up -= sum(mpmath.mpc(r_from_m(complex(m), z)) for j, m in enumerate(kids) if j != d) * u
+            i = i * K + d
+        u, up = step(u, up, mpmath.mpf(position))
+        return complex(-up / u)
+
+
+@pytest.mark.parametrize("eta", [1e-2, 1.0, 1e3, 1e4, 1e5, 1e6])
+def test_solve_R_minus_matches_150_digits(eta):
+    # K=2, depth 8, alpha 1.1, target (0, 1, 1, 0), position 0.3 up to
+    # eta 1e6, where cos(w*l) overflows; then boundary angles near the
+    # Dirichlet pole and near pi/2, on the root edge and at generation 4
+    z = complex(2.0, eta)
+    dm = DisorderModel(lam=0.1, master_seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alpha in (1.1, 1e-8, 1e-12, math.pi / 2 - 1e-9, math.pi / 2):
+            spec = TreeSpec(K=2, L=1.0, depth=8, alpha=alpha)
+            for target in (ROOT_EDGE, EdgeAddress((0, 1, 1, 0))):
+                for position in (0.0, 0.3):
+                    got = solve_R_minus(spec, dm, z, target, position)
+                    assert cmath.isfinite(got)
+                    want = _R_minus_150(spec, dm, z, target, position)
+                    assert abs(got - want) <= 2e-15 * abs(want), (alpha, target, position)
+
+
 def test_solve_R_minus_rejects_missing_edges():
     spec = TreeSpec(K=2, L=1.0, depth=3)
     dm = DisorderModel(lam=0.1)
@@ -1014,6 +1033,10 @@ def test_single_point_views_reject_arrays():
     spec = TreeSpec(K=2, L=1.0, depth=3)
     dm = DisorderModel(lam=0.1, master_seed=2)
     for z in (np.array([complex(2, 0.01)]), np.array([[complex(2, 0.01)]]), np.full(3, 2 + 0.1j)):
+        with pytest.raises(ValidationError, match="one spectral point"):
+            solve_edge_R(spec, dm, z, EdgeAddress((1,)))
+        with pytest.raises(ValidationError, match="one spectral point"):
+            solve_root_R(spec, dm, z)
         with pytest.raises(ValidationError, match="one spectral point"):
             solve_R_minus(spec, dm, z, EdgeAddress((1,)))
         with pytest.raises(ValidationError, match="one spectral point"):

@@ -33,7 +33,7 @@ from wtree import (
     solve_root_R_batch,
     stationary_disk,
 )
-from wtree.engine import as_point, cos_sin, edge_step_R, sqrt_upper
+from wtree.engine import as_point, sqrt_upper
 from wtree.graphmodel import (
     DOMAIN_POOL_CHILD,
     DOMAIN_POOL_LENGTH,
@@ -46,7 +46,7 @@ from wtree.graphmodel import (
     uniform01,
 )
 from wtree.regular import _cut_seed, cut_seed_disk, fixed_point_batch, linear_response
-from oracles import relaxed_gamma
+from oracles import cos_sin, edge_step_R, relaxed_gamma
 
 Z_MID = complex(2.0, 0.01)
 SPEC6 = TreeSpec(K=2, L=1.0, depth=6)

@@ -10,6 +10,7 @@ import wtree.observables
 from wtree import (
     DisorderModel,
     GREEN_POLE,
+    NumericalDegeneracyError,
     SingularTransformError,
     TreeSpec,
     ValidationError,
@@ -108,6 +109,54 @@ def test_edge_psi_ratio_derivative():
     assert abs(num - r0) < 1e-6
 
 
+_ETAS_150 = [1e-2, 1.0, 1e3, 1e4, 1e5, 1e6]
+
+
+@pytest.mark.parametrize("eta", _ETAS_150)
+def test_edge_solution_matches_150_digits(eta):
+    # cos(w*l) and sin(w*l) grow like exp(Im(w) l); the edge is kept short
+    # enough (Im(w) l <= 150) that psi and J stay in the float range.  The
+    # phase of w*l carries a rounding of about |w*l| ulps, so the bound
+    # scales with it.  Near-end values stay away from i*w, where the
+    # ratio is ill-conditioned in R0 at large Im(w) l.
+    z = complex(2.0, eta)
+    w = sqrt_upper(z)
+    l = min(1.3, 150.0 / w.imag)
+    tol = 1e-15 * (8.0 + abs(w * l))
+    psi0 = complex(0.6, -0.2)
+    for R0 in (complex(0.4, 0.9), 3j * w, 1j * w / 3):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ratio = edge_psi_ratio(R0, l, z)
+            prof = current_profile(R0, psi0, l, z, n_pts=7)
+        with mpmath.workdps(150):
+            wm, Rm, p0 = mpmath.sqrt(mpmath.mpc(z)), mpmath.mpc(R0), mpmath.mpc(psi0)
+
+            def solution(t):
+                x = wm * mpmath.mpf(t)
+                return p0 * (mpmath.cos(x) + Rm * mpmath.sin(x) / wm), p0 * (
+                    -wm * mpmath.sin(x) + Rm * mpmath.cos(x)
+                )
+
+            want = complex(solution(l)[0] / p0)
+            J = [float(mpmath.im(mpmath.conj(a) * b)) for a, b in (solution(c.position) for c in prof)]
+        assert abs(ratio - want) <= tol * abs(want)
+        # J crosses zero along some edges, so it is read against its largest sample
+        scale = max(map(abs, J))
+        assert all(abs(c.J - j) <= tol * scale for c, j in zip(prof, J))
+
+
+def test_edge_solution_beyond_float_range():
+    # Im(w) l = 1400: the ratio and the currents are not representable
+    z = complex(2.0, 1e6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalDegeneracyError):
+            edge_psi_ratio(complex(0.4, 0.9), 2.0, z)
+        with pytest.raises(NumericalDegeneracyError):
+            current_profile(complex(0.4, 0.9), 1.0, 2.0, z)
+
+
 def test_wt_bound():
     z = complex(2.0, 0.1)
     assert wt_bound(z, 2.0) < wt_bound(z, 1.0) < wt_bound(z, 0.5)
@@ -153,14 +202,16 @@ def test_vertex_current_conservation():
 
 
 def _psi_high_precision(prof):
-    """|psi| at every near end of ``prof``'s edges, solved again in 150-digit arithmetic.
+    """|psi| at every near end of ``prof``'s edges, solved again in high precision.
 
     The R values come from the disk recursion on the profile's own
     lengths and cut seed; psi is then continued with cos(w*l) +
-    R*sin(w*l)/w, whose cancellation the extra digits absorb.
+    R*sin(w*l)/w, which cancels about 2 Im(w) l / ln(10) digits on an
+    edge of length l, so the arithmetic carries 150 digits beyond that.
     """
     K = prof.K
-    with mpmath.workdps(150):
+    lost = 2.0 * sqrt_upper(prof.z).imag * max(float(le.max()) for le in prof.lengths) / math.log(10)
+    with mpmath.workdps(150 + math.ceil(lost)):
         w = mpmath.sqrt(mpmath.mpc(prof.z))
         iw = 1j * w
         R_far = [mpmath.mpc(prof.R_far_cut)] * K**prof.depth
@@ -178,20 +229,47 @@ def _psi_high_precision(prof):
         return [np.array([float(abs(p)) for p in row]) for row in psi]
 
 
-@pytest.mark.parametrize("eta", [1e3, 1e4])
+@pytest.mark.parametrize("eta", _ETAS_150)
 def test_tree_profile_psi_at_large_eta(eta):
     # Im(w)*l is about 22 at eta 1e3 and 70 at eta 1e4, where cos(w*l) +
     # R*sin(w*l)/w cancels to nothing in doubles; the disk-picture ratio
-    # keeps psi to rounding
+    # keeps psi to rounding wherever it is a normal float.  Currents are
+    # conserved exactly, so the check must read rounding on that profile;
+    # from eta 1e3 R_near is i*w to the last bit, so a far end pulled back
+    # from it would be noise.
     z = complex(2.0, eta)
     spec = TreeSpec(K=2, L=1.0, depth=3)
     dm = DisorderModel(lam=0.1, master_seed=1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         prof = tree_profile(spec, dm, z)
+        mismatch = vertex_current_mismatch(prof)
     ref = _psi_high_precision(prof)
     for got, want in zip(prof.psi_near, ref):
-        np.testing.assert_allclose(np.abs(got), want, rtol=1e-12, atol=0)
+        normal = want >= np.finfo(float).tiny
+        np.testing.assert_allclose(np.abs(got[normal]), want[normal], rtol=1e-12, atol=0)
+    assert mismatch <= 1e-12
+    if eta == 1e6:
+        # every phase exp(2i*w*l) underflows to 0, so no vertex is checked
+        assert mismatch == 0.0
+
+
+@pytest.mark.parametrize("eta", [0.05, 1e3, 1e4])
+def test_vertex_current_mismatch_sees_a_perturbed_child(eta):
+    # A leaf's R moved by 1e-8, with its and its sibling's amplitudes
+    # continued across the parent edge from the moved Kirchhoff sum as
+    # tree_profile would: a check whose far end were that sum would read
+    # rounding, but the parent's far end comes from its own disk value.
+    z = complex(2.0, eta)
+    w = sqrt_upper(z)
+    prof = tree_profile(TreeSpec(K=2, L=1.0, depth=3), DisorderModel(lam=0.1, master_seed=1), z)
+    assert vertex_current_mismatch(prof) < 1e-12
+    R = [a.copy() for a in prof.R_near]
+    psi = [a.copy() for a in prof.psi_near]
+    R[3][1] *= 1.0 + 1e-8
+    l0, R0 = prof.lengths[2][0], prof.R_near[2][0]
+    psi[3][:2] = psi[2][0] * np.exp(1j * w * l0) * (R0 + 1j * w) / (R[3][:2].sum() + 1j * w)
+    assert vertex_current_mismatch(dataclasses.replace(prof, R_near=R, psi_near=psi)) >= 1e-9
 
 
 def test_vertex_current_mismatch_propagates_nan():
