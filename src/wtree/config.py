@@ -11,6 +11,7 @@ import copy
 import json
 import math
 
+from .engine import DEFAULT_ETA_LADDER
 from .errors import ValidationError
 from .graphmodel import DisorderModel, TreeSpec
 
@@ -49,7 +50,7 @@ DEFAULTS = {
         "replica": 0,
         "seed_mode": "fixed_point",
         "extrapolate": False,
-        "eta_ladder": [1e-1, 1e-2, 1e-3, 1e-4],
+        "eta_ladder": list(DEFAULT_ETA_LADDER),
     },
     "lyapunov": {
         "E": 2.0,

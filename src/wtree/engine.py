@@ -191,7 +191,10 @@ def vertex_merge_m(children, z) -> complex:
     return (zeta - 1.0) / den
 
 
-def _check_seed_m(seed_m: complex) -> complex:
+def _check_seed_m(seed_m) -> complex:
+    """One far-end seed as a complex, checked; an array raises, as :func:`as_point` does."""
+    if isinstance(seed_m, np.ndarray) and seed_m.ndim:
+        raise ValidationError(f"expected one truncation seed, got an array of shape {seed_m.shape}")
     seed_m = complex(seed_m)
     if not cmath.isfinite(seed_m):
         raise ValidationError(f"truncation seed must be finite, got {seed_m}")
@@ -227,34 +230,19 @@ def _merge_terms(m: np.ndarray, den=None) -> np.ndarray:
     return m
 
 
-def _pairwise_sum(v: np.ndarray, lo: int, n: int, out=None) -> np.ndarray:
-    """Last-axis sums of ``v[..., lo:lo + n]`` in numpy's pairwise order, into ``out`` if given.
+def _sibling_sum(v: np.ndarray, out=None) -> np.ndarray:
+    """Sums of ``v`` over its last axis, its K columns added in order, into ``out`` if given.
 
-    ``v.sum(axis=-1)`` over a short contiguous axis adds sequentially
-    below 4 values, in 4 lanes joined as (l0 + l1) + (l2 + l3) plus a
-    sequential tail up to 64, and above that splits the run at a multiple
-    of 4 values and recurses.  Adding column slices in that order gives
-    the same bits at a fraction of the reduction's per-element cost.
-    (numpy then adds the total to 0.0, which only turns an exact -0.0
-    part into +0.0; the one-value run keeps that, longer runs skip it.)
+    Column slices cost a fraction of a reduction's per-element work.  For
+    K <= 3 the sums carry the bits of ``v.sum(axis=-1)``, which adds that
+    few values in order too (a lone value is added to 0.0, as numpy adds
+    it); longer rows differ from numpy's pairwise order in the last bits.
     """
-    if n < 4:
-        s = np.add(v[..., lo], v[..., lo + 1] if n > 1 else 0.0, out=out)
-        for k in range(lo + 2, lo + n):
-            s += v[..., k]
-        return s
-    if n <= 64:
-        m = n - n % 4
-        lanes = v[..., lo : lo + m].reshape(v.shape[:-1] + (m // 4, 4))
-        acc = lanes[..., 0, :] + lanes[..., 1, :] if m > 4 else lanes[..., 0, :]
-        for i in range(2, m // 4):
-            acc += lanes[..., i, :]
-        s = np.add(acc[..., 0] + acc[..., 1], acc[..., 2] + acc[..., 3], out=out)
-        for k in range(lo + m, lo + n):
-            s += v[..., k]
-        return s
-    n2 = (n - n % 8) // 2
-    return np.add(_pairwise_sum(v, lo, n2), _pairwise_sum(v, lo + n2, n - n2), out=out)
+    K = v.shape[-1]
+    s = np.add(v[..., 0], v[..., 1] if K > 1 else 0.0, out=out)
+    for k in range(2, K):
+        s += v[..., k]
+    return s
 
 
 def _merge_sum(h: np.ndarray, out=None, den=None) -> np.ndarray:
@@ -267,7 +255,7 @@ def _merge_sum(h: np.ndarray, out=None, den=None) -> np.ndarray:
     before it is written.
     """
     K = h.shape[-1]
-    zeta = _pairwise_sum(h.reshape(-1, K), 0, K, out)
+    zeta = _sibling_sum(h.reshape(-1, K), out)
     den = np.add(zeta, 1.0, out=den)
     zeta -= 1.0
     zeta /= den
@@ -369,11 +357,11 @@ def _generation_sums(omega: np.ndarray, K: int, n: int) -> np.ndarray:
     ``omega``, shape (rows, edges), holds the subtree's generations 0..n
     below its top edge laid out generation-major, as
     :func:`omega_for_generation` draws them.  Siblings are added K at a
-    time in :func:`_pairwise_sum`'s order, from the deepest digit up: the
-    columns past the first, K at a time, are again a generation-major
-    layout one level shallower, whose first column is the next
-    generation's sum.  A sum therefore has the same bits whether the
-    subtree is reduced whole or as its K child subtrees (see
+    time in digit order (:func:`_sibling_sum`), from the deepest digit
+    up: the columns past the first, K at a time, are again a
+    generation-major layout one level shallower, whose first column is
+    the next generation's sum.  A sum therefore has the same bits whether
+    the subtree is reduced whole or as its K child subtrees (see
     :func:`_solve_subtree`).
     """
     rows = omega.shape[0]
@@ -381,7 +369,7 @@ def _generation_sums(omega: np.ndarray, K: int, n: int) -> np.ndarray:
     out[:, 0] = omega[:, 0]
     v = omega
     for j in range(1, n + 1):
-        v = _pairwise_sum(v[:, 1:].reshape(rows, -1, K), 0, K)
+        v = _sibling_sum(v[:, 1:].reshape(rows, -1, K))
         out[:, j] = v[:, 0]
     return out
 
@@ -441,9 +429,9 @@ def _solve_subtree(spec, models, prefix, w, seed, reps, capture, sums=False):
     capture, gen)``, the capture indexed by generation below ``prefix``,
     each entry of shape ``(B, S, K**j)``, and with ``sums`` ``gen`` the
     :func:`_generation_sums` of the omegas each block drew, shape ``(B,
-    S, n + 1)`` (else None): a split subtree adds its children's sums K
-    at a time, the last step of that reduction, so splits change no bit
-    of them either.
+    S, n + 1)`` (else None): a split subtree adds its children's sums in
+    digit order (:func:`_sibling_sum`), the last step of that reduction,
+    so splits change no bit of them either.
     """
     K = spec.K
     B = len(models)
@@ -464,7 +452,7 @@ def _solve_subtree(spec, models, prefix, w, seed, reps, capture, sums=False):
             cap = BatchCapture(cap.m_near + below.m_near, cap.lengths + below.lengths)
         if sums:
             # the last step of _generation_sums: the K children's sums, in digit order
-            deeper = _pairwise_sum(np.stack([s_d for _, _, s_d in kids], axis=-1), 0, K)
+            deeper = _sibling_sum(np.stack([s_d for _, _, s_d in kids], axis=-1))
             gen = np.concatenate([gen, deeper], axis=-1)
         return m, cap, gen
 
@@ -690,7 +678,7 @@ def solve_edge_R(
         Edge whose near end is evaluated; the recursion covers the
         subtree hanging from it (truncated at the global depth).
     seed_m : complex
-        Far-end disk seed at the cut generation, |m| <= 1, m != 1.
+        Far-end disk seed at the cut generation, |m| <= 1, m != 1, not an array.
     replica : int
         Disorder replica index.
 
@@ -701,7 +689,7 @@ def solve_edge_R(
     """
     _check_model(dm)
     _check_address(spec, addr)
-    R = _solve(spec, dm, as_point(z), seed_m, [replica], addr.path, False)
+    R = _solve(spec, dm, as_point(z), _check_seed_m(seed_m), [replica], addr.path, False)
     return complex(R[0])
 
 
@@ -836,8 +824,8 @@ def solve_R_minus(
     Raises
     ------
     ValidationError
-        For boundary-mode or array z, or out-of-range targets or
-        positions.
+        For boundary-mode or array z, an array or out-of-range seed, or
+        out-of-range targets, positions or replicas.
     NumericalDegeneracyError
         If the pair degenerates, which eta > 0 excludes.
     """
@@ -847,6 +835,7 @@ def solve_R_minus(
     _check_model(dm)
     _check_address(spec, target)
     _check_word("replica", replica)
+    seed_m = _check_seed_m(seed_m)
     alpha = spec.alpha
     if alpha == 0.0 and target.generation == 0 and position == 0.0:
         return WT_INFINITY

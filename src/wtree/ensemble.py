@@ -302,9 +302,9 @@ def _pool_draws(pool: SamplePool, g0: int) -> _PoolDraws:
     seed in one chain with the seeds and generations as array words, so
     every row equals what hashing its generation alone gives; the slot
     word is a K-digit expansion of the member states.  Each distribution
-    sizes and phases all its rows at once, with a column of their lams.
-    Every length of a lam = 0 row is exactly L (0 * omega is +-0 and
-    exp(+-0) = 1), so those rows take L and one phase exp(2i*w*L).
+    sizes and phases all its rows at once, with a column of their lams;
+    a lam = 0 row's lengths come out exactly L (0 * omega is +-0 and
+    exp(+-0) = 1).
     """
     models = _as_models(pool.dm)
     B = len(models)
@@ -331,16 +331,12 @@ def _pool_draws(pool: SamplePool, g0: int) -> _PoolDraws:
     phases = np.empty((T, B, P), dtype=np.complex128)
     by_dist = {}
     for b, dm in enumerate(models):
-        by_dist.setdefault(dm.dist if dm.lam else None, []).append(b)
+        by_dist.setdefault(dm.dist, []).append(b)
     for dist, rows in by_dist.items():
         sel = rows if len(rows) < B else slice(None)
-        if dist is None:
-            lengths[:, sel] = L
-            phases[:, sel] = _phase(w, lengths[0, rows[0], :1])
-        else:
-            lam = np.array([models[b].lam for b in rows]).reshape(-1, 1)
-            lengths[:, sel] = _lengths(omega_from_uniform(dist, u[:, sel]), lam, L)
-            phases[:, sel] = _phase(w, lengths[:, sel])
+        lam = np.array([models[b].lam for b in rows]).reshape(-1, 1)
+        lengths[:, sel] = _lengths(omega_from_uniform(dist, u[:, sel]), lam, L)
+        phases[:, sel] = _phase(w, lengths[:, sel])
     shape = (T,) + pool.values.shape
     child_idx = child_idx.reshape(shape + (K,))
     lengths = lengths.reshape(shape)

@@ -214,18 +214,10 @@ def _omega_in_place(dist: str, u: np.ndarray) -> np.ndarray:
 
 
 def omega_from_uniform(dist: str, u):
-    """Transform uniform deviates into omega values of the named distribution."""
+    """Omega values of the named distribution for uniform deviates: an array, or one float."""
     if isinstance(u, np.ndarray):
         return _omega_in_place(dist, np.array(u, dtype=np.float64))
-    if dist == "uniform":
-        return 2.0 * u - 1.0
-    if dist == "two_point":
-        return -1.0 if u < 0.5 else 1.0
-    if dist == "truncated_normal":
-        from scipy.special import ndtri
-
-        return float(ndtri(_TN_LO + u * _TN_Z))
-    raise ValidationError(f"unknown omega distribution: {dist!r}")
+    return float(_omega_in_place(dist, np.array([u], dtype=np.float64))[0])
 
 
 @dataclass(frozen=True)
@@ -376,15 +368,16 @@ def resample_omega(dm: DisorderModel, addr: EdgeAddress, replica: int = 0) -> fl
     dm : DisorderModel
     addr : EdgeAddress
     replica : int
-        Independent-copy index; distinct replicas give iid families.
+        Independent-copy index in [0, 2**64); distinct replicas give iid families.
 
     Returns
     -------
     float
         omega value in [-1, 1].
     """
+    _check_word("replica", replica)
     h = hash_words(dm.master_seed, DOMAIN_EDGE, replica, addr.generation, *addr.path)
-    return float(omega_from_uniform(dm.dist, uniform01(h)))
+    return omega_from_uniform(dm.dist, uniform01(h))
 
 
 def omega_for_generation(dm: DisorderModel, K: int, g, replicas, prefix=()) -> np.ndarray:
@@ -491,7 +484,7 @@ def edge_length(spec: TreeSpec, dm: DisorderModel, addr: EdgeAddress, replica: i
     addr : EdgeAddress
         Must lie within ``spec.depth``.
     replica : int
-        Independent-copy index (keyword extension of the address).
+        Independent-copy index in [0, 2**64) (keyword extension of the address).
 
     Returns
     -------

@@ -18,6 +18,7 @@ import numpy as np
 
 from .engine import (
     WT_INFINITY,
+    _check_seed_m,
     _disk_to_r,
     _edge_ratio,
     _failed_rows,
@@ -119,15 +120,25 @@ def _edge_solution(R0: complex, psi0: complex, t: np.ndarray, z):
     return psi, J
 
 
+def _check_edge_length(l) -> float:
+    """An edge length or position as a float, checked to be finite and >= 0."""
+    l = float(l)
+    if not 0.0 <= l < math.inf:
+        raise ValidationError(f"edge length must be finite and >= 0, got {l}")
+    return l
+
+
 def edge_psi_ratio(R0: complex, l: float, z) -> complex:
     """Amplitude ratio psi(l) / psi(0) = cos(w*l) + R0 * sin(w*l) / w.
 
     R0 is the WT value at the near end of the edge.  One phase-scaled
     transfer step (docs/derivations.md section 7); where the ratio or its
     current leaves the float range (for R0 away from i*w, from Im(w)*l of
-    about 350 on) it raises ``NumericalDegeneracyError``.
+    about 350 on) it raises ``NumericalDegeneracyError``, and an l outside
+    [0, inf) ``ValidationError``.
     """
-    return complex(_edge_solution(R0, 1.0, np.array([float(l)]), z)[0][0])
+    l = _check_edge_length(l)
+    return complex(_edge_solution(R0, 1.0, np.array([l]), z)[0][0])
 
 
 def wt_bound(z, L_e: float) -> float:
@@ -165,11 +176,11 @@ def current_profile(R0: complex, psi0: complex, l: float, z, n_pts: int = 10):
     The forward solution is evolved from the near-end data (psi0,
     R0 * psi0) by the phase-scaled transfer matrix (docs/derivations.md
     section 7); for eta > 0 the samples are non-increasing in position.
-    A current beyond the float range raises ``NumericalDegeneracyError``.
+    A current beyond the float range raises ``NumericalDegeneracyError``,
+    an l outside [0, inf) or ``n_pts`` not an integer >= 2 ``ValidationError``.
     """
-    if n_pts < 2:
-        raise ValidationError("current profile needs at least 2 sample points")
-    t = l * np.arange(n_pts) / (n_pts - 1)
+    _check_count("n_pts", n_pts, 2)
+    t = _check_edge_length(l) * np.arange(n_pts) / (n_pts - 1)
     _, J = _edge_solution(R0, psi0, t, z)
     return [Current(J=float(j), position=float(x)) for j, x in zip(J, t)]
 
@@ -338,10 +349,11 @@ def tree_profile(
     extended by continuity across vertices.  Every edge's WT value and
     amplitude ratio is taken from the captured solve in one array pass;
     only the products of the ratios run generation by generation.  An
-    array z raises ``ValidationError``.
+    array z or ``seed_m`` raises ``ValidationError``.
     """
     _check_model(dm)
     p = as_point(z)
+    seed_m = _check_seed_m(seed_m)
     w = sqrt_upper(p)
     _, cap = solve_root_R_batch(spec, dm, p.z, seed_m, [replica], capture=True)
     K = spec.K
@@ -367,7 +379,7 @@ def tree_profile(
         m_near=m_near,
         psi_near=psi_near,
         lengths=lengths,
-        R_far_cut=_disk_to_r(complex(seed_m), w),
+        R_far_cut=_disk_to_r(seed_m, w),
     )
 
 

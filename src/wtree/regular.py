@@ -87,8 +87,7 @@ def ac_bands(K: int, L: float, n_max: int) -> BandList:
     _check_count("K", K, 1)
     if L <= 0 or not math.isfinite(L):
         raise ValidationError(f"edge length must be positive, got {L}")
-    if n_max < 0:
-        raise ValidationError(f"n_max must be >= 0, got {n_max}")
+    _check_count("n_max", n_max, 0)
     import mpmath  # loaded on first use, not with the package
 
     with mpmath.workdps(40):
@@ -345,6 +344,8 @@ def iterate_m_map(z, K: int, L: float, m0: complex = 0j, n_steps: int = 100) -> 
     contracts toward the stationary disk value.
     """
     p = as_point(z)
+    _check_count("K", K, 1)
+    _check_count("n_steps", n_steps, 0)
     m = complex(m0)
     for _ in range(n_steps):
         m = edge_step_m(vertex_merge_m([m] * K, p), L, p)

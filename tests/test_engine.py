@@ -43,7 +43,7 @@ from wtree import (
     wt_bound,
 )
 import wtree.engine
-from wtree.engine import _eta_intercept, _merge_sum, _merge_terms, _pairwise_sum
+from wtree.engine import _eta_intercept, _merge_sum, _merge_terms, _sibling_sum
 from wtree.errors import NumericalDegeneracyError
 from wtree.graphmodel import omega_for_generation
 from oracles import edge_step_R
@@ -194,7 +194,7 @@ def _close(a, b):
     return abs(a - b) <= 1e-10 * max(1.0, abs(b))
 
 
-ORACLE_TREES = [(1, 7), (2, 6), (3, 4)]
+ORACLE_TREES = [(1, 7), (2, 6), (3, 4), (5, 3)]
 
 
 def test_scalar_vs_batch():
@@ -376,6 +376,54 @@ def test_seed_validation():
     for seed in (complex(1.2, 0.0), complex(1.0, 0.0), complex(math.nan, 0.0), complex(0.0, math.inf)):
         with pytest.raises(ValidationError):
             solve_root_R(spec, dm, complex(2.0, 0.5), seed_m=seed)
+
+
+_CHECK_SPEC = TreeSpec(K=2, L=1.0, depth=3)
+_CHECK_DM = DisorderModel(lam=0.1, master_seed=1)
+_CHECK_Z = complex(2.0, 0.01)
+_NAN_SEED = np.array([complex(math.nan, 0.0)])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: wtree.ac_bands(2, 1.0, 1.5), id="bands-n_max-float"),
+        pytest.param(lambda: wtree.ac_bands(2, 1.0, True), id="bands-n_max-bool"),
+        pytest.param(lambda: wtree.iterate_m_map(_CHECK_Z, 2, 1.0, n_steps=-1), id="m_map-steps"),
+        pytest.param(lambda: wtree.iterate_m_map(_CHECK_Z, 0, 1.0), id="m_map-K"),
+        pytest.param(lambda: edge_length(_CHECK_SPEC, _CHECK_DM, ROOT_EDGE, -1), id="edge_length"),
+        pytest.param(lambda: wtree.resample_omega(_CHECK_DM, ROOT_EDGE, -1), id="resample_omega"),
+        pytest.param(lambda: wtree.resample_omega(_CHECK_DM, ROOT_EDGE, 2**64), id="omega-2**64"),
+        pytest.param(lambda: solve_edge_R(_CHECK_SPEC, _CHECK_DM, _CHECK_Z, replica=-1), id="edge_R"),
+        pytest.param(
+            lambda: tree_profile(_CHECK_SPEC, _CHECK_DM, _CHECK_Z, seed_m=np.array([0j])),
+            id="profile-seed-array",
+        ),
+        pytest.param(
+            lambda: solve_edge_R(_CHECK_SPEC, _CHECK_DM, _CHECK_Z, seed_m=np.array([0j])),
+            id="edge_R-seed-array",
+        ),
+        pytest.param(
+            lambda: solve_edge_R(_CHECK_SPEC, _CHECK_DM, _CHECK_Z, seed_m=_NAN_SEED),
+            id="edge_R-seed-nan-array",
+        ),
+        pytest.param(
+            lambda: solve_R_minus(_CHECK_SPEC, _CHECK_DM, _CHECK_Z, seed_m=np.array([0j])),
+            id="R_minus-seed-array",
+        ),
+        pytest.param(
+            lambda: solve_R_minus(_CHECK_SPEC, _CHECK_DM, _CHECK_Z, seed_m=_NAN_SEED),
+            id="R_minus-seed-nan-array",
+        ),
+    ],
+)
+def test_counts_replicas_and_seeds_checked(call):
+    # counts go through the kernel's count check, replicas through its
+    # 64-bit word check, and the one-replica views take one seed, as they
+    # take one z: each raises ValidationError before any arithmetic
+    with pytest.raises(ValidationError):
+        call()
 
 
 @pytest.mark.filterwarnings("error")
@@ -610,7 +658,7 @@ def _stack_models(dist):
 
 
 @pytest.mark.parametrize("dist", ["uniform", "two_point", "truncated_normal"])
-@pytest.mark.parametrize("K,depth", [(1, 7), (2, 6), (3, 4)])
+@pytest.mark.parametrize("K,depth", [(1, 7), (2, 6), (3, 4), (5, 3)])
 def test_stacked_solve_equals_lone_solves(K, depth, dist, monkeypatch):
     # row b of a stacked solve is the solve of model b alone, bit for bit,
     # its capture included, at any thread count, block size and split
@@ -1081,17 +1129,25 @@ def test_boundary_extrapolate():
             boundary_extrapolate(fn, 1.0, etas=etas)
 
 
-def test_merge_sum_matches_numpy_sum():
-    # the slice sums follow numpy's pairwise order: sequential below 4
-    # siblings, four lanes up to 64, recursive halving above
+def test_sibling_sum_adds_columns_in_order():
+    # the sibling sum adds the K columns in order, on complex and on float
+    # input; up to 3 siblings that is numpy's own order, so .sum's bits
     rng = np.random.default_rng(8)
     for K in range(1, 131):
         for S, N in [(5, K), (3, K * K)]:
             mag = 10.0 ** rng.uniform(-8, 8, size=(S, N))
-            m = (rng.standard_normal((S, N)) + 1j * rng.standard_normal((S, N))) * mag
-            zeta = m.reshape(S, -1, K).sum(axis=2)
-            got = _pairwise_sum(m.reshape(-1, K), 0, K).reshape(S, -1)
-            assert got.tobytes() == zeta.tobytes(), K
+            x = rng.standard_normal((S, N)) * mag
+            m = x + 1j * rng.standard_normal((S, N)) * mag
+            for v in (m, x):
+                cols = v.reshape(-1, K)
+                expect = sum(cols[:, k] for k in range(K))
+                assert _sibling_sum(cols).tobytes() == expect.tobytes(), K
+                out = np.empty_like(expect)
+                assert _sibling_sum(cols, out=out) is out
+                assert out.tobytes() == expect.tobytes(), K
+                if K <= 3:
+                    assert expect.tobytes() == cols.sum(axis=-1).tobytes(), K
+            zeta = _sibling_sum(m.reshape(-1, K)).reshape(S, -1)
             merged = _merge_sum(m.reshape(S, -1, K))
             assert merged.tobytes() == ((zeta - 1.0) / (zeta + 1.0)).tobytes(), K
     m = rng.standard_normal(7) + 1j * rng.standard_normal(7)
@@ -1100,7 +1156,7 @@ def test_merge_sum_matches_numpy_sum():
     assert h.tobytes() == ((1.0 + m) / (1.0 - m)).tobytes()
 
 
-@pytest.mark.parametrize("K,depth", [(1, 6), (2, 5), (3, 3)])
+@pytest.mark.parametrize("K,depth", [(1, 6), (2, 5), (3, 3), (5, 3)])
 def test_omega_means_match_redraws_and_every_split(K, depth, monkeypatch):
     # the kernel's generation means are those of the omegas the solve
     # draws, redrawn here per generation; their bits do not depend on

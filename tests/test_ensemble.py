@@ -398,11 +398,10 @@ def test_stacked_pool_equals_one_point_pools(K, dist):
         _assert_rows_equal(stack, pools)
 
 
-def test_clean_pool_rows_take_one_phase(monkeypatch):
-    # every length of a lam = 0 row is exactly L, so a block of draws
-    # computes their phase exp(2i*w*L) once: each of those rows' phases is the
-    # bits of the phase of an array of lengths L, and the stack still
-    # equals its lone pools
+def test_clean_pool_rows_have_length_l():
+    # every length of a lam = 0 row is exactly L (0 * omega is +-0 and
+    # exp(+-0) = 1): each of those rows' phases is the bits of the phase
+    # of an array of lengths L, and the stack still equals its lone pools
     K, P, L = 2, 16, 1.3
     z = complex(2.0, 0.05)
     models = [
@@ -410,14 +409,6 @@ def test_clean_pool_rows_take_one_phase(monkeypatch):
         DisorderModel(lam=0.0, master_seed=3),
         DisorderModel(lam=0.0, dist="truncated_normal", master_seed=4),
     ]
-    phased = []
-    phase = ensemble._phase
-
-    def counting(w, le, out=None):
-        phased.append(np.size(le))
-        return phase(w, le, out)
-
-    monkeypatch.setattr(ensemble, "_phase", counting)
     stack = pool_init(TreeSpec(K=K, L=L, depth=6), models, z, P)
     for b in range(3):
         stack.values[b] = np.roll(np.resize(_POOL_START, P), b)
@@ -429,9 +420,6 @@ def test_clean_pool_rows_take_one_phase(monkeypatch):
         _assert_rows_equal(stack, pools)
     T = stack._draws.lengths.shape[0]
     assert T == 2**15 // (3 * P * K)
-    # the block of the stack (one call for the lam = 0.2 row, one for both
-    # clean rows), then the first blocks of the lone pools
-    assert phased == [T * P, 1, 2**15 // (P * K) * P, 1, 1]
     every = wtree.engine._phase(sqrt_upper(z), np.full((T, P), L))
     for b in (1, 2):
         assert np.all(stack._draws.lengths[:, b] == L)

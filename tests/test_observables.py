@@ -104,7 +104,8 @@ def test_edge_psi_ratio_derivative():
     z = complex(2.0, 0.2)
     r0 = complex(0.4, 0.9)
     h = 1e-5
-    num = (edge_psi_ratio(r0, h, z) - edge_psi_ratio(r0, -h, z)) / (2 * h)
+    # a one-sided second-order difference: the edge has no negative lengths
+    num = (4 * edge_psi_ratio(r0, h, z) - edge_psi_ratio(r0, 2 * h, z) - 3.0) / (2 * h)
     # psi'(0)/psi(0) = R0
     assert abs(num - r0) < 1e-6
 
@@ -155,6 +156,27 @@ def test_edge_solution_beyond_float_range():
             edge_psi_ratio(complex(0.4, 0.9), 2.0, z)
         with pytest.raises(NumericalDegeneracyError):
             current_profile(complex(0.4, 0.9), 1.0, 2.0, z)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: current_profile(1j, 1.0, math.inf, 2 + 0.01j), id="profile-l-inf"),
+        pytest.param(lambda: current_profile(1j, 1.0, -1.0, 2 + 0.01j), id="profile-l-negative"),
+        pytest.param(lambda: current_profile(1j, 1.0, math.nan, 2 + 0.01j), id="profile-l-nan"),
+        pytest.param(lambda: current_profile(1j, 1.0, 1.0, 2 + 0.01j, n_pts=2.5), id="profile-n_pts"),
+        pytest.param(lambda: current_profile(1j, 1.0, 1.0, 2 + 0.01j, n_pts=True), id="profile-bool"),
+        pytest.param(lambda: edge_psi_ratio(1j, math.nan, 2 + 0.01j), id="ratio-l-nan"),
+        pytest.param(lambda: edge_psi_ratio(1j, -1.0, 2 + 0.01j), id="ratio-l-negative"),
+        pytest.param(lambda: edge_psi_ratio(1j, math.inf, 2 + 0.01j), id="ratio-l-inf"),
+    ],
+)
+def test_edge_observables_check_their_edge(call):
+    # an invalid edge is a ValidationError before any arithmetic, not a
+    # warning followed by a NumericalDegeneracyError
+    with pytest.raises(ValidationError):
+        call()
 
 
 def test_wt_bound():
