@@ -217,17 +217,22 @@ class BatchCapture:
     lengths: list
 
 
-def _merge_terms(m: np.ndarray, den=None) -> np.ndarray:
-    """Merge terms (1 + m) / (1 - m) of disk values, overwriting ``m``.
+#: 1 as a 0-d complex array: a ufunc takes it faster than the python 1.0,
+#: which it converts to this same complex128 value on every call
+_ONE = np.array(1.0 + 0.0j)
+
+
+def _merge_terms(m: np.ndarray, den=None, out=None) -> np.ndarray:
+    """Merge terms (1 + m) / (1 - m) of disk values, in place in ``m`` unless ``out`` is given.
 
     The term of a disk value is R / (i*w) for its half-plane value R, so
     the Kirchhoff merge adds terms where the half plane adds R.  ``den``,
-    an array of m's shape, takes the one temporary if given.
+    an array of m's shape, takes the one temporary if given; ``out`` may
+    be ``m`` itself.
     """
-    den = np.subtract(1.0, m, out=den)
-    m += 1.0
-    m /= den
-    return m
+    den = np.subtract(_ONE, m, den)
+    h = np.add(m, _ONE, m if out is None else out)
+    return np.divide(h, den, h)
 
 
 def _sibling_sum(v: np.ndarray, out=None) -> np.ndarray:
@@ -239,7 +244,7 @@ def _sibling_sum(v: np.ndarray, out=None) -> np.ndarray:
     it); longer rows differ from numpy's pairwise order in the last bits.
     """
     K = v.shape[-1]
-    s = np.add(v[..., 0], v[..., 1] if K > 1 else 0.0, out=out)
+    s = np.add(v[..., 0], v[..., 1] if K > 1 else 0.0, out)
     for k in range(2, K):
         s += v[..., k]
     return s
@@ -250,16 +255,14 @@ def _merge_sum(h: np.ndarray, out=None, den=None) -> np.ndarray:
 
     ``h`` holds the :func:`_merge_terms` of each parent's K children
     along its last axis; the result drops that axis.  ``out`` and
-    ``den``, flat arrays of the result's size, take the result and the
-    one temporary if given; ``den`` may overlap ``h``, which is read
-    before it is written.
+    ``den``, arrays of the result's shape, take the result and the one
+    temporary if given; ``den`` may overlap ``h``, which is read before
+    it is written.
     """
-    K = h.shape[-1]
-    zeta = _sibling_sum(h.reshape(-1, K), out)
-    den = np.add(zeta, 1.0, out=den)
-    zeta -= 1.0
-    zeta /= den
-    return zeta.reshape(h.shape[:-1])
+    zeta = _sibling_sum(h, out)
+    den = np.add(zeta, _ONE, den)
+    # into ``out``: zeta of a lone row of K terms is a numpy scalar
+    return np.divide(np.subtract(zeta, _ONE, out), den, out)
 
 
 def _phase(w, le, out=None):
@@ -273,12 +276,14 @@ def _pull(m, w, le, out=None):
     return _times_phase(_phase(w, le, out), m)
 
 
-def _times_phase(phase, m):
-    """The pulled values ``phase * m``, in place in ``phase`` unless it has one element."""
+def _times_phase(phase, m, out=None):
+    """The pulled values ``phase * m``, into ``out``, else in place in ``phase`` unless it has one element."""
     # numpy rounds an in-place complex product of a single element
-    # differently from an out-of-place one; one-element blocks multiply
-    # out of place so that every block gets the out-of-place rounding
-    return np.multiply(phase, m, out=phase if phase.size > 1 else None)
+    # differently from an out-of-place one; one-element products go out
+    # of place, so that every block gets the out-of-place rounding
+    if out is None and phase.size > 1:
+        out = phase
+    return np.multiply(phase, m, out)
 
 
 def _r_to_disk(R, w):
@@ -424,7 +429,11 @@ def _solve_subtree(spec, models, prefix, w, seed, reps, capture, sums=False):
     omegas, and the ``(B, rows, edges)`` block is then solved one
     generation at a time (a one-row block of at most
     :data:`_ONE_CALL_PHASES` edges takes every edge's phase in one call
-    first).  Neither splits nor block sizes change a bit,
+    first).  A generation is three :func:`_merge_terms` ufuncs, the
+    K - 1 adds and three ufuncs of :func:`_merge_sum` and one pull
+    (:func:`_times_phase`), on flat slices of two scratch buffers; a
+    capture takes the pulled values straight into its own buffer.
+    Neither splits nor block sizes change a bit,
     so every model's values are the bits it gets alone.  Returns ``(m,
     capture, gen)``, the capture indexed by generation below ``prefix``,
     each entry of shape ``(B, S, K**j)``, and with ``sums`` ``gen`` the
@@ -462,9 +471,12 @@ def _solve_subtree(spec, models, prefix, w, seed, reps, capture, sums=False):
     out = np.empty((B, S), dtype=np.complex128)
     gen = np.empty((B, S, n + 1)) if sums else None
     caps = []
-    # Two scratch buffers serve every block and generation, so the solve
-    # touches fresh memory once instead of once per block: generation j's
-    # values end in ``a``, and its merge and the leaf seeds work in ``b``.
+    # Two flat scratch buffers serve every block and generation, so the
+    # solve touches fresh memory once instead of once per block.  A
+    # generation's values are flat, (B, rows, K**j) in C order, so each
+    # parent's K children sit side by side: their merge terms go to
+    # ``a`` and the denominators to ``b``, the merged values end in ``b``
+    # and the pulled ones in ``a``, or in the capture.
     a, b = np.empty((2, B * min(chunk, S) * leaves), dtype=np.complex128)
 
     def block_lengths(r):
@@ -486,38 +498,47 @@ def _solve_subtree(spec, models, prefix, w, seed, reps, capture, sums=False):
     w2 = 2j * w[:, None]  # each row's phases are exp(w2 * le)
     for lo in range(0, S, chunk):
         hi = min(lo + chunk, S)
+        R = hi - lo
         lengths, block_sums = block_lengths(_one_tree(reps[lo:hi, None])) if tree is None else tree
         if sums:
             gen[:, lo:hi] = block_sums
-        end = lengths.shape[-1]
-        rows = B * (hi - lo)
-        m = b[: rows * leaves].reshape(B, hi - lo, leaves)
-        m[...] = seed[..., lo:hi, None]
-        one_call = rows == 1 and edges <= _ONE_CALL_PHASES
-        if one_call:
-            phases = np.multiply(w2[lo:hi], lengths)
-            np.exp(phases, out=phases)
-        cap = BatchCapture([None] * (n + 1), [None] * (n + 1))
+        rows = B * R
+        m = b[: rows * leaves]
+        m.reshape(B, R, leaves)[...] = seed[..., lo:hi, None]
+        phases = None
+        if rows == 1 and edges <= _ONE_CALL_PHASES:
+            phases = np.multiply(w2[lo:hi], lengths).reshape(-1)
+            np.exp(phases, phases)
+        if capture:
+            # generation j's values, (B, R, K**j), from rows * (its first column) on
+            near = np.empty(rows * edges, dtype=np.complex128)
+            cap = BatchCapture([None] * (n + 1), [None] * (n + 1))
+            caps.append(cap)
+        # generation j's edges are the columns s:e of the lengths
+        e = edges
         for j in range(n, -1, -1):
-            cells = rows * K**j
+            s = e - K**j
+            cells = rows * (e - s)
             if j < n:
-                h = _merge_terms(m, den=b[: cells * K].reshape(m.shape))
-                m = _merge_sum(h.reshape(B, hi - lo, -1, K), out=b[:cells], den=a[:cells])
-            le = lengths[..., end - K**j : end]
-            end -= K**j
-            if one_call:
-                phase = phases[..., end : end + K**j]
+                h = _merge_terms(m, b[: cells * K], a[: cells * K])
+                m = _merge_sum(h.reshape(-1, K), b[:cells], a[:cells])
+            if phases is None:
+                # _phase, with 2i*w taken once per call
+                phase = a[:cells]
+                np.multiply(w2[lo:hi], lengths[..., s:e], phase.reshape(B, R, -1))
+                np.exp(phase, phase)
             else:
-                # _pull, with 2i*w taken once per call
-                phase = np.multiply(w2[lo:hi], le, out=a[:cells].reshape(B, hi - lo, -1))
-                np.exp(phase, out=phase)
-            m = _times_phase(phase, m)
+                phase = phases[s:e]
             if capture:
-                cap.m_near[j] = m.copy()  # the next _merge_terms overwrites m
+                m = _times_phase(phase, m, near[rows * s : rows * e])
+                cap.m_near[j] = m.reshape(B, R, -1)
+                le = lengths[..., s:e]
                 # a block of one replica drew its lengths once, for every row
-                cap.lengths[j] = np.broadcast_to(le, m.shape) if le.shape != m.shape else le
-        caps.append(cap)
-        out[:, lo:hi] = m[..., 0]
+                cap.lengths[j] = le if le.shape[1] == R else np.broadcast_to(le, (B, R, e - s))
+            else:
+                m = _times_phase(phase, m)
+            e = s
+        out[:, lo:hi] = m.reshape(B, R)
     return out, _joined(caps, -2) if capture else None, gen
 
 
@@ -546,23 +567,12 @@ def _replica_array(replicas) -> np.ndarray:
     return np.array(values, dtype=np.uint64)
 
 
-def _solve(spec, dm, z, seed_m, replicas, prefix, capture, threads=1, omega_means=False):
-    """Validate a solve of the subtree below ``prefix`` and run it.
+def _batch_rows(z, seed_m, S: int):
+    """The checked per-row square roots w of z and far-end seeds of a batch of S rows.
 
-    ``dm`` is one model, giving values of shape ``(S,)``, or a sequence
-    of B models, giving ``(B, S)``.  With ``threads`` > 1 the replicas
-    are split into that many contiguous parts (at least one each),
-    solved on a thread pool and joined before the one degeneracy check,
-    so values, failed rows and their reasons do not depend on the
-    thread count.  Returns the values, then the capture if ``capture``,
-    then the generation means of the omegas if ``omega_means``, as a
-    tuple when there is more than one.
+    ``z`` and ``seed_m`` are each one value for every row or an array
+    of one per row.
     """
-    models = _as_models(dm)
-    _check_count("threads", threads, 1)
-    replicas = _replica_array([0] if replicas is None else replicas)
-    S = replicas.size
-
     if isinstance(z, np.ndarray):
         z_arr = np.asarray(z, dtype=np.complex128).ravel()
         if z_arr.size != S:
@@ -573,11 +583,7 @@ def _solve(spec, dm, z, seed_m, replicas, prefix, capture, threads=1, omega_mean
             raise ValidationError("direct recursion requires eta > 0 at every point")
         w = np.sqrt(z_arr)
     else:
-        p = as_point(z)
-        if p.boundary_mode:
-            raise ValidationError("direct recursion requires eta > 0; boundary values need extrapolation")
-        w = np.full(S, sqrt_upper(p), dtype=np.complex128)
-
+        w = np.full(S, _interior_sqrt(as_point(z)), dtype=np.complex128)
     if isinstance(seed_m, np.ndarray):
         seed = np.asarray(seed_m, dtype=np.complex128).ravel()
         if seed.size != S:
@@ -586,14 +592,45 @@ def _solve(spec, dm, z, seed_m, replicas, prefix, capture, threads=1, omega_mean
             raise ValidationError("truncation seeds must satisfy |m| <= 1, m != 1")
     else:
         seed = np.full(S, _check_seed_m(seed_m), dtype=np.complex128)
+    return w, seed
 
+
+def _interior_sqrt(p: HalfPlanePoint) -> complex:
+    """sqrt_upper of a point off the real axis; boundary mode raises ``ValidationError``."""
+    if p.boundary_mode:
+        raise ValidationError("direct recursion requires eta > 0; boundary values need extrapolation")
+    return sqrt_upper(p)
+
+
+def _one_row(z, seed_m, replica):
+    """sqrt(z) of a one-replica view, then its checked row: w, seed and replica arrays."""
+    w = _interior_sqrt(as_point(z))
+    seed_m = _check_seed_m(seed_m)
+    _check_word("replica", replica)
+    return w, (np.array([w]), np.array([seed_m]), np.array([replica], dtype=np.uint64))
+
+
+def _solve(spec, dm, w, seed, replicas, prefix, capture, threads=1, omega_means=False):
+    """Solve the subtree below ``prefix`` for checked rows.
+
+    ``w``, ``seed`` and ``replicas`` hold each row's sqrt(z), far-end
+    seed and uint64 replica (see :func:`_batch_rows` and
+    :func:`_one_row`).  ``dm`` is one model, giving values of shape
+    ``(S,)``, or a sequence of B models, giving ``(B, S)``.  With
+    ``threads`` > 1 the replicas are split into that many contiguous
+    parts (at least one each), solved on a thread pool and joined before
+    the one degeneracy check, so values, failed rows and their reasons
+    do not depend on the thread count.  Returns the values, then the
+    capture if ``capture``, then the generation means of the omegas if
+    ``omega_means``, as a tuple when there is more than one.
+    """
+    models = _as_models(dm)
+    S = replicas.size
     n_edges = _edge_count(spec.K, spec.depth - len(prefix))
     if n_edges > VISIT_BUDGET:
         raise BudgetExceededError(
             f"tree solve would visit {n_edges} edges, budget is {VISIT_BUDGET}"
         )
-
-    prefix = tuple(prefix)
 
     def part(lo, hi):
         return _solve_subtree(
@@ -627,9 +664,9 @@ def _solve(spec, dm, z, seed_m, replicas, prefix, capture, threads=1, omega_mean
             cap = BatchCapture([a[0] for a in cap.m_near], [a[0] for a in cap.lengths])
         if omega_means:
             sums = sums[0]
-    finite = np.isfinite(out)
-    bad = ~(finite & (out.imag > 0.0))
-    if bad.any():
+    if not (np.isfinite(out).all() and (out.imag > 0.0).all()):
+        finite = np.isfinite(out)
+        bad = ~(finite & (out.imag > 0.0))
         reasons = np.where(finite, np.where(bad, _LOWER, None), _NONFINITE).tolist()
         out[bad] = complex(math.nan, math.nan)
         raise RowDegeneracyError(_LOWER if finite.all() else _NONFINITE, out, reasons)
@@ -689,8 +726,8 @@ def solve_edge_R(
     """
     _check_model(dm)
     _check_address(spec, addr)
-    R = _solve(spec, dm, as_point(z), _check_seed_m(seed_m), [replica], addr.path, False)
-    return complex(R[0])
+    _, row = _one_row(z, seed_m, replica)
+    return complex(_solve(spec, dm, *row, addr.path, False)[0])
 
 
 def solve_root_R(
@@ -788,8 +825,12 @@ def solve_root_R_batch(
         and its ``reasons`` the failure text per row, None where good.
     """
     _check_address(spec, addr)
+    _as_models(dm)
+    _check_count("threads", threads, 1)
+    replicas = _replica_array([0] if replicas is None else replicas)
+    w, seed = _batch_rows(z, seed_m, replicas.size)
     return _solve(
-        spec, dm, z, seed_m, replicas, addr.path, capture, threads, omega_means=omega_means
+        spec, dm, w, seed, replicas, addr.path, capture, threads, omega_means=omega_means
     )
 
 
@@ -829,20 +870,19 @@ def solve_R_minus(
     NumericalDegeneracyError
         If the pair degenerates, which eta > 0 excludes.
     """
-    p = as_point(z)
-    if p.boundary_mode:
-        raise ValidationError("direct recursion requires eta > 0; boundary values need extrapolation")
+    w, row = _one_row(z, seed_m, replica)
     _check_model(dm)
     _check_address(spec, target)
-    _check_word("replica", replica)
-    seed_m = _check_seed_m(seed_m)
+    if isinstance(position, (bool, np.bool_)) or not isinstance(
+        position, (int, float, np.integer, np.floating)
+    ):
+        raise ValidationError(f"position must be a real number, got {position!r}")
     alpha = spec.alpha
     if alpha == 0.0 and target.generation == 0 and position == 0.0:
         return WT_INFINITY
 
-    w = sqrt_upper(p)
     K = spec.K
-    _, cap = _solve(spec, dm, p, seed_m, [replica], (), True)
+    _, cap = _solve(spec, dm, *row, (), True)
     # index of the path's edge within each generation, the target's last
     idx = list(accumulate(target.path, lambda i, d: i * K + d, initial=0))
     lengths = [float(cap.lengths[g][0, i]) for g, i in enumerate(idx)]

@@ -11,6 +11,7 @@ parallel scheduling.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -81,38 +82,38 @@ def _check_word(name: str, value) -> None:
         raise ValidationError(f"{name} must be an integer in [0, 2**64), got {value!r}")
 
 
-def _mix(x: int) -> int:
-    # splitmix64 finalizer on python ints
-    x &= _MASK64
-    x ^= x >> 30
-    x = (x * _MIX1) & _MASK64
-    x ^= x >> 27
-    x = (x * _MIX2) & _MASK64
-    x ^= x >> 31
-    return x
-
-
 def _chain(h: int, words) -> int:
-    """The scalar hash chain continued from state ``h`` through python-int ``words``."""
+    """The scalar hash chain continued from state ``h`` through ``words``, python ints in [0, 2**64).
+
+    Each step is the splitmix64 finalizer of ``h ^ w`` on python ints,
+    inline: a one-replica tree solve runs one chain per generation.
+    """
     for w in words:
-        h = _mix(h ^ (int(w) & _MASK64))
+        x = h ^ w
+        x = (x ^ x >> 30) * _MIX1 & _MASK64
+        x = (x ^ x >> 27) * _MIX2 & _MASK64
+        h = x ^ x >> 31
     return h
 
 
-# _mix_np's shifts and multipliers as uint64 scalars, made once
-_S30, _S27, _S31 = np.uint64(30), np.uint64(27), np.uint64(31)
-_M1, _M2 = np.uint64(_MIX1), np.uint64(_MIX2)
+# _mix_np's shifts and multipliers as 0-d uint64 arrays, made once: a
+# ufunc takes a 0-d array faster than a numpy scalar, and multiplies a
+# few thousand words by it faster too
+_S11, _S27, _S30, _S31 = (np.array(s, dtype=np.uint64) for s in (11, 27, 30, 31))
+_M1, _M2 = np.array(_MIX1, dtype=np.uint64), np.array(_MIX2, dtype=np.uint64)
+# the float spacing 2**-53 that turns a word's top 53 bits into a uniform
+_ULP = np.array(2.0**-53)
 
 
 def _mix_np(x: np.ndarray) -> np.ndarray:
     # splitmix64 finalizer, in place: callers pass a fresh XOR result;
-    # the three shifts share one scratch array
+    # the three shifts share one scratch array, outputs are positional
     tmp = np.right_shift(x, _S30)
-    x ^= tmp
-    x *= _M1
-    x ^= np.right_shift(x, _S27, out=tmp)
-    x *= _M2
-    x ^= np.right_shift(x, _S31, out=tmp)
+    np.bitwise_xor(x, tmp, x)
+    np.multiply(x, _M1, x)
+    np.bitwise_xor(x, np.right_shift(x, _S27, tmp), x)
+    np.multiply(x, _M2, x)
+    np.bitwise_xor(x, np.right_shift(x, _S31, tmp), x)
     return x
 
 
@@ -121,6 +122,14 @@ def _mix_np(x: np.ndarray) -> np.ndarray:
 #: 2-vCPU VM (numpy 2.4, K=2) the broadcast took 5.4 us against 6.9 us
 #: for one state and 11.9 us against 10.7 us for 512.
 _BROADCAST_STATES = 256
+
+
+@functools.cache
+def _digits(K: int) -> np.ndarray:
+    """The digits 0..K-1 as a read-only uint64 array, made once per K."""
+    d = np.arange(K, dtype=np.uint64)
+    d.flags.writeable = False
+    return d
 
 
 def _expand_digits(h: np.ndarray, K: int) -> np.ndarray:
@@ -132,11 +141,12 @@ def _expand_digits(h: np.ndarray, K: int) -> np.ndarray:
     column writes, whose cost does not grow with K calls of the inner
     loop per state.  Either way one mix follows.
     """
+    digits = _digits(K)
     if h.size <= _BROADCAST_STATES:
-        return _mix_np(np.bitwise_xor(h[..., None], np.arange(K, dtype=np.uint64)))
+        return _mix_np(np.bitwise_xor(h[..., None], digits))
     out = np.empty(h.shape + (K,), dtype=np.uint64)
     for d in range(K):
-        np.bitwise_xor(h, np.uint64(d), out=out[..., d])
+        np.bitwise_xor(h, digits[d], out[..., d])
     return _mix_np(out)
 
 
@@ -167,12 +177,12 @@ def hash_words(seed: "int | np.ndarray", *words) -> "int | np.ndarray":
         # mix(_GOLD ^ seed) is the chain's first state, so the seeds enter as a word
         h, words = _GOLD, (seed, *words)
     else:
-        h = _mix((int(seed) ^ _GOLD) & _MASK64)
+        h = _chain(_GOLD, [int(seed) & _MASK64])
     i = 0
     n = len(words)
     while i < n and not isinstance(words[i], np.ndarray):
         i += 1
-    h = _chain(h, words[:i])
+    h = _chain(h, [int(w) & _MASK64 for w in words[:i]])
     if i == n:
         return h
     a = _mix_np(np.uint64(h) ^ words[i].astype(np.uint64, copy=False))
@@ -334,7 +344,14 @@ class EdgeAddress:
     path: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "path", tuple(int(d) for d in self.path))
+        try:
+            path = tuple(self.path)
+        except TypeError:
+            raise ValidationError(f"edge path must be a sequence of integers, got {self.path!r}") from None
+        # ints and numpy integers only: int() would truncate 1.9 and accept '1' and True
+        if not all(_is_int(d) for d in path):
+            raise ValidationError(f"edge path digits must be integers, got {path!r}")
+        object.__setattr__(self, "path", tuple(int(d) for d in path))
 
     @property
     def generation(self) -> int:
@@ -403,7 +420,8 @@ def omega_for_generation(dm: DisorderModel, K: int, g, replicas, prefix=()) -> n
     one pass at the end.  A call spanning ``G`` generations down to local
     level ``n`` thus makes ``2 + len(prefix) + n`` array mixes (``n``
     for one row) and O(n) numpy calls, and costs about K/(K-1) mixed
-    words per edge.
+    words per edge.  A level is one digit XOR and the eight ufuncs of
+    :func:`_mix_np`, plus one copy of the finished generation's words.
 
     Parameters
     ----------
@@ -448,25 +466,28 @@ def omega_for_generation(dm: DisorderModel, K: int, g, replicas, prefix=()) -> n
     if S == 1:
         # one row: numpy calls on its few states would cost more than the mixes
         top = hash_words(dm.master_seed, DOMAIN_EDGE, int(reps[0, 0]))
-        h = np.array([[_chain(top, (g, *prefix)) for g in gens]], dtype=np.uint64)
+        tail = [int(d) & _MASK64 for d in prefix]
+        h = np.array([[_chain(top, (g, *tail)) for g in gens]], dtype=np.uint64)
     else:
         gen_words = np.arange(gens.start, gens.stop, dtype=np.uint64)
         h = hash_words(dm.master_seed, DOMAIN_EDGE, reps, gen_words, *prefix)
     first, last = gens.start - len(prefix), gens.stop - 1 - len(prefix)
-    out = np.empty((S, sum(K**n for n in range(first, last + 1))), dtype=np.float64)
+    out = np.empty((S, _edge_count(K, last) - _edge_count(K, first - 1)), dtype=np.float64)
     words = out.view(np.uint64)
-    h = h[:, :, None]  # (rows, generations still growing, states at this level)
+    # h: (rows, the states of every generation still growing, generation
+    # by generation); the first of them that reaches its own level moves
+    # to its words
     lo = 0
     for level in range(last + 1):
         if level:
-            h = _expand_digits(h, K).reshape(S, h.shape[1], -1)
+            h = _expand_digits(h, K).reshape(S, -1)
         if level >= first:
-            # the first generation still growing reaches its own level
-            words[:, lo : lo + h.shape[2]] = h[:, 0]
-            lo += h.shape[2]
-            h = h[:, 1:]
+            n = K**level
+            words[:, lo : lo + n] = h[:, :n]
+            lo += n
+            h = h[:, n:]
     # the words become uniforms in place, then omegas
-    np.multiply(np.right_shift(words, np.uint64(11), out=words), 2.0**-53, out=out)
+    np.multiply(np.right_shift(words, _S11, words), _ULP, out)
     _omega_in_place(dm.dist, out)
     return out if isinstance(replicas, np.ndarray) else out[0]
 

@@ -229,6 +229,45 @@ def test_solve_edge_R_deep_address_matches_oracle():
             solve_root_R_batch(spec, dm, z, seed, [7], addr=EdgeAddress((0,) * (depth + 1)))
 
 
+@pytest.mark.parametrize("replica", [0, 2**63 + 5])
+def test_one_row_views_equal_their_batch_row(replica):
+    # a one-row view carries the bits of its row in a three-row batch
+    # call, the probed replica in the middle, at generations 0, depth - 2
+    # and depth; R^- reads the same one-row solve, so it is compared
+    # with its own walk over the batch capture
+    z = complex(2.3, 0.05)
+    reps = [replica - 1 if replica else 2**64 - 1, replica, replica + 1]
+    for K, depth in ORACLE_TREES:
+        spec = TreeSpec(K=K, L=1.0, depth=depth)
+        dm = DisorderModel(lam=0.2, master_seed=4)
+        seed = cut_seed_disk(z, K, 1.0)
+        for g in (0, depth - 2, depth):
+            addr = EdgeAddress(tuple((j + 1) % K for j in range(g)))
+            row = solve_root_R_batch(spec, dm, z, seed, reps, addr=addr)[1]
+            assert solve_edge_R(spec, dm, z, addr, seed, replica) == row
+        _, cap = solve_root_R_batch(spec, dm, z, seed, reps, capture=True)
+        _, lone = solve_root_R_batch(spec, dm, z, seed, [replica], capture=True)
+        for g in range(depth + 1):
+            assert lone.m_near[g][0].tobytes() == cap.m_near[g][1].tobytes()
+            assert lone.lengths[g][0].tobytes() == cap.lengths[g][1].tobytes()
+
+
+def test_solve_R_minus_position_must_be_real():
+    spec = TreeSpec(K=2, L=1.0, depth=4)
+    dm = DisorderModel(lam=0.1, master_seed=3)
+    z = complex(2.0, 0.01)
+    target = EdgeAddress((1, 0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for position in (np.array([0.1, 0.2]), np.array(0.1), "0.1", 0.1 + 0j, True, None):
+            with pytest.raises(ValidationError, match="position must be a real number"):
+                solve_R_minus(spec, dm, z, target, position)
+        with pytest.raises(ValidationError, match="outside the target edge"):
+            solve_R_minus(spec, dm, z, target, -0.5)
+        for position in (0, 0.25, np.float64(0.25), np.float32(0.25)):
+            assert cmath.isfinite(solve_R_minus(spec, dm, z, target, position))
+
+
 def test_batch_per_replica_z_and_seed():
     dm = DisorderModel(lam=0.1, master_seed=2)
     zs = np.array([complex(2.0, 0.1), complex(2.5, 0.2), complex(3.0, 0.4)])

@@ -423,3 +423,40 @@ def test_master_seed_stored_as_int():
         assert dm == DisorderModel(lam=0.2, master_seed=int(seed))
 
 
+
+
+def test_edge_address_rejects_non_integer_digits():
+    # int() would truncate 1.9 and accept '1' and True, so (1.9,) would
+    # silently address edge (1,)
+    assert EdgeAddress((np.int64(1), 0, np.uint8(1))).path == (1, 0, 1)
+    assert all(type(d) is int for d in EdgeAddress(np.array([1, 0])).path)
+    for path in (("1", 0), (0.5,), (1.9,), (True, 1), (1, None), 5, None):
+        with pytest.raises(ValidationError):
+            EdgeAddress(path)
+    with pytest.raises(ValidationError):
+        ROOT_EDGE.child(0.5)
+
+
+@pytest.mark.parametrize("g0,prefix", [(0, ()), (3, (1, 0)), (5, (0, 1, 1, 0, 1))])
+def test_one_row_omega_mixes_once_per_level(g0, prefix, monkeypatch):
+    # a one-row draw hashes its chains in python ints, then makes one
+    # array mix per local level it expands: n for local level n
+    import wtree.graphmodel as gm
+
+    calls = []
+    mix = gm._mix_np
+
+    def counting(x):
+        calls.append(x.size)
+        return mix(x)
+
+    monkeypatch.setattr(gm, "_mix_np", counting)
+    dm = DisorderModel(lam=0.1, master_seed=2)
+    depth = 7
+    for K in (1, 2, 3):
+        calls.clear()
+        omega_for_generation(dm, K, range(g0, depth + 1), np.array([[9]]), prefix)
+        assert len(calls) == depth - len(prefix)
+        calls.clear()
+        omega_for_generation(dm, K, depth, 9, prefix)
+        assert len(calls) == depth - len(prefix)
