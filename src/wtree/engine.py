@@ -222,17 +222,17 @@ class BatchCapture:
 _ONE = np.array(1.0 + 0.0j)
 
 
-def _merge_terms(m: np.ndarray, den=None, out=None) -> np.ndarray:
-    """Merge terms (1 + m) / (1 - m) of disk values, in place in ``m`` unless ``out`` is given.
+def _merge_terms(m: np.ndarray, den=None) -> np.ndarray:
+    """Merge terms (1 + m) / (1 - m) of disk values, overwriting ``m``.
 
     The term of a disk value is R / (i*w) for its half-plane value R, so
     the Kirchhoff merge adds terms where the half plane adds R.  ``den``,
-    an array of m's shape, takes the one temporary if given; ``out`` may
-    be ``m`` itself.
+    an array of m's shape, takes the one temporary if given.
     """
     den = np.subtract(_ONE, m, den)
-    h = np.add(m, _ONE, m if out is None else out)
-    return np.divide(h, den, h)
+    m += _ONE
+    m /= den
+    return m
 
 
 def _sibling_sum(v: np.ndarray, out=None) -> np.ndarray:
@@ -244,7 +244,7 @@ def _sibling_sum(v: np.ndarray, out=None) -> np.ndarray:
     it); longer rows differ from numpy's pairwise order in the last bits.
     """
     K = v.shape[-1]
-    s = np.add(v[..., 0], v[..., 1] if K > 1 else 0.0, out)
+    s = np.add(v[..., 0], v[..., 1] if K > 1 else 0.0, out=out)
     for k in range(2, K):
         s += v[..., k]
     return s
@@ -276,14 +276,12 @@ def _pull(m, w, le, out=None):
     return _times_phase(_phase(w, le, out), m)
 
 
-def _times_phase(phase, m, out=None):
-    """The pulled values ``phase * m``, into ``out``, else in place in ``phase`` unless it has one element."""
+def _times_phase(phase, m):
+    """The pulled values ``phase * m``, in place in ``phase`` unless it has one element."""
     # numpy rounds an in-place complex product of a single element
-    # differently from an out-of-place one; one-element products go out
-    # of place, so that every block gets the out-of-place rounding
-    if out is None and phase.size > 1:
-        out = phase
-    return np.multiply(phase, m, out)
+    # differently from an out-of-place one; one-element blocks multiply
+    # out of place so that every block gets the out-of-place rounding
+    return np.multiply(phase, m, out=phase if phase.size > 1 else None)
 
 
 def _r_to_disk(R, w):
@@ -431,8 +429,8 @@ def _solve_subtree(spec, models, prefix, w, seed, reps, capture, sums=False):
     :data:`_ONE_CALL_PHASES` edges takes every edge's phase in one call
     first).  A generation is three :func:`_merge_terms` ufuncs, the
     K - 1 adds and three ufuncs of :func:`_merge_sum` and one pull
-    (:func:`_times_phase`), on flat slices of two scratch buffers; a
-    capture takes the pulled values straight into its own buffer.
+    (:func:`_times_phase`), on flat slices of two scratch buffers, and
+    a capture copies the pulled values once.
     Neither splits nor block sizes change a bit,
     so every model's values are the bits it gets alone.  Returns ``(m,
     capture, gen)``, the capture indexed by generation below ``prefix``,
@@ -474,9 +472,9 @@ def _solve_subtree(spec, models, prefix, w, seed, reps, capture, sums=False):
     # Two flat scratch buffers serve every block and generation, so the
     # solve touches fresh memory once instead of once per block.  A
     # generation's values are flat, (B, rows, K**j) in C order, so each
-    # parent's K children sit side by side: their merge terms go to
-    # ``a`` and the denominators to ``b``, the merged values end in ``b``
-    # and the pulled ones in ``a``, or in the capture.
+    # parent's K children sit side by side: generation j's values end in
+    # ``a`` (or in the phases of a one-call block), and its merge and the
+    # leaf seeds work in ``b``.
     a, b = np.empty((2, B * min(chunk, S) * leaves), dtype=np.complex128)
 
     def block_lengths(r):
@@ -510,8 +508,6 @@ def _solve_subtree(spec, models, prefix, w, seed, reps, capture, sums=False):
             phases = np.multiply(w2[lo:hi], lengths).reshape(-1)
             np.exp(phases, phases)
         if capture:
-            # generation j's values, (B, R, K**j), from rows * (its first column) on
-            near = np.empty(rows * edges, dtype=np.complex128)
             cap = BatchCapture([None] * (n + 1), [None] * (n + 1))
             caps.append(cap)
         # generation j's edges are the columns s:e of the lengths
@@ -520,7 +516,7 @@ def _solve_subtree(spec, models, prefix, w, seed, reps, capture, sums=False):
             s = e - K**j
             cells = rows * (e - s)
             if j < n:
-                h = _merge_terms(m, b[: cells * K], a[: cells * K])
+                h = _merge_terms(m, b[: cells * K])
                 m = _merge_sum(h.reshape(-1, K), b[:cells], a[:cells])
             if phases is None:
                 # _phase, with 2i*w taken once per call
@@ -529,14 +525,12 @@ def _solve_subtree(spec, models, prefix, w, seed, reps, capture, sums=False):
                 np.exp(phase, phase)
             else:
                 phase = phases[s:e]
+            m = _times_phase(phase, m)
             if capture:
-                m = _times_phase(phase, m, near[rows * s : rows * e])
-                cap.m_near[j] = m.reshape(B, R, -1)
+                cap.m_near[j] = m.reshape(B, R, -1).copy()  # the next _merge_terms overwrites m
                 le = lengths[..., s:e]
                 # a block of one replica drew its lengths once, for every row
                 cap.lengths[j] = le if le.shape[1] == R else np.broadcast_to(le, (B, R, e - s))
-            else:
-                m = _times_phase(phase, m)
             e = s
         out[:, lo:hi] = m.reshape(B, R)
     return out, _joined(caps, -2) if capture else None, gen
@@ -583,7 +577,10 @@ def _batch_rows(z, seed_m, S: int):
             raise ValidationError("direct recursion requires eta > 0 at every point")
         w = np.sqrt(z_arr)
     else:
-        w = np.full(S, _interior_sqrt(as_point(z)), dtype=np.complex128)
+        p = as_point(z)
+        if p.boundary_mode:
+            raise ValidationError("direct recursion requires eta > 0; boundary values need extrapolation")
+        w = np.full(S, sqrt_upper(p), dtype=np.complex128)
     if isinstance(seed_m, np.ndarray):
         seed = np.asarray(seed_m, dtype=np.complex128).ravel()
         if seed.size != S:
@@ -595,19 +592,13 @@ def _batch_rows(z, seed_m, S: int):
     return w, seed
 
 
-def _interior_sqrt(p: HalfPlanePoint) -> complex:
-    """sqrt_upper of a point off the real axis; boundary mode raises ``ValidationError``."""
-    if p.boundary_mode:
-        raise ValidationError("direct recursion requires eta > 0; boundary values need extrapolation")
-    return sqrt_upper(p)
-
-
-def _one_row(z, seed_m, replica):
-    """sqrt(z) of a one-replica view, then its checked row: w, seed and replica arrays."""
-    w = _interior_sqrt(as_point(z))
-    seed_m = _check_seed_m(seed_m)
-    _check_word("replica", replica)
-    return w, (np.array([w]), np.array([seed_m]), np.array([replica], dtype=np.uint64))
+def _check_visits(spec, prefix) -> None:
+    """Raise ``BudgetExceededError`` for a subtree below ``prefix`` of more than :data:`VISIT_BUDGET` edges."""
+    n_edges = _edge_count(spec.K, spec.depth - len(prefix))
+    if n_edges > VISIT_BUDGET:
+        raise BudgetExceededError(
+            f"tree solve would visit {n_edges} edges, budget is {VISIT_BUDGET}"
+        )
 
 
 def _solve(spec, dm, w, seed, replicas, prefix, capture, threads=1, omega_means=False):
@@ -615,7 +606,7 @@ def _solve(spec, dm, w, seed, replicas, prefix, capture, threads=1, omega_means=
 
     ``w``, ``seed`` and ``replicas`` hold each row's sqrt(z), far-end
     seed and uint64 replica (see :func:`_batch_rows` and
-    :func:`_one_row`).  ``dm`` is one model, giving values of shape
+    :func:`_replica_array`).  ``dm`` is one model, giving values of shape
     ``(S,)``, or a sequence of B models, giving ``(B, S)``.  With
     ``threads`` > 1 the replicas are split into that many contiguous
     parts (at least one each), solved on a thread pool and joined before
@@ -626,11 +617,7 @@ def _solve(spec, dm, w, seed, replicas, prefix, capture, threads=1, omega_means=
     """
     models = _as_models(dm)
     S = replicas.size
-    n_edges = _edge_count(spec.K, spec.depth - len(prefix))
-    if n_edges > VISIT_BUDGET:
-        raise BudgetExceededError(
-            f"tree solve would visit {n_edges} edges, budget is {VISIT_BUDGET}"
-        )
+    _check_visits(spec, prefix)
 
     def part(lo, hi):
         return _solve_subtree(
@@ -726,8 +713,8 @@ def solve_edge_R(
     """
     _check_model(dm)
     _check_address(spec, addr)
-    _, row = _one_row(z, seed_m, replica)
-    return complex(_solve(spec, dm, *row, addr.path, False)[0])
+    w, seed = _batch_rows(as_point(z), _check_seed_m(seed_m), 1)
+    return complex(_solve(spec, dm, w, seed, _replica_array([replica]), addr.path, False)[0])
 
 
 def solve_root_R(
@@ -825,7 +812,6 @@ def solve_root_R_batch(
         and its ``reasons`` the failure text per row, None where good.
     """
     _check_address(spec, addr)
-    _as_models(dm)
     _check_count("threads", threads, 1)
     replicas = _replica_array([0] if replicas is None else replicas)
     w, seed = _batch_rows(z, seed_m, replicas.size)
@@ -856,11 +842,12 @@ def solve_R_minus(
     it by a power of two, which is exact, so the walk stays finite at any
     eta (at large eta R^- tends to i*sqrt(z)).  Crossing a vertex into
     child f adds every sibling's forward WT value to psi'/psi.  Path
-    lengths and the siblings' near-end disk values are read from one
-    captured one-replica solve of the whole tree, whose capture is not
-    copied; each sibling's value is the inverse disk transform of its
-    disk value at that solve's sqrt(z).  So :data:`VISIT_BUDGET` caps
-    that tree's edge count and memory grows with it.
+    lengths and the siblings' near-end disk values are read from the
+    kernel's capture of one one-replica solve of the whole tree, whose
+    root value is neither converted nor checked; each sibling's value is
+    the inverse disk transform of its disk value at that solve's
+    sqrt(z).  So :data:`VISIT_BUDGET` caps that tree's edge count and
+    memory grows with it.
 
     Raises
     ------
@@ -870,7 +857,8 @@ def solve_R_minus(
     NumericalDegeneracyError
         If the pair degenerates, which eta > 0 excludes.
     """
-    w, row = _one_row(z, seed_m, replica)
+    w, seed = _batch_rows(as_point(z), _check_seed_m(seed_m), 1)
+    replicas = _replica_array([replica])
     _check_model(dm)
     _check_address(spec, target)
     if isinstance(position, (bool, np.bool_)) or not isinstance(
@@ -882,10 +870,15 @@ def solve_R_minus(
         return WT_INFINITY
 
     K = spec.K
-    _, cap = _solve(spec, dm, *row, (), True)
+    _check_visits(spec, ())
+    # the kernel's capture, (model, row, edge) per generation: the walk
+    # needs no root value, so none is converted or checked
+    with np.errstate(all="ignore"):
+        _, cap, _ = _solve_subtree(spec, (dm,), (), w, seed, replicas, True)
+    w = complex(w[0])
     # index of the path's edge within each generation, the target's last
     idx = list(accumulate(target.path, lambda i, d: i * K + d, initial=0))
-    lengths = [float(cap.lengths[g][0, i]) for g, i in enumerate(idx)]
+    lengths = [float(cap.lengths[g][0, 0, i]) for g, i in enumerate(idx)]
     if not 0.0 <= position <= lengths[-1]:
         raise ValidationError(
             f"position {position} outside the target edge of length {lengths[-1]}"
@@ -897,7 +890,7 @@ def solve_R_minus(
     up = complex(math.cos(alpha))
     for g, d in enumerate(target.path):
         u, up = _transfer(u, up, w, q[g])
-        kids = cap.m_near[g + 1][0, idx[g] * K : (idx[g] + 1) * K].tolist()
+        kids = cap.m_near[g + 1][0, 0, idx[g] * K : (idx[g] + 1) * K].tolist()
         up -= sum(_disk_to_r(m, w) for j, m in enumerate(kids) if j != d) * u
         # exact: a power of two (a degenerate pair keeps its 0, inf or NaN)
         scale = math.ldexp(1.0, -math.frexp(max(abs(u), abs(up)))[1])

@@ -28,6 +28,7 @@ from .engine import (
     _phase,
     _pull,
     _r_to_disk,
+    _sibling_sum,
     as_point,
     solve_root_R_batch,
     sqrt_upper,
@@ -439,7 +440,7 @@ def _gamma_parts(R, R_kids, lengths, w: complex):
     exp(iwx) (1 - m(x)) and 1 - m = 2iw / (R + iw), so it needs no
     cos(wl) or sin(wl) and cannot overflow.
     """
-    R_far = R_kids.sum(axis=-1)
+    R_far = _sibling_sum(R_kids)
     log_ratio = np.log(np.abs(R + 1j * w)) - np.log(np.abs(R_far + 1j * w)) - w.imag * lengths
     current = np.log(R.imag) - 2.0 * log_ratio - np.log(R_far.imag)
     return current, _jensen_gap(R_kids.imag), log_ratio
@@ -511,7 +512,7 @@ def _sample(spec, dm, p, n, source, burn_in, pool_size, threads=1) -> tuple:
         kids = np.stack([values for values, _ in solves], axis=-1)
         lengths, root_omegas = _root_edge_lengths(spec, models, replicas)
         # the root step of the tree kernel: Kirchhoff merge, then pull
-        R = _disk_to_r(_pull(_r_to_disk(kids.sum(axis=-1), w), w, lengths), w)
+        R = _disk_to_r(_pull(_r_to_disk(_sibling_sum(kids), w), w, lengths), w)
         means = np.stack([gen for _, gen in solves], axis=-2)
         return R, kids, lengths, _direct_controls(spec, models, p, root_omegas, means)
     if source != "pool":

@@ -11,7 +11,6 @@ parallel scheduling.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -99,21 +98,19 @@ def _chain(h: int, words) -> int:
 # _mix_np's shifts and multipliers as 0-d uint64 arrays, made once: a
 # ufunc takes a 0-d array faster than a numpy scalar, and multiplies a
 # few thousand words by it faster too
-_S11, _S27, _S30, _S31 = (np.array(s, dtype=np.uint64) for s in (11, 27, 30, 31))
+_S30, _S27, _S31 = (np.array(s, dtype=np.uint64) for s in (30, 27, 31))
 _M1, _M2 = np.array(_MIX1, dtype=np.uint64), np.array(_MIX2, dtype=np.uint64)
-# the float spacing 2**-53 that turns a word's top 53 bits into a uniform
-_ULP = np.array(2.0**-53)
 
 
 def _mix_np(x: np.ndarray) -> np.ndarray:
     # splitmix64 finalizer, in place: callers pass a fresh XOR result;
-    # the three shifts share one scratch array, outputs are positional
+    # the three shifts share one scratch array
     tmp = np.right_shift(x, _S30)
-    np.bitwise_xor(x, tmp, x)
-    np.multiply(x, _M1, x)
-    np.bitwise_xor(x, np.right_shift(x, _S27, tmp), x)
-    np.multiply(x, _M2, x)
-    np.bitwise_xor(x, np.right_shift(x, _S31, tmp), x)
+    x ^= tmp
+    x *= _M1
+    x ^= np.right_shift(x, _S27, out=tmp)
+    x *= _M2
+    x ^= np.right_shift(x, _S31, out=tmp)
     return x
 
 
@@ -122,14 +119,6 @@ def _mix_np(x: np.ndarray) -> np.ndarray:
 #: 2-vCPU VM (numpy 2.4, K=2) the broadcast took 5.4 us against 6.9 us
 #: for one state and 11.9 us against 10.7 us for 512.
 _BROADCAST_STATES = 256
-
-
-@functools.cache
-def _digits(K: int) -> np.ndarray:
-    """The digits 0..K-1 as a read-only uint64 array, made once per K."""
-    d = np.arange(K, dtype=np.uint64)
-    d.flags.writeable = False
-    return d
 
 
 def _expand_digits(h: np.ndarray, K: int) -> np.ndarray:
@@ -141,12 +130,11 @@ def _expand_digits(h: np.ndarray, K: int) -> np.ndarray:
     column writes, whose cost does not grow with K calls of the inner
     loop per state.  Either way one mix follows.
     """
-    digits = _digits(K)
     if h.size <= _BROADCAST_STATES:
-        return _mix_np(np.bitwise_xor(h[..., None], digits))
+        return _mix_np(np.bitwise_xor(h[..., None], np.arange(K, dtype=np.uint64)))
     out = np.empty(h.shape + (K,), dtype=np.uint64)
     for d in range(K):
-        np.bitwise_xor(h, digits[d], out[..., d])
+        np.bitwise_xor(h, np.uint64(d), out=out[..., d])
     return _mix_np(out)
 
 
@@ -487,7 +475,7 @@ def omega_for_generation(dm: DisorderModel, K: int, g, replicas, prefix=()) -> n
             lo += n
             h = h[:, n:]
     # the words become uniforms in place, then omegas
-    np.multiply(np.right_shift(words, _S11, words), _ULP, out)
+    np.multiply(np.right_shift(words, np.uint64(11), out=words), 2.0**-53, out=out)
     _omega_in_place(dm.dist, out)
     return out if isinstance(replicas, np.ndarray) else out[0]
 

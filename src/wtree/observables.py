@@ -23,6 +23,7 @@ from .engine import (
     _edge_ratio,
     _failed_rows,
     _phase,
+    _sibling_sum,
     _transfer,
     as_point,
     solve_root_R_batch,
@@ -366,7 +367,7 @@ def tree_profile(
     R_near, m_near, lengths = ([a[lo:hi] for lo, hi in gens] for a in (R, m, le))
     # the far end of an edge is the Kirchhoff sum of its children's near ends
     inner = starts[-2]
-    ratio = _edge_ratio(R[:inner], R[1:].reshape(-1, K).sum(axis=1), w, le[:inner])
+    ratio = _edge_ratio(R[:inner], _sibling_sum(R[1:].reshape(-1, K)), w, le[:inner])
     psi_near = [np.ones(1, dtype=np.complex128)]
     for g in range(spec.depth):
         psi_end = psi_near[g] * ratio[starts[g] : starts[g + 1]]
@@ -414,6 +415,6 @@ def vertex_current_mismatch(profile: TreeProfile) -> float:
     R, m, psi, le, q = (a[:n][live] for a in (R, m, psi, le, q))
     R_end = _disk_to_r(m / q, w)
     psi_end = psi * _edge_ratio(R, R_end, w, le)
-    J_kids = (np.abs(psi_kids[live] / psi_end[:, None]) ** 2 * R_kids[live].imag).sum(axis=1)
+    J_kids = _sibling_sum(np.abs(psi_kids[live] / psi_end[:, None]) ** 2 * R_kids[live].imag)
     rel = np.abs(R_end.imag - J_kids) / np.abs(R_end.imag)
     return float(rel.max(initial=0.0))
